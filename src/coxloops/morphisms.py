@@ -1,13 +1,18 @@
 """Loop and group morphisms, automorphism groups, and the structure of
 Aut(M(G, 2)).
 
-`automorphism_group` is a backtracking search on generator images with
-closure propagation: assigning an image to one more generator forces images
-of everything it generates, and every forced pair is checked against the
-table, so a completed assignment is an automorphism by construction.
-Candidate images are filtered by cheap isomorphism invariants.  The search
-is exhaustive; a `budget` caps the number of assignments tried and raising
-past it is a hard error, never a silent truncation.
+`automorphism_group` searches Aut level by level along the stabilizer chain
+of a greedy generating set g1..gk, deepest level first.  Assigning an image
+to one more generator forces images of everything it generates, and every
+forced pair is checked against the table, so a completed assignment is an
+automorphism by construction.  Candidate images are filtered by cheap
+isomorphism invariants and pruned by orbits: an image already reached by
+the automorphisms found so far, or in the orbit of a refuted image, is not
+tried again.  The search stays exhaustive, since every other candidate is
+either completed or refuted.  Aut is listed as the products of one
+transversal element per level.  A `budget` caps the number of candidate
+assignments tried (`AutGroup.nodes`), and raising past it is a hard error,
+never a silent truncation; memoized results honour the budget too.
 
 The two structure theorems verified here describe Aut(L) for L = M(G, 2):
 
@@ -24,12 +29,13 @@ automorphism group element by element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import ResourceLimitError
-from .groups import GroupTable, all_subgroups
+from .errors import CheckError, ResourceLimitError
+from .groups import GroupTable, closure
 from .loops import LoopTable, chein_loop, subloop_closure
 
 __all__ = [
@@ -134,7 +140,7 @@ class AutGroup:
     """The full automorphism group as sorted image tuples."""
 
     elements: Tuple[Tuple[int, ...], ...]
-    nodes: int  # search nodes explored
+    nodes: int  # candidate assignments tried by the search
 
     @property
     def order(self) -> int:
@@ -154,16 +160,54 @@ class AutGroup:
 _AUT_CACHE: Dict[Tuple[Tuple[int, ...], ...], "AutGroup"] = {}
 
 
+def _budget_error(budget: int) -> ResourceLimitError:
+    return ResourceLimitError(f"automorphism search exceeded budget={budget} nodes")
+
+
+def _close_orbit(tree: Dict[int, Optional[Tuple]], perms: Sequence[Tuple[int, ...]]) -> None:
+    """Close the point set `tree` under `perms`.  Each new point d maps to
+    the step (c, f) with f[c] == d that reached it, so the points are a
+    Schreier tree in insertion order."""
+    queue = list(tree)
+    while queue:
+        c = queue.pop()
+        for f in perms:
+            d = f[c]
+            if d not in tree:
+                tree[d] = (c, f)
+                queue.append(d)
+
+
 def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
     """Exhaustive Aut(t) for any table exposing .order/.product.
 
-    Raises ResourceLimitError if more than `budget` candidate assignments
-    are explored (the search is never silently truncated).  Results are
-    memoized by table, since amalgam work asks for the same edge loops
-    over and over.
+    The search runs over the levels of the stabilizer chain of the
+    generators g1..gk from `generating_set`, deepest level first.  At level
+    i, g1..g(i-1) are fixed, and the automorphisms found so far (all of
+    which fix them) act on the profile-compatible images b of gi.  An image
+    is skipped if it lies in the orbit of gi, or in the orbit of an image
+    already refuted.  Otherwise `extend` propagates gi -> b and a
+    depth-first search over the later generators stops at its first leaf:
+    a leaf is an automorphism and joins the strong generators, and a
+    subtree without a leaf refutes b.  Each level's orbit comes with a
+    transversal, and Aut(t) is the set of products t1 o ... o tk of one
+    transversal element per level, each automorphism exactly once, so
+    |Aut(t)| is the product of the orbit lengths.
+
+    `nodes` counts the candidate assignments tried, i.e. the `extend`
+    calls, including the k that fix g1..gk to themselves.  More than
+    `budget` of them raise ResourceLimitError: the search is never silently
+    truncated.  Results are memoized by table, since amalgam work asks for
+    the same edge loops over and over; a memo hit raises the same error
+    when its search needed more than `budget` nodes, so it behaves exactly
+    like a fresh search.  CheckError (not `assert`, so also under
+    `python -O`) reports a generating set that does not generate or
+    transversal products that are not distinct.
     """
     cached = _AUT_CACHE.get(t.product)
     if cached is not None:
+        if cached.nodes > budget:
+            raise _budget_error(budget)
         return cached
     n = t.order
     p = t.product
@@ -172,11 +216,14 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
     candidates: Dict[int, List[int]] = {
         g: [x for x in range(n) if prof[x] == prof[g]] for g in gens
     }
-    found: List[Tuple[int, ...]] = []
     nodes = 0
 
     def extend(images: List[int], used: List[bool], known: List[int], a: int, b: int):
         """Set images[a] = b, propagate forced products; None on conflict."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _budget_error(budget)
         images = images[:]
         used = used[:]
         known = known[:]
@@ -205,36 +252,68 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
                         return None
         return images, used, known
 
-    def dfs(idx: int, images: List[int], used: List[bool], known: List[int]) -> None:
-        nonlocal nodes
-        if idx == len(gens):
-            assert all(v >= 0 for v in images)
-            found.append(tuple(images))
-            return
-        g = gens[idx]
-        if images[g] >= 0:
-            dfs(idx + 1, images, used, known)
-            return
-        for b in candidates[g]:
-            nodes += 1
-            if nodes > budget:
-                raise ResourceLimitError(
-                    f"automorphism search exceeded budget={budget} nodes"
-                )
-            r = extend(images, used, known, g, b)
-            if r is not None:
-                dfs(idx + 1, *r)
+    def first_leaf(idx: int, state, b: int) -> Optional[Tuple[int, ...]]:
+        """First automorphism extending `state` by gens[idx] -> b, if any."""
+        state = extend(*state, gens[idx], b)
+        if state is None:
+            return None
+        if idx + 1 == len(gens):
+            return tuple(state[0])
+        for c in candidates[gens[idx + 1]]:
+            leaf = first_leaf(idx + 1, state, c)
+            if leaf is not None:
+                return leaf
+        return None
 
+    # prefixes[i]: gens[:i] fixed to themselves, which fixes the subloop
+    # they generate; with every generator fixed, the identity must be complete
     images0 = [-1] * n
     used0 = [False] * n
     images0[0] = 0
     used0[0] = True
-    dfs(0, images0, used0, [0])
-    found.sort()
-    assert found and found[0] == tuple(range(n)), "identity must be found"
-    result = AutGroup(tuple(found), nodes)
-    if n <= 64:
-        _AUT_CACHE[t.product] = result
+    prefixes = [(images0, used0, [0])]
+    for g in gens:
+        prefixes.append(extend(*prefixes[-1], g, g))
+    if len(prefixes[-1][2]) != n:
+        raise CheckError(f"generating_set {gens} does not generate the table")
+
+    identity = tuple(range(n))
+    found: List[Tuple[int, ...]] = []  # strong generators, deepest level first
+    transversals: List[List[Tuple[int, ...]]] = []
+    for i in reversed(range(len(gens))):
+        g = gens[i]
+        # the automorphisms found so far fix gens[:i]; under them, the orbit
+        # of g is reached and the orbits of refuted images are refuted
+        orbit: Dict[int, Optional[Tuple]] = {g: None}
+        refuted: Dict[int, Optional[Tuple]] = {}
+        for b in candidates[g]:
+            if b in orbit or b in refuted:
+                continue
+            leaf = first_leaf(i, prefixes[i], b)
+            if leaf is None:
+                refuted[b] = None
+                _close_orbit(refuted, found)
+            else:
+                found.append(leaf)
+                _close_orbit(orbit, found)
+                _close_orbit(refuted, found)
+        transversal = {g: identity}
+        for c, step in orbit.items():
+            if step is not None:
+                parent, f = step
+                transversal[c] = tuple(map(f.__getitem__, transversal[parent]))
+        transversals.append(list(transversal.values()))
+
+    order = math.prod(len(level) for level in transversals)
+    # Aut = T1 o ... o Tk; transversals run deepest level first
+    elements: List[Tuple[int, ...]] = [identity]
+    for level in transversals:
+        elements = [tuple(map(f.__getitem__, suffix)) for f in level for suffix in elements]
+    elements.sort()
+    if len(elements) != order or any(a == b for a, b in zip(elements, elements[1:])):
+        raise CheckError("the transversal products are not distinct automorphisms")
+    result = AutGroup(tuple(elements), nodes)
+    _AUT_CACHE[t.product] = result
     return result
 
 
@@ -275,16 +354,30 @@ def dihedral_decomposition(g: GroupTable) -> Optional[Tuple[Tuple[int, ...], int
     """Find (H, u'): H an abelian index-2 subgroup, u' an involution outside
     it inverting H by conjugation — i.e. witness G = M(H, 2).
 
-    Deterministic: subgroups are scanned in (size, elements) order and the
+    Every index-2 subgroup contains S = <x^2 : x in G>, and G/S is an
+    elementary abelian 2-group, so the index-2 subgroups are the kernels of
+    the nonzero functionals on G/S.  Each element gets GF(2) coordinates
+    over a greedy basis of G/S (the smallest element outside the span so
+    far); each functional's kernel is one candidate H.
+
+    Deterministic: the candidates are scanned in element order and the
     smallest qualifying u' is taken, so the witness is canonical.
     """
     if g.order % 2 != 0:
         return None
     p, inv = g.product, g.inverse
-    half = g.order // 2
-    for sub in all_subgroups(g):
-        if len(sub) != half:
-            continue
+    coords = dict.fromkeys(closure(g, {p[x][x] for x in range(g.order)}), 0)
+    dim = 0
+    for x in range(g.order):
+        if x not in coords:
+            for y, c in list(coords.items()):
+                coords[p[x][y]] = c | 1 << dim
+            dim += 1
+    kernels = sorted(
+        tuple(x for x in range(g.order) if not (coords[x] & f).bit_count() % 2)
+        for f in range(1, 1 << dim)
+    )
+    for sub in kernels:
         inside = set(sub)
         if any(p[a][b] != p[b][a] for a in sub for b in sub):
             continue
