@@ -11,6 +11,12 @@ table trick available because every generator is an involution; see Holt,
 into BFS shortlex order afterwards, so element 0 is the identity and
 elements come with canonical shortlex words over the generators.
 
+The product table is read off the BFS tree of that renumbering: if b is
+reached from its parent p by generator s, then b*c = p*(s*c) for every c,
+so row b is row p composed with left translation by s, one
+`groups.composer` call per element.  The generators' left translations
+come from the same tree: s*b = (s*p).x when b = p.x.
+
 Finite (spherical) diagrams are recognized by the standard classification
 of finite Coxeter groups (connected components must be trees of shape
 A/B/D/E/F/H/I2 with the usual label restrictions), which gives the order
@@ -23,9 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DiagramError, ResourceLimitError
+from .errors import CheckError, DiagramError, ResourceLimitError
 from .graphs import Graph
-from .groups import GroupTable
+from .groups import GroupTable, composer
 
 __all__ = [
     "CoxeterDiagram",
@@ -364,7 +370,8 @@ def _enumerate_cosets(d: CoxeterDiagram, cap: int) -> List[List[int]]:
     out = []
     for c in live:
         row = ct.tab[c]
-        assert all(e >= 0 for e in row)
+        if not all(e >= 0 for e in row):
+            raise CheckError(f"coset {c} has an undefined entry after enumeration")
         out.append([renum[ct.rep(e)] for e in row])
     return out
 
@@ -387,38 +394,44 @@ def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
     action = _enumerate_cosets(d, cap)
     n_cos = len(action)
     n = d.rank
-    # renumber cosets in BFS shortlex order and record canonical words
+    # renumber cosets in BFS shortlex order and record canonical words and
+    # the BFS tree: tree[b] = (parent of b, generator x with b = parent.x)
     order_of: List[int] = [-1] * n_cos
     bfs: List[int] = [0]
     order_of[0] = 0
     words: List[Tuple[int, ...]] = [()]
+    tree: List[Tuple[int, int]] = [(0, -1)]
     head = 0
     while head < len(bfs):
         c = bfs[head]
-        head += 1
         for x in range(n):
             e = action[c][x]
             if order_of[e] < 0:
                 order_of[e] = len(bfs)
-                words.append(words[head - 1] + (x,))
+                words.append(words[head] + (x,))
+                tree.append((head, x))
                 bfs.append(e)
-    assert head == n_cos, "coset graph must be connected"
-    act = [[order_of[action[c][x]] for x in range(n)] for c in bfs]
-    # product by replaying the right factor's word; right action composes
-    # left-to-right, so a*b = a . x1 . x2 ... where b = e . x1 . x2 ...
-    product = []
-    for a in range(n_cos):
-        row = []
-        for b in range(n_cos):
-            c = a
-            for x in words[b]:
-                c = act[c][x]
-            row.append(c)
-        product.append(row)
-    generators = tuple(act[0][x] for x in range(n))
-    assert len(set(generators)) == n and 0 not in generators, (
-        "simple reflections must be distinct nontrivial elements"
-    )
+        head += 1
+    if head != n_cos:
+        raise CheckError("coset graph must be connected")
+    # act[x][c] = c.x, the right action of generator x on elements
+    act = [[order_of[action[c][x]] for c in bfs] for x in range(n)]
+    generators = tuple(act[x][0] for x in range(n))
+    if len(set(generators)) != n or 0 in generators:
+        raise CheckError("simple reflections must be distinct nontrivial elements")
+    # left translation by each generator along the BFS tree:
+    # s*b = (s*parent(b)).last(b)
+    left = []
+    for s in generators:
+        row = [s] * n_cos
+        for b in range(1, n_cos):
+            parent, x = tree[b]
+            row[b] = act[x][row[parent]]
+        left.append(composer(row))
+    # row b of the product: b*c = parent(b)*(last(b)*c)
+    product: List[Tuple[int, ...]] = [tuple(range(n_cos))]
+    for parent, x in tree[1:]:
+        product.append(left[x](product[parent]))
     labels = [_word_label(w) for w in words]
     return GroupTable(product, labels=labels, generators=generators, words=words, validate=False)
 

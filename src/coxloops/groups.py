@@ -4,14 +4,25 @@ Elements are 0..order-1 with 0 the identity.  The table is dense, so
 everything here is meant for desk-scale orders (the test corpus tops out in
 the hundreds).  Corpus constructors for the standard small groups live here
 too; Coxeter groups get their tables from coset enumeration in `coxeter`.
+
+`compose` is the one permutation-composition kernel of the package: table
+rows and columns are maps on 0..n-1, and the table build, the doubling,
+the cubic identity sweeps and the homomorphism checks all work by
+composing whole rows at C speed (`operator.itemgetter`) instead of looking
+up one entry at a time.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+
+from .errors import CheckError
 
 __all__ = [
+    "compose",
+    "composer",
     "GroupTable",
     "from_table",
     "cyclic",
@@ -25,6 +36,22 @@ __all__ = [
     "subgroup_table",
     "all_subgroups",
 ]
+
+
+def composer(g: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """The map f -> f o g, built once for composing many f with one g.
+
+    `itemgetter(*g)(f)` is the tuple f[g[0]], f[g[1]], ...; with a single
+    key it would return a bare value, so lengths 0 and 1 are special.
+    """
+    if len(g) > 1:
+        return itemgetter(*g)
+    return lambda f: tuple(f[v] for v in g)
+
+
+def compose(f: Sequence[int], g: Sequence[int]) -> Tuple[int, ...]:
+    """(f o g)(x) = f(g(x)), as a tuple."""
+    return composer(g)(f)
 
 
 class GroupTable:
@@ -58,21 +85,29 @@ class GroupTable:
 
     def _validate(self) -> None:
         n = self.order
-        assert n >= 1
-        for row in self.product:
-            assert len(row) == n and all(0 <= x < n for x in row)
+        rows = self.product
+        if n < 1:
+            raise CheckError("a group has at least one element")
+        for a, row in enumerate(rows):
+            if len(row) != n or not all(0 <= x < n for x in row):
+                raise CheckError(f"row {a} is not a list of {n} elements 0..{n - 1}")
         for a in range(n):
-            assert self.product[0][a] == a and self.product[a][0] == a, "0 must be the identity"
-            assert len(set(self.product[a])) == n, f"row {a} is not a permutation"
-            assert len({self.product[b][a] for b in range(n)}) == n, f"column {a} is not a permutation"
-            assert 0 in self.product[a], f"element {a} has no inverse"
+            if rows[0][a] != a or rows[a][0] != a:
+                raise CheckError("0 must be the identity")
+            if len(set(rows[a])) != n:
+                raise CheckError(f"row {a} is not a permutation")
+            if len({rows[b][a] for b in range(n)}) != n:
+                raise CheckError(f"column {a} is not a permutation")
+            if 0 not in rows[a]:
+                raise CheckError(f"element {a} has no inverse")
+        # (a*b)*c == a*(b*c) for all c is the row identity L_ab == L_a o L_b
         for a in range(n):
+            ra = rows[a]
             for b in range(n):
-                ab = self.product[a][b]
-                for c in range(n):
-                    assert self.product[ab][c] == self.product[a][self.product[b][c]], (
-                        f"associativity fails at ({a},{b},{c})"
-                    )
+                lhs, rhs = rows[ra[b]], compose(ra, rows[b])
+                if lhs != rhs:
+                    c = next(c for c in range(n) if lhs[c] != rhs[c])
+                    raise CheckError(f"associativity fails at ({a},{b},{c})")
 
     def mul(self, a: int, b: int) -> int:
         return self.product[a][b]
@@ -212,8 +247,14 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable(rows, labels=labels)
 
 
-def closure(g: GroupTable, subset: Iterable[int]) -> Tuple[int, ...]:
-    """Subgroup generated by `subset`, as a sorted element tuple."""
+def closure(g, subset: Iterable[int]) -> Tuple[int, ...]:
+    """Subgroup (or subloop) generated by `subset`, as a sorted element tuple.
+
+    Only `g.product` is read, so `g` may be a group or a loop table.  In a
+    finite loop, closure under multiplication is enough: translations
+    restrict to bijections of the closed set, so divisions and the identity
+    come along automatically.
+    """
     seen = {0} | set(subset)
     frontier = list(seen)
     while frontier:

@@ -35,7 +35,7 @@ from itertools import product as iproduct
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CheckError, ResourceLimitError
-from .groups import GroupTable, closure
+from .groups import GroupTable, closure, compose, composer
 from .loops import LoopTable, chein_loop, subloop_closure
 
 __all__ = [
@@ -74,9 +74,7 @@ class Morphism:
         return len(set(self.images)) == len(self.images)
 
 
-def compose_images(f: Sequence[int], g: Sequence[int]) -> Tuple[int, ...]:
-    """(f o g)(x) = f(g(x))."""
-    return tuple(f[v] for v in g)
+compose_images = compose  # (f o g)(x) = f(g(x))
 
 
 def invert_images(f: Sequence[int]) -> Tuple[int, ...]:
@@ -87,14 +85,16 @@ def invert_images(f: Sequence[int]) -> Tuple[int, ...]:
 
 
 def is_homomorphism(images: Sequence[int], dom, cod) -> bool:
-    """f(x*y) == f(x)*f(y) over all pairs; dom/cod expose .product."""
+    """f(x*y) == f(x)*f(y) over all pairs; dom/cod expose .product.
+
+    Checked one x at a time as maps of y: f o L_x == L_{f(x)} o f.
+    """
     dp, cp = dom.product, cod.product
     n = len(dp)
     if len(images) != n:
         return False
-    return all(
-        images[dp[x][y]] == cp[images[x]][images[y]] for x in range(n) for y in range(n)
-    )
+    after_f = composer(images)  # after_f(h) = h o f
+    return all(compose(images, dp[x]) == after_f(cp[images[x]]) for x in range(n))
 
 
 def is_automorphism(t, images: Sequence[int]) -> bool:

@@ -4,6 +4,8 @@ Frozen values: orders and element-order multisets of the corpus groups, and
 full subgroup-lattice counts for the classical small cases.
 """
 
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -183,6 +185,26 @@ def test_validation_rejects_bad_tables():
     ]
     with pytest.raises(AssertionError):
         from_table(loop5)
+
+
+def test_validation_rejects_nonassociative_table_under_optimize():
+    # the order-5 loop must be refused even with asserts stripped by -O
+    code = "\n".join([
+        "from coxloops.errors import CheckError",
+        "from coxloops.groups import from_table",
+        "rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]",
+        "try:",
+        "    from_table(rows)",
+        "except CheckError as e:",
+        "    print(__debug__, 'CheckError', e)",
+        "else:",
+        "    print(__debug__, 'accepted')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "CheckError", "associativity", "fails", "at", "(1,1,2)"]
 
 
 def test_validate_false_skips_checks():

@@ -7,7 +7,7 @@ counts for the doubling suite on small Coxeter groups.
 
 import pytest
 
-from coxloops.coxeter import diagram_a, diagram_b, diagram_i2, enumerate_group
+from coxloops.coxeter import diagram_a, diagram_b, diagram_h, diagram_i2, enumerate_group
 from coxloops.groups import cyclic, dihedral, klein4, symmetric3
 from coxloops.loops import (
     CHEIN_NAMES,
@@ -78,6 +78,20 @@ def test_chein_loop_of_s3_frozen():
     for name in MOUFANG_NAMES:
         assert moufang[name].holds
         assert moufang[name].checked == 12**3
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [diagram_h(3), pytest.param(diagram_a(4), marks=pytest.mark.slow)],
+    ids=["h3", "a4"],
+)
+def test_order_240_loops_are_moufang(diagram):
+    # loop order 240, every triple of every identity (13.8 M instances each)
+    t = chein_loop(enumerate_group(diagram))
+    assert t.order == 240
+    for name, rep in is_moufang(t).items():
+        assert rep.holds, rep.brief()
+        assert rep.checked == 240**3
 
 
 def test_coset_elements_are_involutions():
