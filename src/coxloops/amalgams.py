@@ -20,19 +20,27 @@ yields an amalgam in the class of its cohomology class in H^1(D).
 only free choices — the automorphisms of the edge loops stabilizing the
 embedded subloops — propagating each choice to every higher simplex and
 checking consistency, so a failed search certifies non-isomorphism.
+
+`classify_twisted_amalgams` runs one gauge sweep per amalgam a_T instead
+of one search per pair: the same space of edge assignments theta, walked
+depth first with each vertex tested as soon as its edges are assigned.
+The test at vertex j fixes the twists S at j that theta can reach up to
+one flip, so the sweep lists every a_S isomorphic to a_T (the orbit of
+T) at once; that is the H^1 = Z^1 / B^1 statement, certified by
+exhaustion in 2^n sweeps instead of 2^(2n-1) searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .cohomology import EdgeComplex, build_complex, vertex_coboundary, vertex_twist
 from .coxeter import CoxeterDiagram, embed_parabolic, enumerate_group, subdiagram
 from .errors import CheckError, ResourceLimitError
-from .graphs import Edge, spanning_tree
+from .graphs import Edge, SpanningTree, spanning_tree
 from .groups import GroupTable
 from .loops import LoopTable, chein_loop, subloop_closure
 from .morphisms import automorphism_group, compose_images, is_homomorphism
@@ -486,8 +494,18 @@ class ClassificationReport:
 
 
 def classify_twisted_amalgams(d: CoxeterDiagram, budget: int = 10_000_000) -> ClassificationReport:
-    """Build all 2^n twisted amalgams and partition them by exhaustive
-    pairwise isomorphism; the expected outcome is 2^n singleton classes."""
+    """Partition the 2^n normalized twisted amalgams into isomorphism
+    classes; the expected outcome is 2^n singleton classes.
+
+    The classes are those of the greedy pairwise comparison (each delta,
+    in order, against the first member of every class so far), with the
+    same `pairs_checked`.  Each decision reads the delta's orbit from one
+    gauge sweep per delta (`_twist_orbits`) instead of running an
+    exhaustive `amalgams_isomorphic` search per pair; every merge is still
+    confirmed by `amalgams_isomorphic` and carries its checked witness.
+    The budget applies as in the pairwise search: ResourceLimitError when
+    n >= 1 and the space of one search exceeds it.
+    """
     graph = d.underlying_graph()
     st = spanning_tree(graph)
     n = len(st.nontree_edges)
@@ -495,14 +513,28 @@ def classify_twisted_amalgams(d: CoxeterDiagram, budget: int = 10_000_000) -> Cl
     for k in range(0, n + 1):
         for combo in combinations(range(1, n + 1), k):
             deltas.append(frozenset(combo))
-    amalgams = {delta: twisted_amalgam(d, delta) for delta in deltas}
+    a = standard_amalgam(d)
+    orbits = _twist_orbits(a, st, budget) if n else {frozenset(): {frozenset()}}
+    for delta in deltas:
+        if delta not in orbits[delta]:
+            raise CheckError(f"twisted amalgam {sorted(delta)} missing from its own orbit")
+        if any(delta not in orbits[other] for other in orbits[delta]):
+            raise CheckError(f"orbit of twisted amalgam {sorted(delta)} is not symmetric")
     classes: List[List[FrozenSet[int]]] = []
     pairs = 0
     for delta in deltas:
         placed = False
         for cls in classes:
             pairs += 1
-            if amalgams_isomorphic(amalgams[cls[0]], amalgams[delta], budget=budget).isomorphic:
+            if delta in orbits[cls[0]]:
+                rep = amalgams_isomorphic(
+                    twisted_amalgam(d, cls[0]), twisted_amalgam(d, delta), budget=budget
+                )
+                if not rep.isomorphic:
+                    raise CheckError(
+                        f"gauge sweep merges {sorted(delta)} into {sorted(cls[0])}, "
+                        "the isomorphism search does not"
+                    )
                 cls.append(delta)
                 placed = True
                 break
@@ -516,6 +548,130 @@ def classify_twisted_amalgams(d: CoxeterDiagram, budget: int = 10_000_000) -> Cl
         classes=tuple(tuple(cls) for cls in classes),
         pairs_checked=pairs,
     )
+
+
+def _twist_orbits(
+    a: Amalgam, st: SpanningTree, budget: int
+) -> Dict[FrozenSet[int], Set[FrozenSet[int]]]:
+    """For every delta T, the set of deltas S with a_T isomorphic to a_S,
+    found by one sweep over the edge assignments theta of
+    `amalgams_isomorphic` (a the standard amalgam, which has the same
+    candidates as every twisted one).
+
+    The maps a_T and the standard amalgam differ only in the Klein-into-edge
+    components psi_{j,e} = iota_{j,e} o gamma_j^{T(j,e)}, and the loop map
+    that theta_e induces on a pointed simplex at j through e is
+    gamma_j^{S(j,e)} o r_{j,e}(theta_e) o gamma_j^{T(j,e)}, with
+    r_{j,e}(f) = iota^-1 o f o iota.  It depends on (j, e) only, so theta
+    is accepted exactly when, at every vertex j of degree >= 2, these maps
+    agree over the edges at j.  gamma_j is a nontrivial involution, so the
+    first edge at j fixes the S-pattern at j up to one flip, and only the
+    patterns inside {e_k : o_k = j} are normalized.  The sweep is a
+    depth-first search over `cx.edges` in order that tests each vertex as
+    soon as its last edge is assigned and prunes the subtree when the test
+    fails; each leaf yields the S it reaches.
+    """
+    cx = a.complex
+    edges = cx.edges
+    cand = [_edge_candidates(a, e, budget) for e in edges]
+    space = 1
+    for c in cand:
+        space *= len(c)
+    if space > budget:
+        raise ResourceLimitError(f"amalgam isomorphism search exceeded budget={budget}")
+    twist_bit = {
+        (o, e): 1 << k for k, (o, e) in enumerate(zip(st.chosen_vertex, st.nontree_edges))
+    }
+
+    # per vertex j of degree >= 2, tested after its last edge: for each
+    # edge at j its position, its T-bit, and for every candidate and
+    # T(j, e) the ids of the induced maps for S(j, e) = 0 and 1; and the
+    # S-patterns at j (bit p for the p-th edge at j) that are normalized,
+    # with the deltas they stand for
+    tests: List[List[Tuple]] = [[] for _ in edges]
+    for j in cx.graph.vertices:
+        star = cx.star_edges[j]
+        if len(star) < 2:
+            continue
+        gamma = vertex_twist(a.core_loop((j,)).loop)
+        ids: Dict[Tuple[int, ...], int] = {}
+        rows = []
+        for e in star:
+            other = star[1] if e == star[0] else star[0]
+            iota = a.connecting(tuple(sorted((e, other))), (e,))
+            psi = (iota, compose_images(iota, gamma))
+            inv = [{y: x for x, y in enumerate(p)} for p in psi]
+            induced = [
+                tuple(
+                    tuple(
+                        ids.setdefault(tuple(inv[s][f[x]] for x in psi[t]), len(ids))
+                        for s in (0, 1)
+                    )
+                    for t in (0, 1)
+                )
+                for f in cand[cx.edge_pos[e]]
+            ]
+            rows.append((cx.edge_pos[e], twist_bit.get((j, e), 0), induced))
+        normal = [(1 << p, twist_bit[(j, e)]) for p, e in enumerate(star) if (j, e) in twist_bit]
+        patterns = {0: 0}
+        for bit, delta_bit in normal:
+            patterns.update({m | bit: d | delta_bit for m, d in patterns.items()})
+        tests[max(r[0] for r in rows)].append((rows, (1 << len(star)) - 1, patterns))
+
+    def orbit_of(tmask: int) -> Set[int]:
+        # the vertex tests with T applied: the first edge's position and
+        # maps per candidate, then (pattern bit, position, maps) for the rest
+        fixed = []
+        for at_edge in tests:
+            fixed.append([])
+            for rows, full, patterns in at_edge:
+                applied = [
+                    (1 << p, pos, [m[1 if tmask & bit else 0] for m in induced])
+                    for p, (pos, bit, induced) in enumerate(rows)
+                ]
+                fixed[-1].append((applied[0][1:], applied[1:], full, patterns))
+        assign = [0] * len(edges)
+        found: Set[int] = set()
+
+        def options(first, rest, full, patterns) -> List[int]:
+            pos0, maps0 = first
+            target = maps0[assign[pos0]][0]
+            flips = 0
+            for bit, pos, maps in rest:
+                m0, m1 = maps[assign[pos]]
+                if m1 == target:
+                    flips |= bit
+                elif m0 != target:
+                    return []
+            # S(j, first edge) = 0 gives the pattern `flips`, = 1 its complement
+            return [patterns[m] for m in (flips, full ^ flips) if m in patterns]
+
+        def dfs(i: int, smask: int) -> None:
+            if i == len(edges):
+                found.add(smask)
+                return
+            for ci in range(len(cand[i])):
+                assign[i] = ci
+                masks = [smask]
+                for test in fixed[i]:
+                    opts = options(*test)
+                    masks = [m | o for m in masks for o in opts]
+                    if not masks:
+                        break
+                for m in masks:
+                    dfs(i + 1, m)
+
+        dfs(0, 0)
+        return found
+
+    n = len(st.nontree_edges)
+
+    def as_delta(mask: int) -> FrozenSet[int]:
+        return frozenset(k + 1 for k in range(n) if mask >> k & 1)
+
+    return {
+        as_delta(t): {as_delta(s) for s in orbit_of(t)} for t in range(1 << n)
+    }
 
 
 def delta_cocycle(d: CoxeterDiagram, delta: Iterable[int]) -> int:

@@ -12,6 +12,13 @@ restricted to pointed targets.  Coordinates are always ordered
 lexicographically (edges as sorted vertex pairs, simplices as sorted edge
 tuples), so every matrix, basis and report is deterministic.
 
+The complex is built from vertex stars: in a simple graph a pointed pair
+or triple has exactly one core vertex, so the pointed simplices are the
+pairs and triples of edges at each vertex, sum C(deg, k) of them, and the
+C(|E|, 3) subsets without a common vertex are only listed when something
+asks for them (amalgams do; cohomology and vertex stars never do).
+d1 o d0 = 0 is certified one pointed triple at a time.
+
 For a connected graph with cycle rank n, dim H^1 = |E| - |V| + 1 = n, and
 closed-form bases exist: local coboundaries d0_i(a_e) (all pointed pairs
 at vertex i containing e) span the cocycles, global coboundaries d0(a_e)
@@ -31,6 +38,7 @@ and a brute-force stabilizer and insists they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,39 +65,36 @@ __all__ = [
 ]
 
 
-def simplex_core(sigma: Sequence[Edge]) -> Tuple[int, ...]:
-    """Common vertices of the edges of sigma, sorted."""
-    common = set(sigma[0])
-    for e in sigma[1:]:
-        common &= set(e)
-    return tuple(sorted(common))
-
-
 class EdgeComplex:
-    """All edge subsets of size <= 3, with the pointed ones coordinatized."""
+    """All edge subsets of size <= 3, with the pointed ones coordinatized.
+
+    In a simple graph two distinct edges share at most one vertex, so a
+    pointed pair or triple has exactly one core vertex and lies in exactly
+    one vertex star.  The pointed simplices are therefore the
+    `combinations` of each star's edge list (sum of C(deg, k) work instead
+    of C(E, k)), sorted into the lexicographic order of the filtered
+    all-subsets scan.  The unpointed simplices (`pairs`, `triples` and
+    their empty cores in `core`) are only built on first use.
+    """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.edges: Tuple[Edge, ...] = graph.edges
         self.edge_pos: Dict[Edge, int] = {e: k for k, e in enumerate(self.edges)}
-        self.pairs: Tuple[Simplex, ...] = tuple(
-            tuple(c) for c in combinations(self.edges, 2)
-        )
-        self.triples: Tuple[Simplex, ...] = tuple(
-            tuple(c) for c in combinations(self.edges, 3)
-        )
-        self.core: Dict[Simplex, Tuple[int, ...]] = {}
-        for e in self.edges:
-            self.core[(e,)] = e
-        for s in self.pairs:
-            self.core[s] = simplex_core(s)
-        for s in self.triples:
-            self.core[s] = simplex_core(s)
+        self.star_edges: Dict[int, Tuple[Edge, ...]] = {
+            v: tuple(graph.edges_at(v)) for v in graph.vertices
+        }
+        self.star_pairs: Dict[int, Tuple[Simplex, ...]] = {
+            v: tuple(combinations(es, 2)) for v, es in self.star_edges.items()
+        }
+        self.star_triples: Dict[int, Tuple[Simplex, ...]] = {
+            v: tuple(combinations(es, 3)) for v, es in self.star_edges.items()
+        }
         self.pointed_pairs: Tuple[Simplex, ...] = tuple(
-            s for s in self.pairs if self.core[s]
+            sorted(s for v in graph.vertices for s in self.star_pairs[v])
         )
         self.pointed_triples: Tuple[Simplex, ...] = tuple(
-            s for s in self.triples if self.core[s]
+            sorted(s for v in graph.vertices for s in self.star_triples[v])
         )
         self.pair_pos: Dict[Simplex, int] = {s: k for k, s in enumerate(self.pointed_pairs)}
         self.triple_pos: Dict[Simplex, int] = {s: k for k, s in enumerate(self.pointed_triples)}
@@ -99,29 +104,63 @@ class EdgeComplex:
             for s in self.pointed_pairs
         ]
         # d1: rows = pointed triples over pointed-pair coordinates; every
-        # 2-face of a pointed triple is pointed, so lookups never miss
+        # 2-face of a pointed triple is pointed, so lookups never miss.
+        # Row t of d1 o d0 is the XOR of the d0 rows of t's faces, and
+        # must vanish.
         self.d1_rows: List[int] = []
         for s in self.pointed_triples:
             row = 0
+            composed = 0
             for f in combinations(s, 2):
-                row |= 1 << self.pair_pos[tuple(f)]
-            self.d1_rows.append(row)
-        # d1 o d0 = 0
-        for j in range(len(self.edges)):
-            col = gf2.vector_from_support(
-                [i for i, r in enumerate(self.d0_rows) if r & (1 << j)]
-            )
-            if gf2.apply_rows(self.d1_rows, col):
+                k = self.pair_pos[f]
+                row |= 1 << k
+                composed ^= self.d0_rows[k]
+            if composed:
                 raise CheckError("d1 o d0 != 0")
+            self.d1_rows.append(row)
+
+    @cached_property
+    def pairs(self) -> Tuple[Simplex, ...]:
+        return tuple(combinations(self.edges, 2))
+
+    @cached_property
+    def triples(self) -> Tuple[Simplex, ...]:
+        return tuple(combinations(self.edges, 3))
+
+    @cached_property
+    def core(self) -> Dict[Simplex, Tuple[int, ...]]:
+        """Common vertices of every simplex; empty for the unpointed ones."""
+        core: Dict[Simplex, Tuple[int, ...]] = {(e,): e for e in self.edges}
+        core.update(dict.fromkeys(self.pairs, ()))
+        core.update(dict.fromkeys(self.triples, ()))
+        for v in self.graph.vertices:
+            core.update(dict.fromkeys(self.star_pairs[v] + self.star_triples[v], (v,)))
+        return core
+
+    @cached_property
+    def _simplices(self) -> Tuple[Simplex, ...]:
+        return tuple((e,) for e in self.edges) + self.pairs + self.triples
 
     def simplices(self) -> List[Simplex]:
         """Every simplex (size <= 3), singletons first, then pairs, triples."""
-        return [(e,) for e in self.edges] + list(self.pairs) + list(self.triples)
+        return list(self._simplices)
 
     def cofaces(self, sigma: Simplex) -> List[Simplex]:
-        """Proper cofaces of sigma in the complex."""
+        """Proper cofaces of sigma in the complex, in `simplices()` order.
+
+        Adding the same number of further edges to sigma in lexicographic
+        order of the added edges yields the cofaces in lexicographic order,
+        so they come out as a scan of `simplices()` would list them.
+        """
         ss = set(sigma)
-        return [t for t in self.simplices() if ss < set(t)]
+        if not ss <= self.edge_pos.keys():
+            return []
+        rest = [e for e in self.edges if e not in ss]
+        return [
+            tuple(sorted(ss.union(extra)))
+            for size in range(len(ss) + 1, 4)
+            for extra in combinations(rest, size - len(ss))
+        ]
 
 
 def build_complex(graph: Graph) -> EdgeComplex:
@@ -135,7 +174,7 @@ def vertex_coboundary(cx: EdgeComplex, i: int, e: Edge) -> int:
     """
     assert i in e, "e must be incident to i"
     v = 0
-    for f in cx.graph.edges_at(i):
+    for f in cx.star_edges.get(i, ()):
         if f != e:
             v |= 1 << cx.pair_pos[tuple(sorted((e, f)))]
     return v
@@ -262,17 +301,17 @@ def vertex_star(cx: EdgeComplex, i: int) -> VertexStar:
     Every pointed pair/triple has a unique common vertex, so C^1 and C^2
     decompose as direct sums of these stars.
     """
-    edges = tuple(cx.graph.edges_at(i))
+    edges = cx.star_edges.get(i, ())
     pos = {e: k for k, e in enumerate(edges)}
-    pairs = tuple(s for s in cx.pointed_pairs if i in cx.core[s])
-    triples = tuple(s for s in cx.pointed_triples if i in cx.core[s])
+    pairs = cx.star_pairs.get(i, ())
+    triples = cx.star_triples.get(i, ())
     ppos = {s: k for k, s in enumerate(pairs)}
     d0 = tuple((1 << pos[s[0]]) | (1 << pos[s[1]]) for s in pairs)
     d1 = []
     for s in triples:
         row = 0
         for f in combinations(s, 2):
-            row |= 1 << ppos[tuple(f)]
+            row |= 1 << ppos[f]
         d1.append(row)
     return VertexStar(i, edges, pairs, triples, d0, tuple(d1))
 
@@ -284,9 +323,11 @@ def vertex_star(cx: EdgeComplex, i: int) -> VertexStar:
 def vertex_twist(t: LoopTable) -> Tuple[int, ...]:
     """The order-2 automorphism of the Klein doubled loop M(Z2, 2) swapping
     the generator s with s*u and fixing u."""
-    assert t.group_order == 2 and t.order == 4
+    if t.group_order != 2 or t.order != 4:
+        raise CheckError(f"vertex twist needs M(Z2, 2), got a loop of order {t.order}")
     images = (0, 3, 2, 1)
-    assert is_automorphism(t, images)
+    if not is_automorphism(t, images):
+        raise CheckError("vertex twist must be an automorphism")
     return images
 
 
@@ -300,17 +341,21 @@ def edge_twist(t: LoopTable) -> Tuple[int, ...]:
     """
     n = t.group_order
     gens = t.group_generators
-    assert n is not None and len(gens) == 2
+    if n is None or len(gens) != 2:
+        raise CheckError("edge twist needs a doubled loop with two reflection generators")
     rot = set(subloop_closure(t, [t.product[gens[0]][gens[1]]]))
-    assert len(rot) * 2 == n, "generators must present a dihedral group"
+    if len(rot) * 2 != n:
+        raise CheckError("generators must present a dihedral group")
     images = []
     for x in range(n):
         images.append(t.rinv[x] if x in rot else n + x)
     for g in range(n):
         images.append(n + t.rinv[g] if g in rot else g)
     images_t = tuple(images)
-    assert is_automorphism(t, images_t), "edge twist must be an automorphism"
-    assert all(images_t[images_t[x]] == x for x in range(t.order)), "must be an involution"
+    if not is_automorphism(t, images_t):
+        raise CheckError("edge twist must be an automorphism")
+    if any(images_t[images_t[x]] != x for x in range(t.order)):
+        raise CheckError("edge twist must be an involution")
     return images_t
 
 
@@ -375,8 +420,8 @@ def coefficient_group(
     elif mode != "none":
         raise ValueError(f"unknown mode {mode!r}")
 
-    if gen is not None:
-        assert is_automorphism(loop, gen)
+    if gen is not None and not is_automorphism(loop, gen):
+        raise CheckError(f"coefficient group generator at {sigma} is not an automorphism")
     result = CoefficientGroup(sigma, core, closed_order, gen, brute, mode)
     if mode == "structural" and not result.agrees:
         raise CheckError(

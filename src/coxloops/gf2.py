@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from .errors import CheckError
+
 __all__ = [
     "vector_from_support",
     "support",
@@ -95,7 +97,8 @@ def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
             if prow & (1 << free):
                 v ^= 1 << pcol
         basis.append(v)
-    assert all(parity(r & v) == 0 for v in basis for r in rows)
+    if any(parity(r & v) for v in basis for r in rows):
+        raise CheckError("kernel basis vector not annihilated by the matrix")
     return basis
 
 

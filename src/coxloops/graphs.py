@@ -50,8 +50,9 @@ class Graph:
         return len(self._adj[v])
 
     def edges_at(self, v: int) -> List[Edge]:
-        """Edges incident to v, in lexicographic order."""
-        return [e for e in self.edges if v in e]
+        """Edges incident to v, in lexicographic order (that of the sorted
+        neighbours: (w, v) for w < v, then (v, w) for w > v)."""
+        return [(w, v) if w < v else (v, w) for w in self._adj.get(v, ())]
 
     def is_connected(self) -> bool:
         return len(connected_components(self)) <= 1

@@ -6,6 +6,8 @@ coefficient groups on sparse graphs (order 12 vs closed form 2).
 """
 
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -163,6 +165,28 @@ def test_vertex_twist_is_the_klein_swap():
     assert vertex_twist(t) == (0, 3, 2, 1)
     with pytest.raises(AssertionError):
         vertex_twist(chein_loop(cyclic(3)))  # wrong group half
+
+
+def test_vertex_twist_rejects_wrong_loop_under_optimize():
+    # the order check must hold even with asserts stripped by -O
+    code = "\n".join([
+        "from coxloops.cohomology import vertex_twist",
+        "from coxloops.errors import CheckError",
+        "from coxloops.groups import cyclic",
+        "from coxloops.loops import chein_loop",
+        "try:",
+        "    vertex_twist(chein_loop(cyclic(3)))",
+        "except CheckError as e:",
+        "    print(__debug__, 'CheckError', e)",
+        "else:",
+        "    print(__debug__, 'accepted')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == ["False", "CheckError"]
+    assert "order 6" in proc.stdout
 
 
 def test_edge_twist_on_dihedral_doubles():

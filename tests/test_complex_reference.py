@@ -1,0 +1,266 @@
+"""Differential tests: the star-built edge complex and the gauge-sweep
+classification against the reference paths they replaced.
+
+The references below are the earlier implementations, condensed: an edge
+complex that lists every subset of at most three edges and filters the
+pointed ones, `cofaces` and `vertex_star` as scans, and the classification
+that compares every delta with the first member of each class so far by an
+exhaustive `amalgams_isomorphic` search.  Both must give identical results
+on named graphs and diagrams and on `hypothesis`-generated ones.
+"""
+
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxloops import amalgams
+from coxloops.amalgams import (
+    ClassificationReport,
+    amalgams_isomorphic,
+    classify_twisted_amalgams,
+    standard_amalgam,
+    twisted_amalgam,
+)
+from coxloops.cohomology import VertexStar, build_complex, cohomology, vertex_star
+from coxloops.coxeter import CoxeterDiagram
+from coxloops.errors import CheckError, ResourceLimitError
+from coxloops.graphs import Graph, spanning_tree
+
+
+class ReferenceComplex:
+    """Every edge subset of size <= 3, pointed ones filtered from all."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.edges = graph.edges
+        self.edge_pos = {e: k for k, e in enumerate(self.edges)}
+        self.pairs = tuple(combinations(self.edges, 2))
+        self.triples = tuple(combinations(self.edges, 3))
+        self.core: Dict[Tuple, Tuple[int, ...]] = {(e,): e for e in self.edges}
+        for s in self.pairs + self.triples:
+            common = set(s[0])
+            for e in s[1:]:
+                common &= set(e)
+            self.core[s] = tuple(sorted(common))
+        self.pointed_pairs = tuple(s for s in self.pairs if self.core[s])
+        self.pointed_triples = tuple(s for s in self.triples if self.core[s])
+        self.pair_pos = {s: k for k, s in enumerate(self.pointed_pairs)}
+        self.triple_pos = {s: k for k, s in enumerate(self.pointed_triples)}
+        self.d0_rows = [
+            (1 << self.edge_pos[s[0]]) | (1 << self.edge_pos[s[1]]) for s in self.pointed_pairs
+        ]
+        self.d1_rows = []
+        for s in self.pointed_triples:
+            row = 0
+            for f in combinations(s, 2):
+                row |= 1 << self.pair_pos[f]
+            self.d1_rows.append(row)
+
+    def simplices(self) -> List[Tuple]:
+        return [(e,) for e in self.edges] + list(self.pairs) + list(self.triples)
+
+    def cofaces(self, sigma) -> List[Tuple]:
+        ss = set(sigma)
+        return [t for t in self.simplices() if ss < set(t)]
+
+
+def reference_vertex_star(cx: ReferenceComplex, i: int) -> VertexStar:
+    edges = tuple(e for e in cx.edges if i in e)
+    pos = {e: k for k, e in enumerate(edges)}
+    pairs = tuple(s for s in cx.pointed_pairs if i in cx.core[s])
+    triples = tuple(s for s in cx.pointed_triples if i in cx.core[s])
+    ppos = {s: k for k, s in enumerate(pairs)}
+    d0 = tuple((1 << pos[s[0]]) | (1 << pos[s[1]]) for s in pairs)
+    d1 = tuple(sum(1 << ppos[f] for f in combinations(s, 2)) for s in triples)
+    return VertexStar(i, edges, pairs, triples, d0, d1)
+
+
+def reference_classification(d: CoxeterDiagram, budget: int = 10_000_000) -> ClassificationReport:
+    st_ = spanning_tree(d.underlying_graph())
+    n = len(st_.nontree_edges)
+    deltas = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+    built = {delta: twisted_amalgam(d, delta) for delta in deltas}
+    classes: List[List[FrozenSet[int]]] = []
+    pairs = 0
+    for delta in deltas:
+        for cls in classes:
+            pairs += 1
+            if amalgams_isomorphic(built[cls[0]], built[delta], budget=budget).isomorphic:
+                cls.append(delta)
+                break
+        else:
+            classes.append([delta])
+    return ClassificationReport(
+        cycle_rank=n,
+        nontree_edges=st_.nontree_edges,
+        chosen_vertices=st_.chosen_vertex,
+        class_count=len(classes),
+        classes=tuple(tuple(c) for c in classes),
+        pairs_checked=pairs,
+    )
+
+
+ATTRIBUTES = (
+    "edges", "edge_pos", "pairs", "triples", "core", "pointed_pairs",
+    "pointed_triples", "pair_pos", "triple_pos", "d0_rows", "d1_rows",
+)
+
+
+def assert_same_complex(graph: Graph) -> None:
+    cx, ref = build_complex(graph), ReferenceComplex(graph)
+    for name in ATTRIBUTES:
+        assert getattr(cx, name) == getattr(ref, name), name
+    assert cx.simplices() == ref.simplices()
+    for sigma in ref.simplices():
+        assert cx.cofaces(sigma) == ref.cofaces(sigma), sigma
+        assert cx.cofaces(tuple(reversed(sigma))) == ref.cofaces(sigma)
+    for sigma in ((), ((0, 99),), ref.edges[:1] * 2, ref.edges[:4]):
+        assert cx.cofaces(sigma) == ref.cofaces(sigma), sigma
+    for v in graph.vertices + (max(graph.vertices, default=0) + 1,):
+        assert graph.edges_at(v) == [e for e in graph.edges if v in e]
+        assert vertex_star(cx, v) == reference_vertex_star(ref, v)
+
+
+def complete(n: int) -> List[Tuple[int, int]]:
+    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+
+
+GRAPHS = {
+    "empty": Graph([1, 2], []),
+    "edge": Graph([1, 2], [(1, 2)]),
+    "path": Graph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)]),
+    "triangle": Graph([1, 2, 3], complete(3)),
+    "star3": Graph(range(1, 5), [(1, 2), (1, 3), (1, 4)]),
+    "two_triangles": Graph(range(1, 5), [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    "two_components": Graph(range(1, 8), [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
+    "K4": Graph(range(1, 5), complete(4)),
+    "K6": Graph(range(1, 7), complete(6)),
+    "petersen": Graph(
+        range(10),
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    ),
+    "gapped_labels": Graph([2, 7, 11, 30], [(2, 30), (7, 30), (11, 30), (2, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_complex_matches_reference_on_named_graphs(name):
+    assert_same_complex(GRAPHS[name])
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = complete(n)
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    return Graph(range(1, n + 1), edges)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graphs())
+def test_complex_matches_reference_on_random_graphs(graph):
+    assert_same_complex(graph)
+
+
+def test_star_path_builds_no_unpointed_simplices():
+    graph = GRAPHS["petersen"]
+    cx = build_complex(graph)
+    for v in graph.vertices:
+        vertex_star(cx, v)
+    cohomology(graph)
+    assert not {"pairs", "triples", "core"} & vars(cx).keys()
+    assert len(cx.triples) == 455 and vars(cx)["triples"] is cx.triples
+
+
+# ---------------------------------------------------------------------------
+# classification
+
+
+def cox(rank: int, edges) -> CoxeterDiagram:
+    return CoxeterDiagram.from_edges(rank, edges)
+
+
+DIAGRAMS = {
+    "triangle": cox(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)]),
+    "two_triangles": cox(4, [(1, 2, 3), (1, 3, 3), (2, 3, 3), (2, 4, 3), (3, 4, 3)]),
+    "mixed_triangle": cox(3, [(1, 2, 3), (1, 3, 4), (2, 3, 5)]),
+    "affine_A2": cox(3, [(1, 2, 3), (2, 3, 3), (1, 3, 3)]),
+    "K4": cox(4, [(a, b, 3) for a, b in complete(4)]),
+    "C4_4343": cox(4, [(1, 2, 4), (2, 3, 3), (3, 4, 4), (1, 4, 3)]),
+    "path": cox(3, [(1, 2, 4), (2, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_classification_matches_reference_on_named_diagrams(name):
+    d = DIAGRAMS[name]
+    assert classify_twisted_amalgams(d) == reference_classification(d)
+
+
+@pytest.mark.slow
+def test_classification_matches_reference_on_k5_minus_edge():
+    d = cox(5, [(a, b, 3) for a, b in complete(5) if (a, b) != (4, 5)])
+    rep = classify_twisted_amalgams(d)
+    assert rep == reference_classification(d)
+    assert rep.class_count == 32 and rep.pairs_checked == 496
+
+
+@st.composite
+def diagrams(draw):
+    """Connected diagrams of cycle rank <= 3 with labels in {3, 4, 6}."""
+    n = draw(st.integers(2, 6))
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    others = [e for e in complete(n) if e not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+    return cox(n, [(a, b, draw(st.sampled_from([3, 4, 6]))) for a, b in tree + extra])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(diagrams())
+def test_classification_matches_reference_on_random_diagrams(d):
+    assert classify_twisted_amalgams(d) == reference_classification(d)
+
+
+def test_k5_has_64_singleton_classes():
+    rep = classify_twisted_amalgams(cox(5, [(a, b, 3) for a, b in complete(5)]))
+    assert rep.cycle_rank == 6 and rep.ok
+    assert all(len(cls) == 1 for cls in rep.classes)
+    assert rep.pairs_checked == 64 * 63 // 2
+
+
+@pytest.mark.slow
+def test_k6_has_1024_singleton_classes():
+    rep = classify_twisted_amalgams(cox(6, [(a, b, 3) for a, b in complete(6)]))
+    assert rep.cycle_rank == 10 and rep.ok
+    assert all(len(cls) == 1 for cls in rep.classes)
+    assert rep.pairs_checked == 1024 * 1023 // 2
+
+
+@pytest.mark.parametrize("name", ["two_triangles", "K4"])
+def test_classification_budget_is_the_space_of_one_search(name):
+    d = DIAGRAMS[name]
+    space = amalgams_isomorphic(standard_amalgam(d), twisted_amalgam(d, [1])).space
+    with pytest.raises(ResourceLimitError, match="amalgam isomorphism search"):
+        classify_twisted_amalgams(d, budget=space - 1)
+    assert classify_twisted_amalgams(d, budget=space).ok
+
+
+def test_wrong_orbits_are_refused(monkeypatch):
+    d = DIAGRAMS["two_triangles"]
+    deltas = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    singletons = {t: {t} for t in deltas}
+    # a merge the isomorphism search does not confirm
+    pair = {deltas[0], deltas[1]}
+    merged = {**singletons, deltas[0]: pair, deltas[1]: pair}
+    # an orbit that misses its own delta, and one that is not symmetric
+    missing = {**singletons, deltas[2]: set()}
+    lopsided = {**singletons, deltas[3]: {deltas[3], deltas[0]}}
+    for orbits, message in ((merged, "merges"), (missing, "own orbit"), (lopsided, "symmetric")):
+        monkeypatch.setattr(amalgams, "_twist_orbits", lambda a, st_, budget, o=orbits: o)
+        with pytest.raises(CheckError, match=message):
+            classify_twisted_amalgams(d)
