@@ -125,46 +125,43 @@ class Amalgam:
 
 
 def _build_core_data(d: CoxeterDiagram, cx: EdgeComplex) -> Dict[Tuple[int, ...], CoreData]:
+    """The loops of all cores: one group and one doubled loop per distinct
+    core subdiagram (every vertex is A1, and edges with equal labels share
+    theirs), so each distinct loop has one `Aut` memo."""
     for i, j in cx.graph.edges:
         if d.m(i, j) == float("inf"):
             raise ValueError(
                 f"edge ({i},{j}) has an infinite label; amalgam loops need finite edges"
             )
     out: Dict[Tuple[int, ...], CoreData] = {}
-    trivial = GroupTable([[0]], labels=["e"])
+    trivial = GroupTable([[0]], labels=["e"], words=[()])
     out[()] = CoreData((), trivial, chein_loop(trivial), {}, 1)
+    groups: Dict[CoxeterDiagram, GroupTable] = {}
     cores = [(v,) for v in cx.graph.vertices] + [tuple(e) for e in cx.graph.edges]
     for core in cores:
-        w = enumerate_group(subdiagram(d, core))
-        loop = chein_loop(w)
+        sub = subdiagram(d, core)
+        if sub not in groups:
+            groups[sub] = enumerate_group(sub)
+        w = groups[sub]
         gen_of = {v: w.generators[k] for k, v in enumerate(core)}
-        out[core] = CoreData(core, w, loop, gen_of, w.order)
+        out[core] = CoreData(core, w, chein_loop(w), gen_of, w.order)
     return out
 
 
-def _inclusion_images(
-    core_data: Dict[Tuple[int, ...], CoreData],
-    small: Tuple[int, ...],
-    big: Tuple[int, ...],
-) -> Tuple[int, ...]:
-    """Images of the standard embedding L_small -> L_big (small inside big)."""
-    tgt = core_data[big]
-    if not small:
-        return (0, tgt.u)
-    src = core_data[small]
-    positions = [big.index(v) for v in small]
-    group_images = embed_parabolic(src.group, positions, tgt.group)
-    return tuple(group_images) + tuple(tgt.u + g for g in group_images)
+def _inclusion_images(src: GroupTable, positions: Sequence[int], tgt: GroupTable) -> Tuple[int, ...]:
+    """Images of the standard embedding M(src, 2) -> M(tgt, 2) of doubled
+    parabolics (`embed_parabolic` on the group half, g*u -> g*u on the
+    coset; the trivial group gives u -> u)."""
+    group_images = embed_parabolic(src, positions, tgt)
+    return group_images + tuple(tgt.order + g for g in group_images)
 
 
 def _build(
-    d: CoxeterDiagram, twists: FrozenSet[Tuple[int, Edge]], kind: str
+    d: CoxeterDiagram, cx: EdgeComplex, twists: FrozenSet[Tuple[int, Edge]], kind: str
 ) -> Amalgam:
-    graph = d.underlying_graph()
-    cx = build_complex(graph)
     core_data = _build_core_data(d, cx)
     klein_twist = {
-        (v,): vertex_twist(core_data[(v,)].loop) for v in graph.vertices
+        (v,): vertex_twist(core_data[(v,)].loop) for v in cx.graph.vertices
     }
     maps: Dict[Tuple[Simplex, Simplex], Tuple[int, ...]] = {}
     for tau in cx.simplices():
@@ -176,7 +173,10 @@ def _build(
                 if j_tau == j_rho:
                     images = tuple(range(core_data[j_tau].loop.order))
                 else:
-                    images = _inclusion_images(core_data, j_tau, j_rho)
+                    positions = [j_rho.index(v) for v in j_tau]
+                    images = _inclusion_images(
+                        core_data[j_tau].group, positions, core_data[j_rho].group
+                    )
                     if len(j_tau) == 1 and len(rho) == 1 and (j_tau[0], rho[0]) in twists:
                         images = compose_images(images, klein_twist[j_tau])
                 maps[(tau, rho)] = images
@@ -185,7 +185,7 @@ def _build(
 
 def standard_amalgam(d: CoxeterDiagram) -> Amalgam:
     """The inclusion amalgam; requires finite labels on all edges."""
-    return _build(d, frozenset(), "standard")
+    return _build(d, build_complex(d.underlying_graph()), frozenset(), "standard")
 
 
 def twisted_amalgam(d: CoxeterDiagram, delta: Iterable[int]) -> Amalgam:
@@ -201,7 +201,7 @@ def twisted_amalgam(d: CoxeterDiagram, delta: Iterable[int]) -> Amalgam:
     twists = frozenset(
         (st.chosen_vertex[j - 1], st.nontree_edges[j - 1]) for j in dset
     )
-    return _build(d, twists, f"twisted{sorted(dset)}")
+    return _build(d, build_complex(graph), twists, f"twisted{sorted(dset)}")
 
 
 def cocycle_to_amalgam(d: CoxeterDiagram, z: int) -> Amalgam:
@@ -239,7 +239,7 @@ def cocycle_to_amalgam(d: CoxeterDiagram, z: int) -> Amalgam:
         for e in ej:
             if pot[e]:
                 twists.add((j, e))
-    return _build(d, frozenset(twists), "cocycle")
+    return _build(d, cx, frozenset(twists), "cocycle")
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +308,20 @@ class CompletionReport:
         return self.injective_ok and self.homomorphism_ok and self.commuting_ok
 
 
-def loop_completion(d: CoxeterDiagram, cap: int = 10000):
+def loop_completion(a: Amalgam, w: GroupTable):
     """The loop M(W, 2) of the whole diagram together with the embeddings
-    of every amalgam loop; needs the diagram to be finite type (within cap).
+    of every loop of the amalgam `a`; `w` is the (finite) Coxeter group W
+    of `a.diagram` with its simple reflections in vertex order, as
+    `enumerate_group` gives it.
 
     Returns (loop, maps) with maps[sigma] the image tuple of G_sigma."""
-    w = enumerate_group(d, cap=cap)
+    if len(w.generators) != a.diagram.rank:
+        raise ValueError(f"W has {len(w.generators)} generators, the diagram rank {a.diagram.rank}")
     loop = chein_loop(w)
-    graph = d.underlying_graph()
-    cx = build_complex(graph)
-    core_data = _build_core_data(d, cx)
     maps: Dict[Simplex, Tuple[int, ...]] = {}
-    for sigma in cx.simplices():
-        core = cx.core[sigma]
-        if not core:
-            images: Tuple[int, ...] = (0, w.order)
-        else:
-            src = core_data[core]
-            positions = [v - 1 for v in core]
-            group_images = embed_parabolic(src.group, positions, w)
-            images = tuple(group_images) + tuple(w.order + g for g in group_images)
-        maps[sigma] = images
+    for sigma in a.simplices():
+        core = a.core_of(sigma)
+        maps[sigma] = _inclusion_images(a.core_loop(core).group, [v - 1 for v in core], w)
     return loop, maps
 
 
@@ -493,9 +486,10 @@ class ClassificationReport:
         return self.class_count == 2 ** self.cycle_rank
 
 
-def classify_twisted_amalgams(d: CoxeterDiagram, budget: int = 10_000_000) -> ClassificationReport:
-    """Partition the 2^n normalized twisted amalgams into isomorphism
-    classes; the expected outcome is 2^n singleton classes.
+def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> ClassificationReport:
+    """Partition the 2^n normalized twisted amalgams over the diagram of
+    the standard amalgam `a` into isomorphism classes; the expected outcome
+    is 2^n singleton classes.
 
     The classes are those of the greedy pairwise comparison (each delta,
     in order, against the first member of every class so far), with the
@@ -506,14 +500,15 @@ def classify_twisted_amalgams(d: CoxeterDiagram, budget: int = 10_000_000) -> Cl
     The budget applies as in the pairwise search: ResourceLimitError when
     n >= 1 and the space of one search exceeds it.
     """
-    graph = d.underlying_graph()
-    st = spanning_tree(graph)
+    if a.twists:
+        raise ValueError("classification starts from the standard amalgam")
+    d = a.diagram
+    st = spanning_tree(a.complex.graph)
     n = len(st.nontree_edges)
     deltas = []
     for k in range(0, n + 1):
         for combo in combinations(range(1, n + 1), k):
             deltas.append(frozenset(combo))
-    a = standard_amalgam(d)
     orbits = _twist_orbits(a, st, budget) if n else {frozenset(): {frozenset()}}
     for delta in deltas:
         if delta not in orbits[delta]:

@@ -17,6 +17,12 @@ Commands: ``parse``, ``group``, ``loop``, ``aut``, ``cohomology``,
 same input and flags are byte-identical (no timestamps, no machine paths,
 sorted collections everywhere).  Exit codes: 0 all checks pass, 2 a check
 failed, 3 a cap/budget resource limit was hit, 4 parse/usage/I-O error.
+
+Each run has one context (`_Run`), made in `main` from the parsed input and
+the flags, that builds each artifact on first use and keeps it: the
+spherical recognition, the underlying graph, its edge complex and H^1, the
+standard amalgam, W and its double.  The commands are compositions of
+shared blocks over it, so one run builds each artifact once.
 """
 
 from __future__ import annotations
@@ -26,24 +32,34 @@ import hashlib
 import json
 import math
 import sys
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .amalgams import (
+    Amalgam,
     classify_twisted_amalgams,
     loop_completion,
     standard_amalgam,
     verify_amalgam,
     verify_completion,
 )
-from .cohomology import build_complex, coefficient_group, cohomology, vertex_star
+from .cohomology import (
+    CohomologyResult,
+    EdgeComplex,
+    build_complex,
+    coefficient_group,
+    cohomology,
+    vertex_star,
+)
 from .coxeter import (
     CoxeterDiagram,
+    SphericalReport,
     enumerate_group,
     enumerate_order,
     recognize_spherical,
 )
-from .errors import CheckError, DiagramError, FormatError, ResourceLimitError
+from .errors import CheckError, FormatError, ResourceLimitError
 from .graphs import Graph
 from .groups import GroupTable, subgroup_table
 from .loops import (
@@ -52,7 +68,6 @@ from .loops import (
     is_associative,
     is_loop,
     is_moufang,
-    verify_chein_identities,
     verify_doubling_identities,
 )
 from .morphisms import (
@@ -61,8 +76,6 @@ from .morphisms import (
     verify_doubled_dihedral_automorphisms,
     verify_semidirect_automorphisms,
 )
-
-COMMANDS = ("parse", "group", "loop", "aut", "cohomology", "amalgams", "verify")
 
 # loops bigger than this are skipped by the cubic triple checks and the
 # brute-force automorphism blocks of `verify` (the dedicated commands still
@@ -237,6 +250,63 @@ def _parse_table(lines, order: int, header_num: int) -> List[List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# the per-run context
+
+
+class _Run:
+    """One run: the parsed input, the flags, and the artifacts built from
+    them on first use and then kept, so all blocks of a command work on the
+    same objects, and nothing outlives the run."""
+
+    def __init__(self, kind: str, obj, cfg: argparse.Namespace):
+        self.kind = kind
+        self.obj = obj
+        self.cfg = cfg
+
+    @cached_property
+    def spherical(self) -> SphericalReport:
+        return recognize_spherical(self.obj)
+
+    @cached_property
+    def graph(self) -> Graph:
+        return self.obj.underlying_graph() if self.kind == "coxeter" else self.obj
+
+    @cached_property
+    def complex(self) -> EdgeComplex:
+        return build_complex(self.graph)
+
+    @cached_property
+    def cohomology(self) -> CohomologyResult:
+        return cohomology(self.complex, strict=self.cfg.strict, cross_check=self.cfg.cross_check)
+
+    @cached_property
+    def amalgam(self) -> Amalgam:
+        return standard_amalgam(self.obj)
+
+    @cached_property
+    def rows_loop(self) -> Tuple[Optional[LoopTable], Dict]:
+        """A table as a loop, with the loop axioms as a check; the LoopTable
+        only exists when they pass."""
+        rows = self.obj
+        n = len(rows)
+        if is_loop(rows):
+            return LoopTable(rows), _check("loop_axioms", True, order=n)
+        if any(rows[0][x] != x or rows[x][0] != x for x in range(n)):
+            witness = "element 0 is not a two-sided identity"
+        else:
+            witness = "some row or column repeats a value (not a Latin square)"
+        return None, _check("loop_axioms", False, witness=witness, order=n)
+
+    @cached_property
+    def group(self) -> GroupTable:
+        """W of a diagram, or the group of a table (validated); its double
+        M(W, 2) is `chein_loop(ctx.group)`, which the group keeps."""
+        if self.kind == "coxeter":
+            return enumerate_group(self.obj, cap=self.cfg.cap)
+        return GroupTable(self.obj)
+
+
+# ---------------------------------------------------------------------------
 # report plumbing
 
 
@@ -269,15 +339,24 @@ def _identity_checks(reports: Dict[str, object]) -> List[Dict]:
     return out
 
 
+def _order_check(found: int, classified: int, **extra) -> Dict:
+    return _check(
+        "order_matches_classification",
+        found == classified,
+        witness={"enumerated": found, "classified": classified},
+        **extra,
+    )
+
+
 def _label(m) -> object:
     return "inf" if m == math.inf else m
 
 
-def _diagram_payload(d: CoxeterDiagram) -> Dict:
-    rec = recognize_spherical(d)
+def _diagram_payload(ctx: _Run) -> Dict:
+    rec = ctx.spherical
     return {
-        "rank": d.rank,
-        "edges": [[i, j, _label(m)] for i, j, m in d.edges()],
+        "rank": ctx.obj.rank,
+        "edges": [[i, j, _label(m)] for i, j, m in ctx.obj.edges()],
         "spherical": rec.spherical,
         "order": rec.order if rec.spherical else "inf",
         "components": [
@@ -292,118 +371,16 @@ def _diagram_payload(d: CoxeterDiagram) -> Dict:
     }
 
 
+def _graph_payload(graph: Graph) -> Dict:
+    return {
+        "vertices": list(graph.vertices),
+        "edges": [list(e) for e in graph.edges],
+        "connected": graph.is_connected(),
+    }
+
+
 def _support(v: int) -> List[int]:
     return list(gf2.support(v))
-
-
-def _loop_from_rows(rows: List[List[int]]) -> Tuple[Optional[LoopTable], Dict]:
-    """Loop axioms as a check; the LoopTable only exists when they pass."""
-    if is_loop(rows):
-        return LoopTable(rows), _check("loop_axioms", True, order=len(rows))
-    n = len(rows)
-    witness = None
-    if any(rows[0][x] != x or rows[x][0] != x for x in range(n)):
-        witness = "element 0 is not a two-sided identity"
-    else:
-        witness = "some row or column repeats a value (not a Latin square)"
-    return None, _check("loop_axioms", False, witness=witness, order=n)
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _cmd_parse(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
-    if kind == "coxeter":
-        return _diagram_payload(obj), []
-    if kind == "graph":
-        return (
-            {
-                "vertices": list(obj.vertices),
-                "edges": [list(e) for e in obj.edges],
-                "connected": obj.is_connected(),
-            },
-            [],
-        )
-    _, axiom_check = _loop_from_rows(obj)
-    return {"order": len(obj)}, [axiom_check]
-
-
-def _cmd_group(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
-    if kind == "graph":
-        raise FormatError("the group command needs a coxeter or table input")
-    checks: List[Dict] = []
-    if kind == "coxeter":
-        payload = _diagram_payload(obj)
-        if not payload["spherical"]:
-            reasons = [c["reason"] for c in payload["components"] if c["reason"]]
-            checks.append(_check("finite_type", False, witness="; ".join(reasons)))
-            return payload, checks
-        checks.append(_check("finite_type", True))
-        note = _table_budget_gate(payload["order"], cfg.budget)
-        if note:
-            worder = enumerate_order(obj, cap=cfg.cap)
-            checks.append(
-                _check(
-                    "order_matches_classification",
-                    worder == payload["order"],
-                    witness={"enumerated": worder, "classified": payload["order"]},
-                    enumerated=worder,
-                )
-            )
-            checks.append(_skip("element_statistics", note))
-            payload.update({"group_order": worder, "table": None, "table_note": note})
-            return payload, checks
-        g = enumerate_group(obj, cap=cfg.cap)
-        checks.append(
-            _check(
-                "order_matches_classification",
-                g.order == payload["order"],
-                witness={"enumerated": g.order, "classified": payload["order"]},
-                enumerated=g.order,
-            )
-        )
-    else:
-        payload = {"order": len(obj)}
-        loop, axiom_check = _loop_from_rows(obj)
-        checks.append(axiom_check)
-        if loop is None:
-            return payload, checks
-        assoc = is_associative(loop)
-        entry = {
-            "name": "associativity",
-            "status": "pass" if assoc.holds else "fail",
-            "checked": assoc.checked,
-        }
-        if not assoc.holds:
-            entry["witness"] = {
-                "instance": list(assoc.counterexample),
-                "values": list(assoc.values),
-            }
-        checks.append(entry)
-        if not assoc.holds:
-            return payload, checks
-        g = GroupTable(obj)
-    orders: Dict[str, int] = {}
-    for x in range(g.order):
-        k = str(g.element_order(x))
-        orders[k] = orders.get(k, 0) + 1
-    payload.update(
-        {
-            "group_order": g.order,
-            "abelian": g.is_abelian(),
-            "elementary_abelian": g.is_elementary_abelian(),
-            "involutions": len(g.involutions()),
-            "element_orders": {k: orders[k] for k in sorted(orders, key=int)},
-        }
-    )
-    if g.order <= 64:
-        payload["table"] = [list(row) for row in g.product]
-        payload["labels"] = list(g.labels)
-    else:
-        payload["table"] = None
-        payload["table_note"] = "order exceeds 64; table omitted from the report"
-    return payload, checks
 
 
 def _triple_budget_gate(order: int, budget: int) -> Optional[str]:
@@ -426,63 +403,33 @@ def _table_budget_gate(order: int, budget: int) -> Optional[str]:
     return None
 
 
-def _cmd_loop(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
-    if kind == "graph":
-        raise FormatError("the loop command needs a coxeter or table input")
-    checks: List[Dict] = []
-    if kind == "coxeter":
-        payload = _diagram_payload(obj)
-        if not payload["spherical"]:
-            reasons = [c["reason"] for c in payload["components"] if c["reason"]]
-            checks.append(_check("finite_type", False, witness="; ".join(reasons)))
-            return payload, checks
-        checks.append(_check("finite_type", True))
-        note = _table_budget_gate(2 * payload["order"], cfg.budget)
-        if note:
-            payload.update(
-                {
-                    "group_order": payload["order"],
-                    "loop_order": 2 * payload["order"],
-                    "associative": None,
-                    "assoc_note": note,
-                }
-            )
-            checks.append(_skip("c1", note))
-            checks.append(_skip("m1", note))
-            return payload, checks
-        g = enumerate_group(obj, cap=cfg.cap)
-        t = chein_loop(g)
-        payload.update({"group_order": g.order, "loop_order": t.order})
-        checks.extend(_identity_checks(verify_doubling_identities(g)))
-    else:
-        loop, axiom_check = _loop_from_rows(obj)
-        checks.append(axiom_check)
-        payload = {"order": len(obj)}
-        if loop is None:
-            return payload, checks
-        t = loop
-        payload["loop_order"] = t.order
-        if t.group_order is None:
-            checks.append(
-                _skip("c1", "not a doubled loop (no group half marked)")
-            )
-        else:
-            checks.extend(_identity_checks(verify_chein_identities(t)))
-    note = _triple_budget_gate(t.order, cfg.budget)
-    if note:
-        for name in ("m1", "m2", "m3"):
-            checks.append(_skip(name, note))
-        payload["associative"] = None
-        payload["assoc_note"] = note
-    else:
-        checks.extend(_identity_checks(is_moufang(t)))
-        assoc = is_associative(t)
-        payload["associative"] = assoc.holds
-        payload["assoc_witness"] = (
-            None if assoc.holds else list(assoc.counterexample)
-        )
-    payload["commutative"] = t.is_commutative()
-    return payload, checks
+# ---------------------------------------------------------------------------
+# blocks shared by the commands
+
+
+def _prologue(ctx: _Run, copies: int) -> Tuple[Dict, List[Dict], Optional[str]]:
+    """The start of group, loop and aut: the input's payload and its first
+    check, finite_type for a diagram and loop_axioms for a table (the
+    command ends there when it fails), and for a spherical diagram the
+    budget gate on tables of `copies` * |W| elements."""
+    if ctx.kind == "table":
+        return {"order": len(ctx.obj)}, [ctx.rows_loop[1]], None
+    payload = _diagram_payload(ctx)
+    if not payload["spherical"]:
+        reasons = [c["reason"] for c in payload["components"] if c["reason"]]
+        return payload, [_check("finite_type", False, witness="; ".join(reasons))], None
+    note = _table_budget_gate(copies * payload["order"], ctx.cfg.budget)
+    return payload, [_check("finite_type", True)], note
+
+
+def _double_gate(ctx: _Run) -> Optional[str]:
+    """Why `verify` and `amalgams` do not build W and its double for a
+    spherical diagram (past --cap, or past the table budget); None when
+    they do."""
+    order = ctx.spherical.order
+    if order > ctx.cfg.cap:
+        return f"group order {order} exceeds --cap {ctx.cfg.cap}"
+    return _table_budget_gate(2 * order, ctx.cfg.budget)
 
 
 def _gl2_order(k: int) -> int:
@@ -492,8 +439,9 @@ def _gl2_order(k: int) -> int:
     return out
 
 
-def _theorem_checks(g: GroupTable, t: LoopTable, budget: int) -> Tuple[Dict, List[Dict]]:
+def _theorem_checks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     """Trichotomy of G plus the matching automorphism structure theorem."""
+    g, t, budget = ctx.group, chein_loop(ctx.group), ctx.cfg.budget
     checks: List[Dict] = []
     tri = classify_trichotomy(g)
     payload: Dict = {
@@ -572,80 +520,26 @@ def _theorem_checks(g: GroupTable, t: LoopTable, budget: int) -> Tuple[Dict, Lis
     return payload, checks
 
 
-def _cmd_aut(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
-    if kind == "graph":
-        raise FormatError("the aut command needs a coxeter or table input")
-    checks: List[Dict] = []
-    if kind == "coxeter":
-        payload = _diagram_payload(obj)
-        if not payload["spherical"]:
-            reasons = [c["reason"] for c in payload["components"] if c["reason"]]
-            checks.append(_check("finite_type", False, witness="; ".join(reasons)))
-            return payload, checks
-        checks.append(_check("finite_type", True))
-        note = _table_budget_gate(2 * payload["order"], cfg.budget)
-        if note:
-            payload.update(
-                {"group_order": payload["order"], "loop_order": 2 * payload["order"]}
-            )
-            checks.append(_skip("automorphism_theorems", note))
-            return payload, checks
-        g = enumerate_group(obj, cap=cfg.cap)
-        t = chein_loop(g)
-        payload.update({"group_order": g.order, "loop_order": t.order})
-        extra, th_checks = _theorem_checks(g, t, cfg.budget)
-        payload.update(extra)
-        checks.extend(th_checks)
-        return payload, checks
-    loop, axiom_check = _loop_from_rows(obj)
-    checks.append(axiom_check)
-    payload = {"order": len(obj)}
-    if loop is None:
-        return payload, checks
-    note = _triple_budget_gate(loop.order, cfg.budget)
-    if note:
-        checks.append(_skip("associativity_probe", note))
-        aut = automorphism_group(loop, budget=cfg.budget)
-        payload.update({"aut_order": aut.order, "aut_nodes": aut.nodes})
-        return payload, checks
-    assoc = is_associative(loop)
-    payload["associative"] = assoc.holds
-    if assoc.holds:
-        g = GroupTable(obj)
-        extra, th_checks = _theorem_checks(g, chein_loop(g), cfg.budget)
-        aut_g = automorphism_group(g, budget=cfg.budget)
-        payload.update(
-            {"aut_order": aut_g.order, "aut_nodes": aut_g.nodes}
-        )
-        payload["doubled"] = extra
-        checks.extend(th_checks)
-    else:
-        aut = automorphism_group(loop, budget=cfg.budget)
-        payload.update({"aut_order": aut.order, "aut_nodes": aut.nodes})
-    return payload, checks
 
-
-def _cohomology_blocks(graph: Graph, cfg) -> Tuple[Dict, List[Dict]]:
+def _cohomology_blocks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     checks: List[Dict] = []
-    res = cohomology(graph, strict=cfg.strict, cross_check=cfg.cross_check)
+    res = ctx.cohomology
     checks.append(_check("coboundary_composition_zero", True))
-    if cfg.cross_check:
+    if ctx.cfg.cross_check:
         checks.append(_check("closed_form_bases_match_elimination", True))
     else:
         checks.append(_skip("closed_form_bases_match_elimination", "--no-cross-check"))
-    cx = build_complex(graph)
+    graph = ctx.graph
     stars_bad = [
         i
         for i in graph.vertices
-        if graph.degree(i) >= 1 and not vertex_star(cx, i).is_acyclic()
+        if graph.degree(i) >= 1 and not vertex_star(ctx.complex, i).is_acyclic()
     ]
     checks.append(
         _check("vertex_stars_acyclic", not stars_bad, witness=stars_bad)
     )
     payload = {
-        "vertices": list(graph.vertices),
-        "edges": [list(e) for e in graph.edges],
-        "connected": graph.is_connected(),
+        **_graph_payload(graph),
         "components": res.components,
         "dims": {"z1": res.z1, "b1": res.b1, "h1": res.h1},
         "pair_index": [[list(e) for e in s] for s in res.pair_index],
@@ -657,16 +551,9 @@ def _cohomology_blocks(graph: Graph, cfg) -> Tuple[Dict, List[Dict]]:
     return payload, checks
 
 
-def _cmd_cohomology(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
-    if kind == "table":
-        raise FormatError("the cohomology command needs a coxeter or graph input")
-    graph = obj.underlying_graph() if kind == "coxeter" else obj
-    return _cohomology_blocks(graph, cfg)
-
-
-def _amalgam_blocks(d: CoxeterDiagram, cfg, classify: bool = True) -> Tuple[Dict, List[Dict]]:
+def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
     checks: List[Dict] = []
-    a = standard_amalgam(d)
+    a = ctx.amalgam
     rep = verify_amalgam(a)
     checks.append(
         _check(
@@ -683,11 +570,10 @@ def _amalgam_blocks(d: CoxeterDiagram, cfg, classify: bool = True) -> Tuple[Dict
         )
     )
     payload: Dict = {"simplices": rep.simplices, "maps": rep.maps_checked}
-    graph = d.underlying_graph()
-    res = cohomology(graph, cross_check=cfg.cross_check)
+    res = ctx.cohomology
     payload["h1_dim"] = res.h1
     if classify:
-        cls = classify_twisted_amalgams(d, budget=cfg.budget)
+        cls = classify_twisted_amalgams(a, budget=ctx.cfg.budget)
         payload.update(
             {
                 "cycle_rank": cls.cycle_rank,
@@ -715,12 +601,12 @@ def _amalgam_blocks(d: CoxeterDiagram, cfg, classify: bool = True) -> Tuple[Dict
                 witness={"cycle_rank": cls.cycle_rank, "h1": res.h1},
             )
         )
-    rec = recognize_spherical(d)
-    table_note = (
-        _table_budget_gate(2 * rec.order, cfg.budget) if rec.spherical else None
-    )
-    if rec.spherical and rec.order <= cfg.cap and not table_note:
-        loop, maps = loop_completion(d, cap=cfg.cap)
+    if ctx.spherical.spherical:
+        note = _double_gate(ctx)
+    else:
+        note = "diagram is not spherical; no global doubled loop exists"
+    if not note:
+        loop, maps = loop_completion(a, ctx.group)
         crep = verify_completion(a, loop, maps)
         payload["completion"] = {"loop_order": crep.loop_order}
         checks.append(
@@ -737,34 +623,12 @@ def _amalgam_blocks(d: CoxeterDiagram, cfg, classify: bool = True) -> Tuple[Dict
         )
     else:
         payload["completion"] = None
-        if not rec.spherical:
-            note = "diagram is not spherical; no global doubled loop exists"
-        elif rec.order > cfg.cap:
-            note = f"group order {rec.order} exceeds --cap {cfg.cap}"
-        else:
-            note = table_note
         checks.append(_skip("completion_embeds_amalgam", note))
     return payload, checks
 
 
-def _cmd_amalgams(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
-    if kind != "coxeter":
-        raise FormatError("the amalgams command needs a coxeter input")
-    graph = obj.underlying_graph()
-    if not graph.is_connected():
-        raise FormatError(
-            "the amalgams command needs a connected diagram (underlying graph)"
-        )
-    if any(m == math.inf for _, _, m in obj.edges()):
-        raise FormatError("the amalgams command needs all edge labels finite")
-    payload = _diagram_payload(obj)
-    extra, checks = _amalgam_blocks(obj, cfg)
-    payload.update(extra)
-    return payload, checks
-
-
-def _coefficient_checks(d: CoxeterDiagram, cfg) -> List[Dict]:
-    a = standard_amalgam(d)
+def _coefficient_checks(ctx: _Run) -> List[Dict]:
+    a, cfg = ctx.amalgam, ctx.cfg
     mode = "structural" if cfg.cross_check else "none"
     orders: List[int] = []
     for sigma in a.simplices():
@@ -784,42 +648,184 @@ def _coefficient_checks(d: CoxeterDiagram, cfg) -> List[Dict]:
     return [entry]
 
 
-def _cmd_verify(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
-    if kind == "graph":
-        return _cohomology_blocks(obj, cfg)
-    if kind == "table":
-        payload, checks = _cmd_loop(kind, obj, cfg)
-        loop, _ = _loop_from_rows(obj)
-        if loop is not None and payload.get("associative"):
-            g = GroupTable(obj)
-            if 2 * g.order <= DESK_LOOP_LIMIT:
-                extra, th_checks = _theorem_checks(g, chein_loop(g), cfg.budget)
+# ---------------------------------------------------------------------------
+# commands: each takes the run and returns (payload, checks)
+
+
+def _cmd_parse(ctx: _Run) -> Tuple[Dict, List[Dict]]:
+    if ctx.kind == "coxeter":
+        return _diagram_payload(ctx), []
+    if ctx.kind == "graph":
+        return _graph_payload(ctx.graph), []
+    return {"order": len(ctx.obj)}, [ctx.rows_loop[1]]
+
+
+def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
+    payload, checks, note = _prologue(ctx, 1)
+    if checks[0]["status"] == "fail":
+        return payload, checks
+    if ctx.kind == "table":
+        assoc = is_associative(ctx.rows_loop[0])
+        checks.extend(_identity_checks({"associativity": assoc}))
+        if not assoc.holds:
+            return payload, checks
+    elif note:
+        worder = enumerate_order(ctx.obj, cap=ctx.cfg.cap)
+        checks.append(_order_check(worder, payload["order"], enumerated=worder))
+        checks.append(_skip("element_statistics", note))
+        payload.update({"group_order": worder, "table": None, "table_note": note})
+        return payload, checks
+    else:
+        order = ctx.group.order
+        checks.append(_order_check(order, payload["order"], enumerated=order))
+    g = ctx.group
+    orders: Dict[str, int] = {}
+    for x in range(g.order):
+        k = str(g.element_order(x))
+        orders[k] = orders.get(k, 0) + 1
+    payload.update(
+        {
+            "group_order": g.order,
+            "abelian": g.is_abelian(),
+            "elementary_abelian": g.is_elementary_abelian(),
+            "involutions": len(g.involutions()),
+            "element_orders": {k: orders[k] for k in sorted(orders, key=int)},
+        }
+    )
+    if g.order <= 64:
+        payload["table"] = [list(row) for row in g.product]
+        payload["labels"] = list(g.labels)
+    else:
+        payload["table"] = None
+        payload["table_note"] = "order exceeds 64; table omitted from the report"
+    return payload, checks
+
+
+def _cmd_loop(ctx: _Run) -> Tuple[Dict, List[Dict]]:
+    payload, checks, note = _prologue(ctx, 2)
+    if checks[0]["status"] == "fail":
+        return payload, checks
+    if ctx.kind == "table":
+        # a table carries no marked group half, so there is no doubling to check
+        t = ctx.rows_loop[0]
+        payload["loop_order"] = t.order
+        checks.append(_skip("c1", "not a doubled loop (no group half marked)"))
+    elif note:
+        payload.update(
+            {
+                "group_order": payload["order"],
+                "loop_order": 2 * payload["order"],
+                "associative": None,
+                "assoc_note": note,
+            }
+        )
+        checks.append(_skip("c1", note))
+        checks.append(_skip("m1", note))
+        return payload, checks
+    else:
+        t = chein_loop(ctx.group)
+        payload.update({"group_order": ctx.group.order, "loop_order": t.order})
+        checks.extend(_identity_checks(verify_doubling_identities(ctx.group)))
+    note = _triple_budget_gate(t.order, ctx.cfg.budget)
+    if note:
+        for name in ("m1", "m2", "m3"):
+            checks.append(_skip(name, note))
+        payload["associative"] = None
+        payload["assoc_note"] = note
+    else:
+        checks.extend(_identity_checks(is_moufang(t)))
+        assoc = is_associative(t)
+        payload["associative"] = assoc.holds
+        payload["assoc_witness"] = (
+            None if assoc.holds else list(assoc.counterexample)
+        )
+    payload["commutative"] = t.is_commutative()
+    return payload, checks
+
+
+def _cmd_aut(ctx: _Run) -> Tuple[Dict, List[Dict]]:
+    payload, checks, note = _prologue(ctx, 2)
+    if checks[0]["status"] == "fail":
+        return payload, checks
+    budget = ctx.cfg.budget
+    if ctx.kind == "coxeter":
+        if note:
+            payload.update(
+                {"group_order": payload["order"], "loop_order": 2 * payload["order"]}
+            )
+            checks.append(_skip("automorphism_theorems", note))
+            return payload, checks
+        payload.update({"group_order": ctx.group.order, "loop_order": 2 * ctx.group.order})
+        extra, th_checks = _theorem_checks(ctx)
+        payload.update(extra)
+        checks.extend(th_checks)
+        return payload, checks
+    # Aut of the table: of its group, after the theorems on the double, when
+    # the associativity probe holds; of the loop otherwise
+    table = ctx.rows_loop[0]
+    note = _triple_budget_gate(table.order, budget)
+    if note:
+        checks.append(_skip("associativity_probe", note))
+    else:
+        payload["associative"] = is_associative(table).holds
+    doubled = None
+    if payload.get("associative"):
+        doubled, th_checks = _theorem_checks(ctx)
+        checks.extend(th_checks)
+        table = ctx.group
+    aut = automorphism_group(table, budget=budget)
+    payload.update({"aut_order": aut.order, "aut_nodes": aut.nodes})
+    if doubled is not None:
+        payload["doubled"] = doubled
+    return payload, checks
+
+
+def _cmd_amalgams(ctx: _Run) -> Tuple[Dict, List[Dict]]:
+    if not ctx.graph.is_connected():
+        raise FormatError(
+            "the amalgams command needs a connected diagram (underlying graph)"
+        )
+    if any(m == math.inf for _, _, m in ctx.obj.edges()):
+        raise FormatError("the amalgams command needs all edge labels finite")
+    payload = _diagram_payload(ctx)
+    extra, checks = _amalgam_blocks(ctx, True)
+    payload.update(extra)
+    return payload, checks
+
+
+def _cmd_verify(ctx: _Run) -> Tuple[Dict, List[Dict]]:
+    if ctx.kind == "graph":
+        return _cohomology_blocks(ctx)
+    if ctx.kind == "table":
+        payload, checks = _cmd_loop(ctx)
+        if payload.get("associative"):
+            if 2 * ctx.group.order <= DESK_LOOP_LIMIT:
+                extra, th_checks = _theorem_checks(ctx)
                 payload.update(extra)
                 checks.extend(th_checks)
             else:
                 checks.append(
                     _skip(
                         "automorphism_theorems",
-                        f"doubled order {2 * g.order} exceeds the desk-scale "
+                        f"doubled order {2 * ctx.group.order} exceeds the desk-scale "
                         f"limit {DESK_LOOP_LIMIT} for verify; use the aut command",
                     )
                 )
         return payload, checks
 
-    payload = _diagram_payload(obj)
+    payload = _diagram_payload(ctx)
     checks: List[Dict] = []
-    graph = obj.underlying_graph()
 
-    coh_payload, coh_checks = _cohomology_blocks(graph, cfg)
+    coh_payload, coh_checks = _cohomology_blocks(ctx)
     payload["cohomology"] = {
         "dims": coh_payload["dims"],
         "components": coh_payload["components"],
     }
     checks.extend(coh_checks)
 
-    finite_labels = all(m != math.inf for _, _, m in obj.edges())
+    finite_labels = all(m != math.inf for _, _, m in ctx.obj.edges())
     if finite_labels:
-        checks.extend(_coefficient_checks(obj, cfg))
+        checks.extend(_coefficient_checks(ctx))
     else:
         checks.append(
             _skip(
@@ -828,10 +834,10 @@ def _cmd_verify(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
             )
         )
 
-    if finite_labels and graph.is_connected():
+    if finite_labels and ctx.graph.is_connected():
         cycle_rank = coh_payload["dims"]["h1"]
         classify = cycle_rank <= 4
-        amal_payload, amal_checks = _amalgam_blocks(obj, cfg, classify=classify)
+        amal_payload, amal_checks = _amalgam_blocks(ctx, classify)
         if not classify:
             amal_checks.append(
                 _skip(
@@ -850,27 +856,25 @@ def _cmd_verify(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
         )
         checks.append(_skip("standard_amalgam_valid", note))
 
-    enum_note = (
-        _table_budget_gate(2 * payload["order"], cfg.budget)
-        if payload["spherical"]
-        else None
-    )
-    if payload["spherical"] and payload["order"] <= cfg.cap and not enum_note:
-        g = enumerate_group(obj, cap=cfg.cap)
-        t = chein_loop(g)
-        payload.update({"group_order": g.order, "loop_order": t.order})
+    if not payload["spherical"]:
         checks.append(
-            _check(
-                "order_matches_classification",
-                g.order == payload["order"],
-                witness={"enumerated": g.order, "classified": payload["order"]},
+            _skip(
+                "group_enumeration",
+                "diagram is not spherical (infinite group); global doubled-loop "
+                "checks skipped",
             )
         )
-        checks.extend(_identity_checks(verify_doubling_identities(g)))
-        note = _triple_budget_gate(t.order, cfg.budget)
+    elif note := _double_gate(ctx):
+        checks.append(_skip("group_enumeration", note))
+    else:
+        t = chein_loop(ctx.group)
+        payload.update({"group_order": ctx.group.order, "loop_order": t.order})
+        checks.append(_order_check(ctx.group.order, payload["order"]))
+        checks.extend(_identity_checks(verify_doubling_identities(ctx.group)))
+        note = _triple_budget_gate(t.order, ctx.cfg.budget)
         if t.order <= DESK_LOOP_LIMIT and not note:
             checks.extend(_identity_checks(is_moufang(t)))
-            extra, th_checks = _theorem_checks(g, t, cfg.budget)
+            extra, th_checks = _theorem_checks(ctx)
             payload.update(extra)
             checks.extend(th_checks)
         else:
@@ -881,33 +885,20 @@ def _cmd_verify(kind: str, obj, cfg) -> Tuple[Dict, List[Dict]]:
             )
             checks.append(_skip("m1", reason))
             checks.append(_skip("automorphism_theorems", reason))
-    elif not payload["spherical"]:
-        checks.append(
-            _skip(
-                "group_enumeration",
-                "diagram is not spherical (infinite group); global doubled-loop "
-                "checks skipped",
-            )
-        )
-    else:
-        reason = (
-            enum_note
-            if payload["order"] <= cfg.cap
-            else f"group order {payload['order']} exceeds --cap {cfg.cap}"
-        )
-        checks.append(_skip("group_enumeration", reason))
     return payload, checks
 
 
-_DISPATCH = {
-    "parse": _cmd_parse,
-    "group": _cmd_group,
-    "loop": _cmd_loop,
-    "aut": _cmd_aut,
-    "cohomology": _cmd_cohomology,
-    "amalgams": _cmd_amalgams,
-    "verify": _cmd_verify,
+# command -> (its composition of blocks, the input kinds it accepts)
+_COMMANDS = {
+    "parse": (_cmd_parse, ("coxeter", "graph", "table")),
+    "group": (_cmd_group, ("coxeter", "table")),
+    "loop": (_cmd_loop, ("coxeter", "table")),
+    "aut": (_cmd_aut, ("coxeter", "table")),
+    "cohomology": (_cohomology_blocks, ("coxeter", "graph")),
+    "amalgams": (_cmd_amalgams, ("coxeter",)),
+    "verify": (_cmd_verify, ("coxeter", "graph", "table")),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,11 +991,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         kind, obj = parse_input(text)
-        payload, checks = _DISPATCH[args.command](kind, obj, args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (DiagramError, ValueError) as e:
+        command, kinds = _COMMANDS[args.command]
+        if kind not in kinds:
+            raise FormatError(f"the {args.command} command needs a {' or '.join(kinds)} input")
+        payload, checks = command(_Run(kind, obj, args))
+    except ValueError as e:  # FormatError and DiagramError among them
         print(f"error: {e}", file=sys.stderr)
         return 4
     except ResourceLimitError as e:

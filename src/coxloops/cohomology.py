@@ -172,7 +172,8 @@ def vertex_coboundary(cx: EdgeComplex, i: int, e: Edge) -> int:
 
     This is the projection of d0(a_e) to the pairs pointed at i.
     """
-    assert i in e, "e must be incident to i"
+    if i not in e:
+        raise CheckError(f"edge {e} is not incident to vertex {i}")
     v = 0
     for f in cx.star_edges.get(i, ()):
         if f != e:
@@ -198,19 +199,20 @@ class CohomologyResult:
         return (self.z1, self.b1, self.h1)
 
 
-def cohomology(graph: Graph, strict: bool = False, cross_check: bool = True) -> CohomologyResult:
-    """Dimensions and explicit bases of Z^1, B^1, H^1 over GF(2).
+def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) -> CohomologyResult:
+    """Dimensions and explicit bases of Z^1, B^1, H^1 over GF(2), for the
+    edge complex `cx` of a graph.
 
     Disconnected graphs are handled per component and summed (isolated
     vertices contribute nothing); `strict=True` rejects them instead.
     The closed forms are checked against Gaussian elimination unless
     `cross_check` is off.
     """
+    graph = cx.graph
     comps = connected_components(graph)
     edge_comps = [c for c in comps if c.edges]
     if strict and len(comps) > 1:
         raise ValueError(f"graph has {len(comps)} components (strict mode)")
-    cx = build_complex(graph)
     npairs = len(cx.pointed_pairs)
 
     # closed-form dimensions

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CheckError, DiagramError, ResourceLimitError
-from .graphs import Graph
+from .graphs import Graph, connected_components
 from .groups import GroupTable, composer
 
 __all__ = [
@@ -203,7 +203,8 @@ def _component_type(d: CoxeterDiagram, verts: Tuple[int, ...]) -> ComponentType:
             arms.append(length)
         arms.sort()
         a, b, c = arms
-        assert a + b + c + 1 == n
+        if a + b + c + 1 != n:
+            raise CheckError(f"branch arms {arms} do not cover the {n} vertices")
         if a == 1 and b == 1:
             return ComponentType(f"D{n}", verts, 2 ** (n - 1) * math.factorial(n))
         if (a, b) == (1, 2) and c in (2, 3, 4):
@@ -229,20 +230,7 @@ def _component_type(d: CoxeterDiagram, verts: Tuple[int, ...]) -> ComponentType:
 
 
 def recognize_spherical(d: CoxeterDiagram) -> SphericalReport:
-    g = d.underlying_graph()
-    unseen = set(g.vertices)
-    comps: List[ComponentType] = []
-    while unseen:
-        start = min(unseen)
-        stack, comp = [start], {start}
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        unseen -= comp
-        comps.append(_component_type(d, tuple(sorted(comp))))
+    comps = [_component_type(d, c.vertices) for c in connected_components(d.underlying_graph())]
     spherical = all(c.order is not None for c in comps)
     order = math.prod(c.order for c in comps) if spherical else None
     return SphericalReport(spherical, order, tuple(comps))
@@ -457,16 +445,18 @@ def embed_parabolic(
 
     `positions[p]` is the generator slot in `target` for generator p of
     `sub`; each element of `sub` maps to the evaluation of its canonical
-    word.  Injectivity is asserted (standard parabolic subgroups embed).
+    word.  Injectivity is checked (standard parabolic subgroups embed).
     """
-    assert sub.words is not None
+    if sub.words is None:
+        raise CheckError("the parabolic subgroup carries no generator words")
     images = []
     for w in sub.words:
         c = 0
         for p in w:
             c = target.product[c][target.generators[positions[p]]]
         images.append(c)
-    assert len(set(images)) == sub.order, "parabolic embedding must be injective"
+    if len(set(images)) != sub.order:
+        raise CheckError("parabolic embedding must be injective")
     return tuple(images)
 
 
@@ -479,19 +469,22 @@ def diagram_a(n: int) -> CoxeterDiagram:
 
 
 def diagram_b(n: int) -> CoxeterDiagram:
-    assert n >= 2
+    if n < 2:
+        raise CheckError(f"B_n needs n >= 2, got {n}")
     edges = [(i, i + 1, 3) for i in range(1, n - 1)] + [(n - 1, n, 4)]
     return CoxeterDiagram.from_edges(n, edges)
 
 
 def diagram_d(n: int) -> CoxeterDiagram:
-    assert n >= 4
+    if n < 4:
+        raise CheckError(f"D_n needs n >= 4, got {n}")
     edges = [(i, i + 1, 3) for i in range(1, n - 1)] + [(n - 2, n, 3)]
     return CoxeterDiagram.from_edges(n, edges)
 
 
 def diagram_e(n: int) -> CoxeterDiagram:
-    assert n in (6, 7, 8)
+    if n not in (6, 7, 8):
+        raise CheckError(f"E_n needs n in 6..8, got {n}")
     edges = [(i, i + 1, 3) for i in range(1, n - 1)] + [(3, n, 3)]
     return CoxeterDiagram.from_edges(n, edges)
 
@@ -501,7 +494,8 @@ def diagram_f4() -> CoxeterDiagram:
 
 
 def diagram_h(n: int) -> CoxeterDiagram:
-    assert n in (3, 4)
+    if n not in (3, 4):
+        raise CheckError(f"H_n needs n in 3..4, got {n}")
     edges = [(1, 2, 5)] + [(i, i + 1, 3) for i in range(2, n)]
     return CoxeterDiagram.from_edges(n, edges)
 

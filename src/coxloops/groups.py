@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from operator import itemgetter
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CheckError
 
@@ -60,7 +60,8 @@ class GroupTable:
     `generators` optionally marks a distinguished involutive generating set
     (for Coxeter groups, the simple reflections in diagram-vertex order) and
     `words` then carries a shortlex word over those generators for every
-    element.
+    element.  `memo` keeps what `chein_loop` and `automorphism_group`
+    compute from the table, for as long as the table lives.
     """
 
     def __init__(
@@ -82,6 +83,7 @@ class GroupTable:
         if validate:
             self._validate()
         self.inverse: Tuple[int, ...] = tuple(self.product[a].index(0) for a in range(self.order))
+        self.memo: Dict[str, object] = {}
 
     def _validate(self) -> None:
         n = self.order
@@ -146,7 +148,8 @@ def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = 
 
 
 def cyclic(n: int) -> GroupTable:
-    assert n >= 1
+    if n < 1:
+        raise CheckError(f"a cyclic group has order >= 1, got {n}")
     rows = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = ["e"] + [f"r{'' if a == 1 else a}" for a in range(1, n)]
     return GroupTable(rows, labels=labels, generators=(1,) if n > 1 else ())
@@ -159,7 +162,8 @@ def dihedral(m: int) -> GroupTable:
     r*s, which present it as the Coxeter group of the rank-2 diagram with
     label m.
     """
-    assert m >= 1
+    if m < 1:
+        raise CheckError(f"a dihedral group has m >= 1, got {m}")
     n = 2 * m
 
     def idx(a: int, b: int) -> int:

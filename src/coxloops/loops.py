@@ -60,7 +60,8 @@ class LoopTable:
 
     Doubled loops remember their group half: `group_order` is N (so u is
     index N and indices >= N are the coset G*u), and `group_generators`
-    marks the distinguished generators of the group part, if any.
+    marks the distinguished generators of the group part, if any.  `memo`
+    keeps what `automorphism_group` computes, as long as the table lives.
     """
 
     def __init__(
@@ -94,6 +95,7 @@ class LoopTable:
                 raise CheckError(f"not a quasigroup: repeated value in {bad}")
         # right inverses x.index(0); for Moufang loops these are two-sided
         self.rinv: Tuple[int, ...] = tuple(self.product[x].index(0) for x in range(self.order))
+        self.memo: Dict[str, object] = {}
 
     def mul(self, x: int, y: int) -> int:
         return self.product[x][y]
@@ -161,7 +163,11 @@ def is_loop(rows: Sequence[Sequence[int]]) -> bool:
 
 
 def chein_loop(g: GroupTable) -> LoopTable:
-    """The doubled loop M(G, 2) on 2|G| elements (see module docstring)."""
+    """The doubled loop M(G, 2) on 2|G| elements (see module docstring),
+    built once per group and kept in `g.memo`: callers share it and its memo.
+    """
+    if "double" in g.memo:
+        return g.memo["double"]
     n = g.order
     gp, inv = g.product, g.inverse
     shift = tuple(range(n, 2 * n))  # g -> g*u
@@ -171,9 +177,10 @@ def chein_loop(g: GroupTable) -> LoopTable:
         rows[a] = gp[a] + compose(shift, col)
         rows[n + a] = compose(shift, compose(gp[a], inv)) + compose(col, inv)
     labels = list(g.labels) + [("u" if a == 0 else f"{g.labels[a]}*u") for a in range(n)]
-    return LoopTable(
+    g.memo["double"] = LoopTable(
         rows, labels=labels, group_order=n, group_generators=g.generators, validate=False
     )
+    return g.memo["double"]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +328,8 @@ def chein_values(t: LoopTable, name: str, g1: int, g2: int) -> Tuple[int, int]:
     """
     p = t.product
     u = t.group_order
-    assert u is not None, "loop was not built as a doubled loop"
+    if u is None:
+        raise CheckError("loop was not built as a doubled loop")
     if name == "c1":
         return (p[g1][p[g2][u]], p[p[g2][g1]][u])
     if name == "c2":

@@ -12,7 +12,9 @@ tried again.  The search stays exhaustive, since every other candidate is
 either completed or refuted.  Aut is listed as the products of one
 transversal element per level.  A `budget` caps the number of candidate
 assignments tried (`AutGroup.nodes`), and raising past it is a hard error,
-never a silent truncation; memoized results honour the budget too.
+never a silent truncation.  The result is memoized on the table it was
+computed from (`memo["aut"]`), so it lives exactly as long as that table;
+a memo hit honours the budget too.
 
 The two structure theorems verified here describe Aut(L) for L = M(G, 2):
 
@@ -121,13 +123,7 @@ def _profiles(t) -> List[Tuple]:
     """Cheap per-element isomorphism invariants used to prune the search."""
     n = t.order
     p = t.product
-    orders = [0] * n
-    for x in range(n):
-        k, y = 1, x
-        while y != 0:
-            y = p[x][y]
-            k += 1
-        orders[x] = k
+    orders = [t.element_order(x) for x in range(n)]
     sq_roots = [0] * n
     for y in range(n):
         sq_roots[p[y][y]] += 1
@@ -157,9 +153,6 @@ class AutGroup:
         return [Morphism(e) for e in self.elements]
 
 
-_AUT_CACHE: Dict[Tuple[Tuple[int, ...], ...], "AutGroup"] = {}
-
-
 def _budget_error(budget: int) -> ResourceLimitError:
     return ResourceLimitError(f"automorphism search exceeded budget={budget} nodes")
 
@@ -179,7 +172,7 @@ def _close_orbit(tree: Dict[int, Optional[Tuple]], perms: Sequence[Tuple[int, ..
 
 
 def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
-    """Exhaustive Aut(t) for any table exposing .order/.product.
+    """Exhaustive Aut(t) of a GroupTable or LoopTable.
 
     The search runs over the levels of the stabilizer chain of the
     generators g1..gk from `generating_set`, deepest level first.  At level
@@ -197,14 +190,14 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
     `nodes` counts the candidate assignments tried, i.e. the `extend`
     calls, including the k that fix g1..gk to themselves.  More than
     `budget` of them raise ResourceLimitError: the search is never silently
-    truncated.  Results are memoized by table, since amalgam work asks for
-    the same edge loops over and over; a memo hit raises the same error
-    when its search needed more than `budget` nodes, so it behaves exactly
-    like a fresh search.  CheckError (not `assert`, so also under
-    `python -O`) reports a generating set that does not generate or
-    transversal products that are not distinct.
+    truncated.  The result is memoized in `t.memo`, since amalgam work asks
+    for the same edge loops over and over; the memo lives as long as `t`,
+    and a hit raises the same error when its search needed more than
+    `budget` nodes, so it behaves exactly like a fresh search.  CheckError
+    (not `assert`, so also under `python -O`) reports a generating set
+    that does not generate or transversal products that are not distinct.
     """
-    cached = _AUT_CACHE.get(t.product)
+    cached = t.memo.get("aut")
     if cached is not None:
         if cached.nodes > budget:
             raise _budget_error(budget)
@@ -312,9 +305,8 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
     elements.sort()
     if len(elements) != order or any(a == b for a, b in zip(elements, elements[1:])):
         raise CheckError("the transversal products are not distinct automorphisms")
-    result = AutGroup(tuple(elements), nodes)
-    _AUT_CACHE[t.product] = result
-    return result
+    t.memo["aut"] = AutGroup(tuple(elements), nodes)
+    return t.memo["aut"]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +316,8 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
 def translation_automorphism(t: LoopTable, g: int) -> Morphism:
     """phi_g: fixes the group half pointwise, maps x*u to (g*x)*u."""
     n = t.group_order
-    assert n is not None and 0 <= g < n
+    if n is None or not 0 <= g < n:
+        raise CheckError(f"translation needs a doubled loop and a group element, got {g}")
     gp = t.product  # group products live in the top-left block
     images = list(range(n)) + [n + gp[g][x] for x in range(n)]
     return Morphism(tuple(images))
@@ -333,7 +326,8 @@ def translation_automorphism(t: LoopTable, g: int) -> Morphism:
 def lifted_automorphism(t: LoopTable, psi: Sequence[int]) -> Morphism:
     """The automorphism of M(G, 2) induced by psi in Aut(G): x*u -> psi(x)*u."""
     n = t.group_order
-    assert n is not None and len(psi) == n
+    if n is None or len(psi) != n:
+        raise CheckError("a lift needs a doubled loop and a map of its group half")
     images = [psi[x] for x in range(n)] + [n + psi[x] for x in range(n)]
     return Morphism(tuple(images))
 
@@ -453,8 +447,7 @@ def verify_semidirect_automorphisms(g: GroupTable, budget: int = 10_000_000) -> 
     translations_ok = all(is_automorphism(t, f) for f in translations)
     lifts_ok = all(is_automorphism(t, f) for f in lifts)
     relation_ok = True
-    for psi in aut_g.elements:
-        lift = lifted_automorphism(t, psi).images
+    for psi, lift in zip(aut_g.elements, lifts):
         lift_inv = invert_images(lift)
         for x in range(g.order):
             lhs = compose_images(lift, compose_images(translations[x], lift_inv))
@@ -544,11 +537,13 @@ def verify_doubled_dihedral_automorphisms(
     Every product rescaling o sigma o lift is compared against the brute
     force Aut(L) as a set.
     """
-    assert h.is_abelian(), "H must be abelian"
+    if not h.is_abelian():
+        raise CheckError("H must be abelian")
     witness = next(
         (x for x in range(h.order) if h.element_order(x) > 2), None
     )
-    assert witness is not None, "H must contain an element of order > 2"
+    if witness is None:
+        raise CheckError("H must contain an element of order > 2")
 
     g_loop = chein_loop(h)  # associative since H is abelian
     g = GroupTable(g_loop.product, labels=g_loop.labels, validate=True)
@@ -558,7 +553,8 @@ def verify_doubled_dihedral_automorphisms(
     p = t.product
     u1, u2 = nh, ng
     u3 = p[u1][u2]
-    assert u3 == ng + nh
+    if u3 != ng + nh:
+        raise CheckError(f"u1*u2 is {u3}, not the coset element {ng + nh}")
 
     klein = {0, u1, u2, u3}
     klein_ok = (

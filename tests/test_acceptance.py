@@ -151,7 +151,7 @@ def test_criterion_5_cohomology_on_100_random_graphs():
             done += 1
             # cross_check re-derives dims by elimination, matches the
             # closed-form spans, and rejects dependent H^1 representatives
-            r = cohomology(g, cross_check=True)
+            r = cohomology(build_complex(g), cross_check=True)
             ne, nv = len(g.edges), len(g.vertices)
             assert r.z1 == 2 * ne - nv
             assert r.b1 == ne - 1
@@ -186,10 +186,10 @@ def test_criterion_6_coefficient_groups_match_stabilizers():
 
 def test_criterion_7_twisted_amalgam_classification():
     def body():
-        tri = classify_twisted_amalgams(TRIANGLE)
+        tri = classify_twisted_amalgams(standard_amalgam(TRIANGLE))
         assert tri.cycle_rank == 1
         assert tri.class_count == 2 == 2**tri.cycle_rank
-        two = classify_twisted_amalgams(TWO_TRIANGLES)
+        two = classify_twisted_amalgams(standard_amalgam(TWO_TRIANGLES))
         assert two.cycle_rank == 2
         assert two.class_count == 4 == 2**two.cycle_rank
         # negatives are certified by exhausting the assignment space
@@ -202,7 +202,7 @@ def test_criterion_7_twisted_amalgam_classification():
         assert twisted_amalgam(TRIANGLE, []).maps == std.maps
         # cocycles: cohomologous inputs land in one class, coboundaries in
         # the standard class
-        res = cohomology(TRIANGLE.underlying_graph())
+        res = cohomology(build_complex(TRIANGLE.underlying_graph()))
         z = res.h_basis[0]
         assert delta_cocycle(TRIANGLE, [1]) == z
         b = res.b_basis[0]

@@ -20,8 +20,8 @@ from coxloops.amalgams import (
     verify_amalgam,
     verify_completion,
 )
-from coxloops.cohomology import cohomology
-from coxloops.coxeter import CoxeterDiagram, diagram_a, diagram_b, diagram_h
+from coxloops.cohomology import build_complex, cohomology
+from coxloops.coxeter import CoxeterDiagram, diagram_a, diagram_b, diagram_h, enumerate_group
 from coxloops.errors import ResourceLimitError
 
 TRIANGLE = CoxeterDiagram.from_edges(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)])
@@ -42,7 +42,7 @@ def test_standard_amalgam_and_completion(diagram, loop_order):
     assert rep.ok
     assert rep.injective_ok and rep.homomorphism_ok and rep.composition_ok
     # the doubled loop of the whole group completes the amalgam
-    loop, maps = loop_completion(diagram)
+    loop, maps = loop_completion(a, enumerate_group(diagram))
     assert loop.order == loop_order
     comp = verify_completion(a, loop, maps)
     assert comp.ok
@@ -101,7 +101,7 @@ def test_infinite_labels_are_rejected():
 
 
 def test_classification_triangle_frozen():
-    rep = classify_twisted_amalgams(TRIANGLE)
+    rep = classify_twisted_amalgams(standard_amalgam(TRIANGLE))
     assert rep.ok
     assert rep.cycle_rank == 1
     assert rep.class_count == 2
@@ -112,7 +112,7 @@ def test_classification_triangle_frozen():
 
 
 def test_classification_two_triangles_frozen():
-    rep = classify_twisted_amalgams(TWO_TRIANGLES)
+    rep = classify_twisted_amalgams(standard_amalgam(TWO_TRIANGLES))
     assert rep.ok
     assert rep.cycle_rank == 2
     assert rep.class_count == 4
@@ -128,15 +128,15 @@ def test_classification_two_triangles_frozen():
 
 
 def test_classification_mixed_labels():
-    rep = classify_twisted_amalgams(MIXED_TRIANGLE)
+    rep = classify_twisted_amalgams(standard_amalgam(MIXED_TRIANGLE))
     assert rep.ok
     assert rep.class_count == 2
 
 
 def test_classification_count_matches_h1():
     for d in (TRIANGLE, TWO_TRIANGLES):
-        rep = classify_twisted_amalgams(d)
-        h1 = cohomology(d.underlying_graph()).h1
+        rep = classify_twisted_amalgams(standard_amalgam(d))
+        h1 = cohomology(build_complex(d.underlying_graph())).h1
         assert rep.cycle_rank == h1
         assert rep.class_count == 2**h1
 
@@ -167,7 +167,7 @@ def test_delta_cocycle_correspondence():
     # z_delta is the sum of the non-tree local coboundaries picked by delta,
     # and its amalgam is isomorphic to the normalized twisted amalgam
     assert delta_cocycle(TRIANGLE, []) == 0
-    assert delta_cocycle(TRIANGLE, [1]) == cohomology(TRIANGLE.underlying_graph()).h_basis[0]
+    assert delta_cocycle(TRIANGLE, [1]) == cohomology(build_complex(TRIANGLE.underlying_graph())).h_basis[0]
     for d, deltas in ((TRIANGLE, ([], [1])), (TWO_TRIANGLES, ([], [1], [2], [1, 2]))):
         for delta in deltas:
             z = delta_cocycle(d, delta)
@@ -176,7 +176,7 @@ def test_delta_cocycle_correspondence():
 
 
 def test_coboundaries_give_the_standard_class():
-    r = cohomology(TRIANGLE.underlying_graph())
+    r = cohomology(build_complex(TRIANGLE.underlying_graph()))
     std = standard_amalgam(TRIANGLE)
     for b in r.b_basis:
         a = cocycle_to_amalgam(TRIANGLE, b)
@@ -184,7 +184,7 @@ def test_coboundaries_give_the_standard_class():
 
 
 def test_cohomologous_cocycles_give_isomorphic_amalgams():
-    r = cohomology(TRIANGLE.underlying_graph())
+    r = cohomology(build_complex(TRIANGLE.underlying_graph()))
     z = r.h_basis[0]
     b = r.b_basis[0]
     shifted = cocycle_to_amalgam(TRIANGLE, z ^ b)
@@ -227,4 +227,4 @@ def test_iso_budget_is_hard():
     with pytest.raises(ResourceLimitError):
         amalgams_isomorphic(a, b, budget=3)
     with pytest.raises(ResourceLimitError):
-        classify_twisted_amalgams(TRIANGLE, budget=3)
+        classify_twisted_amalgams(standard_amalgam(TRIANGLE), budget=3)

@@ -172,7 +172,7 @@ def test_star_path_builds_no_unpointed_simplices():
     cx = build_complex(graph)
     for v in graph.vertices:
         vertex_star(cx, v)
-    cohomology(graph)
+    cohomology(cx)
     assert not {"pairs", "triples", "core"} & vars(cx).keys()
     assert len(cx.triples) == 455 and vars(cx)["triples"] is cx.triples
 
@@ -199,13 +199,13 @@ DIAGRAMS = {
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))
 def test_classification_matches_reference_on_named_diagrams(name):
     d = DIAGRAMS[name]
-    assert classify_twisted_amalgams(d) == reference_classification(d)
+    assert classify_twisted_amalgams(standard_amalgam(d)) == reference_classification(d)
 
 
 @pytest.mark.slow
 def test_classification_matches_reference_on_k5_minus_edge():
     d = cox(5, [(a, b, 3) for a, b in complete(5) if (a, b) != (4, 5)])
-    rep = classify_twisted_amalgams(d)
+    rep = classify_twisted_amalgams(standard_amalgam(d))
     assert rep == reference_classification(d)
     assert rep.class_count == 32 and rep.pairs_checked == 496
 
@@ -223,11 +223,11 @@ def diagrams(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(diagrams())
 def test_classification_matches_reference_on_random_diagrams(d):
-    assert classify_twisted_amalgams(d) == reference_classification(d)
+    assert classify_twisted_amalgams(standard_amalgam(d)) == reference_classification(d)
 
 
 def test_k5_has_64_singleton_classes():
-    rep = classify_twisted_amalgams(cox(5, [(a, b, 3) for a, b in complete(5)]))
+    rep = classify_twisted_amalgams(standard_amalgam(cox(5, [(a, b, 3) for a, b in complete(5)])))
     assert rep.cycle_rank == 6 and rep.ok
     assert all(len(cls) == 1 for cls in rep.classes)
     assert rep.pairs_checked == 64 * 63 // 2
@@ -235,7 +235,7 @@ def test_k5_has_64_singleton_classes():
 
 @pytest.mark.slow
 def test_k6_has_1024_singleton_classes():
-    rep = classify_twisted_amalgams(cox(6, [(a, b, 3) for a, b in complete(6)]))
+    rep = classify_twisted_amalgams(standard_amalgam(cox(6, [(a, b, 3) for a, b in complete(6)])))
     assert rep.cycle_rank == 10 and rep.ok
     assert all(len(cls) == 1 for cls in rep.classes)
     assert rep.pairs_checked == 1024 * 1023 // 2
@@ -246,8 +246,8 @@ def test_classification_budget_is_the_space_of_one_search(name):
     d = DIAGRAMS[name]
     space = amalgams_isomorphic(standard_amalgam(d), twisted_amalgam(d, [1])).space
     with pytest.raises(ResourceLimitError, match="amalgam isomorphism search"):
-        classify_twisted_amalgams(d, budget=space - 1)
-    assert classify_twisted_amalgams(d, budget=space).ok
+        classify_twisted_amalgams(standard_amalgam(d), budget=space - 1)
+    assert classify_twisted_amalgams(standard_amalgam(d), budget=space).ok
 
 
 def test_wrong_orbits_are_refused(monkeypatch):
@@ -263,4 +263,4 @@ def test_wrong_orbits_are_refused(monkeypatch):
     for orbits, message in ((merged, "merges"), (missing, "own orbit"), (lopsided, "symmetric")):
         monkeypatch.setattr(amalgams, "_twist_orbits", lambda a, st_, budget, o=orbits: o)
         with pytest.raises(CheckError, match=message):
-            classify_twisted_amalgams(d)
+            classify_twisted_amalgams(standard_amalgam(d))

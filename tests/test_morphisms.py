@@ -5,6 +5,11 @@ order-8 loop, 108 for M(S3,2), 192 for M(D4,2) and M(Q8,2)), canonical
 dihedral decompositions, and the full trichotomy over sixteen small groups.
 """
 
+import gc
+import subprocess
+import sys
+import weakref
+
 import pytest
 
 from coxloops.errors import ResourceLimitError
@@ -229,3 +234,43 @@ def test_doubled_dihedral_rejects_bad_h():
         verify_doubled_dihedral_automorphisms(symmetric3())  # not abelian
     with pytest.raises(AssertionError):
         verify_doubled_dihedral_automorphisms(klein4())  # exponent 2
+
+
+def test_aut_memo_lives_as_long_as_its_table():
+    t = chein_loop(cyclic(33))  # order 66
+    ref = weakref.ref(automorphism_group(t))
+    del t
+    gc.collect()
+    assert ref() is None
+
+
+def test_argument_checks_raise_under_optimize():
+    # a non-injective parabolic embedding and a non-abelian H must be
+    # refused even with asserts stripped by -O
+    code = "\n".join([
+        "from coxloops.coxeter import diagram_a, embed_parabolic, enumerate_group",
+        "from coxloops.errors import CheckError",
+        "from coxloops.groups import symmetric3",
+        "from coxloops.morphisms import verify_doubled_dihedral_automorphisms",
+        "a2 = enumerate_group(diagram_a(2))",
+        "for call in (",
+        "    lambda: embed_parabolic(a2, [0, 0], a2),",
+        "    lambda: verify_doubled_dihedral_automorphisms(symmetric3()),",
+        "):",
+        "    try:",
+        "        call()",
+        "    except CheckError as e:",
+        "        print(__debug__, 'CheckError', e)",
+        "    except Exception as e:",
+        "        print(__debug__, type(e).__name__)",
+        "    else:",
+        "        print(__debug__, 'returned')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False CheckError parabolic embedding must be injective",
+        "False CheckError H must be abelian",
+    ]
