@@ -13,207 +13,22 @@ by exhaustive isomorphism search, that the twists realize exactly
 2^(cycle rank) isomorphism classes.
 """
 
-from .errors import CheckError, DiagramError, FormatError, ResourceLimitError
-from .gf2 import (
-    gf2_kernel_basis,
-    gf2_rank,
-    gf2_rref,
-    gf2_same_span,
-)
-from .graphs import Graph, SpanningTree, connected_components, spanning_tree
-from .groups import (
-    GroupTable,
-    all_subgroups,
-    alternating4,
-    closure,
-    cyclic,
-    dihedral,
-    direct_product,
-    from_table,
-    klein4,
-    quaternion,
-    subgroup_table,
-    symmetric3,
-)
-from .coxeter import (
-    INF,
-    ComponentType,
-    CoxeterDiagram,
-    SphericalReport,
-    diagram_a,
-    diagram_b,
-    diagram_d,
-    diagram_e,
-    diagram_f4,
-    diagram_h,
-    diagram_i2,
-    embed_parabolic,
-    enumerate_group,
-    enumerate_order,
-    recognize_spherical,
-    subdiagram,
-)
-from .loops import (
-    IdentityReport,
-    LoopTable,
-    chein_loop,
-    chein_values,
-    from_rows,
-    is_associative,
-    is_loop,
-    is_moufang,
-    is_quasigroup,
-    moufang_values,
-    subloop_closure,
-    verify_chein_identities,
-    verify_doubling_identities,
-)
-from .morphisms import (
-    AutGroup,
-    DoubledDihedralAutReport,
-    Morphism,
-    SemidirectAutReport,
-    TrichotomyReport,
-    automorphism_group,
-    classify_trichotomy,
-    compose_images,
-    dihedral_decomposition,
-    generating_set,
-    invert_images,
-    is_automorphism,
-    is_homomorphism,
-    lifted_automorphism,
-    translation_automorphism,
-    verify_doubled_dihedral_automorphisms,
-    verify_semidirect_automorphisms,
-)
-from .cohomology import (
-    CoefficientGroup,
-    CohomologyResult,
-    EdgeComplex,
-    VertexStar,
-    build_complex,
-    coefficient_group,
-    cohomology,
-    edge_twist,
-    vertex_coboundary,
-    vertex_star,
-    vertex_twist,
-)
-from .amalgams import (
-    Amalgam,
-    AmalgamReport,
-    ClassificationReport,
-    CompletionReport,
-    IsoReport,
-    amalgams_isomorphic,
-    classify_twisted_amalgams,
-    cocycle_to_amalgam,
-    delta_cocycle,
-    loop_completion,
-    standard_amalgam,
-    twisted_amalgam,
-    verify_amalgam,
-    verify_completion,
-)
+from importlib import import_module
+
+from .errors import *  # noqa: F401,F403  (each star import follows its module's __all__)
+from .gf2 import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .groups import *  # noqa: F401,F403
+from .coxeter import *  # noqa: F401,F403
+from .loops import *  # noqa: F401,F403
+from .morphisms import *  # noqa: F401,F403
+from .cohomology import *  # noqa: F401,F403
+from .amalgams import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckError",
-    "DiagramError",
-    "FormatError",
-    "ResourceLimitError",
-    "gf2_rref",
-    "gf2_rank",
-    "gf2_kernel_basis",
-    "gf2_same_span",
-    "Graph",
-    "SpanningTree",
-    "connected_components",
-    "spanning_tree",
-    "GroupTable",
-    "from_table",
-    "cyclic",
-    "dihedral",
-    "quaternion",
-    "alternating4",
-    "klein4",
-    "symmetric3",
-    "direct_product",
-    "closure",
-    "subgroup_table",
-    "all_subgroups",
-    "INF",
-    "CoxeterDiagram",
-    "ComponentType",
-    "SphericalReport",
-    "recognize_spherical",
-    "enumerate_order",
-    "enumerate_group",
-    "subdiagram",
-    "embed_parabolic",
-    "diagram_a",
-    "diagram_b",
-    "diagram_d",
-    "diagram_e",
-    "diagram_f4",
-    "diagram_h",
-    "diagram_i2",
-    "LoopTable",
-    "IdentityReport",
-    "chein_loop",
-    "from_rows",
-    "is_quasigroup",
-    "is_loop",
-    "is_associative",
-    "is_moufang",
-    "moufang_values",
-    "chein_values",
-    "verify_chein_identities",
-    "verify_doubling_identities",
-    "subloop_closure",
-    "Morphism",
-    "AutGroup",
-    "TrichotomyReport",
-    "SemidirectAutReport",
-    "DoubledDihedralAutReport",
-    "automorphism_group",
-    "compose_images",
-    "invert_images",
-    "is_homomorphism",
-    "is_automorphism",
-    "generating_set",
-    "translation_automorphism",
-    "lifted_automorphism",
-    "dihedral_decomposition",
-    "classify_trichotomy",
-    "verify_semidirect_automorphisms",
-    "verify_doubled_dihedral_automorphisms",
-    "EdgeComplex",
-    "build_complex",
-    "CohomologyResult",
-    "cohomology",
-    "VertexStar",
-    "vertex_star",
-    "vertex_coboundary",
-    "vertex_twist",
-    "edge_twist",
-    "CoefficientGroup",
-    "coefficient_group",
-    "Amalgam",
-    "standard_amalgam",
-    "twisted_amalgam",
-    "cocycle_to_amalgam",
-    "delta_cocycle",
-    "verify_amalgam",
-    "AmalgamReport",
-    "loop_completion",
-    "verify_completion",
-    "CompletionReport",
-    "amalgams_isomorphic",
-    "IsoReport",
-    "classify_twisted_amalgams",
-    "ClassificationReport",
-    "__version__",
-]
+# every name a submodule exports, once each, in pipeline order
+_SUBMODULES = ("errors", "gf2", "graphs", "groups", "coxeter", "loops", "morphisms", "cohomology", "amalgams")
+__all__ = list(
+    dict.fromkeys(name for m in _SUBMODULES for name in import_module(f".{m}", __name__).__all__)
+) + ["__version__"]

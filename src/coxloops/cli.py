@@ -61,15 +61,8 @@ from .coxeter import (
 )
 from .errors import CheckError, FormatError, ResourceLimitError
 from .graphs import Graph
-from .groups import GroupTable, subgroup_table
-from .loops import (
-    LoopTable,
-    chein_loop,
-    is_associative,
-    is_loop,
-    is_moufang,
-    verify_doubling_identities,
-)
+from .groups import GroupTable, IdentityReport, is_associative, loop_axiom_failures, subgroup_table
+from .loops import LoopTable, chein_loop, is_moufang, verify_doubling_identities
 from .morphisms import (
     automorphism_group,
     classify_trichotomy,
@@ -285,25 +278,41 @@ class _Run:
 
     @cached_property
     def rows_loop(self) -> Tuple[Optional[LoopTable], Dict]:
-        """A table as a loop, with the loop axioms as a check; the LoopTable
-        only exists when they pass."""
-        rows = self.obj
-        n = len(rows)
-        if is_loop(rows):
-            return LoopTable(rows), _check("loop_axioms", True, order=n)
-        if any(rows[0][x] != x or rows[x][0] != x for x in range(n)):
+        """A table as a loop, with the loop axioms certified once as a
+        check; the LoopTable only exists when they pass."""
+        n = len(self.obj)
+        failure = next(loop_axiom_failures(self.obj), None)
+        if failure is None:
+            return LoopTable(self.obj, validate=False), _check("loop_axioms", True, order=n)
+        if failure[0] == "identity":
             witness = "element 0 is not a two-sided identity"
         else:
             witness = "some row or column repeats a value (not a Latin square)"
         return None, _check("loop_axioms", False, witness=witness, order=n)
 
     @cached_property
+    def associativity(self) -> IdentityReport:
+        """Associativity of the run's loop, the input table (once its loop
+        axioms passed) or M(W, 2), swept once per run."""
+        return is_associative(self.rows_loop[0] if self.kind == "table" else chein_loop(self.group))
+
+    @cached_property
     def group(self) -> GroupTable:
-        """W of a diagram, or the group of a table (validated); its double
-        M(W, 2) is `chein_loop(ctx.group)`, which the group keeps."""
-        if self.kind == "coxeter":
-            return enumerate_group(self.obj, cap=self.cfg.cap)
-        return GroupTable(self.obj)
+        """W of a diagram, or the group of a table from the run's two
+        certificates; its double M(W, 2) is `chein_loop(ctx.group)`, which
+        the group keeps."""
+        if self.kind == "table":
+            if not self.associativity.holds:
+                raise CheckError(self.associativity.brief())
+            return GroupTable(self.obj, validate=False)
+        if "amalgam" in vars(self) and self.graph.is_connected() and self.obj.rank <= 2:
+            # a connected diagram of rank <= 2 is its own core, so when the run
+            # built the amalgam (verify, amalgams) W is the core group it
+            # enumerated; past --cap, enumerate_group below still refuses W
+            w = self.amalgam.core_loop(self.obj.vertices).group
+            if w.order <= self.cfg.cap:
+                return w
+        return enumerate_group(self.obj, cap=self.cfg.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +674,7 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     if checks[0]["status"] == "fail":
         return payload, checks
     if ctx.kind == "table":
-        assoc = is_associative(ctx.rows_loop[0])
+        assoc = ctx.associativity
         checks.extend(_identity_checks({"associativity": assoc}))
         if not assoc.holds:
             return payload, checks
@@ -734,7 +743,7 @@ def _cmd_loop(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         payload["assoc_note"] = note
     else:
         checks.extend(_identity_checks(is_moufang(t)))
-        assoc = is_associative(t)
+        assoc = ctx.associativity
         payload["associative"] = assoc.holds
         payload["assoc_witness"] = (
             None if assoc.holds else list(assoc.counterexample)
@@ -767,7 +776,7 @@ def _cmd_aut(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     if note:
         checks.append(_skip("associativity_probe", note))
     else:
-        payload["associative"] = is_associative(table).holds
+        payload["associative"] = ctx.associativity.holds
     doubled = None
     if payload.get("associative"):
         doubled, th_checks = _theorem_checks(ctx)

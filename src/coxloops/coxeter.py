@@ -34,6 +34,7 @@ from .graphs import Graph, connected_components
 from .groups import GroupTable, composer
 
 __all__ = [
+    "INF",
     "CoxeterDiagram",
     "ComponentType",
     "SphericalReport",

@@ -1,28 +1,37 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups and loops as explicit multiplication tables.
 
 Elements are 0..order-1 with 0 the identity.  The table is dense, so
 everything here is meant for desk-scale orders (the test corpus tops out in
 the hundreds).  Corpus constructors for the standard small groups live here
 too; Coxeter groups get their tables from coset enumeration in `coxeter`.
 
+One table type, `_Table`, underlies `GroupTable` and `loops.LoopTable`: a
+group is an associative loop.  Each axiom has one certificate here, run by
+validated construction: `loop_axiom_failures` for every table, and
+`is_associative` for a `GroupTable`.
+
 `compose` is the one permutation-composition kernel of the package: table
 rows and columns are maps on 0..n-1, and the table build, the doubling,
-the cubic identity sweeps and the homomorphism checks all work by
-composing whole rows at C speed (`operator.itemgetter`) instead of looking
-up one entry at a time.
+the cubic identity sweeps (`_sweep`, shared with the Moufang identities in
+`loops`) and the homomorphism checks all work by composing whole rows at C
+speed (`operator.itemgetter`) instead of looking up one entry at a time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CheckError
 
 __all__ = [
     "compose",
     "composer",
+    "loop_axiom_failures",
+    "IdentityReport",
+    "is_associative",
     "GroupTable",
     "from_table",
     "cyclic",
@@ -54,15 +63,148 @@ def compose(f: Sequence[int], g: Sequence[int]) -> Tuple[int, ...]:
     return composer(g)(f)
 
 
-class GroupTable:
-    """A finite group: `product[a][b]`, identity 0, computed inverses.
+def loop_axiom_failures(rows: Sequence[Sequence[int]]) -> Iterator[Tuple[str, str]]:
+    """The loop axioms `rows` breaks, as (axiom, message) pairs in this
+    order: "shape" (a row is not n entries in 0..n-1; checking stops),
+    "identity" (0 is not a two-sided identity), then "latin" for each row
+    and then each column that repeats a value.  A loop breaks none, a
+    quasigroup at most "identity".
+    """
+    n = len(rows)
+    for a, row in enumerate(rows):
+        if len(row) != n or min(row) < 0 or max(row) >= n:
+            yield "shape", f"row {a} is not a list of {n} elements 0..{n - 1}"
+            return
+    if n == 0:
+        yield "identity", "a table has at least one element, the identity 0"
+    elif any(rows[0][a] != a or rows[a][0] != a for a in range(n)):
+        yield "identity", "0 must be a two-sided identity"
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for a, line in enumerate(lines):
+            if len(set(line)) != n:
+                yield "latin", f"not a quasigroup: {kind} {a} repeats a value"
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Outcome of checking one identity over its full quantifier domain.
+
+    `counterexample` is the first failing instance in the documented
+    iteration order (plain lexicographic over the domain), and `values`
+    are the evaluated sides at that instance (all must be equal to hold).
+    """
+
+    name: str
+    holds: bool
+    checked: int
+    counterexample: Optional[Tuple[int, ...]]
+    values: Optional[Tuple[int, ...]]
+
+    def brief(self) -> str:
+        if self.holds:
+            return f"{self.name}: holds ({self.checked} instances)"
+        return (
+            f"{self.name}: FAILS at {self.counterexample} "
+            f"with values {self.values} ({self.checked} instances tried)"
+        )
+
+
+def _sweep(
+    name: str,
+    n: int,
+    sides_at: Callable[[int], Callable[[int], Sequence[Tuple[int, ...]]]],
+    values: Callable[[int, int, int], Tuple[int, ...]],
+) -> IdentityReport:
+    """A cubic identity over all triples (x, y, z), lexicographic, checked
+    one pair (x, y) at a time: `sides_at(x)(y)` gives the sides as maps of
+    z, and the first z where any side differs completes the counterexample.
+    """
+    for x in range(n):
+        sides_of = sides_at(x)
+        for y in range(n):
+            first, *rest = sides_of(y)
+            if any(side != first for side in rest):
+                z = next(z for z in range(n) if any(side[z] != first[z] for side in rest))
+                return IdentityReport(name, False, (x * n + y) * n + z + 1, (x, y, z), values(x, y, z))
+    return IdentityReport(name, True, n**3, None, None)
+
+
+def is_associative(t: _Table) -> IdentityReport:
+    """(x*y)*z == x*(y*z) over all triples (x, y, z), lexicographic.
+
+    As translations: L_{xy} == L_x L_y.
+    """
+    p = t.product
+    after = [composer(row) for row in p]  # after[y](f) = f o L_y
+
+    def sides_at(x: int):
+        px = p[x]
+        return lambda y: (p[px[y]], after[y](px))
+
+    return _sweep(
+        "assoc", t.order, sides_at, lambda x, y, z: (p[p[x][y]][z], p[x][p[y][z]])
+    )
+
+
+class _Table:
+    """`product[a][b]` with identity 0, right inverses `rinv` (two-sided in
+    groups and Moufang loops), and a `memo` that keeps what `chein_loop`
+    and `automorphism_group` compute from the table while it lives.
+    `validate` runs `_certify`: the loop axioms, and more in a subclass.
+    """
+
+    label_prefix = "x"
+
+    def __init__(self, product: Sequence[Sequence[int]], labels: Optional[Sequence[str]], validate: bool):
+        self.product: Tuple[Tuple[int, ...], ...] = tuple(tuple(r) for r in product)
+        self.order: int = len(self.product)
+        if validate:
+            self._certify()
+        if labels is None:
+            labels = [f"{self.label_prefix}{i}" if i else "e" for i in range(self.order)]
+        self.labels: Tuple[str, ...] = tuple(labels)
+        self.rinv: Tuple[int, ...] = tuple(row.index(0) for row in self.product)
+        self.memo: Dict[str, object] = {}
+
+    def _certify(self) -> None:
+        failure = next(loop_axiom_failures(self.product), None)
+        if failure is not None:
+            raise CheckError(failure[1])
+
+    def mul(self, a: int, b: int) -> int:
+        return self.product[a][b]
+
+    def element_order(self, x: int) -> int:
+        """Order of x under left powers x, x*x, x*(x*x), ...
+
+        Left translation by x is a permutation, so the sequence returns to
+        the identity; for power-associative loops (groups and all our
+        loops) this is the usual element order.
+        """
+        k, y = 1, x
+        while y != 0:
+            y = self.product[x][y]
+            k += 1
+        return k
+
+    def is_commutative(self) -> bool:
+        p = self.product
+        return all(p[a][b] == p[b][a] for a in range(self.order) for b in range(a))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(order={self.order})"
+
+
+class GroupTable(_Table):
+    """A finite group: a table whose certificate adds associativity.
 
     `generators` optionally marks a distinguished involutive generating set
     (for Coxeter groups, the simple reflections in diagram-vertex order) and
     `words` then carries a shortlex word over those generators for every
-    element.  `memo` keeps what `chein_loop` and `automorphism_group`
-    compute from the table, for as long as the table lives.
+    element.  `inverse` is `rinv`.
     """
+
+    label_prefix = "g"
 
     def __init__(
         self,
@@ -72,47 +214,18 @@ class GroupTable:
         words: Optional[Sequence[Tuple[int, ...]]] = None,
         validate: bool = True,
     ):
-        self.product: Tuple[Tuple[int, ...], ...] = tuple(tuple(r) for r in product)
-        self.order: int = len(self.product)
         self.generators: Tuple[int, ...] = tuple(generators)
         self.words = None if words is None else tuple(tuple(w) for w in words)
-        if labels is None:
-            labels = [f"g{i}" for i in range(self.order)]
-            labels[0] = "e"
-        self.labels: Tuple[str, ...] = tuple(labels)
-        if validate:
-            self._validate()
-        self.inverse: Tuple[int, ...] = tuple(self.product[a].index(0) for a in range(self.order))
-        self.memo: Dict[str, object] = {}
+        super().__init__(product, labels, validate)
+        self.inverse = self.rinv
 
-    def _validate(self) -> None:
-        n = self.order
-        rows = self.product
-        if n < 1:
-            raise CheckError("a group has at least one element")
-        for a, row in enumerate(rows):
-            if len(row) != n or not all(0 <= x < n for x in row):
-                raise CheckError(f"row {a} is not a list of {n} elements 0..{n - 1}")
-        for a in range(n):
-            if rows[0][a] != a or rows[a][0] != a:
-                raise CheckError("0 must be the identity")
-            if len(set(rows[a])) != n:
-                raise CheckError(f"row {a} is not a permutation")
-            if len({rows[b][a] for b in range(n)}) != n:
-                raise CheckError(f"column {a} is not a permutation")
-            if 0 not in rows[a]:
-                raise CheckError(f"element {a} has no inverse")
-        # (a*b)*c == a*(b*c) for all c is the row identity L_ab == L_a o L_b
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                lhs, rhs = rows[ra[b]], compose(ra, rows[b])
-                if lhs != rhs:
-                    c = next(c for c in range(n) if lhs[c] != rhs[c])
-                    raise CheckError(f"associativity fails at ({a},{b},{c})")
+    def _certify(self) -> None:
+        super()._certify()
+        assoc = is_associative(self)
+        if not assoc.holds:
+            raise CheckError("associativity fails at ({},{},{})".format(*assoc.counterexample))
 
-    def mul(self, a: int, b: int) -> int:
-        return self.product[a][b]
+    is_abelian = _Table.is_commutative
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -121,26 +234,12 @@ class GroupTable:
         """b^-1 a b"""
         return self.product[self.product[self.inverse[b]][a]][b]
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.product[x][a]
-            k += 1
-        return k
-
-    def is_abelian(self) -> bool:
-        p = self.product
-        return all(p[a][b] == p[b][a] for a in range(self.order) for b in range(a))
-
     def is_elementary_abelian(self) -> bool:
         """Every element squares to the identity (this forces abelian)."""
         return all(self.product[a][a] == 0 for a in range(self.order))
 
     def involutions(self) -> List[int]:
         return [a for a in range(1, self.order) if self.product[a][a] == 0]
-
-    def __repr__(self) -> str:
-        return f"GroupTable(order={self.order})"
 
 
 def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> GroupTable:

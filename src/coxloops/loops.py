@@ -14,24 +14,28 @@ abelian.  All identity checkers report the first counterexample in the
 documented quantifier order (plain lexicographic iteration), together with
 the values of both sides so failures can be replayed.
 
+`LoopTable` shares the one table type of `groups`, where both axiom
+certificates live: `is_loop`, `is_quasigroup` and a validated `LoopTable`
+read `loop_axiom_failures`, and `is_associative` is re-exported from there.
+
 The doubled table and the cubic sweeps (associativity and the Moufang
-identities) are built from `groups.compose`.  A cubic identity is an
-identity between translations: for each pair (x, y) in lexicographic order
-both sides are composed as whole maps of z (rows L_x: z -> x*z, columns
-R_x: z -> z*x) and compared at C speed; on a mismatch the first differing
-z completes the counterexample, so it and the `checked` count are exactly
-those of the per-triple iteration.  The quadratic suites run per instance
-through `_run`.
+identities, all through `groups._sweep`) are built from `groups.compose`.
+A cubic identity is an identity between translations: for each pair
+(x, y) in lexicographic order both sides are composed as whole maps of z
+(rows L_x: z -> x*z, columns R_x: z -> z*x) and compared at C speed; on a
+mismatch the first differing z completes the counterexample, so it and the
+`checked` count are exactly those of the per-triple iteration.  The
+quadratic suites run per instance through `_run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CheckError
-from .groups import GroupTable, closure, compose, composer
+from .groups import GroupTable, IdentityReport, _sweep, _Table, closure, compose, composer
+from .groups import is_associative, loop_axiom_failures
 
 __all__ = [
     "LoopTable",
@@ -55,13 +59,12 @@ MOUFANG_NAMES = ("m1", "m2", "m3")
 CHEIN_NAMES = ("c1", "c2", "c3")
 
 
-class LoopTable:
-    """`product[x][y]`, identity 0.
+class LoopTable(_Table):
+    """A finite loop: `product[x][y]`, identity 0.
 
     Doubled loops remember their group half: `group_order` is N (so u is
     index N and indices >= N are the coset G*u), and `group_generators`
-    marks the distinguished generators of the group part, if any.  `memo`
-    keeps what `automorphism_group` computes, as long as the table lives.
+    marks the distinguished generators of the group part, if any.
     """
 
     def __init__(
@@ -72,50 +75,9 @@ class LoopTable:
         group_generators: Sequence[int] = (),
         validate: bool = True,
     ):
-        self.product: Tuple[Tuple[int, ...], ...] = tuple(tuple(r) for r in product)
-        self.order: int = len(self.product)
         self.group_order = group_order
         self.group_generators: Tuple[int, ...] = tuple(group_generators)
-        if labels is None:
-            labels = [f"x{i}" for i in range(self.order)]
-            labels[0] = "e"
-        self.labels: Tuple[str, ...] = tuple(labels)
-        if validate:
-            n = self.order
-            if n < 1:
-                raise CheckError("a loop has at least one element")
-            for x in range(n):
-                row = self.product[x]
-                if len(row) != n or not all(0 <= v < n for v in row):
-                    raise CheckError(f"row {x} is not a list of {n} elements 0..{n - 1}")
-                if self.product[0][x] != x or self.product[x][0] != x:
-                    raise CheckError("0 must be a two-sided identity")
-            ok, bad = _latin_check(self.product)
-            if not ok:
-                raise CheckError(f"not a quasigroup: repeated value in {bad}")
-        # right inverses x.index(0); for Moufang loops these are two-sided
-        self.rinv: Tuple[int, ...] = tuple(self.product[x].index(0) for x in range(self.order))
-        self.memo: Dict[str, object] = {}
-
-    def mul(self, x: int, y: int) -> int:
-        return self.product[x][y]
-
-    def element_order(self, x: int) -> int:
-        """Order of x under left powers x, x*x, x*(x*x), ...
-
-        Left translation by x is a permutation, so the sequence returns to
-        the identity; for power-associative loops (all of ours) this is the
-        usual element order.
-        """
-        k, y = 1, x
-        while y != 0:
-            y = self.product[x][y]
-            k += 1
-        return k
-
-    def is_commutative(self) -> bool:
-        p = self.product
-        return all(p[x][y] == p[y][x] for x in range(self.order) for y in range(x))
+        super().__init__(product, labels, validate)
 
     def is_elementary_abelian(self) -> bool:
         """An elementary abelian group: commutative, exponent 2, associative."""
@@ -130,36 +92,18 @@ class LoopTable:
     def u_index(self) -> Optional[int]:
         return self.group_order
 
-    def __repr__(self) -> str:
-        return f"LoopTable(order={self.order})"
-
-
-def _latin_check(rows: Sequence[Sequence[int]]) -> Tuple[bool, Optional[str]]:
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(set(row)) != n:
-            return False, f"row {i}"
-    for j in range(n):
-        if len({rows[i][j] for i in range(n)}) != n:
-            return False, f"column {j}"
-    return True, None
-
 
 def from_rows(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> LoopTable:
     return LoopTable(rows, labels=labels)
 
 
 def is_quasigroup(rows: Sequence[Sequence[int]]) -> bool:
-    return _latin_check(rows)[0]
+    """Every row and column a permutation of 0..n-1; no identity needed."""
+    return all(axiom == "identity" for axiom, _ in loop_axiom_failures(rows))
 
 
 def is_loop(rows: Sequence[Sequence[int]]) -> bool:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    if not _latin_check(rows)[0]:
-        return False
-    return all(rows[0][x] == x and rows[x][0] == x for x in range(n))
+    return next(loop_axiom_failures(rows), None) is None
 
 
 def chein_loop(g: GroupTable) -> LoopTable:
@@ -187,30 +131,6 @@ def chein_loop(g: GroupTable) -> LoopTable:
 # identity reports
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking one identity over its full quantifier domain.
-
-    `counterexample` is the first failing instance in the documented
-    iteration order (plain lexicographic over the domain), and `values`
-    are the evaluated sides at that instance (all must be equal to hold).
-    """
-
-    name: str
-    holds: bool
-    checked: int
-    counterexample: Optional[Tuple[int, ...]]
-    values: Optional[Tuple[int, ...]]
-
-    def brief(self) -> str:
-        if self.holds:
-            return f"{self.name}: holds ({self.checked} instances)"
-        return (
-            f"{self.name}: FAILS at {self.counterexample} "
-            f"with values {self.values} ({self.checked} instances tried)"
-        )
-
-
 def _run(
     name: str,
     instances: Iterable[Tuple[int, ...]],
@@ -224,43 +144,6 @@ def _run(
         if any(v != v0 for v in vals[1:]):
             return IdentityReport(name, False, checked, tuple(xs), tuple(vals))
     return IdentityReport(name, True, checked, None, None)
-
-
-def _sweep(
-    name: str,
-    n: int,
-    sides_at: Callable[[int], Callable[[int], Sequence[Tuple[int, ...]]]],
-    values: Callable[[int, int, int], Tuple[int, ...]],
-) -> IdentityReport:
-    """A cubic identity over all triples (x, y, z), lexicographic, checked
-    one pair (x, y) at a time: `sides_at(x)(y)` gives the sides as maps of
-    z, and the first z where any side differs completes the counterexample.
-    """
-    for x in range(n):
-        sides_of = sides_at(x)
-        for y in range(n):
-            first, *rest = sides_of(y)
-            if any(side != first for side in rest):
-                z = next(z for z in range(n) if any(side[z] != first[z] for side in rest))
-                return IdentityReport(name, False, (x * n + y) * n + z + 1, (x, y, z), values(x, y, z))
-    return IdentityReport(name, True, n**3, None, None)
-
-
-def is_associative(t: LoopTable) -> IdentityReport:
-    """(x*y)*z == x*(y*z) over all triples (x, y, z), lexicographic.
-
-    As translations: L_{xy} == L_x L_y.
-    """
-    p = t.product
-    after = [composer(row) for row in p]  # after[y](f) = f o L_y
-
-    def sides_at(x: int):
-        px = p[x]
-        return lambda y: (p[px[y]], after[y](px))
-
-    return _sweep(
-        "assoc", t.order, sides_at, lambda x, y, z: (p[p[x][y]][z], p[x][p[y][z]])
-    )
 
 
 def moufang_values(t: LoopTable, name: str, x: int, y: int, z: int) -> Tuple[int, ...]:

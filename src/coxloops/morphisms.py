@@ -54,6 +54,8 @@ __all__ = [
     "dihedral_decomposition",
     "classify_trichotomy",
     "TrichotomyReport",
+    "SemidirectAutReport",
+    "DoubledDihedralAutReport",
     "verify_semidirect_automorphisms",
     "verify_doubled_dihedral_automorphisms",
 ]
