@@ -37,13 +37,13 @@ from itertools import combinations, product as iproduct
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
-from .cohomology import EdgeComplex, build_complex, vertex_coboundary, vertex_twist
+from .cohomology import EdgeComplex, _set_stabilizer, build_complex, vertex_coboundary, vertex_twist
 from .coxeter import CoxeterDiagram, embed_parabolic, enumerate_group, subdiagram
 from .errors import CheckError, ResourceLimitError
 from .graphs import Edge, SpanningTree, spanning_tree
 from .groups import GroupTable
 from .loops import LoopTable, chein_loop, subloop_closure
-from .morphisms import automorphism_group, compose_images, is_homomorphism
+from .morphisms import compose_images, is_homomorphism
 
 Simplex = Tuple[Edge, ...]
 
@@ -224,21 +224,15 @@ def cocycle_to_amalgam(d: CoxeterDiagram, z: int) -> Amalgam:
     if gf2.apply_rows(cx.d1_rows, z):
         raise ValueError("not a cocycle: d1(z) != 0")
     twists = set()
-    for j in graph.vertices:
-        ej = graph.edges_at(j)
-        if len(ej) < 2:
-            continue
-        base = ej[0]
-        pot = {base: 0}
-        for e in ej[1:]:
-            pot[e] = (z >> cx.pair_pos[tuple(sorted((base, e)))]) & 1
-        for e, f in combinations(ej, 2):
-            bit = (z >> cx.pair_pos[tuple(sorted((e, f)))]) & 1
-            if (pot[e] ^ pot[f]) != bit:
+    for j, star in cx.stars.items():
+        pot = dict.fromkeys(star.edges, 0)
+        for e, f in star.pairs:  # the pairs at the lex-smallest edge come first
+            bit = (z >> cx.pair_pos[(e, f)]) & 1
+            if e == star.edges[0]:
+                pot[f] = bit
+            elif (pot[e] ^ pot[f]) != bit:
                 raise CheckError("cocycle is inconsistent on a vertex star")
-        for e in ej:
-            if pot[e]:
-                twists.add((j, e))
+        twists.update((j, e) for e in star.edges if pot[e])
     return _build(d, cx, frozenset(twists), "cocycle")
 
 
@@ -367,26 +361,11 @@ def _edge_candidates(a: Amalgam, e: Edge, budget: int) -> List[Tuple[int, ...]]:
 
     The connecting-map images out of a coface depend only on the core (the
     twists act inside the subloop), so the candidate set is the stabilizer
-    of the embedded Klein subloops — and of u when some coface has empty
-    core — inside Aut(L_e)."""
+    of the embedded Klein subloops — and of {0, u} when some coface has
+    empty core — inside Aut(L_e)."""
     sigma = (e,)
-    loop = a.loop_of(sigma)
-    images_to_fix: List[FrozenSet[int]] = []
-    fix_u = False
-    for tau in a.complex.cofaces(sigma):
-        if a.core_of(tau):
-            images_to_fix.append(a.connecting_images(tau, sigma))
-        else:
-            fix_u = True
-    aut = automorphism_group(loop, budget=budget)
-    out = []
-    u = loop.group_order
-    for f in aut.elements:
-        if fix_u and f[u] != u:
-            continue
-        if all(frozenset(f[x] for x in s) == s for s in images_to_fix):
-            out.append(f)
-    return out
+    targets = {a.connecting_images(tau, sigma) for tau in a.complex.cofaces(sigma)}
+    return _set_stabilizer(a.loop_of(sigma), targets, budget)
 
 
 def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> IsoReport:
@@ -585,7 +564,7 @@ def _twist_orbits(
     # with the deltas they stand for
     tests: List[List[Tuple]] = [[] for _ in edges]
     for j in cx.graph.vertices:
-        star = cx.star_edges[j]
+        star = cx.stars[j].edges
         if len(star) < 2:
             continue
         gamma = vertex_twist(a.core_loop((j,)).loop)

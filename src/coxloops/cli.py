@@ -50,7 +50,6 @@ from .cohomology import (
     build_complex,
     coefficient_group,
     cohomology,
-    vertex_star,
 )
 from .coxeter import (
     CoxeterDiagram,
@@ -388,10 +387,6 @@ def _graph_payload(graph: Graph) -> Dict:
     }
 
 
-def _support(v: int) -> List[int]:
-    return list(gf2.support(v))
-
-
 def _triple_budget_gate(order: int, budget: int) -> Optional[str]:
     if order**3 > budget:
         return (
@@ -539,11 +534,7 @@ def _cohomology_blocks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     else:
         checks.append(_skip("closed_form_bases_match_elimination", "--no-cross-check"))
     graph = ctx.graph
-    stars_bad = [
-        i
-        for i in graph.vertices
-        if graph.degree(i) >= 1 and not vertex_star(ctx.complex, i).is_acyclic()
-    ]
+    stars_bad = [i for i, star in ctx.complex.stars.items() if not star.is_acyclic()]
     checks.append(
         _check("vertex_stars_acyclic", not stars_bad, witness=stars_bad)
     )
@@ -552,9 +543,9 @@ def _cohomology_blocks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         "components": res.components,
         "dims": {"z1": res.z1, "b1": res.b1, "h1": res.h1},
         "pair_index": [[list(e) for e in s] for s in res.pair_index],
-        "z_basis": [_support(v) for v in res.z_basis],
-        "b_basis": [_support(v) for v in res.b_basis],
-        "h_basis": [_support(v) for v in res.h_basis],
+        "z_basis": [gf2.support(v) for v in res.z_basis],
+        "b_basis": [gf2.support(v) for v in res.b_basis],
+        "h_basis": [gf2.support(v) for v in res.h_basis],
         "h_basis_edges": [list(e) for e in res.h_basis_edges],
     }
     return payload, checks

@@ -17,6 +17,7 @@ or triple has exactly one core vertex, so the pointed simplices are the
 pairs and triples of edges at each vertex, sum C(deg, k) of them, and the
 C(|E|, 3) subsets without a common vertex are only listed when something
 asks for them (amalgams do; cohomology and vertex stars never do).
+Each vertex star, with its local coboundaries, is built once per complex.
 d1 o d0 = 0 is certified one pointed triple at a time.
 
 For a connected graph with cycle rank n, dim H^1 = |E| - |V| + 1 = n, and
@@ -24,7 +25,9 @@ closed-form bases exist: local coboundaries d0_i(a_e) (all pointed pairs
 at vertex i containing e) span the cocycles, global coboundaries d0(a_e)
 span the coboundaries, and the classes of d0_{o_j}(a_{e_j}) over the
 non-tree edges e_j of a spanning tree form a basis of H^1.  The module
-verifies all of this against straight Gaussian elimination.
+verifies all of this by Gaussian elimination: Z^1 one vertex star at a
+time (d1 is certified block-diagonal by star, so ker d1 is the direct sum
+of the star kernels), B^1 and H^1 globally.
 
 Coefficient systems: for the standard amalgam over a diagram, the
 coefficient group A_sigma attached to a simplex is the subgroup of
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import CheckError
@@ -65,36 +68,74 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class VertexStar:
+    """The subcomplex C^*_i of simplices pointed exactly at vertex i, in
+    local coordinates (positions in `edges`, `pairs` and `triples`)."""
+
+    vertex: int
+    edges: Tuple[Edge, ...]  # edges at the vertex = C^0_i coordinates
+    pairs: Tuple[Simplex, ...]  # pointed pairs at the vertex = C^1_i
+    triples: Tuple[Simplex, ...]
+    d0_rows: Tuple[int, ...]  # C^0_i -> C^1_i
+    d1_rows: Tuple[int, ...]  # C^1_i -> C^2_i
+
+    @cached_property
+    def kernel(self) -> Tuple[int, ...]:
+        """Canonical basis of ker d1_i, from one elimination kept on the star."""
+        return tuple(gf2.gf2_kernel_basis(self.d1_rows, len(self.pairs)))
+
+    def is_acyclic(self) -> bool:
+        """H^1 of a star vanishes: ker d1_i == im d0_i."""
+        image = gf2.transpose(self.d0_rows, len(self.edges))
+        return gf2.gf2_same_span(self.kernel, image, len(self.pairs))
+
+
+def _star(i: int, edges: Tuple[Edge, ...]) -> VertexStar:
+    pos = {e: k for k, e in enumerate(edges)}
+    pairs = tuple(combinations(edges, 2))
+    triples = tuple(combinations(edges, 3))
+    ppos = {s: k for k, s in enumerate(pairs)}
+    d0 = tuple((1 << pos[s[0]]) | (1 << pos[s[1]]) for s in pairs)
+    d1 = tuple(sum(1 << ppos[f] for f in combinations(s, 2)) for s in triples)
+    return VertexStar(i, edges, pairs, triples, d0, d1)
+
+
+def vertex_star(cx: EdgeComplex, i: int) -> VertexStar:
+    """The subcomplex of simplices pointed exactly at vertex i (empty for a
+    vertex outside the graph).
+
+    Every pointed pair/triple has a unique common vertex, so C^1 and C^2
+    decompose as direct sums of these stars.
+    """
+    return cx.stars[i] if i in cx.stars else _star(i, ())
+
+
 class EdgeComplex:
     """All edge subsets of size <= 3, with the pointed ones coordinatized.
 
     In a simple graph two distinct edges share at most one vertex, so a
     pointed pair or triple has exactly one core vertex and lies in exactly
-    one vertex star.  The pointed simplices are therefore the
-    `combinations` of each star's edge list (sum of C(deg, k) work instead
-    of C(E, k)), sorted into the lexicographic order of the filtered
-    all-subsets scan.  The unpointed simplices (`pairs`, `triples` and
-    their empty cores in `core`) are only built on first use.
+    one vertex star.  `stars` holds one `VertexStar` per vertex, built
+    once; the pointed simplices are the union of the stars' pairs and
+    triples (sum of C(deg, k) work instead of C(E, k)), sorted into the
+    lexicographic order of the filtered all-subsets scan.  The unpointed
+    simplices (`pairs`, `triples` and their empty cores in `core`) are only
+    built on first use.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.edges: Tuple[Edge, ...] = graph.edges
         self.edge_pos: Dict[Edge, int] = {e: k for k, e in enumerate(self.edges)}
-        self.star_edges: Dict[int, Tuple[Edge, ...]] = {
-            v: tuple(graph.edges_at(v)) for v in graph.vertices
-        }
-        self.star_pairs: Dict[int, Tuple[Simplex, ...]] = {
-            v: tuple(combinations(es, 2)) for v, es in self.star_edges.items()
-        }
-        self.star_triples: Dict[int, Tuple[Simplex, ...]] = {
-            v: tuple(combinations(es, 3)) for v, es in self.star_edges.items()
+        self.stars: Dict[int, VertexStar] = {
+            v: _star(v, tuple(graph.edges_at(v))) for v in graph.vertices
         }
         self.pointed_pairs: Tuple[Simplex, ...] = tuple(
-            sorted(s for v in graph.vertices for s in self.star_pairs[v])
+            sorted(s for star in self.stars.values() for s in star.pairs)
         )
         self.pointed_triples: Tuple[Simplex, ...] = tuple(
-            sorted(s for v in graph.vertices for s in self.star_triples[v])
+            sorted(s for star in self.stars.values() for s in star.triples)
         )
         self.pair_pos: Dict[Simplex, int] = {s: k for k, s in enumerate(self.pointed_pairs)}
         self.triple_pos: Dict[Simplex, int] = {s: k for k, s in enumerate(self.pointed_triples)}
@@ -104,7 +145,8 @@ class EdgeComplex:
             for s in self.pointed_pairs
         ]
         # d1: rows = pointed triples over pointed-pair coordinates; every
-        # 2-face of a pointed triple is pointed, so lookups never miss.
+        # 2-face of a pointed triple is pointed, so lookups never miss.  The
+        # rows do not come from the star rows, so `cohomology` can compare.
         # Row t of d1 o d0 is the XOR of the d0 rows of t's faces, and
         # must vanish.
         self.d1_rows: List[int] = []
@@ -133,8 +175,8 @@ class EdgeComplex:
         core: Dict[Simplex, Tuple[int, ...]] = {(e,): e for e in self.edges}
         core.update(dict.fromkeys(self.pairs, ()))
         core.update(dict.fromkeys(self.triples, ()))
-        for v in self.graph.vertices:
-            core.update(dict.fromkeys(self.star_pairs[v] + self.star_triples[v], (v,)))
+        for v, star in self.stars.items():
+            core.update(dict.fromkeys(star.pairs + star.triples, (v,)))
         return core
 
     @cached_property
@@ -175,7 +217,7 @@ def vertex_coboundary(cx: EdgeComplex, i: int, e: Edge) -> int:
     if i not in e:
         raise CheckError(f"edge {e} is not incident to vertex {i}")
     v = 0
-    for f in cx.star_edges.get(i, ()):
+    for f in cx.stars[i].edges if i in cx.stars else ():
         if f != e:
             v |= 1 << cx.pair_pos[tuple(sorted((e, f)))]
     return v
@@ -206,7 +248,8 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
     Disconnected graphs are handled per component and summed (isolated
     vertices contribute nothing); `strict=True` rejects them instead.
     The closed forms are checked against Gaussian elimination unless
-    `cross_check` is off.
+    `cross_check` is off: Z^1 per vertex star (`_z1_by_stars`), B^1 and
+    H^1 over the whole complex.
     """
     graph = cx.graph
     comps = connected_components(graph)
@@ -220,14 +263,13 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
     b1 = sum(len(c.edges) - 1 for c in edge_comps)
     h1 = z1 - b1
 
-    # closed-form bases, assembled per component in global coordinates
-    z_basis: List[int] = []
-    for i in graph.vertices:
-        ei = graph.edges_at(i)
-        if len(ei) < 2:
-            continue
-        for e in ei[1:]:  # skip f_i = lex-smallest edge at i
-            z_basis.append(vertex_coboundary(cx, i, e))
+    # closed-form bases, assembled per component in global coordinates;
+    # the cocycles at i skip f_i = the lex-smallest edge at i
+    z_at = {
+        i: [vertex_coboundary(cx, i, e) for e in star.edges[1:]]
+        for i, star in cx.stars.items()
+    }
+    z_basis = [v for vs in z_at.values() for v in vs]
     b_basis: List[int] = []
     d0_cols = gf2.transpose(cx.d0_rows, len(cx.edges))
     for c in edge_comps:
@@ -242,17 +284,15 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
             h_edges.append(e)
 
     if cross_check:
-        z1_elim = npairs - gf2.gf2_rank(cx.d1_rows, npairs)
-        b1_elim = gf2.gf2_rank(cx.d0_rows, len(cx.edges))
+        z1_elim = _z1_by_stars(cx, z_at)
+        b_span = gf2.gf2_row_reduce_basis(d0_cols, npairs)
+        b1_elim = len(b_span)  # rank d0 = rank of its columns
         if (z1, b1, h1) != (z1_elim, b1_elim, z1_elim - b1_elim):
             raise CheckError(
                 f"closed-form dims {(z1, b1, h1)} != elimination "
                 f"{(z1_elim, b1_elim, z1_elim - b1_elim)}"
             )
-        kernel = gf2.gf2_kernel_basis(cx.d1_rows, npairs)
-        if not gf2.gf2_same_span(z_basis, kernel, npairs):
-            raise CheckError("closed-form Z basis does not span ker d1")
-        if not gf2.gf2_same_span(b_basis, d0_cols, npairs):
+        if gf2.gf2_row_reduce_basis(b_basis, npairs) != b_span:
             raise CheckError("closed-form B basis does not span im d0")
         if gf2.gf2_rank(b_basis + h_basis, npairs) != b1 + h1:
             raise CheckError("H^1 representatives are not independent over B^1")
@@ -276,46 +316,36 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
     )
 
 
-# ---------------------------------------------------------------------------
-# the vertex stars C^*_i
+def _z1_by_stars(cx: EdgeComplex, z_at: Dict[int, List[int]]) -> int:
+    """dim Z^1 by elimination, one vertex star at a time, certifying that
+    the closed-form cocycles `z_at[i]` at each vertex i span ker d1 there.
 
-
-@dataclass(frozen=True)
-class VertexStar:
-    vertex: int
-    edges: Tuple[Edge, ...]  # edges at the vertex = C^0_i coordinates
-    pairs: Tuple[Simplex, ...]  # pointed pairs at the vertex = C^1_i
-    triples: Tuple[Simplex, ...]
-    d0_rows: Tuple[int, ...]  # C^0_i -> C^1_i
-    d1_rows: Tuple[int, ...]  # C^1_i -> C^2_i
-
-    def is_acyclic(self) -> bool:
-        """H^1 of a star vanishes: ker d1_i == im d0_i."""
-        n = len(self.pairs)
-        kernel = gf2.gf2_kernel_basis(list(self.d1_rows), n)
-        image = gf2.transpose(list(self.d0_rows), len(self.edges))
-        return gf2.gf2_same_span(kernel, image, n)
-
-
-def vertex_star(cx: EdgeComplex, i: int) -> VertexStar:
-    """The subcomplex of simplices pointed exactly at vertex i.
-
-    Every pointed pair/triple has a unique common vertex, so C^1 and C^2
-    decompose as direct sums of these stars.
+    The stars' pairs must partition the pointed pairs, and every row of
+    the global d1 must be its star's row lifted to global pair coordinates.
+    Then d1 is block-diagonal by star, ker d1 is the direct sum of the
+    lifted star kernels, and dim Z^1 is the sum of the star nullities.
     """
-    edges = cx.star_edges.get(i, ())
-    pos = {e: k for k, e in enumerate(edges)}
-    pairs = cx.star_pairs.get(i, ())
-    triples = cx.star_triples.get(i, ())
-    ppos = {s: k for k, s in enumerate(pairs)}
-    d0 = tuple((1 << pos[s[0]]) | (1 << pos[s[1]]) for s in pairs)
-    d1 = []
-    for s in triples:
-        row = 0
-        for f in combinations(s, 2):
-            row |= 1 << ppos[f]
-        d1.append(row)
-    return VertexStar(i, edges, pairs, triples, d0, tuple(d1))
+    lifts = {i: [cx.pair_pos[s] for s in star.pairs] for i, star in cx.stars.items()}
+    if sorted(p for lift in lifts.values() for p in lift) != list(range(len(cx.pointed_pairs))):
+        raise CheckError("the vertex stars do not partition the pointed pairs")
+    lifted = {
+        cx.triple_pos[s]: sum(1 << lifts[i][k] for k in gf2.support(row))
+        for i, star in cx.stars.items()
+        for s, row in zip(star.triples, star.d1_rows)
+    }
+    bad = [t for t, row in enumerate(cx.d1_rows) if lifted.get(t) != row]
+    if bad or len(lifted) != len(cx.d1_rows):
+        raise CheckError(f"d1 rows {bad} are not the lifted rows of their vertex stars")
+    z1 = 0
+    for i, star in cx.stars.items():
+        local = [[k for k, p in enumerate(lifts[i]) if v >> p & 1] for v in z_at[i]]
+        if any(len(ks) != v.bit_count() for ks, v in zip(local, z_at[i])):
+            raise CheckError(f"a closed-form cocycle at {i} leaves its star")
+        z_local = [gf2.vector_from_support(ks) for ks in local]
+        if not gf2.gf2_same_span(z_local, star.kernel, len(star.pairs)):
+            raise CheckError(f"closed-form Z basis does not span ker d1 at vertex {i}")
+        z1 += len(star.kernel)
+    return z1
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +436,20 @@ def coefficient_group(
     else:
         closed_order, gen = 2, vertex_twist(loop)
 
-    brute: Optional[int] = None
     if mode == "structural":
-        targets = []
-        for k in range(len(core)):
-            for sub in combinations(core, k):
-                targets.append(frozenset(amalgam.core_subloop(core, sub)))
-        brute = _stabilizer_order(loop, targets, budget)
+        targets = [
+            frozenset(amalgam.core_subloop(core, sub))
+            for k in range(len(core))
+            for sub in combinations(core, k)
+        ]
     elif mode == "complex":
         targets = [
             frozenset(amalgam.connecting_images(rho, sigma))
             for rho in amalgam.complex.cofaces(sigma)
         ]
-        brute = _stabilizer_order(loop, targets, budget)
     elif mode != "none":
         raise ValueError(f"unknown mode {mode!r}")
+    brute = None if mode == "none" else len(_set_stabilizer(loop, targets, budget))
 
     if gen is not None and not is_automorphism(loop, gen):
         raise CheckError(f"coefficient group generator at {sigma} is not an automorphism")
@@ -433,10 +462,10 @@ def coefficient_group(
     return result
 
 
-def _stabilizer_order(loop: LoopTable, targets: List[frozenset], budget: int) -> int:
+def _set_stabilizer(
+    loop: LoopTable, targets: Collection[FrozenSet[int]], budget: int
+) -> List[Tuple[int, ...]]:
+    """The automorphisms of `loop` that map every target set onto itself,
+    in `automorphism_group(loop).elements` order."""
     aut = automorphism_group(loop, budget=budget)
-    count = 0
-    for f in aut.elements:
-        if all(frozenset(f[x] for x in s) == s for s in targets):
-            count += 1
-    return count
+    return [f for f in aut.elements if all(frozenset(f[x] for x in s) == s for s in targets)]

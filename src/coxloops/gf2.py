@@ -34,12 +34,10 @@ def vector_from_support(coords: Sequence[int]) -> int:
 
 def support(v: int) -> List[int]:
     out = []
-    j = 0
     while v:
-        if v & 1:
-            out.append(j)
-        v >>= 1
-        j += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
 
 

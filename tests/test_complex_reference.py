@@ -3,12 +3,15 @@ classification against the reference paths they replaced.
 
 The references below are the earlier implementations, condensed: an edge
 complex that lists every subset of at most three edges and filters the
-pointed ones, `cofaces` and `vertex_star` as scans, and the classification
-that compares every delta with the first member of each class so far by an
-exhaustive `amalgams_isomorphic` search.  Both must give identical results
-on named graphs and diagrams and on `hypothesis`-generated ones.
+pointed ones, `cofaces` and `vertex_star` as scans, the Z^1 cross-check by
+elimination over the whole d1, and the classification that compares every
+delta with the first member of each class so far by an exhaustive
+`amalgams_isomorphic` search.  Both must give identical results on named
+graphs and diagrams and on `hypothesis`-generated ones.
 """
 
+import subprocess
+import sys
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxloops import amalgams
+from coxloops import amalgams, gf2
 from coxloops.amalgams import (
     ClassificationReport,
     amalgams_isomorphic,
@@ -24,7 +27,14 @@ from coxloops.amalgams import (
     standard_amalgam,
     twisted_amalgam,
 )
-from coxloops.cohomology import VertexStar, build_complex, cohomology, vertex_star
+from coxloops.cohomology import (
+    VertexStar,
+    _z1_by_stars,
+    build_complex,
+    cohomology,
+    vertex_coboundary,
+    vertex_star,
+)
 from coxloops.coxeter import CoxeterDiagram
 from coxloops.errors import CheckError, ResourceLimitError
 from coxloops.graphs import Graph, spanning_tree
@@ -78,6 +88,16 @@ def reference_vertex_star(cx: ReferenceComplex, i: int) -> VertexStar:
     return VertexStar(i, edges, pairs, triples, d0, d1)
 
 
+def reference_z1(cx, z_basis: List[int]) -> int:
+    """dim Z^1 by elimination over the whole d1, certifying that the
+    closed-form cocycles span its kernel."""
+    npairs = len(cx.pointed_pairs)
+    kernel = gf2.gf2_kernel_basis(cx.d1_rows, npairs)
+    if not gf2.gf2_same_span(z_basis, kernel, npairs):
+        raise CheckError("closed-form Z basis does not span ker d1")
+    return npairs - gf2.gf2_rank(cx.d1_rows, npairs)
+
+
 def reference_classification(d: CoxeterDiagram, budget: int = 10_000_000) -> ClassificationReport:
     st_ = spanning_tree(d.underlying_graph())
     n = len(st_.nontree_edges)
@@ -122,6 +142,13 @@ def assert_same_complex(graph: Graph) -> None:
     for v in graph.vertices + (max(graph.vertices, default=0) + 1,):
         assert graph.edges_at(v) == [e for e in graph.edges if v in e]
         assert vertex_star(cx, v) == reference_vertex_star(ref, v)
+    # the per-star Z^1 certificate against global elimination
+    z_at = {
+        i: [vertex_coboundary(cx, i, e) for e in star.edges[1:]]
+        for i, star in cx.stars.items()
+    }
+    z_basis = [v for vs in z_at.values() for v in vs]
+    assert _z1_by_stars(cx, z_at) == reference_z1(ref, z_basis) == cohomology(cx).z1
 
 
 def complete(n: int) -> List[Tuple[int, int]]:
@@ -175,6 +202,47 @@ def test_star_path_builds_no_unpointed_simplices():
     cohomology(cx)
     assert not {"pairs", "triples", "core"} & vars(cx).keys()
     assert len(cx.triples) == 455 and vars(cx)["triples"] is cx.triples
+
+
+FORGERIES = """
+import dataclasses
+from coxloops.cohomology import build_complex, cohomology
+from coxloops.errors import CheckError
+from coxloops.graphs import Graph
+
+for kind in ("row_spans_two_stars", "star_row_corrupted"):
+    cx = build_complex(Graph(range(1, 5), [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]))
+    if kind == "row_spans_two_stars":
+        # move the lowest bit of d1 row 0 onto a pair pointed elsewhere
+        core = set.intersection(*map(set, cx.pointed_triples[0]))
+        foreign = next(k for k, s in enumerate(cx.pointed_pairs) if set(s[0]) & set(s[1]) != core)
+        row = cx.d1_rows[0]
+        cx.d1_rows[0] = row ^ (row & -row) | 1 << foreign
+    else:
+        star = cx.stars[1]
+        cx.stars[1] = dataclasses.replace(star, d1_rows=(star.d1_rows[0] ^ 1,) + star.d1_rows[1:])
+    try:
+        cohomology(cx)
+    except CheckError as e:
+        print(__debug__, kind, "CheckError", e)
+    else:
+        print(__debug__, kind, "accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_d1_not_block_diagonal_by_star_is_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", FORGERIES], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(maxsplit=3) for line in proc.stdout.splitlines()]
+    debug = str(not flags)
+    assert [line[:3] for line in lines] == [
+        [debug, "row_spans_two_stars", "CheckError"],
+        [debug, "star_row_corrupted", "CheckError"],
+    ]
+    assert all("d1 rows [0] are not the lifted rows" in line[3] for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ and so are the certificates of an input table: its loop-axiom checks
 made once per run.  A certificate counts when its table equals the input,
 except inside `verify_doubled_dihedral_automorphisms`: that one certifies
 its own H and M(H, 2), and M(C6, 2) equals the D6 input entry for entry.
+
+On a graph, each vertex star's kernel is eliminated once per run, with
+or without the cross-check, and no elimination runs over the global d1.
 """
 
 import contextlib
@@ -21,6 +24,7 @@ import sys
 
 import pytest
 
+from coxloops import gf2
 from coxloops.cli import main, parse_input
 from coxloops.groups import dihedral, quaternion
 
@@ -143,3 +147,35 @@ def test_one_build_per_artifact(command, name, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, "-", "--json"]) == 0
     assert counts == {**dict.fromkeys(counts, 0), **EXPECTED[(command, name)]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-cross-check"]])
+@pytest.mark.parametrize("command", ["cohomology", "verify"])
+def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
+    complexes, kernel_rows, eliminated = [], [], []
+    modules = [importlib.import_module(f"coxloops.{m}") for m in ("cli", "cohomology")]
+    build, kernel, rref = modules[0].build_complex, gf2.gf2_kernel_basis, gf2.gf2_rref
+
+    def building(graph):
+        complexes.append(build(graph))
+        return complexes[-1]
+
+    def kernel_counting(rows, ncols):
+        kernel_rows.append(rows)
+        return kernel(rows, ncols)
+
+    def rref_recording(rows, ncols):  # every gf2 elimination runs through it
+        eliminated.append((list(rows), ncols))
+        return rref(rows, ncols)
+
+    for module in modules:
+        monkeypatch.setattr(module, "build_complex", building)
+    monkeypatch.setattr(gf2, "gf2_kernel_basis", kernel_counting)
+    monkeypatch.setattr(gf2, "gf2_rref", rref_recording)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS["graph"].encode())))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "-", "--json", *flags]) == 0
+    [cx] = complexes
+    assert cx.d1_rows and (cx.d1_rows, len(cx.pointed_pairs)) not in eliminated
+    assert len(kernel_rows) == len(cx.graph.vertices) == 5
+    assert sorted(map(id, kernel_rows)) == sorted(id(s.d1_rows) for s in cx.stars.values())
