@@ -9,12 +9,17 @@ automorphism by construction.  Candidate images are filtered by cheap
 isomorphism invariants and pruned by orbits: an image already reached by
 the automorphisms found so far, or in the orbit of a refuted image, is not
 tried again.  The search stays exhaustive, since every other candidate is
-either completed or refuted.  Aut is listed as the products of one
-transversal element per level.  A `budget` caps the number of candidate
-assignments tried (`AutGroup.nodes`), and raising past it is a hard error,
-never a silent truncation.  The result is memoized on the table it was
-computed from (`memo["aut"]`), so it lives exactly as long as that table;
-a memo hit honours the budget too.
+either completed or refuted.  The result, `AutGroup`, is a base and
+strong generating set (Seress, *Permutation Group Algorithms*, 2003,
+ch. 4): the generators g1..gk as base, the search's leaves as strong
+generators, and one transversal per level.  Its order is the product of
+the transversal sizes, membership sifts an image tuple through the levels,
+and the |Aut| image tuples themselves are listed only on demand.  A
+`budget` caps the number of candidate assignments tried
+(`AutGroup.nodes`), and raising past it is a hard error, never a silent
+truncation.  The result is memoized on the table it was computed from
+(`memo["aut"]`), so it lives exactly as long as that table; a memo hit
+honours the budget too.
 
 The two structure theorems verified here describe Aut(L) for L = M(G, 2):
 
@@ -25,16 +30,19 @@ The two structure theorems verified here describe Aut(L) for L = M(G, 2):
   N . S . A with N = H x H (coset rescalings), S = S3 (permuting the three
   involutions u1, u2, u3 = u1*u2 over the common core H), A = Aut(H).
 
-Both verifications compare the constructed set against the brute-force
-automorphism group element by element.
+Both verifications certify the factorization by counting: the
+constructed families are groups of automorphisms, checked on their
+generators; their products are distinct, checked by the images of the
+doubling involutions; and the number of products is |Aut(L)|, the order of
+the complete search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CheckError, ResourceLimitError
 from .groups import GroupTable, closure, compose, composer
@@ -133,26 +141,70 @@ def _profiles(t) -> List[Tuple]:
     return [(orders[x], sq_roots[x], commuting[x]) for x in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutGroup:
-    """The full automorphism group as sorted image tuples."""
+    """The full automorphism group as a base and strong generating set.
 
-    elements: Tuple[Tuple[int, ...], ...]
+    `base` is the generating set g1..gk of the search.  `transversals[i]`
+    maps each image b of gi under the automorphisms fixing g1..g(i-1) to
+    one of them sending gi to b (the identity for b = gi).
+    `strong_generators` are the search's leaves, deepest level first; every
+    transversal element is a product of them.  Every automorphism is
+    t1 o ... o tk with ti from `transversals[i]`, exactly once.
+
+    Construction certifies that the products are distinct (CheckError, not
+    `assert`, so also under `python -O`): each element of `transversals[i]`
+    fixes g1..g(i-1) and sends gi to its own key, so the images of gi are
+    pairwise distinct.  Evaluating t1 o ... o tk at g1 then recovers t1, at
+    g2 the next factor, and so on, so `order` is the product of the
+    transversal sizes.
+    """
+
+    base: Tuple[int, ...]
+    strong_generators: Tuple[Tuple[int, ...], ...]
+    transversals: Tuple[Dict[int, Tuple[int, ...]], ...]
     nodes: int  # candidate assignments tried by the search
+    degree: int  # the order of the table
+
+    def __post_init__(self) -> None:
+        for i, (g, level) in enumerate(zip(self.base, self.transversals)):
+            for b, f in level.items():
+                if f[g] != b:
+                    raise CheckError(
+                        f"a transversal element of level {i} maps {g} to {f[g]}, not {b}"
+                    )
+                if any(f[h] != h for h in self.base[:i]):
+                    raise CheckError(
+                        f"a transversal element of level {i} moves an earlier base point"
+                    )
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(len(level) for level in self.transversals)
 
-    @property
-    def element_set(self) -> FrozenSet[Tuple[int, ...]]:
-        return frozenset(self.elements)
+    @cached_property
+    def elements(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every automorphism as an image tuple, sorted; |Aut| of them, so
+        built only on demand."""
+        elements: List[Tuple[int, ...]] = [tuple(range(self.degree))]
+        for level in reversed(self.transversals):
+            elements = [compose(f, suffix) for f in level.values() for suffix in elements]
+        return tuple(sorted(elements))
 
     def __contains__(self, images) -> bool:
-        return tuple(images) in self.element_set
-
-    def morphisms(self) -> List[Morphism]:
-        return [Morphism(e) for e in self.elements]
+        """Sift `images` through the levels: at level i divide by the
+        transversal element that sends gi where the remainder does; a member
+        leaves the identity, anything else fails on the way or at the end."""
+        rest = tuple(images)
+        identity = tuple(range(self.degree))
+        if sorted(rest) != list(identity):
+            return False
+        for g, level in zip(self.base, self.transversals):
+            f = level.get(rest[g])
+            if f is None:
+                return False
+            rest = compose(invert_images(f), rest)
+        return rest == identity
 
 
 def _budget_error(budget: int) -> ResourceLimitError:
@@ -186,8 +238,8 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
     a leaf is an automorphism and joins the strong generators, and a
     subtree without a leaf refutes b.  Each level's orbit comes with a
     transversal, and Aut(t) is the set of products t1 o ... o tk of one
-    transversal element per level, each automorphism exactly once, so
-    |Aut(t)| is the product of the orbit lengths.
+    transversal element per level, each automorphism exactly once; these
+    levels are the returned `AutGroup`.
 
     `nodes` counts the candidate assignments tried, i.e. the `extend`
     calls, including the k that fix g1..gk to themselves.  More than
@@ -197,7 +249,8 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
     and a hit raises the same error when its search needed more than
     `budget` nodes, so it behaves exactly like a fresh search.  CheckError
     (not `assert`, so also under `python -O`) reports a generating set
-    that does not generate or transversal products that are not distinct.
+    that does not generate or transversals that fail the distinct-products
+    certificate of `AutGroup`.
     """
     cached = t.memo.get("aut")
     if cached is not None:
@@ -274,7 +327,7 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
 
     identity = tuple(range(n))
     found: List[Tuple[int, ...]] = []  # strong generators, deepest level first
-    transversals: List[List[Tuple[int, ...]]] = []
+    transversals: List[Dict[int, Tuple[int, ...]]] = []
     for i in reversed(range(len(gens))):
         g = gens[i]
         # the automorphisms found so far fix gens[:i]; under them, the orbit
@@ -296,18 +349,10 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
         for c, step in orbit.items():
             if step is not None:
                 parent, f = step
-                transversal[c] = tuple(map(f.__getitem__, transversal[parent]))
-        transversals.append(list(transversal.values()))
+                transversal[c] = compose(f, transversal[parent])
+        transversals.append(transversal)
 
-    order = math.prod(len(level) for level in transversals)
-    # Aut = T1 o ... o Tk; transversals run deepest level first
-    elements: List[Tuple[int, ...]] = [identity]
-    for level in transversals:
-        elements = [tuple(map(f.__getitem__, suffix)) for f in level for suffix in elements]
-    elements.sort()
-    if len(elements) != order or any(a == b for a, b in zip(elements, elements[1:])):
-        raise CheckError("the transversal products are not distinct automorphisms")
-    t.memo["aut"] = AutGroup(tuple(elements), nodes)
+    t.memo["aut"] = AutGroup(gens, tuple(found), tuple(reversed(transversals)), nodes, n)
     return t.memo["aut"]
 
 
@@ -436,40 +481,82 @@ class SemidirectAutReport:
 
 
 def verify_semidirect_automorphisms(g: GroupTable, budget: int = 10_000_000) -> SemidirectAutReport:
-    """Check Aut(M(G,2)) == {translation_g o lift_psi} element by element.
+    """Certify Aut(M(G,2)) == {translation_x o lift_psi} by counting.
 
-    Meaningful for trichotomy case 2; on other inputs the set comparison
-    simply comes out False (there are extra automorphisms).
+    T = {translation_x : x in G} and Λ = {lift_psi : psi in Aut(G)}.  With
+    S = generating_set(G) (the base of Aut(G)), u the doubling involution
+    and the strong generators of Aut(G) from its search, every statement
+    the count rests on is checked:
+
+    - translations_ok: translation_s is an automorphism for s in S, and
+      translation_s o translation_x == translation_(s*x) for s in S and x
+      in G.  As S generates G, every translation is a product of these
+      generators, so T is a group of automorphisms.  translation_x maps u
+      to x*u, so |T| = |G|.
+    - lifts_ok: x*u is the element |G| + x for every x in G, so an
+      automorphism is fixed by its values on G and at u.  The lift of each
+      strong generator a is an automorphism that fixes u and agrees with a
+      on G.  The group these lifts generate thus fixes u, maps G onto
+      itself and restricts onto the group the strong generators generate,
+      Aut(G); its element restricting to psi sends x*u to psi(x)*u, so it
+      is lift_psi.  Hence Λ is a group of |Aut(G)| automorphisms.
+    - normal_relation_ok: lift_a o translation_s o lift_a^-1 ==
+      translation_a(s) for every strong generator a and s in S.  Both
+      sides are multiplicative in s and in a, so this gives the relation
+      for every psi and x.
+    - intersection_trivial: translation_x fixes u only for x = e, where it
+      is the identity, and every lift fixes u, so T and Λ meet in 1.
+    - set_matches: then the products translation o lift are |G|·|Aut(G)|
+      distinct automorphisms, so they are all of Aut(L) exactly when that
+      count is the order |Aut(L)| of the complete search.
+
+    On an input outside trichotomy case 2 the count falls short of
+    |Aut(L)| (there are extra automorphisms) and set_matches is False.
     """
     t = chein_loop(g)
+    n, gp, u = g.order, g.product, g.order
     aut_g = automorphism_group(g, budget=budget)
     aut_l = automorphism_group(t, budget=budget)
-    translations = [translation_automorphism(t, x).images for x in range(g.order)]
-    lifts = [lifted_automorphism(t, psi).images for psi in aut_g.elements]
-    translations_ok = all(is_automorphism(t, f) for f in translations)
-    lifts_ok = all(is_automorphism(t, f) for f in lifts)
-    relation_ok = True
-    for psi, lift in zip(aut_g.elements, lifts):
-        lift_inv = invert_images(lift)
-        for x in range(g.order):
-            lhs = compose_images(lift, compose_images(translations[x], lift_inv))
-            if lhs != translations[psi[x]]:
-                relation_ok = False
-                break
-        if not relation_ok:
-            break
-    inter = set(translations) & set(lifts)
-    combined = {compose_images(tr, lf) for tr in translations for lf in lifts}
+    gens = aut_g.base  # generating_set(G)
+    translations = [translation_automorphism(t, x).images for x in range(n)]
+    lifts = {a: lifted_automorphism(t, a).images for a in aut_g.strong_generators}
+    moves_u = all(translations[x][u] == n + x for x in range(n))
+    translations_ok = (
+        moves_u
+        and all(is_automorphism(t, translations[s]) for s in gens)
+        and all(
+            compose_images(translations[s], translations[x]) == translations[gp[s][x]]
+            for s in gens
+            for x in range(n)
+        )
+    )
+    fix_u = all(f[u] == u for f in lifts.values())
+    lifts_ok = (
+        fix_u
+        and all(t.product[x][u] == n + x for x in range(n))
+        and all(f[:n] == a and is_automorphism(t, f) for a, f in lifts.items())
+    )
+    relation_ok = all(
+        compose_images(f, compose_images(translations[s], invert_images(f)))
+        == translations[a[s]]
+        for a, f in lifts.items()
+        for s in gens
+    )
+    intersection_trivial = moves_u and fix_u and translations[0] == tuple(range(t.order))
+    expected = n * aut_g.order
     return SemidirectAutReport(
         loop_order=t.order,
         aut_order=aut_l.order,
         group_aut_order=aut_g.order,
-        expected_order=g.order * aut_g.order,
+        expected_order=expected,
         translations_ok=translations_ok,
         lifts_ok=lifts_ok,
         normal_relation_ok=relation_ok,
-        intersection_trivial=inter == {tuple(range(t.order))},
-        set_matches=combined == set(aut_l.elements),
+        intersection_trivial=intersection_trivial,
+        set_matches=translations_ok
+        and lifts_ok
+        and intersection_trivial
+        and expected == aut_l.order,
         nodes=aut_l.nodes,
     )
 
@@ -525,8 +612,8 @@ def _doubled_elem(h_order: int, h_inv: Sequence[int], h: int, c: int) -> int:
 def verify_doubled_dihedral_automorphisms(
     h: GroupTable, budget: int = 10_000_000
 ) -> DoubledDihedralAutReport:
-    """Exhaustively verify the automorphism structure of L = M(M(H,2),2)
-    for an abelian group H with an element of order > 2.
+    """Certify the automorphism structure of L = M(M(H,2),2), for an
+    abelian group H with an element of order > 2, by counting.
 
     The constructed automorphisms are:
     - rescalings f_{h1,h2}: fix H, multiply the H*u1 coset by h1 and the
@@ -536,8 +623,31 @@ def verify_doubled_dihedral_automorphisms(
       permuting u1, u2, u3;
     - lifts of Aut(H) applied on both doubling levels.
 
-    Every product rescaling o sigma o lift is compared against the brute
-    force Aut(L) as a set.
+    With S_H = generating_set(H) (the base of Aut(H)) and the strong
+    generators of Aut(H), every statement the count rests on is checked:
+
+    - rescalings_ok: f_{e,e} is the identity, f_{s,e} and f_{e,s} are
+      automorphisms for s in S_H, and f_{s,e} o f_{h1,h2} ==
+      f_{s*h1,h2} (likewise for f_{e,s}) for every h1, h2.  So N = {f} is
+      a group of automorphisms isomorphic to H x H.  f_{h1,h2} maps u1 to
+      h1*u1, u2 to h2*u2 and u3 to (h1*h2)*u3, so the rescalings are
+      distinct and each keeps u1, u2, u3 in their cosets.
+    - symmetric_ok: sigma1 and sigma2 are automorphisms and do not commute,
+      and the group S they generate has 6 elements.
+    - lifts_ok: h*u1 is the element |H| + h and y*u2 is |G| + y for h in H
+      and y in G = M(H,2), so an automorphism is fixed by its values on H,
+      u1 and u2.  The double lift of each strong generator a is an
+      automorphism that fixes u1 and u2 and agrees with a on H; as in
+      `verify_semidirect_automorphisms`, the group these lifts generate is
+      then A = {double lift of psi : psi in Aut(H)}, |Aut(H)| automorphisms
+      fixing u1, u2 and u3 = u1*u2.
+    - set_matches: also S permutes {u1, u2, u3}, and its six elements
+      differ on (u1, u2).  Then f o sigma o a == f' o sigma' o a' forces
+      sigma == sigma' (the cosets of the images of u1 and u2 name
+      sigma(u1) and sigma(u2)), then f'^-1 o f == sigma o a' o a^-1 o
+      sigma^-1, which fixes u1 and u2, so f == f' and a == a'.  The
+      products are |H|^2·6·|Aut(H)| distinct automorphisms, all of
+      Aut(L) exactly when that count is the order of the complete search.
     """
     if not h.is_abelian():
         raise CheckError("H must be abelian")
@@ -578,14 +688,22 @@ def verify_doubled_dihedral_automorphisms(
             images.append(_doubled_elem(nh, hinv, hp[hh][shift[c]], c))
         return tuple(images)
 
+    aut_h = automorphism_group(h, budget=budget)
+    identity = tuple(range(t.order))
     rescalings = {(h1, h2): rescaling(h1, h2) for h1 in range(nh) for h2 in range(nh)}
+    steps = [(s, 0) for s in aut_h.base] + [(0, s) for s in aut_h.base]
     rescalings_ok = (
-        all(is_automorphism(t, f) for f in rescalings.values())
-        and len(set(rescalings.values())) == nh * nh
+        rescalings[(0, 0)] == identity
+        and all(
+            (f[u1], f[u2], f[u3]) == (u1 + a, u2 + b, u3 + hp[a][b])
+            for (a, b), f in rescalings.items()
+        )
+        and all(is_automorphism(t, rescalings[st]) for st in steps)
         and all(
             compose_images(rescalings[(a, b)], rescalings[(c, d)])
             == rescalings[(hp[a][c], hp[b][d])]
-            for (a, b), (c, d) in iproduct(rescalings, repeat=2)
+            for a, b in steps
+            for c, d in rescalings
         )
     )
 
@@ -595,8 +713,8 @@ def verify_doubled_dihedral_automorphisms(
         hh, c = _doubled_coords(nh, hinv, x)
         sigma2_images.append(_doubled_elem(nh, hinv, hh, (0, 3, 2, 1)[c]))
     sigma2 = tuple(sigma2_images)
-    symmetric = {tuple(range(t.order))}
-    frontier = [tuple(range(t.order))]
+    symmetric = {identity}
+    frontier = [identity]
     while frontier:
         new = []
         for f in frontier:
@@ -608,35 +726,44 @@ def verify_doubled_dihedral_automorphisms(
         frontier = new
     symmetric_ok = (
         len(symmetric) == 6
-        and all(is_automorphism(t, f) for f in symmetric)
+        and is_automorphism(t, sigma1)
+        and is_automorphism(t, sigma2)
         and compose_images(sigma1, sigma2) != compose_images(sigma2, sigma1)
     )
+    permutes_klein = all({s[u1], s[u2], s[u3]} == {u1, u2, u3} for s in symmetric) and len(
+        {(s[u1], s[u2]) for s in symmetric}
+    ) == len(symmetric)
 
-    aut_h = automorphism_group(h, budget=budget)
-    lifts = []
-    for psi in aut_h.elements:
-        psi_g = lifted_automorphism(g_loop, psi).images
-        lifts.append(lifted_automorphism(t, psi_g).images)
-    lifts_ok = all(is_automorphism(t, f) for f in lifts) and len(set(lifts)) == aut_h.order
+    lifts = {}
+    for a in aut_h.strong_generators:
+        psi_g = lifted_automorphism(g_loop, a).images
+        lifts[a] = lifted_automorphism(t, psi_g).images
+    lifts_ok = (
+        all(p[x][u1] == nh + x for x in range(nh))
+        and all(p[y][u2] == ng + y for y in range(ng))
+        and all(
+            f[u1] == u1 and f[u2] == u2 and f[:nh] == a and is_automorphism(t, f)
+            for a, f in lifts.items()
+        )
+    )
 
     aut_l = automorphism_group(t, budget=budget)
-    combined = {
-        compose_images(f, compose_images(s, a))
-        for f in rescalings.values()
-        for s in symmetric
-        for a in lifts
-    }
+    expected = nh * nh * 6 * aut_h.order
     return DoubledDihedralAutReport(
         h_order=nh,
         loop_order=t.order,
         aut_order=aut_l.order,
-        expected_order=nh * nh * 6 * aut_h.order,
+        expected_order=expected,
         klein_ok=klein_ok,
         centralizer_ok=centralizer_ok,
         centralizer_witness=witness,
         rescalings_ok=rescalings_ok,
         symmetric_ok=symmetric_ok,
         lifts_ok=lifts_ok,
-        set_matches=combined == set(aut_l.elements),
+        set_matches=rescalings_ok
+        and symmetric_ok
+        and permutes_klein
+        and lifts_ok
+        and expected == aut_l.order,
         nodes=aut_l.nodes,
     )

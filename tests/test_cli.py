@@ -6,6 +6,7 @@ user would.  Exit codes: 0 = all checks pass, 2 = a check failed,
 """
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -175,6 +176,40 @@ def test_aut_klein_table_doubles_to_psl():
     assert r["aut_order"] == 6  # GL(2,2) on the group itself
     assert r["doubled"]["aut_order"] == 168  # GL(3,2) on M(V4, 2)
     assert r["doubled"]["trichotomy"]["case"] == 1
+    by_name = {c["name"]: c for c in r["checks"]}
+    assert by_name["aut_order_is_general_linear"]["status"] == "pass"
+
+
+def _address_space_limit():
+    # runs in the CLI subprocess before exec: a 1.5 GB address-space cap,
+    # which listing the 9,999,360 automorphisms of Z2^5 does not fit
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+# |GL(k, 2)|
+GL2 = {4: 20160, 5: 9999360, 6: 20158709760}
+
+
+@pytest.mark.parametrize("command", ["aut", "verify"])
+@pytest.mark.parametrize("k", [4, 5])
+def test_elementary_abelian_tables_never_list_aut(command, k):
+    # the double of Z2^k is Z2^(k+1), with |GL(k+1, 2)| automorphisms
+    n = 1 << k
+    rows = [" ".join(str(a ^ b) for b in range(n)) for a in range(n)]
+    proc = subprocess.run(
+        CLI + [command, "-", "--json"],
+        input="\n".join([f"table v1 {n}"] + rows) + "\n",
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_address_space_limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    r = json.loads(proc.stdout)
+    doubled = r["doubled"] if command == "aut" else r
+    assert doubled["aut_order"] == GL2[k + 1]
+    if command == "aut":
+        assert r["aut_order"] == GL2[k]
     by_name = {c["name"]: c for c in r["checks"]}
     assert by_name["aut_order_is_general_linear"]["status"] == "pass"
 

@@ -6,7 +6,9 @@ output and standard error.  The digests were taken before the commands were
 composed from shared blocks, so they pin that every report, check order,
 skip note and error message stayed the same.  The same cases run once more
 under `python -O`, all in one interpreter, and must give the same digests:
-no check may depend on `assert`.
+no check may depend on `assert`.  The `aut` digests on D4 and B4 were taken
+while `Aut` was still listed element by element; B4 runs only with
+`-m slow`.
 """
 
 import contextlib
@@ -15,6 +17,8 @@ import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from coxloops.cli import main
 from coxloops.groups import dihedral, klein4, quaternion
@@ -50,6 +54,13 @@ LIMIT_INPUTS = {
     "two_triangles": _cox(4, [(1, 2, 3), (1, 3, 3), (2, 3, 3), (2, 4, 3), (3, 4, 3)]),
 }
 
+# the `Aut` frontier: loop orders 384 (D4, in the default run) and 768
+# (B4, marked slow)
+FRONTIER_INPUTS = {
+    "D4": _cox(4, [(1, 2, 3), (2, 3, 3), (2, 4, 3)]),
+    "B4": _cox(4, [(1, 2, 3), (2, 3, 3), (3, 4, 4)]),
+}
+
 COMMANDS = ("group", "loop", "aut", "cohomology", "amalgams", "verify")
 
 # budget and cap paths: K4 and affine_A2 past the `Aut` search budget
@@ -68,7 +79,7 @@ LIMITS = [
 
 CASES = [
     case + flag
-    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS
+    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS + [("aut", "D4")]
     for flag in ((), ("--json",))
 ]
 
@@ -77,7 +88,7 @@ def digest(case) -> str:
     command, name, *flags = case
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO({**INPUTS, **LIMIT_INPUTS}[name].encode()))
+    sys.stdin = io.TextIOWrapper(io.BytesIO({**INPUTS, **LIMIT_INPUTS, **FRONTIER_INPUTS}[name].encode()))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "-", *flags])
@@ -262,6 +273,13 @@ GOLDEN = {
     "group H4 --json": "b9638cfd0f6282f0c1a441344234e1607e639d6f821394680e01d03de72ed93b",
     "aut B3 --budget 1": "7ccf5a9bf2dc91cd53ba23f81d23f43033f9b559680cd0660c09b27deeedc4ba",
     "aut B3 --budget 1 --json": "5633d854b758ca0752d1a64bb9017529a1a45e0e881ff1aba4d108fe55d0766c",
+    "aut D4": "ace826d636692a5c6bd2db942867a8b93cae65e37a83e9d33864fed5097c54b7",
+    "aut D4 --json": "582933669c9f767939b8979939f70f41f0c78796d040e34546d51d5827ee640f",
+}
+
+SLOW_GOLDEN = {
+    "aut B4": "61cb284e09f87f128baf19e6cc31c3a526b6900f8ef6b67b1c0f5909419b8204",
+    "aut B4 --json": "02ff74d62615e02c2a7cc8ae5ea2d37c0161eacb90ffbda2bdefd5d3aa4c23cd",
 }
 
 
@@ -286,3 +304,9 @@ def test_reports_are_identical_under_optimize():
     debug, got = json.loads(proc.stdout)
     assert debug is False
     assert [case for case in GOLDEN if got[case] != GOLDEN[case]] == []
+
+
+@pytest.mark.slow
+def test_frontier_reports_match_frozen_digests():
+    got = {case: digest(tuple(case.split())) for case in SLOW_GOLDEN}
+    assert [case for case in SLOW_GOLDEN if got[case] != SLOW_GOLDEN[case]] == []

@@ -1,15 +1,20 @@
-"""Differential tests: the level-by-level `Aut` search and the index-2
-`dihedral_decomposition` against the reference paths they replaced.
+"""Differential tests: the level-by-level `Aut` search, its base and
+strong generating set, and the index-2 `dihedral_decomposition` against
+the reference paths they replaced.
 
 The references below are the earlier implementations, condensed: a
-leaf-by-leaf backtracking search that lists every automorphism
-as its own leaf, and a scan of the whole subgroup lattice.  Both must give
-identical results on the trichotomy corpus, on the tables of
-`test_morphisms.py`, and on relabelled small groups and their Chein loops.
+leaf-by-leaf backtracking search that lists every automorphism as its own
+leaf, the element-list path that expanded the transversals into every
+product and answered membership from the set of them, and a scan of the
+whole subgroup lattice.  They must give identical results on the
+trichotomy corpus, on the tables of `test_morphisms.py`, on the order-240
+loops of H3 and A4, and on relabelled small groups and their Chein loops.
 """
 
+import math
 import subprocess
 import sys
+from itertools import combinations, islice
 from typing import List, Optional, Tuple
 
 import pytest
@@ -85,6 +90,20 @@ def reference_automorphisms(t) -> Tuple[Tuple[int, ...], ...]:
 
     dfs(0, [0] + [-1] * (n - 1), [True] + [False] * (n - 1), [0])
     return tuple(sorted(found))
+
+
+def reference_element_list(aut) -> Tuple[Tuple[int, ...], ...]:
+    """The element-list path: every product t1 o ... o tk of one
+    transversal element per level, sorted, each automorphism exactly once."""
+    elements = [tuple(range(aut.degree))]
+    for level in reversed(aut.transversals):
+        elements = [
+            tuple(map(f.__getitem__, suffix)) for f in level.values() for suffix in elements
+        ]
+    elements.sort()
+    assert len(elements) == math.prod(map(len, aut.transversals))
+    assert all(a < b for a, b in zip(elements, elements[1:]))
+    return tuple(elements)
 
 
 def reference_dihedral_decomposition(g: GroupTable) -> Optional[Tuple[Tuple[int, ...], int]]:
@@ -183,6 +202,101 @@ def test_dihedral_decomposition_matches_lattice_scan(name):
 @given(relabelled_groups())
 def test_dihedral_decomposition_matches_lattice_scan_on_relabellings(g):
     assert dihedral_decomposition(g) == reference_dihedral_decomposition(g)
+
+
+# the order-240 loops of the ROADMAP frontier, and their groups
+LARGE_GROUPS = {
+    "H3": enumerate_group(diagram_h(3)),
+    "A4": enumerate_group(diagram_a(4)),
+}
+
+
+def _swap(f, i, j):
+    f = list(f)
+    f[i], f[j] = f[j], f[i]
+    return tuple(f)
+
+
+def _probes(aut, members):
+    """Image tuples to sift: every member; transpositions of the identity;
+    members with the images of two points off the base swapped, which agree
+    with a member on every base point and so reach the last level; and
+    forged tuples of the wrong length, with a repeated value or with a
+    value out of range."""
+    n = aut.degree
+    yield from members
+    pairs = list(combinations(range(n), 2))
+    for i, j in pairs[:: 1 + len(pairs) // 512]:
+        yield _swap(range(n), i, j)
+    off_base = [x for x in range(n) if x not in aut.base]
+    for f in members[:: 1 + len(members) // 16]:
+        for i, j in islice(combinations(off_base, 2), 16):
+            yield _swap(f, i, j)
+        yield f[:-1]
+        yield f + (n,)
+        yield (-1,) + f[1:]
+        yield f[:-1] + (n,)
+        yield f[:-1] + f[:1]
+
+
+def assert_matches_element_list(t):
+    aut = automorphism_group(t)
+    members = reference_element_list(aut)
+    member_set = frozenset(members)
+    assert aut.elements == members
+    assert aut.order == len(members)
+    for images in _probes(aut, members):
+        assert (images in aut) == (images in member_set), images
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + sorted(MORE_GROUPS) + sorted(LARGE_GROUPS))
+def test_bsgs_matches_element_list(name):
+    g = {**GROUPS, **MORE_GROUPS, **LARGE_GROUPS}[name]
+    for t in (g, chein_loop(g)):
+        assert_matches_element_list(t)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(relabelled_groups())
+def test_bsgs_matches_element_list_on_relabellings(g):
+    for t in (g, chein_loop(g)):
+        assert_matches_element_list(t)
+
+
+def test_forged_transversals_raise_under_optimize():
+    # the distinct-products certificate must refuse a transversal element
+    # that moves an earlier base point and two elements with the same base
+    # image (the identity filed under the image 2 of base point 1), even
+    # with asserts stripped by -O
+    code = "\n".join([
+        "from coxloops.errors import CheckError",
+        "from coxloops.groups import symmetric3",
+        "from coxloops.loops import chein_loop",
+        "from coxloops.morphisms import AutGroup, automorphism_group",
+        "aut = automorphism_group(chein_loop(symmetric3()))",
+        "levels = [dict(level) for level in aut.transversals]",
+        # the base is (1, 3, 6); levels[0][2] fixes 3 but moves 1
+        "moves = [dict(level) for level in levels]",
+        "moves[1][3] = levels[0][2]",
+        "repeats = [dict(level) for level in levels]",
+        "repeats[0][2] = repeats[0][1]",
+        "for forged in (levels, moves, repeats):",
+        "    try:",
+        "        AutGroup(aut.base, aut.strong_generators, tuple(forged), aut.nodes, aut.degree)",
+        "    except CheckError as e:",
+        "        print(__debug__, 'CheckError', e)",
+        "    else:",
+        "        print(__debug__, 'returned')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False returned",
+        "False CheckError a transversal element of level 1 moves an earlier base point",
+        "False CheckError a transversal element of level 0 maps 1 to 1, not 2",
+    ]
 
 
 def test_memo_hit_respects_budget():

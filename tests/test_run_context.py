@@ -15,16 +15,22 @@ its own H and M(H, 2), and M(C6, 2) equals the D6 input entry for entry.
 
 On a graph, each vertex star's kernel is eliminated once per run, with
 or without the cross-check, and no elimination runs over the global d1.
+
+`Aut` is never listed for the theorems: `aut` builds no
+`AutGroup.elements` at all, and `verify` builds them only inside
+`cohomology._set_stabilizer`, for the edge loops of the coefficient groups
+and amalgams.
 """
 
 import contextlib
+import functools
 import importlib
 import io
 import sys
 
 import pytest
 
-from coxloops import gf2
+from coxloops import gf2, morphisms
 from coxloops.cli import main, parse_input
 from coxloops.groups import dihedral, quaternion
 
@@ -52,6 +58,7 @@ INPUTS = {
     "K5": _cox(5, [(i, j, 3) for i in range(1, 6) for j in range(i + 1, 6)]),
     "A2": _cox(2, [(1, 2, 3)]),
     "I2(8)": _cox(2, [(1, 2, 8)]),
+    "A1xB2": _cox(3, [(2, 3, 4)]),
     "D6": "\n".join(["table v1 12"] + [" ".join(map(str, r)) for r in dihedral(6).product]) + "\n",
     "Q8": "\n".join(["table v1 8"] + [" ".join(map(str, r)) for r in quaternion().product]) + "\n",
     "graph": "graph v1\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\nedge 4 5\nedge 5 3\n",
@@ -104,10 +111,11 @@ EXPECTED = {
 }
 
 
-def _inside_doubled_dihedral_theorem() -> bool:
+def _called_from(function: str) -> bool:
+    """Whether the caller of the caller runs inside `function`."""
     frame = sys._getframe(2)
     while frame is not None:
-        if frame.f_code.co_name == "verify_doubled_dihedral_automorphisms":
+        if frame.f_code.co_name == function:
             return True
         frame = frame.f_back
     return False
@@ -123,7 +131,9 @@ def test_one_build_per_artifact(command, name, monkeypatch):
         def wrapper(*args, **kwargs):
             if builder in CERTIFICATES:
                 rows = args[0] if builder == "loop_axiom_failures" else args[0].product
-                if tuple(map(tuple, rows)) == table and not _inside_doubled_dihedral_theorem():
+                if tuple(map(tuple, rows)) == table and not _called_from(
+                    "verify_doubled_dihedral_automorphisms"
+                ):
                     counts[builder] += 1
                 return fn(*args, **kwargs)
             counts[builder] += 1
@@ -179,3 +189,23 @@ def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
     assert cx.d1_rows and (cx.d1_rows, len(cx.pointed_pairs)) not in eliminated
     assert len(kernel_rows) == len(cx.graph.vertices) == 5
     assert sorted(map(id, kernel_rows)) == sorted(id(s.d1_rows) for s in cx.stars.values())
+
+
+@pytest.mark.parametrize("name", ["B3", "A1xB2", "I2(8)", "D6"])
+@pytest.mark.parametrize("command", ["aut", "verify"])
+def test_theorems_never_list_aut(command, name, monkeypatch):
+    listed = []  # (degree, called from _set_stabilizer) per elements build
+    elements = morphisms.AutGroup.elements.func
+
+    def listing(aut):
+        listed.append((aut.degree, _called_from("_set_stabilizer")))
+        return elements(aut)
+
+    monkeypatch.setattr(morphisms.AutGroup, "elements", functools.cached_property(listing))
+    morphisms.AutGroup.elements.__set_name__(morphisms.AutGroup, "elements")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS[name].encode())))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "-", "--json"]) == 0
+    assert all(inside for _, inside in listed)
+    if command == "aut" or name == "D6":
+        assert listed == []
