@@ -32,9 +32,8 @@ exhaustion in 2^n sweeps instead of 2^(2n-1) searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product as iproduct
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .cohomology import EdgeComplex, _set_stabilizer, build_complex, vertex_coboundary, vertex_twist
@@ -65,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoreData:
+class CoreData(NamedTuple):
     """The standard loop attached to a core J (0, 1 or 2 vertices)."""
 
     core: Tuple[int, ...]
@@ -240,8 +238,7 @@ def cocycle_to_amalgam(d: CoxeterDiagram, z: int) -> Amalgam:
 # verification
 
 
-@dataclass(frozen=True)
-class AmalgamReport:
+class AmalgamReport(NamedTuple):
     simplices: int
     maps_checked: int
     chains_checked: int
@@ -289,8 +286,7 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
     )
 
 
-@dataclass(frozen=True)
-class CompletionReport:
+class CompletionReport(NamedTuple):
     loop_order: int
     maps_checked: int
     injective_ok: bool
@@ -347,8 +343,7 @@ def verify_completion(
 # isomorphism of amalgams
 
 
-@dataclass(frozen=True)
-class IsoReport:
+class IsoReport(NamedTuple):
     isomorphic: bool
     witness: Optional[Dict[Simplex, Tuple[int, ...]]]
     assignments: int  # assignments actually examined
@@ -451,8 +446,7 @@ def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]
 # classification
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     cycle_rank: int
     nontree_edges: Tuple[Edge, ...]
     chosen_vertices: Tuple[int, ...]

@@ -26,8 +26,7 @@ in closed form; `enumerate_order` provides the independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CheckError, DiagramError, ResourceLimitError
 from .graphs import Graph, connected_components
@@ -144,16 +143,14 @@ class CoxeterDiagram:
 # classification of finite Coxeter groups
 
 
-@dataclass(frozen=True)
-class ComponentType:
+class ComponentType(NamedTuple):
     name: str  # "A3", "I2(7)", "G2", ... or "-" when not spherical
     vertices: Tuple[int, ...]
     order: Optional[int]
     reason: Optional[str] = None  # set when the component is not spherical
 
 
-@dataclass(frozen=True)
-class SphericalReport:
+class SphericalReport(NamedTuple):
     spherical: bool
     order: Optional[int]
     components: Tuple[ComponentType, ...]

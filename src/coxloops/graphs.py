@@ -8,8 +8,7 @@ trees and reports are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -90,8 +89,7 @@ def connected_components(g: Graph) -> List[Graph]:
     return comps
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     root: int
     tree_edges: Tuple[Edge, ...]  # lexicographic
     nontree_edges: Tuple[Edge, ...]  # lexicographic: e_1, ..., e_n

@@ -19,10 +19,9 @@ speed (`operator.itemgetter`) instead of looking up one entry at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CheckError
 
@@ -85,8 +84,7 @@ def loop_axiom_failures(rows: Sequence[Sequence[int]]) -> Iterator[Tuple[str, st
                 yield "latin", f"not a quasigroup: {kind} {a} repeats a value"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking one identity over its full quantifier domain.
 
     `counterexample` is the first failing instance in the documented

@@ -40,9 +40,8 @@ the complete search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CheckError, ResourceLimitError
 from .groups import GroupTable, closure, compose, composer
@@ -69,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     """A map between loops/groups given by its image tuple on 0..n-1."""
 
     images: Tuple[int, ...]
@@ -141,8 +139,15 @@ def _profiles(t) -> List[Tuple]:
     return [(orders[x], sq_roots[x], commuting[x]) for x in range(n)]
 
 
-@dataclass(frozen=True, eq=False)
-class AutGroup:
+class _AutGroupFields(NamedTuple):
+    base: Tuple[int, ...]
+    strong_generators: Tuple[Tuple[int, ...], ...]
+    transversals: Tuple[Dict[int, Tuple[int, ...]], ...]
+    nodes: int  # candidate assignments tried by the search
+    degree: int  # the order of the table
+
+
+class AutGroup(_AutGroupFields):  # no __slots__: `elements` is cached in __dict__
     """The full automorphism group as a base and strong generating set.
 
     `base` is the generating set g1..gk of the search.  `transversals[i]`
@@ -157,16 +162,15 @@ class AutGroup:
     fixes g1..g(i-1) and sends gi to its own key, so the images of gi are
     pairwise distinct.  Evaluating t1 o ... o tk at g1 then recovers t1, at
     g2 the next factor, and so on, so `order` is the product of the
-    transversal sizes.
+    transversal sizes.  Equality and hash are by identity.
     """
 
-    base: Tuple[int, ...]
-    strong_generators: Tuple[Tuple[int, ...], ...]
-    transversals: Tuple[Dict[int, Tuple[int, ...]], ...]
-    nodes: int  # candidate assignments tried by the search
-    degree: int  # the order of the table
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "AutGroup":
+        self = super().__new__(cls, *args, **kwargs)
         for i, (g, level) in enumerate(zip(self.base, self.transversals)):
             for b, f in level.items():
                 if f[g] != b:
@@ -177,6 +181,11 @@ class AutGroup:
                     raise CheckError(
                         f"a transversal element of level {i} moves an earlier base point"
                     )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "AutGroup":  # so that `_replace` is certified too
+        return cls(*iterable)
 
     @property
     def order(self) -> int:
@@ -383,8 +392,7 @@ def lifted_automorphism(t: LoopTable, psi: Sequence[int]) -> Morphism:
 # trichotomy
 
 
-@dataclass(frozen=True)
-class TrichotomyReport:
+class TrichotomyReport(NamedTuple):
     case: int  # 1, 2, or 3
     label: str  # elementary_abelian / indecomposable / dihedral
     loop_order: int
@@ -455,8 +463,7 @@ def classify_trichotomy(g: GroupTable) -> TrichotomyReport:
 # case 2: Aut(M(G,2)) = G x| Aut(G)
 
 
-@dataclass(frozen=True)
-class SemidirectAutReport:
+class SemidirectAutReport(NamedTuple):
     loop_order: int
     aut_order: int
     group_aut_order: int
@@ -565,8 +572,7 @@ def verify_semidirect_automorphisms(g: GroupTable, budget: int = 10_000_000) -> 
 # case 3: Aut(M(M(H,2),2)) = (H x H) x| (S3 x Aut(H))
 
 
-@dataclass(frozen=True)
-class DoubledDihedralAutReport:
+class DoubledDihedralAutReport(NamedTuple):
     h_order: int
     loop_order: int
     aut_order: int

@@ -29,6 +29,7 @@ from coxloops.amalgams import (
 )
 from coxloops.cohomology import (
     VertexStar,
+    _cocycles_by_stars,
     _z1_by_stars,
     build_complex,
     cohomology,
@@ -148,7 +149,16 @@ def assert_same_complex(graph: Graph) -> None:
         for i, star in cx.stars.items()
     }
     z_basis = [v for vs in z_at.values() for v in vs]
-    assert _z1_by_stars(cx, z_at) == reference_z1(ref, z_basis) == cohomology(cx).z1
+    result = cohomology(cx)
+    assert _z1_by_stars(cx, z_at) == reference_z1(ref, z_basis) == result.z1
+    # the per-star cocycle test against d1 over the whole complex, on
+    # cocycles and on vectors that touch one star or several
+    singles = [1 << k for k in range(len(ref.pointed_pairs))]
+    vectors = (
+        z_basis + list(result.h_basis) + singles
+        + [a | b for a, b in zip(singles, singles[1:])] + [sum(singles)]
+    )
+    assert _cocycles_by_stars(cx, vectors) == [not gf2.apply_rows(ref.d1_rows, v) for v in vectors]
 
 
 def complete(n: int) -> List[Tuple[int, int]]:
@@ -205,7 +215,6 @@ def test_star_path_builds_no_unpointed_simplices():
 
 
 FORGERIES = """
-import dataclasses
 from coxloops.cohomology import build_complex, cohomology
 from coxloops.errors import CheckError
 from coxloops.graphs import Graph
@@ -220,7 +229,7 @@ for kind in ("row_spans_two_stars", "star_row_corrupted"):
         cx.d1_rows[0] = row ^ (row & -row) | 1 << foreign
     else:
         star = cx.stars[1]
-        cx.stars[1] = dataclasses.replace(star, d1_rows=(star.d1_rows[0] ^ 1,) + star.d1_rows[1:])
+        cx.stars[1] = star._replace(d1_rows=(star.d1_rows[0] ^ 1,) + star.d1_rows[1:])
     try:
         cohomology(cx)
     except CheckError as e:
@@ -243,6 +252,42 @@ def test_d1_not_block_diagonal_by_star_is_refused(flags):
         [debug, "star_row_corrupted", "CheckError"],
     ]
     assert all("d1 rows [0] are not the lifted rows" in line[3] for line in lines)
+
+
+NON_COCYCLE = """
+import importlib
+
+from coxloops.errors import CheckError
+from coxloops.graphs import Graph
+
+# BFS from 1 reaches 2 and 3 through 4, so (2, 3) is the one non-tree edge
+# and the smallest edge at 2: the H^1 basis asks for d0_2(a_(2,3)), which
+# the Z^1 basis skips.  Forge it as the pair ((1, 4), (2, 4)) alone, which
+# is independent over B^1 but no cocycle: d1 of it is the triple at 4.
+coho = importlib.import_module("coxloops.cohomology")
+cx = coho.build_complex(Graph(range(1, 5), [(1, 4), (2, 3), (2, 4), (3, 4)]))
+genuine = coho.vertex_coboundary
+coho.vertex_coboundary = lambda cx, i, e: (
+    1 << cx.pair_pos[((1, 4), (2, 4))] if (i, e) == (2, (2, 3)) else genuine(cx, i, e)
+)
+try:
+    coho.cohomology(cx)
+except CheckError as e:
+    print(__debug__, "CheckError", e)
+else:
+    print(__debug__, "accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_h1_representative_not_a_cocycle_is_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", NON_COCYCLE], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=2) == [
+        str(not flags), "CheckError", "an H^1 representative is not a cocycle\n"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""Package-wide guards: the exported names, and no `assert` in the sources.
+"""Package-wide guards: the exported names, no `assert` in the sources,
+and a cold start that stays light.
 
 Certificates must hold under `python -O`, which strips `assert`, so every
-check in `src/coxloops/` raises `CheckError` instead.
+check in `src/coxloops/` raises `CheckError` instead.  Every command pays
+for `import coxloops.cli`, so the package builds its records as
+`NamedTuple`s and never imports `dataclasses`, which pulls in `inspect`.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import coxloops
 
@@ -64,3 +71,28 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_no_module_imports_dataclasses():
+    imports = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                imports.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert imports == []
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
+    code = "import sys, coxloops.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
