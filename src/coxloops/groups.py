@@ -12,13 +12,25 @@ validated construction: `loop_axiom_failures` for every table, and
 
 `compose` is the one permutation-composition kernel of the package: table
 rows and columns are maps on 0..n-1, and the table build, the doubling,
-the cubic identity sweeps (`_sweep`, shared with the Moufang identities in
-`loops`) and the homomorphism checks all work by composing whole rows at C
-speed (`operator.itemgetter`) instead of looking up one entry at a time.
+the cubic identity sweeps and the homomorphism checks all work by
+composing whole rows at C speed instead of looking up one entry at a time.
+The kernel has two widths.  Tuples compose with `operator.itemgetter`,
+about 10 ns an entry.  When a table's order is at most 256 every entry
+fits in a byte, and its byte views (`_ByteViews`, built once per table)
+compose f o g as `g.translate(f_padded)`, about 1 ns an entry.
+
+The cubic sweeps (`is_associative` here, the Moufang identities in
+`loops`) choose the width from the order alone, through `_cubic`.  In the
+byte width, `_block_sweep` checks each x in one step: every side is one
+n*n-byte string over all (y, z), built from a few `join` and `translate`
+calls, and the sides are compared whole.  Past order 256, `_sweep` checks
+one pair (x, y) at a time on tuples.  Both give the first failing triple
+in lexicographic order, its sides and the same `checked` count.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -127,11 +139,64 @@ def _sweep(
     return IdentityReport(name, True, n**3, None, None)
 
 
-def is_associative(t: _Table) -> IdentityReport:
-    """(x*y)*z == x*(y*z) over all triples (x, y, z), lexicographic.
+def _first_difference(a: bytes, b: bytes) -> int:
+    """The first index where two byte strings of one length differ, or
+    their length when they are equal."""
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return len(a) - 1 - (diff.bit_length() - 1) // 8
 
-    As translations: L_{xy} == L_x L_y.
+
+def _block_sweep(
+    name: str,
+    n: int,
+    sides_at: Callable[[int], Sequence[bytes]],
+    values: Callable[[int, int, int], Tuple[int, ...]],
+) -> IdentityReport:
+    """`_sweep` one x at a time: `sides_at(x)` gives the sides as byte
+    strings over all (y, z), with (y, z) at index y*n + z.  When they
+    differ, the least index where any side differs from the first is the
+    first failing (y, z).
     """
+    for x in range(n):
+        first, *rest = sides_at(x)
+        if any(side != first for side in rest):
+            y, z = divmod(min(_first_difference(first, side) for side in rest), n)
+            return IdentityReport(name, False, (x * n + y) * n + z + 1, (x, y, z), values(x, y, z))
+    return IdentityReport(name, True, n**3, None, None)
+
+
+def _reports(
+    t: _Table, sweep: Callable, sides: Dict[str, Callable], values: Callable[..., Tuple[int, ...]]
+) -> Dict[str, IdentityReport]:
+    """`sweep` over each identity's sides, in the order of `sides`."""
+    return {
+        name: sweep(name, t.order, sides_at, lambda x, y, z, _n=name: values(t, _n, x, y, z))
+        for name, sides_at in sides.items()
+    }
+
+
+def _cubic(
+    t: _Table,
+    pairs: Callable[[_Table], Dict[str, Callable]],
+    blocks: Callable[[_Table], Dict[str, Callable]],
+    values: Callable[..., Tuple[int, ...]],
+) -> Dict[str, IdentityReport]:
+    """Cubic identities over all triples of `t`: `pairs(t)` and `blocks(t)`
+    give each identity's sides for `_sweep` and `_block_sweep`, and
+    `values(t, name, x, y, z)` evaluates them at one triple.  The byte width
+    runs when every entry fits in a byte.
+    """
+    if t.order <= 256:
+        return _reports(t, _block_sweep, blocks(t), values)
+    return _reports(t, _sweep, pairs(t), values)
+
+
+def _assoc_values(t: _Table, name: str, x: int, y: int, z: int) -> Tuple[int, int]:
+    p = t.product
+    return (p[p[x][y]][z], p[x][p[y][z]])
+
+
+def _assoc_pairs(t: _Table) -> Dict[str, Callable]:
     p = t.product
     after = [composer(row) for row in p]  # after[y](f) = f o L_y
 
@@ -139,9 +204,39 @@ def is_associative(t: _Table) -> IdentityReport:
         px = p[x]
         return lambda y: (p[px[y]], after[y](px))
 
-    return _sweep(
-        "assoc", t.order, sides_at, lambda x, y, z: (p[p[x][y]][z], p[x][p[y][z]])
-    )
+    return {"assoc": sides_at}
+
+
+def _assoc_blocks(t: _Table) -> Dict[str, Callable]:
+    v = t.byte_views
+    rows, flat, lpad = v.rows, v.flat, v.padded_rows
+    # the rows L_{xy} end to end, and the whole table under L_x
+    return {"assoc": lambda x: (b"".join(map(rows.__getitem__, rows[x])), flat.translate(lpad[x]))}
+
+
+def is_associative(t: _Table) -> IdentityReport:
+    """(x*y)*z == x*(y*z) over all triples (x, y, z), lexicographic.
+
+    As translations: L_{xy} == L_x L_y.
+    """
+    return _cubic(t, _assoc_pairs, _assoc_blocks, _assoc_values)["assoc"]
+
+
+class _ByteViews:
+    """A table of order n <= 256 as bytes: rows (L_a: b -> a*b) and columns
+    (R_b: a -> a*b) as n-byte strings, the same padded with zeros to the
+    256 bytes that `bytes.translate` takes as a map, and `flat`, the whole
+    table row-major (flat[y*n + z] = y*z).  `g.translate(padded f)` is
+    f o g; every entry is below n, so the padding is never read.
+    """
+
+    def __init__(self, product: Sequence[Sequence[int]]):
+        pad = bytes(256 - len(product))
+        self.rows = tuple(map(bytes, product))
+        self.cols = tuple(map(bytes, zip(*product)))
+        self.padded_rows = tuple(row + pad for row in self.rows)
+        self.padded_cols = tuple(col + pad for col in self.cols)
+        self.flat = b"".join(self.rows)
 
 
 class _Table:
@@ -149,6 +244,7 @@ class _Table:
     groups and Moufang loops), and a `memo` that keeps what `chein_loop`
     and `automorphism_group` compute from the table while it lives.
     `validate` runs `_certify`: the loop axioms, and more in a subclass.
+    `rinv` and `byte_views` are built on first use.
     """
 
     label_prefix = "x"
@@ -161,8 +257,19 @@ class _Table:
         if labels is None:
             labels = [f"{self.label_prefix}{i}" if i else "e" for i in range(self.order)]
         self.labels: Tuple[str, ...] = tuple(labels)
-        self.rinv: Tuple[int, ...] = tuple(row.index(0) for row in self.product)
         self.memo: Dict[str, object] = {}
+
+    @cached_property
+    def rinv(self) -> Tuple[int, ...]:
+        # built on first use, so a table nothing inverts skips this O(n^2)
+        # scan; tables built with validate=False (`enumerate_group`,
+        # `chein_loop` and the two the CLI certifies itself) have Latin
+        # rows, so every row holds 0
+        return tuple(row.index(0) for row in self.product)
+
+    @cached_property
+    def byte_views(self) -> _ByteViews:
+        return _ByteViews(self.product)
 
     def _certify(self) -> None:
         failure = next(loop_axiom_failures(self.product), None)
@@ -215,7 +322,10 @@ class GroupTable(_Table):
         self.generators: Tuple[int, ...] = tuple(generators)
         self.words = None if words is None else tuple(tuple(w) for w in words)
         super().__init__(product, labels, validate)
-        self.inverse = self.rinv
+
+    @property
+    def inverse(self) -> Tuple[int, ...]:
+        return self.rinv
 
     def _certify(self) -> None:
         super()._certify()

@@ -19,11 +19,15 @@ certificates live: `is_loop`, `is_quasigroup` and a validated `LoopTable`
 read `loop_axiom_failures`, and `is_associative` is re-exported from there.
 
 The doubled table and the cubic sweeps (associativity and the Moufang
-identities, all through `groups._sweep`) are built from `groups.compose`.
-A cubic identity is an identity between translations: for each pair
-(x, y) in lexicographic order both sides are composed as whole maps of z
-(rows L_x: z -> x*z, columns R_x: z -> z*x) and compared at C speed; on a
-mismatch the first differing z completes the counterexample, so it and the
+identities, all through `groups._cubic`) are built from the one
+composition kernel of `groups`, which has two widths.  A cubic identity is
+an identity between translations (rows L_x: z -> x*z, columns
+R_x: z -> z*x).  Up to order 256, for each x in turn, every side is one
+byte string over all (y, z), built from whole rows and columns by a few
+`join` and `translate` calls, and the sides are compared whole
+(`_moufang_blocks`).  Past order 256, both sides are composed as tuple maps
+of z for each pair (x, y) (`_moufang_pairs`).  On a mismatch the first
+differing (y, z), or z, completes the counterexample, so it and the
 `checked` count are exactly those of the per-triple iteration.  The
 quadratic suites run per instance through `_run`.
 """
@@ -34,7 +38,7 @@ from itertools import product as iproduct
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CheckError
-from .groups import GroupTable, IdentityReport, _sweep, _Table, closure, compose, composer
+from .groups import GroupTable, IdentityReport, _cubic, _Table, closure, compose, composer
 from .groups import is_associative, loop_axiom_failures
 
 __all__ = [
@@ -164,15 +168,7 @@ def moufang_values(t: LoopTable, name: str, x: int, y: int, z: int) -> Tuple[int
     raise ValueError(f"unknown Moufang identity {name!r}")
 
 
-def is_moufang(t: LoopTable) -> Dict[str, IdentityReport]:
-    """All three Moufang identities over all triples (x, y, z).
-
-    As translations, with L_x: z -> x*z and R_x: z -> z*x:
-
-    m1: R_{x(yx)} == R_x R_y R_x
-    m2: L_x L_y L_x == L_{(xy)x}
-    m3: L_{xy} R_x == R_x L_x L_y == L_x R_x L_y
-    """
+def _moufang_pairs(t: LoopTable) -> Dict[str, Callable]:
     p = t.product
     cols = list(zip(*p))
     after_l = [composer(row) for row in p]  # after_l[y](f) = f o L_y
@@ -191,12 +187,49 @@ def is_moufang(t: LoopTable) -> Dict[str, IdentityReport]:
         rx_lx, lx_rx = after_l[x](cols[x]), then_rx(px)
         return lambda y: (then_rx(p[px[y]]), after_l[y](rx_lx), after_l[y](lx_rx))
 
-    return {
-        name: _sweep(
-            name, t.order, sides_at, lambda x, y, z, _n=name: moufang_values(t, _n, x, y, z)
+    return dict(zip(MOUFANG_NAMES, (m1, m2, m3)))
+
+
+def _moufang_blocks(t: LoopTable) -> Dict[str, Callable]:
+    v = t.byte_views
+    rows, cols, lpad, rpad, flat = v.rows, v.cols, v.padded_rows, v.padded_cols, v.flat
+    join = b"".join
+
+    def m1(x: int):
+        rx = cols[x]  # for each y: the column of x*(y*x); R_y R_x
+        return (
+            join(map(cols.__getitem__, rx.translate(lpad[x]))),
+            join(map(rx.translate, rpad)).translate(rpad[x]),
         )
-        for name, sides_at in zip(MOUFANG_NAMES, (m1, m2, m3))
-    }
+
+    def m2(x: int):
+        lx = rows[x]  # for each y: L_y L_x; the row of (x*y)*x
+        return (
+            join(map(lx.translate, lpad)).translate(lpad[x]),
+            join(map(rows.__getitem__, lx.translate(rpad[x]))),
+        )
+
+    def m3(x: int):
+        lx, rx = rows[x], cols[x]  # for each y: L_{xy} R_x; all of L_y under R_x L_x, L_x R_x
+        return (
+            join(map(rx.translate, map(lpad.__getitem__, lx))),
+            flat.translate(lpad[x].translate(rpad[x])),
+            flat.translate(rpad[x].translate(lpad[x])),
+        )
+
+    return dict(zip(MOUFANG_NAMES, (m1, m2, m3)))
+
+
+def is_moufang(t: LoopTable) -> Dict[str, IdentityReport]:
+    """All three Moufang identities over all triples (x, y, z).
+
+    As translations, with L_x: z -> x*z and R_x: z -> z*x:
+
+    m1: R_{x(yx)} == R_x R_y R_x
+    m2: L_x L_y L_x == L_{(xy)x}
+    m3: L_{xy} R_x == R_x L_x L_y == L_x R_x L_y
+    """
+    return _cubic(t, _moufang_pairs, _moufang_blocks, moufang_values)
 
 
 def chein_values(t: LoopTable, name: str, g1: int, g2: int) -> Tuple[int, int]:

@@ -8,7 +8,9 @@ skip note and error message stayed the same.  The same cases run once more
 under `python -O`, all in one interpreter, and must give the same digests:
 no check may depend on `assert`.  The `aut` digests on D4 and B4 were taken
 while `Aut` was still listed element by element; B4 runs only with
-`-m slow`.
+`-m slow`.  The `loop` digests on H3, A4 (loop order 240, the whole Moufang
+suite) and on a non-Moufang table of order 96 were taken while the cubic
+sweeps still composed one pair (x, y) at a time.
 """
 
 import contextlib
@@ -21,15 +23,31 @@ import sys
 import pytest
 
 from coxloops.cli import main
+from coxloops.coxeter import diagram_b, enumerate_group
 from coxloops.groups import dihedral, klein4, quaternion
+from coxloops.loops import chein_loop
 
 
 def _cox(rank, edges):
     return "\n".join(["coxeter v1", f"rank {rank}"] + [f"edge {i} {j} {m}" for i, j, m in edges]) + "\n"
 
 
-def _table(g):
-    return "\n".join([f"table v1 {g.order}"] + [" ".join(map(str, row)) for row in g.product]) + "\n"
+def _table(rows):
+    return "\n".join([f"table v1 {len(rows)}"] + [" ".join(map(str, row)) for row in rows]) + "\n"
+
+
+def _swap_intercalate(rows, a, c):
+    """`rows` with one 2x2 subsquare swapped: rows a, b and columns c, d with
+    a*c = b*d and a*d = b*c, for the least such b.  With a, c and d not the
+    identity the result is still a loop, and rarely a Moufang one."""
+    rows = [list(r) for r in rows]
+    for b in range(1, len(rows)):
+        d = rows[a].index(rows[b][c])
+        if b != a and 0 != d != c and rows[b][d] == rows[a][c]:
+            for r in (a, b):
+                rows[r][c], rows[r][d] = rows[r][d], rows[r][c]
+            return rows
+    raise ValueError(f"no intercalate on row {a} and column {c}")
 
 
 INPUTS = {
@@ -41,9 +59,9 @@ INPUTS = {
     "affine_A2": _cox(3, [(1, 2, 3), (2, 3, 3), (1, 3, 3)]),
     "K4": _cox(4, [(i, j, 3) for i in range(1, 5) for j in range(i + 1, 5)]),
     "C4_4343": _cox(4, [(1, 2, 4), (2, 3, 3), (3, 4, 4), (1, 4, 3)]),
-    "D6": _table(dihedral(6)),
-    "Q8": _table(quaternion()),
-    "klein": _table(klein4()),
+    "D6": _table(dihedral(6).product),
+    "Q8": _table(quaternion().product),
+    "klein": _table(klein4().product),
     "loop5": "table v1 5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n",
     "graph": "graph v1\nvertices 7\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\nedge 4 5\nedge 5 3\nedge 5 6\n",
 }
@@ -55,11 +73,22 @@ LIMIT_INPUTS = {
 }
 
 # the `Aut` frontier: loop orders 384 (D4, in the default run) and 768
-# (B4, marked slow)
+# (B4, marked slow); the sweep frontier: loop order 240 (H3 and A4), and
+# the B3 double with one intercalate swapped, which fails m1-m3
 FRONTIER_INPUTS = {
     "D4": _cox(4, [(1, 2, 3), (2, 3, 3), (2, 4, 3)]),
     "B4": _cox(4, [(1, 2, 3), (2, 3, 3), (3, 4, 4)]),
+    "H3": _cox(3, [(1, 2, 5), (2, 3, 3)]),
+    "A4": _cox(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)]),
+    "B3_swapped": _table(_swap_intercalate(chein_loop(enumerate_group(diagram_b(3))).product, 1, 1)),
 }
+
+# the whole Moufang suite at loop order 240, and on a failing table
+SWEEPS = [
+    ("loop", "H3", "--budget", "20000000"),
+    ("loop", "A4", "--budget", "20000000"),
+    ("loop", "B3_swapped"),
+]
 
 COMMANDS = ("group", "loop", "aut", "cohomology", "amalgams", "verify")
 
@@ -79,7 +108,7 @@ LIMITS = [
 
 CASES = [
     case + flag
-    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS + [("aut", "D4")]
+    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS + [("aut", "D4")] + SWEEPS
     for flag in ((), ("--json",))
 ]
 
@@ -275,6 +304,12 @@ GOLDEN = {
     "aut B3 --budget 1 --json": "5633d854b758ca0752d1a64bb9017529a1a45e0e881ff1aba4d108fe55d0766c",
     "aut D4": "ace826d636692a5c6bd2db942867a8b93cae65e37a83e9d33864fed5097c54b7",
     "aut D4 --json": "582933669c9f767939b8979939f70f41f0c78796d040e34546d51d5827ee640f",
+    "loop H3 --budget 20000000": "4b1121ad2b27a94f28d9e21938f4c67b1ecaad29d869e3f8cadbdbaf582a3f44",
+    "loop H3 --budget 20000000 --json": "a2b280420c718e52ab15b726411068c20a5ef33d7766aff92c3479cc1941daf7",
+    "loop A4 --budget 20000000": "79513d31cf5a519588eceaf3ec85b91d34db057b427bcb0c64d554f4bf66f965",
+    "loop A4 --budget 20000000 --json": "efc68d94a1602c9f2aa67d86a596ae8c4c8d3339ee24bd436f220dedad9d1b0a",
+    "loop B3_swapped": "7dfeeb29829d6c6825b4d6749120eceb9ce8e6cce4e6602b2536963da43e7e0e",
+    "loop B3_swapped --json": "ab21c5e343cf73a5539cf1663f7fee8237bb06e77573b14e661d1e9ffc5839d2",
 }
 
 SLOW_GOLDEN = {

@@ -9,6 +9,10 @@ check.  Both sides must agree entry for entry, including whole
 `IdentityReport`s and the first failing instance, on the frozen Coxeter
 corpus and its Chein loops, on relabelled small groups, and on non-Moufang
 loops whose failures land at many positions.
+
+The cubic sweeps have two widths, per x on bytes up to order 256 and per
+pair (x, y) on tuples past it; both are run on the same tables, across the
+boundary, and must give the same reports.
 """
 
 from itertools import product as iproduct
@@ -33,6 +37,12 @@ from coxloops.coxeter import (
 from coxloops.errors import CheckError
 from coxloops.groups import (
     GroupTable,
+    _assoc_blocks,
+    _assoc_pairs,
+    _assoc_values,
+    _block_sweep,
+    _reports,
+    _sweep,
     cyclic,
     dihedral,
     direct_product,
@@ -44,6 +54,8 @@ from coxloops.loops import (
     MOUFANG_NAMES,
     IdentityReport,
     LoopTable,
+    _moufang_blocks,
+    _moufang_pairs,
     _run,
     chein_loop,
     is_associative,
@@ -164,6 +176,48 @@ def swap_intercalate(g: GroupTable, s: int, x: int, y: int) -> List[List[int]]:
     return rows
 
 
+def swap_first_intercalate(rows: Sequence[Sequence[int]], a: int, c: int) -> List[List[int]]:
+    """`rows` with the 2x2 subsquare on rows a, b and columns c, d swapped,
+    where a*c = b*d and a*d = b*c, for the least such b: a loop again when
+    a, c and d are not the identity, and one needing no central involution."""
+    rows = [list(r) for r in rows]
+    for b in range(1, len(rows)):
+        d = rows[a].index(rows[b][c])
+        if b != a and 0 != d != c and rows[b][d] == rows[a][c]:
+            for r in (a, b):
+                rows[r][c], rows[r][d] = rows[r][d], rows[r][c]
+            return rows
+    raise ValueError(f"no intercalate on row {a} and column {c}")
+
+
+def left_zero(n: int, x0: int, row: Sequence[int], transpose: bool = False) -> LoopTable:
+    """Not a loop: a*b = a, except that row x0 is `row` (or the transpose).
+    Both sweep widths read only the entries, so failures can be placed at
+    any x, also the first and the last, which a loop's identity forbids."""
+    rows = [[a] * n for a in range(n)]
+    rows[x0] = list(row)
+    return LoopTable(list(zip(*rows)) if transpose else rows, validate=False)
+
+
+def reports_by_width(t) -> Tuple[Dict[str, IdentityReport], Dict[str, IdentityReport]]:
+    """assoc and m1-m3 swept per pair on tuples, and per x on bytes."""
+    return tuple(
+        {**_reports(t, sweep, assoc(t), _assoc_values), **_reports(t, sweep, moufang(t), moufang_values)}
+        for sweep, assoc, moufang in (
+            (_sweep, _assoc_pairs, _moufang_pairs),
+            (_block_sweep, _assoc_blocks, _moufang_blocks),
+        )
+    )
+
+
+def dispatched(t) -> Dict[str, IdentityReport]:
+    return {"assoc": is_associative(t), **is_moufang(t)}
+
+
+def reference_reports(t) -> Dict[str, IdentityReport]:
+    return {"assoc": reference_is_associative(t), **reference_is_moufang(t)}
+
+
 def assert_same_loop(new: LoopTable, ref: LoopTable) -> None:
     assert (new.product, new.labels, new.rinv) == (ref.product, ref.labels, ref.rinv)
     assert (new.group_order, new.group_generators) == (ref.group_order, ref.group_generators)
@@ -221,6 +275,100 @@ def test_identity_reports_match_per_triple_sweeps_b3_loop():
     assert is_moufang(t) == reference_is_moufang(t)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["H3", "A4"])
+def test_block_sweeps_match_per_triple_sweeps_at_loop_order_240(name):
+    t = chein_loop(GROUPS[name])
+    assert t.order == 240
+    assert is_moufang(t) == reference_is_moufang(t)
+    assert "byte_views" in vars(t)
+
+
+# ---------------------------------------------------------------------------
+# the width boundary: bytes up to order 256, tuples past it
+
+
+def holds(n: int) -> Dict[str, IdentityReport]:
+    return {name: IdentityReport(name, True, n**3, None, None) for name in ("assoc",) + MOUFANG_NAMES}
+
+
+# the first failing triples, placed at the first and the last x and at z = n - 1
+LAST = 255
+PLACED = [
+    (left_zero(3, 0, [2, 2, 0]), {"assoc": (0, 0, 0), "m1": (0, 1, 0), "m2": (0, 0, 2), "m3": (0, 0, 0)}),
+    (left_zero(3, 2, [2, 2, 0], transpose=True), {"assoc": (2, 0, 2), "m1": (2, 0, 0), "m2": (0, 2, 2), "m3": (2, 0, 0)}),
+    (
+        left_zero(256, 0, [0] * LAST + [LAST]),
+        {"assoc": (0, 1, LAST), "m1": (1, LAST, 0), "m2": (0, 1, LAST), "m3": (0, 1, LAST)},
+    ),
+    (
+        left_zero(256, LAST, [LAST] * LAST + [0]),
+        {"assoc": (LAST, 0, LAST), "m1": (0, LAST, LAST), "m2": (LAST, 0, 0), "m3": (LAST, 0, 0)},
+    ),
+    (
+        left_zero(256, LAST, [LAST] * LAST + [0], transpose=True),
+        {"assoc": (LAST, 0, LAST), "m1": (LAST, 0, 0), "m2": (0, LAST, LAST), "m3": (LAST, 0, 0)},
+    ),
+]
+
+
+@pytest.mark.parametrize("k", range(len(PLACED)))
+def test_widths_agree_on_placed_failures(k):
+    t, first = PLACED[k]
+    by_pairs, by_blocks = reports_by_width(t)
+    assert by_blocks == by_pairs
+    assert {name: r.counterexample for name, r in by_blocks.items()} == first
+    assert dispatched(t) == by_blocks
+    if t.order < 256:
+        assert by_blocks == reference_reports(t)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0]],
+        cyclic(2).product,
+        chein_loop(cyclic(1)).product,
+        chein_loop(cyclic(2)).product,
+        swap_intercalate(chein_loop(dihedral(64)), 32, 1, 1),
+        swap_intercalate(chein_loop(dihedral(64)), 32, 255, 255),
+        swap_first_intercalate(chein_loop(dihedral(64)).product, 255, 255),
+    ],
+    ids=["order_1", "order_2", "double_1", "double_2", "double_d64_swapped_first",
+         "double_d64_swapped_last", "double_d64_swapped_corner"],
+)
+def test_widths_agree_up_to_order_256(rows):
+    t = LoopTable(rows)
+    reports = dispatched(t)
+    assert "byte_views" in vars(t)  # the sweeps ran on bytes
+    assert reports_by_width(t) == (reports, reports)
+    assert reports == reference_reports(t)
+
+
+def test_widths_agree_on_cyclic_256():
+    # every identity holds, over 256^3 triples: too many for the reference
+    t = LoopTable(cyclic(256).product)
+    reports = dispatched(t)
+    assert "byte_views" in vars(t)
+    assert reports_by_width(t) == (reports, reports)
+    assert reports == holds(256)
+
+
+def test_per_pair_width_past_order_256():
+    # entries past 255 do not fit in a byte: the sweeps stay on tuples
+    t = LoopTable(cyclic(257).product)
+    assert dispatched(t) == holds(257)
+    assert "byte_views" not in vars(t)
+    with pytest.raises(ValueError):
+        t.byte_views
+    swapped = LoopTable(swap_first_intercalate(chein_loop(dihedral(65)).product, 1, 1))
+    assert swapped.order == 260
+    reports = dispatched(swapped)
+    assert reports == reference_reports(swapped)
+    assert not any(r.holds for r in reports.values())
+    assert "byte_views" not in vars(swapped)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B3", "I2_5", "A1xB2"])
 def test_homomorphism_check_matches_on_loop_automorphisms(name):
     t = chein_loop(GROUPS[name])
@@ -268,8 +416,10 @@ def swapped_loops(draw):
 def test_relabelled_chein_loops_match(g):
     new, ref = chein_loop(g), reference_chein_loop(g)
     assert_same_loop(new, ref)
-    assert is_moufang(new) == reference_is_moufang(ref)
-    assert is_associative(new) == reference_is_associative(ref)
+    reports = dispatched(new)
+    assert reports == reference_reports(ref)
+    assert reports_by_width(new) == (reports, reports)
+    assert reports_by_width(g) == (dispatched(g),) * 2
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -279,16 +429,29 @@ def test_relabelled_loops_match(g, data):
     t = chein_loop(g)
     perm = [0] + data.draw(st.permutations(range(1, t.order)))
     rel = LoopTable(relabel_rows(t.product, perm))
-    assert is_moufang(rel) == reference_is_moufang(rel)
-    assert is_associative(rel) == reference_is_associative(rel)
+    reports = dispatched(rel)
+    assert reports == reference_reports(rel)
+    assert reports_by_width(rel) == (reports, reports)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(swapped_loops())
 def test_non_moufang_loops_match(rows):
     t = LoopTable(rows)
-    assert is_moufang(t) == reference_is_moufang(t)
-    assert is_associative(t) == reference_is_associative(t)
+    reports = dispatched(t)
+    assert reports == reference_reports(t)
+    assert reports_by_width(t) == (reports, reports)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.integers(0, n - 1), st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.booleans())
+))
+def test_widths_agree_on_placed_rows(case):
+    x0, row, transpose = case
+    t = left_zero(len(row), x0, row, transpose)
+    by_pairs, by_blocks = reports_by_width(t)
+    assert by_pairs == by_blocks == reference_reports(t)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
