@@ -60,12 +60,12 @@ from .coxeter import (
 )
 from .errors import CheckError, FormatError, ResourceLimitError
 from .graphs import Graph
-from .groups import GroupTable, IdentityReport, is_associative, loop_axiom_failures, subgroup_table
+from .groups import GroupTable, IdentityReport, is_associative, loop_axiom_failures
 from .loops import LoopTable, chein_loop, is_moufang, verify_doubling_identities
 from .morphisms import (
     automorphism_group,
     classify_trichotomy,
-    verify_doubled_dihedral_automorphisms,
+    verify_dihedral_decomposition_automorphisms,
     verify_semidirect_automorphisms,
 )
 
@@ -494,8 +494,7 @@ def _theorem_checks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
             )
         )
     else:
-        h = subgroup_table(g, tri.decomposition[0])
-        rep = verify_doubled_dihedral_automorphisms(h, budget=budget)
+        rep = verify_dihedral_decomposition_automorphisms(g, tri.decomposition, budget=budget)
         checks.append(
             _check(
                 "aut_of_doubled_dihedral",

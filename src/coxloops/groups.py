@@ -12,8 +12,9 @@ validated construction: `loop_axiom_failures` for every table, and
 
 `compose` is the one permutation-composition kernel of the package: table
 rows and columns are maps on 0..n-1, and the table build, the doubling,
-the cubic identity sweeps and the homomorphism checks all work by
-composing whole rows at C speed instead of looking up one entry at a time.
+the cubic identity sweeps, the homomorphism checks, subloop `closure` and
+the propagation step of the `Aut` search all work by composing or
+gathering whole rows at C speed instead of looking up one entry at a time.
 The kernel has two widths.  Tuples compose with `operator.itemgetter`,
 about 10 ns an entry.  When a table's order is at most 256 every entry
 fits in a byte, and its byte views (`_ByteViews`, built once per table)
@@ -244,7 +245,7 @@ class _Table:
     groups and Moufang loops), and a `memo` that keeps what `chein_loop`
     and `automorphism_group` compute from the table while it lives.
     `validate` runs `_certify`: the loop axioms, and more in a subclass.
-    `rinv` and `byte_views` are built on first use.
+    `rinv`, `columns` and `byte_views` are built on first use.
     """
 
     label_prefix = "x"
@@ -266,6 +267,11 @@ class _Table:
         # `chein_loop` and the two the CLI certifies itself) have Latin
         # rows, so every row holds 0
         return tuple(row.index(0) for row in self.product)
+
+    @cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        # columns[b][a] = a*b, the right translation R_b as a tuple
+        return tuple(zip(*self.product))
 
     @cached_property
     def byte_views(self) -> _ByteViews:
@@ -458,25 +464,32 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable(rows, labels=labels)
 
 
-def closure(g, subset: Iterable[int]) -> Tuple[int, ...]:
+def closure(g: _Table, subset: Iterable[int]) -> Tuple[int, ...]:
     """Subgroup (or subloop) generated by `subset`, as a sorted element tuple.
 
-    Only `g.product` is read, so `g` may be a group or a loop table.  In a
-    finite loop, closure under multiplication is enough: translations
-    restrict to bijections of the closed set, so divisions and the identity
-    come along automatically.
+    `g` may be a group or a loop table.  In a finite loop, closure under
+    multiplication is enough: translations restrict to bijections of the
+    closed set, so divisions and the identity come along automatically.
+
+    Each element taken from the queue is multiplied on both sides by every
+    element taken so far, itself included, as two gathers: its row and its
+    column at those elements.  So every pair of taken elements is
+    multiplied both ways, and once the queue runs dry the set is closed.
     """
-    seen = {0} | set(subset)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (g.product[a][b], g.product[b][a]):
-                    if c not in seen:
-                        seen.add(c)
-                        new.append(c)
-        frontier = new
+    p, cols = g.product, g.columns
+    seen = {0, *subset}
+    queue = list(seen)
+    done: List[int] = []
+    while queue:
+        a = queue.pop()
+        done.append(a)
+        at_done = composer(done)
+        for line in (p[a], cols[a]):
+            products = at_done(line)
+            if not seen.issuperset(products):
+                new = set(products).difference(seen)
+                seen |= new
+                queue.extend(new)
     return tuple(sorted(seen))
 
 

@@ -5,21 +5,23 @@ Aut(M(G, 2)).
 of a greedy generating set g1..gk, deepest level first.  Assigning an image
 to one more generator forces images of everything it generates, and every
 forced pair is checked against the table, so a completed assignment is an
-automorphism by construction.  Candidate images are filtered by cheap
-isomorphism invariants and pruned by orbits: an image already reached by
-the automorphisms found so far, or in the orbit of a refuted image, is not
-tried again.  The search stays exhaustive, since every other candidate is
-either completed or refuted.  The result, `AutGroup`, is a base and
-strong generating set (Seress, *Permutation Group Algorithms*, 2003,
-ch. 4): the generators g1..gk as base, the search's leaves as strong
-generators, and one transversal per level.  Its order is the product of
-the transversal sizes, membership sifts an image tuple through the levels,
-and the |Aut| image tuples themselves are listed only on demand.  A
-`budget` caps the number of candidate assignments tried
-(`AutGroup.nodes`), and raising past it is a hard error, never a silent
-truncation.  The result is memoized on the table it was computed from
-(`memo["aut"]`), so it lives exactly as long as that table; a memo hit
-honours the budget too.
+automorphism by construction.  The checks run on whole rows: each newly
+forced element's row and column, gathered at the known elements, against
+the row and column of its image, gathered at their images.  Candidate
+images are filtered by cheap isomorphism invariants and pruned by orbits:
+an image already reached by the automorphisms found so far, or in the
+orbit of a refuted image, is not tried again.  The search stays
+exhaustive, since every other candidate is either completed or refuted.
+The result, `AutGroup`, is a base and strong generating set (Seress,
+*Permutation Group Algorithms*, 2003, ch. 4): the generators g1..gk as
+base, the search's leaves as strong generators, and one transversal per
+level.  Its order is the product of the transversal sizes, membership
+sifts an image tuple through the levels, and the |Aut| image tuples
+themselves are listed only on demand.  A `budget` caps the number of
+candidate assignments tried (`AutGroup.nodes`), and raising past it is a
+hard error, never a silent truncation.  The result is memoized on the
+table it was computed from (`memo["aut"]`), so it lives exactly as long
+as that table; a memo hit honours the budget too.
 
 The two structure theorems verified here describe Aut(L) for L = M(G, 2):
 
@@ -41,10 +43,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import eq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CheckError, ResourceLimitError
-from .groups import GroupTable, closure, compose, composer
+from .groups import GroupTable, closure, compose, composer, subgroup_table
 from .loops import LoopTable, chein_loop, subloop_closure
 
 __all__ = [
@@ -65,6 +68,7 @@ __all__ = [
     "DoubledDihedralAutReport",
     "verify_semidirect_automorphisms",
     "verify_doubled_dihedral_automorphisms",
+    "verify_dihedral_decomposition_automorphisms",
 ]
 
 
@@ -130,12 +134,12 @@ def generating_set(t) -> Tuple[int, ...]:
 def _profiles(t) -> List[Tuple]:
     """Cheap per-element isomorphism invariants used to prune the search."""
     n = t.order
-    p = t.product
+    p, cols = t.product, t.columns
     orders = [t.element_order(x) for x in range(n)]
     sq_roots = [0] * n
     for y in range(n):
         sq_roots[p[y][y]] += 1
-    commuting = [sum(1 for y in range(n) if p[x][y] == p[y][x]) for x in range(n)]
+    commuting = [sum(map(eq, p[x], cols[x])) for x in range(n)]
     return [(orders[x], sq_roots[x], commuting[x]) for x in range(n)]
 
 
@@ -250,6 +254,17 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
     transversal element per level, each automorphism exactly once; these
     levels are the returned `AutGroup`.
 
+    `extend` propagates on whole rows.  For each newly forced x it gathers
+    x*y and y*x over the known y (row x and column x at them, one
+    `composer(known)`), and f(x)*f(y) and f(y)*f(x) the same way from the
+    row and column of f(x) at the known images.  When the current images
+    of the products equal the forced ones as whole tuples there is nothing
+    to do; otherwise it walks the pairs, assigning new images or returning
+    None on a conflict.  Every pair of known elements is checked in both
+    orders, so `extend` accepts exactly when the partial map extends to an
+    injective homomorphism on the subloop its domain generates, whatever
+    order the checks run in.
+
     `nodes` counts the candidate assignments tried, i.e. the `extend`
     calls, including the k that fix g1..gk to themselves.  More than
     `budget` of them raise ResourceLimitError: the search is never silently
@@ -267,7 +282,7 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
             raise _budget_error(budget)
         return cached
     n = t.order
-    p = t.product
+    p, cols = t.product, t.columns
     gens = generating_set(t)
     prof = _profiles(t)
     candidates: Dict[int, List[int]] = {
@@ -281,11 +296,11 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
         nodes += 1
         if nodes > budget:
             raise _budget_error(budget)
+        if used[b]:
+            return None
         images = images[:]
         used = used[:]
         known = known[:]
-        if used[b]:
-            return None
         images[a] = b
         used[b] = True
         known.append(a)
@@ -293,19 +308,24 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
         while queue:
             x = queue.pop()
             ix = images[x]
-            for y in list(known):
-                iy = images[y]
-                for s, u, is_, iu in ((x, y, ix, iy), (y, x, iy, ix)):
-                    z = p[s][u]
-                    iz = p[is_][iu]
-                    if images[z] < 0:
+            # x*y and y*x for every known y, and the images they are forced to
+            at_known = composer(known)
+            at_images = composer(at_known(images))
+            for line, image_line in ((p[x], p[ix]), (cols[x], cols[ix])):
+                zs = at_known(line)
+                izs = at_images(image_line)
+                if composer(zs)(images) == izs:
+                    continue
+                for z, iz in zip(zs, izs):
+                    current = images[z]
+                    if current < 0:
                         if used[iz]:
                             return None
                         images[z] = iz
                         used[iz] = True
                         known.append(z)
                         queue.append(z)
-                    elif images[z] != iz:
+                    elif current != iz:
                         return None
         return images, used, known
 
@@ -599,35 +619,45 @@ class DoubledDihedralAutReport(NamedTuple):
         )
 
 
-def _doubled_coords(h_order: int, h_inv: Sequence[int], x: int):
-    """Coordinates (h, c) of x in L = M(M(H,2),2), c in 0..3.
-
-    The four cosets of H in L are H, H*u1, H*u2, H*u3 with u1 the doubling
-    involution of G = M(H,2) and u2 that of L; u3 = u1*u2.  Indexwise:
-    c=0: x = h; c=1: x = |H| + h (h*u1); c=2: x = 2|H| + h (h*u2);
-    c=3: x = 3|H| + h^-1 (h*u3), the inversion coming from h*u3 = (h^-1*u1)*u2.
-    """
-    c, r = divmod(x, h_order)
-    return (h_inv[r] if c == 3 else r, c)
-
-
-def _doubled_elem(h_order: int, h_inv: Sequence[int], h: int, c: int) -> int:
-    return c * h_order + (h_inv[h] if c == 3 else h)
-
-
 def verify_doubled_dihedral_automorphisms(
     h: GroupTable, budget: int = 10_000_000
 ) -> DoubledDihedralAutReport:
     """Certify the automorphism structure of L = M(M(H,2),2), for an
-    abelian group H with an element of order > 2, by counting.
+    abelian group H with an element of order > 2, by counting:
+    `verify_dihedral_decomposition_automorphisms` on G = M(H,2) with its
+    canonical decomposition, H = 0..|H|-1 and u1 = |H|."""
+    if not h.is_abelian():
+        raise CheckError("H must be abelian")
+    g_loop = chein_loop(h)  # associative since H is abelian
+    g = GroupTable(g_loop.product, labels=g_loop.labels, validate=True)
+    return verify_dihedral_decomposition_automorphisms(g, (tuple(range(h.order)), h.order), budget)
 
-    The constructed automorphisms are:
-    - rescalings f_{h1,h2}: fix H, multiply the H*u1 coset by h1 and the
-      H*u2 coset by h2 (the H*u3 coset then picks up (h1*h2)^-1);
-    - sigma1 = translation by u1, sigma2 = the swap of u1 and u3 fixing
-      H and H*u2 pointwise up to inversion; together they generate the S3
-      permuting u1, u2, u3;
-    - lifts of Aut(H) applied on both doubling levels.
+
+def verify_dihedral_decomposition_automorphisms(
+    g: GroupTable, decomposition: Tuple[Sequence[int], int], budget: int = 10_000_000
+) -> DoubledDihedralAutReport:
+    """Certify the automorphism structure of L = M(G,2) by counting, for G
+    with a generalized dihedral decomposition (H, u1) as found by
+    `dihedral_decomposition`: G = M(H,2) for the abelian index-2 subgroup H
+    (sorted elements of G), which must have an element of order > 2, and
+    the involution u1 outside it.
+
+    The four cosets of H in L are H, H*u1, H*u2, H*u3, with u2 the doubling
+    involution of L and u3 = u1*u2.  So every x in L is h*uc for exactly
+    one h in H and c in 0..3 (u0 = e), its coordinates (h, c).  They are
+    read from `coset`, built from the products of L: coset[c][k] = hk*uc
+    for the k-th element hk of H.  That `coset` lists every element of L
+    once is certified (CheckError, also under `python -O`).
+
+    The constructed automorphisms, in coordinates, are:
+    - rescalings f_{h1,h2}: (h, c) -> (h*s_c, c) with s = (e, h1, h2,
+      (h1*h2)^-1): fix H, multiply the H*u1 coset by h1, the H*u2 coset by
+      h2 and the H*u3 coset by (h1*h2)^-1;
+    - sigma1 = translation by u1, sigma2: (h, c) -> (h, (0, 3, 2, 1)[c]),
+      which swaps u1 and u3; together they generate the S3 permuting u1,
+      u2, u3;
+    - lifts of psi in Aut(H) applied on both doubling levels: (h, c) ->
+      (psi(h), c).
 
     With S_H = generating_set(H) (the base of Aut(H)) and the strong
     generators of Aut(H), every statement the count rests on is checked:
@@ -636,25 +666,28 @@ def verify_doubled_dihedral_automorphisms(
       automorphisms for s in S_H, and f_{s,e} o f_{h1,h2} ==
       f_{s*h1,h2} (likewise for f_{e,s}) for every h1, h2.  So N = {f} is
       a group of automorphisms isomorphic to H x H.  f_{h1,h2} maps u1 to
-      h1*u1, u2 to h2*u2 and u3 to (h1*h2)*u3, so the rescalings are
+      h1*u1, u2 to h2*u2 and u3 to (h1*h2)^-1*u3, so the rescalings are
       distinct and each keeps u1, u2, u3 in their cosets.
     - symmetric_ok: sigma1 and sigma2 are automorphisms and do not commute,
       and the group S they generate has 6 elements.
-    - lifts_ok: h*u1 is the element |H| + h and y*u2 is |G| + y for h in H
-      and y in G = M(H,2), so an automorphism is fixed by its values on H,
-      u1 and u2.  The double lift of each strong generator a is an
-      automorphism that fixes u1 and u2 and agrees with a on H; as in
-      `verify_semidirect_automorphisms`, the group these lifts generate is
-      then A = {double lift of psi : psi in Aut(H)}, |Aut(H)| automorphisms
-      fixing u1, u2 and u3 = u1*u2.
+    - lifts_ok: every element of L is h*uc and u3 = u1*u2, so an
+      automorphism is fixed by its values on H, u1 and u2.  The double lift
+      of each strong generator a is an automorphism that fixes u1 and u2
+      and agrees with a on H; as in `verify_semidirect_automorphisms`, the
+      group these lifts generate is then A = {double lift of psi : psi in
+      Aut(H)}, |Aut(H)| automorphisms fixing u1, u2 and u3.
     - set_matches: also S permutes {u1, u2, u3}, and its six elements
       differ on (u1, u2).  Then f o sigma o a == f' o sigma' o a' forces
       sigma == sigma' (the cosets of the images of u1 and u2 name
       sigma(u1) and sigma(u2)), then f'^-1 o f == sigma o a' o a^-1 o
       sigma^-1, which fixes u1 and u2, so f == f' and a == a'.  The
       products are |H|^2·6·|Aut(H)| distinct automorphisms, all of
-      Aut(L) exactly when that count is the order of the complete search.
+      Aut(L) exactly when that count is the order of the complete search,
+      `automorphism_group(chein_loop(g))`, which the caller may already
+      hold in the loop's memo.
     """
+    elements, u1 = decomposition
+    h = subgroup_table(g, elements)
     if not h.is_abelian():
         raise CheckError("H must be abelian")
     witness = next(
@@ -663,16 +696,18 @@ def verify_doubled_dihedral_automorphisms(
     if witness is None:
         raise CheckError("H must contain an element of order > 2")
 
-    g_loop = chein_loop(h)  # associative since H is abelian
-    g = GroupTable(g_loop.product, labels=g_loop.labels, validate=True)
     t = chein_loop(g)
-    nh, ng = h.order, g.order
+    nh = h.order
+    hs = tuple(sorted(set(elements)))  # hs[k] is element k of `h`
     hp, hinv = h.product, h.inverse
     p = t.product
-    u1, u2 = nh, ng
+    u2 = g.order
     u3 = p[u1][u2]
-    if u3 != ng + nh:
-        raise CheckError(f"u1*u2 is {u3}, not the coset element {ng + nh}")
+    coset = [tuple(p[x][uc] for x in hs) for uc in (0, u1, u2, u3)]
+    where = {x: (k, c) for c, line in enumerate(coset) for k, x in enumerate(line)}
+    if len(where) != t.order:
+        raise CheckError("H, H*u1, H*u2 and H*u3 do not partition the loop")
+    coords = [where[x] for x in range(t.order)]
 
     klein = {0, u1, u2, u3}
     klein_ok = (
@@ -683,16 +718,13 @@ def verify_doubled_dihedral_automorphisms(
         and p[u1][u2] == p[u2][u1] == u3
     )
 
-    centralizer = [x for x in range(t.order) if p[x][witness] == p[witness][x]]
-    centralizer_ok = centralizer == list(range(nh))
+    w = hs[witness]
+    centralizer = [x for x in range(t.order) if p[x][w] == p[w][x]]
+    centralizer_ok = centralizer == list(hs)
 
     def rescaling(h1: int, h2: int) -> Tuple[int, ...]:
         shift = (0, h1, h2, hinv[hp[h1][h2]])
-        images = []
-        for x in range(t.order):
-            hh, c = _doubled_coords(nh, hinv, x)
-            images.append(_doubled_elem(nh, hinv, hp[hh][shift[c]], c))
-        return tuple(images)
+        return tuple(coset[c][hp[k][shift[c]]] for k, c in coords)
 
     aut_h = automorphism_group(h, budget=budget)
     identity = tuple(range(t.order))
@@ -701,7 +733,7 @@ def verify_doubled_dihedral_automorphisms(
     rescalings_ok = (
         rescalings[(0, 0)] == identity
         and all(
-            (f[u1], f[u2], f[u3]) == (u1 + a, u2 + b, u3 + hp[a][b])
+            (f[u1], f[u2], f[u3]) == (coset[1][a], coset[2][b], coset[3][hinv[hp[a][b]]])
             for (a, b), f in rescalings.items()
         )
         and all(is_automorphism(t, rescalings[st]) for st in steps)
@@ -714,11 +746,7 @@ def verify_doubled_dihedral_automorphisms(
     )
 
     sigma1 = translation_automorphism(t, u1).images
-    sigma2_images = []
-    for x in range(t.order):
-        hh, c = _doubled_coords(nh, hinv, x)
-        sigma2_images.append(_doubled_elem(nh, hinv, hh, (0, 3, 2, 1)[c]))
-    sigma2 = tuple(sigma2_images)
+    sigma2 = tuple(coset[(0, 3, 2, 1)[c]][k] for k, c in coords)
     symmetric = {identity}
     frontier = [identity]
     while frontier:
@@ -740,17 +768,10 @@ def verify_doubled_dihedral_automorphisms(
         {(s[u1], s[u2]) for s in symmetric}
     ) == len(symmetric)
 
-    lifts = {}
-    for a in aut_h.strong_generators:
-        psi_g = lifted_automorphism(g_loop, a).images
-        lifts[a] = lifted_automorphism(t, psi_g).images
-    lifts_ok = (
-        all(p[x][u1] == nh + x for x in range(nh))
-        and all(p[y][u2] == ng + y for y in range(ng))
-        and all(
-            f[u1] == u1 and f[u2] == u2 and f[:nh] == a and is_automorphism(t, f)
-            for a, f in lifts.items()
-        )
+    lifts = {a: tuple(coset[c][a[k]] for k, c in coords) for a in aut_h.strong_generators}
+    lifts_ok = all(
+        f[u1] == u1 and f[u2] == u2 and compose(f, hs) == compose(hs, a) and is_automorphism(t, f)
+        for a, f in lifts.items()
     )
 
     aut_l = automorphism_group(t, budget=budget)
@@ -762,7 +783,7 @@ def verify_doubled_dihedral_automorphisms(
         expected_order=expected,
         klein_ok=klein_ok,
         centralizer_ok=centralizer_ok,
-        centralizer_witness=witness,
+        centralizer_witness=w,
         rescalings_ok=rescalings_ok,
         symmetric_ok=symmetric_ok,
         lifts_ok=lifts_ok,

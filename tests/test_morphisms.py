@@ -3,6 +3,8 @@
 Frozen values: |Aut| for the corpus loops (168 for the elementary abelian
 order-8 loop, 108 for M(S3,2), 192 for M(D4,2) and M(Q8,2)), canonical
 dihedral decompositions, and the full trichotomy over sixteen small groups.
+At the `Aut` frontier (`-m slow`), |Aut| and the search's node count for
+W and M(W, 2) with W = A5 and F4 (loop orders 1440 and 2304).
 """
 
 import gc
@@ -11,6 +13,7 @@ import sys
 
 import pytest
 
+from coxloops.coxeter import diagram_a, diagram_f4, diagram_i2, enumerate_group
 from coxloops.errors import ResourceLimitError
 from coxloops.groups import (
     alternating4,
@@ -19,6 +22,7 @@ from coxloops.groups import (
     direct_product,
     klein4,
     quaternion,
+    subgroup_table,
     symmetric3,
 )
 from coxloops.loops import chein_loop
@@ -35,6 +39,7 @@ from coxloops.morphisms import (
     is_homomorphism,
     lifted_automorphism,
     translation_automorphism,
+    verify_dihedral_decomposition_automorphisms,
     verify_doubled_dihedral_automorphisms,
     verify_semidirect_automorphisms,
 )
@@ -108,6 +113,25 @@ LOOP_AUT_ORDERS = [
 def test_loop_aut_orders_frozen(name, loop, expected):
     aut = automorphism_group(loop)
     assert aut.order == expected
+
+
+# name, diagram, (|Aut W|, nodes), (|Aut M(W, 2)|, nodes)
+AUT_FRONTIER = [
+    ("A5", diagram_a(5), (1440, 204), (1036800, 216)),
+    ("F4", diagram_f4(), (4608, 143), (5308416, 155)),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name,diagram,group_aut,loop_aut", AUT_FRONTIER, ids=[r[0] for r in AUT_FRONTIER]
+)
+def test_aut_frontier_frozen(name, diagram, group_aut, loop_aut):
+    g = enumerate_group(diagram)
+    aut = automorphism_group(g)
+    assert (aut.order, aut.nodes) == group_aut
+    aut = automorphism_group(chein_loop(g))
+    assert (aut.order, aut.nodes) == loop_aut
 
 
 def test_aut_group_closed_under_composition_and_inverse():
@@ -229,6 +253,28 @@ def test_doubled_dihedral_theorem_case3():
     assert rep4.aut_order == 192 and rep4.loop_order == 16
 
 
+DECOMPOSED = [
+    ("d6", dihedral(6)),
+    ("i2_8", enumerate_group(diagram_i2(8))),
+    ("d4_x_z2", direct_product(dihedral(4), cyclic(2))),
+]
+
+
+@pytest.mark.parametrize("name,group", DECOMPOSED, ids=[r[0] for r in DECOMPOSED])
+def test_doubled_dihedral_theorem_on_the_groups_own_decomposition(name, group):
+    # the theorem read in the caller's labels reuses the loop's search and
+    # agrees with the canonical M(M(H, 2), 2) built from H
+    elements, u1 = dec = dihedral_decomposition(group)
+    aut = automorphism_group(chein_loop(group))
+    rep = verify_dihedral_decomposition_automorphisms(group, dec)
+    canonical = verify_doubled_dihedral_automorphisms(subgroup_table(group, elements))
+    assert rep.ok and canonical.ok
+    assert rep.nodes == aut.nodes
+    assert rep.centralizer_witness == elements[canonical.centralizer_witness]
+    unlabelled = dict(centralizer_witness=0, nodes=0)
+    assert rep._replace(**unlabelled) == canonical._replace(**unlabelled)
+
+
 def test_doubled_dihedral_rejects_bad_h():
     with pytest.raises(AssertionError):
         verify_doubled_dihedral_automorphisms(symmetric3())  # not abelian
@@ -251,17 +297,21 @@ def test_aut_memo_lives_as_long_as_its_table():
 
 
 def test_argument_checks_raise_under_optimize():
-    # a non-injective parabolic embedding and a non-abelian H must be
-    # refused even with asserts stripped by -O
+    # a non-injective parabolic embedding, a non-abelian H and a
+    # decomposition whose involution lies in H must be refused even with
+    # asserts stripped by -O
     code = "\n".join([
         "from coxloops.coxeter import diagram_a, embed_parabolic, enumerate_group",
         "from coxloops.errors import CheckError",
         "from coxloops.groups import symmetric3",
-        "from coxloops.morphisms import verify_doubled_dihedral_automorphisms",
+        "from coxloops.groups import dihedral",
+        "from coxloops.morphisms import (",
+        "    verify_dihedral_decomposition_automorphisms, verify_doubled_dihedral_automorphisms)",
         "a2 = enumerate_group(diagram_a(2))",
         "for call in (",
         "    lambda: embed_parabolic(a2, [0, 0], a2),",
         "    lambda: verify_doubled_dihedral_automorphisms(symmetric3()),",
+        "    lambda: verify_dihedral_decomposition_automorphisms(dihedral(6), (range(6), 1)),",
         "):",
         "    try:",
         "        call()",
@@ -279,4 +329,5 @@ def test_argument_checks_raise_under_optimize():
     assert proc.stdout.splitlines() == [
         "False CheckError parabolic embedding must be injective",
         "False CheckError H must be abelian",
+        "False CheckError H, H*u1, H*u2 and H*u3 do not partition the loop",
     ]

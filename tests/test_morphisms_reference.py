@@ -9,16 +9,24 @@ product and answered membership from the set of them, and a scan of the
 whole subgroup lattice.  They must give identical results on the
 trichotomy corpus, on the tables of `test_morphisms.py`, on the order-240
 loops of H3 and A4, and on relabelled small groups and their Chein loops.
+
+The level search itself, and the subloop closure, are also kept as they
+were before their propagation ran on whole rows: one product per pair of
+elements, in both orders (`reference_automorphism_group`,
+`reference_closure`, with the profiles and generating set they used).  The
+row gathers must reproduce them exactly: the same base, strong generators,
+transversals and node count, and the same closures.
 """
 
 import math
 import subprocess
 import sys
 from itertools import combinations, islice
-from typing import List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxloops.coxeter import diagram_a, diagram_h, diagram_i2, enumerate_group
@@ -27,6 +35,7 @@ from coxloops.groups import (
     GroupTable,
     all_subgroups,
     alternating4,
+    closure,
     cyclic,
     dihedral,
     direct_product,
@@ -34,14 +43,43 @@ from coxloops.groups import (
     quaternion,
     symmetric3,
 )
-from coxloops.loops import chein_loop
+from coxloops.loops import LoopTable, chein_loop
 from coxloops.morphisms import (
+    _close_orbit,
     _profiles,
     automorphism_group,
     dihedral_decomposition,
     generating_set,
     verify_semidirect_automorphisms,
 )
+
+
+def reference_extend(p, images, used, known, a, b):
+    """Set images[a] = b and propagate: every forced product, one pair at a
+    time, each new element against every known one in both orders; None
+    on a conflict."""
+    images, used, known = images[:], used[:], known[:]
+    if used[b]:
+        return None
+    images[a] = b
+    used[b] = True
+    known.append(a)
+    queue = [a]
+    while queue:
+        x = queue.pop()
+        for y in list(known):
+            for s, u in ((x, y), (y, x)):
+                z, iz = p[s][u], p[images[s]][images[u]]
+                if images[z] < 0:
+                    if used[iz]:
+                        return None
+                    images[z] = iz
+                    used[iz] = True
+                    known.append(z)
+                    queue.append(z)
+                elif images[z] != iz:
+                    return None
+    return images, used, known
 
 
 def reference_automorphisms(t) -> Tuple[Tuple[int, ...], ...]:
@@ -52,30 +90,6 @@ def reference_automorphisms(t) -> Tuple[Tuple[int, ...], ...]:
     prof = _profiles(t)
     found: List[Tuple[int, ...]] = []
 
-    def extend(images, used, known, a, b):
-        images, used, known = images[:], used[:], known[:]
-        if used[b]:
-            return None
-        images[a] = b
-        used[b] = True
-        known.append(a)
-        queue = [a]
-        while queue:
-            x = queue.pop()
-            for y in list(known):
-                for s, u in ((x, y), (y, x)):
-                    z, iz = p[s][u], p[images[s]][images[u]]
-                    if images[z] < 0:
-                        if used[iz]:
-                            return None
-                        images[z] = iz
-                        used[iz] = True
-                        known.append(z)
-                        queue.append(z)
-                    elif images[z] != iz:
-                        return None
-        return images, used, known
-
     def dfs(idx, images, used, known):
         if idx == len(gens):
             assert min(images) >= 0
@@ -84,12 +98,110 @@ def reference_automorphisms(t) -> Tuple[Tuple[int, ...], ...]:
         g = gens[idx]
         for b in range(n):
             if prof[b] == prof[g]:
-                r = extend(images, used, known, g, b)
+                r = reference_extend(p, images, used, known, g, b)
                 if r is not None:
                     dfs(idx + 1, *r)
 
     dfs(0, [0] + [-1] * (n - 1), [True] + [False] * (n - 1), [0])
     return tuple(sorted(found))
+
+
+def reference_closure(t, subset) -> Tuple[int, ...]:
+    """The subloop generated by `subset`, one product at a time: every
+    element of each new frontier times every element seen, both ways."""
+    seen = {0} | set(subset)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(seen):
+                for c in (t.product[a][b], t.product[b][a]):
+                    if c not in seen:
+                        seen.add(c)
+                        new.append(c)
+        frontier = new
+    return tuple(sorted(seen))
+
+
+def reference_profiles(t) -> List[Tuple]:
+    n, p = t.order, t.product
+    sq_roots = [0] * n
+    for y in range(n):
+        sq_roots[p[y][y]] += 1
+    commuting = [sum(1 for y in range(n) if p[x][y] == p[y][x]) for x in range(n)]
+    return [(t.element_order(x), sq_roots[x], commuting[x]) for x in range(n)]
+
+
+def reference_generating_set(t) -> Tuple[int, ...]:
+    gens: List[int] = []
+    have = {0}
+    while len(have) < t.order:
+        gens.append(min(set(range(t.order)) - have))
+        have = set(reference_closure(t, gens))
+    return tuple(gens)
+
+
+def reference_automorphism_group(t):
+    """The level search of `automorphism_group` propagating through
+    `reference_extend`; no budget and no memo.  Returns (base,
+    strong_generators, transversals, nodes)."""
+    n, p = t.order, t.product
+    gens = reference_generating_set(t)
+    prof = reference_profiles(t)
+    candidates = {g: [x for x in range(n) if prof[x] == prof[g]] for g in gens}
+    nodes = 0
+
+    def extend(*state):
+        nonlocal nodes
+        nodes += 1
+        return reference_extend(p, *state)
+
+    def first_leaf(idx, state, b):
+        state = extend(*state, gens[idx], b)
+        if state is None:
+            return None
+        if idx + 1 == len(gens):
+            return tuple(state[0])
+        for c in candidates[gens[idx + 1]]:
+            leaf = first_leaf(idx + 1, state, c)
+            if leaf is not None:
+                return leaf
+        return None
+
+    prefixes = [([0] + [-1] * (n - 1), [True] + [False] * (n - 1), [0])]
+    for g in gens:
+        prefixes.append(extend(*prefixes[-1], g, g))
+    if len(prefixes[-1][2]) != n:
+        raise AssertionError(f"{gens} does not generate the table")
+    identity = tuple(range(n))
+    found: List[Tuple[int, ...]] = []
+    transversals: List[Dict[int, Tuple[int, ...]]] = []
+    for i in reversed(range(len(gens))):
+        g = gens[i]
+        orbit: Dict[int, Optional[Tuple]] = {g: None}
+        refuted: Dict[int, Optional[Tuple]] = {}
+        for b in candidates[g]:
+            if b in orbit or b in refuted:
+                continue
+            leaf = first_leaf(i, prefixes[i], b)
+            if leaf is None:
+                refuted[b] = None
+                _close_orbit(refuted, found)
+            else:
+                found.append(leaf)
+                _close_orbit(orbit, found)
+                _close_orbit(refuted, found)
+        transversal = {g: identity}
+        for c, step in orbit.items():
+            if step is not None:
+                parent, f = step
+                transversal[c] = tuple(f[v] for v in transversal[parent])
+        transversals.append(transversal)
+    return gens, tuple(found), tuple(reversed(transversals)), nodes
+
+
+def search_fields(aut):
+    return aut.base, aut.strong_generators, aut.transversals, aut.nodes
 
 
 def reference_element_list(aut) -> Tuple[Tuple[int, ...], ...]:
@@ -185,11 +297,57 @@ def relabelled_groups(draw):
     return relabel(g, perm)
 
 
+@st.composite
+def swapped_loops(draw):
+    """A small group or its Chein loop with one intercalate swapped, rows
+    a, b and columns c, d with a*c = b*d and a*d = b*c, then relabelled: a
+    loop again, and rarely Moufang, so products in one order no longer
+    follow from those in the other."""
+    g = draw(st.sampled_from(SMALL))
+    rows = [list(r) for r in draw(st.sampled_from((g, chein_loop(g)))).product]
+    n = len(rows)
+    a, c = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    b = next(
+        (b for b in range(1, n) if b != a and rows[a].index(rows[b][c]) not in (0, c)
+         and rows[b][rows[a].index(rows[b][c])] == rows[a][c]),
+        None,
+    )
+    assume(b is not None)
+    d = rows[a].index(rows[b][c])
+    for r in (a, b):
+        rows[r][c], rows[r][d] = rows[r][d], rows[r][c]
+    perm = [0] + draw(st.permutations(range(1, n)))
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[rows[x][y]]
+    return LoopTable(out)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(relabelled_groups())
 def test_aut_matches_reference_on_relabellings(g):
     for t in (g, chein_loop(g)):
         assert automorphism_group(t).elements == reference_automorphisms(t)
+        assert search_fields(automorphism_group(t)) == reference_automorphism_group(t)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(swapped_loops())
+def test_search_matches_per_pair_reference_on_swapped_loops(t):
+    assert search_fields(automorphism_group(t)) == reference_automorphism_group(t)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.one_of(relabelled_groups(), relabelled_groups().map(chein_loop), swapped_loops()),
+    st.data(),
+)
+def test_closure_matches_pair_by_pair_reference(t, data):
+    elements = st.integers(0, t.order - 1)
+    subsets = [(), (0,)] + [tuple(data.draw(st.lists(elements, max_size=4))) for _ in range(3)]
+    for subset in subsets:
+        assert closure(t, subset) == reference_closure(t, subset)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS) + sorted(MORE_GROUPS))
@@ -209,6 +367,38 @@ LARGE_GROUPS = {
     "H3": enumerate_group(diagram_h(3)),
     "A4": enumerate_group(diagram_a(4)),
 }
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + sorted(MORE_GROUPS) + sorted(LARGE_GROUPS))
+def test_search_matches_per_pair_reference(name):
+    g = {**GROUPS, **MORE_GROUPS, **LARGE_GROUPS}[name]
+    for t in (g, chein_loop(g)):
+        assert generating_set(t) == reference_generating_set(t)
+        assert _profiles(t) == reference_profiles(t)
+        assert search_fields(automorphism_group(t)) == reference_automorphism_group(t)
+
+
+def test_search_matches_per_pair_reference_under_optimize():
+    # the row gathers must not rest on `assert`: the same search, the same
+    # closures, with asserts stripped by -O
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})",
+        "from test_morphisms_reference import (",
+        "    reference_automorphism_group, reference_closure, search_fields)",
+        "from coxloops.groups import closure, dihedral",
+        "from coxloops.loops import chein_loop",
+        "from coxloops.morphisms import automorphism_group",
+        "t = chein_loop(dihedral(6))",
+        "print(__debug__, search_fields(automorphism_group(t)) == reference_automorphism_group(t))",
+        "subsets = ((), (0,), (1,), (6, 13), (2, 12))",
+        "print(all(closure(t, s) == reference_closure(t, s) for s in subsets))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 def _swap(f, i, j):
