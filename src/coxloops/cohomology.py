@@ -107,7 +107,9 @@ def vertex_star(cx: EdgeComplex, i: int) -> VertexStar:
     vertex outside the graph).
 
     Every pointed pair/triple has a unique common vertex, so C^1 and C^2
-    decompose as direct sums of these stars.
+    decompose as direct sums of these stars.  Nothing in the package calls
+    it; it stays public because it answers for any vertex, and the
+    benchmark tracer wraps it by this name.
     """
     return cx.stars[i] if i in cx.stars else _star(i, ())
 

@@ -7,7 +7,7 @@ elimination, deterministic, and small enough to stay in pure Python.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CheckError
 
@@ -46,27 +46,38 @@ def gf2_rref(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
 
     Returns (pivot_cols, reduced_rows) where reduced_rows contains only the
     nonzero rows, one per pivot column, in ascending pivot order.  Fully
-    reduced: each pivot column has a single 1.
+    reduced: each pivot column has a single 1.  Raises ValueError when a
+    row has a bit at or above `ncols`.
+
+    One pass over the rows keeps a pivot row per lowest set bit: each row
+    is XOR-reduced by the pivot of its current lowest bit until that bit
+    is new (the row becomes its pivot) or the row vanishes.  Then, in
+    descending pivot order, each pivot row XORs out the other pivot bits it
+    holds with rows already reduced.  The RREF of a span is unique, so the
+    result does not depend on the order the rows come in.
     """
-    reduced: List[int] = []
-    pivots: List[int] = []
-    work = list(rows)
-    for col in range(ncols):
-        mask = 1 << col
-        pivot_row = None
-        for i, r in enumerate(work):
-            if r & mask:
-                pivot_row = work.pop(i)
+    pivot_of: Dict[int, int] = {}  # lowest set bit -> pivot row
+    for i, r in enumerate(rows):
+        if r >> ncols:
+            raise ValueError(f"row {i} has a bit at or above column {ncols}")
+        while r:
+            low = r & -r
+            p = pivot_of.get(low)
+            if p is None:
+                pivot_of[low] = r
                 break
-        if pivot_row is None:
-            continue
-        reduced = [r ^ pivot_row if r & mask else r for r in reduced]
-        work = [r ^ pivot_row if r & mask else r for r in work]
-        reduced.append(pivot_row)
-        pivots.append(col)
-    # sort rows by pivot column (they were appended in pivot order already)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [reduced[i] for i in order]
+            r ^= p
+    lows = sorted(pivot_of)
+    mask = sum(lows)  # distinct powers of two: the OR of the pivot bits
+    for low in reversed(lows):
+        r = pivot_of[low]
+        others = r & mask & ~low
+        while others:
+            bit = others & -others
+            r ^= pivot_of[bit]
+            others ^= bit
+        pivot_of[low] = r
+    return [low.bit_length() - 1 for low in lows], [pivot_of[low] for low in lows]
 
 
 def gf2_rank(rows: Sequence[int], ncols: int) -> int:
@@ -101,8 +112,16 @@ def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
 
 
 def gf2_is_in_rowspan(rows: Sequence[int], ncols: int, v: int) -> bool:
-    r = gf2_rank(rows, ncols)
-    return gf2_rank(list(rows) + [v], ncols) == r
+    """Whether v lies in the span of `rows`: v reduced by the RREF's pivots
+    vanishes.  Nothing in the package calls it; it stays public as the
+    membership query of this module's toolkit, which the tests use.
+    """
+    if v >> ncols:
+        raise ValueError(f"vector has a bit at or above column {ncols}")
+    for col, row in zip(*gf2_rref(rows, ncols)):
+        if v >> col & 1:
+            v ^= row
+    return not v
 
 
 def gf2_same_span(rows_a: Sequence[int], rows_b: Sequence[int], ncols: int) -> bool:

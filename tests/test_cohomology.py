@@ -2,9 +2,12 @@
 
 Frozen values: (z1, b1, h1) for the named graphs, the full triangle bases,
 and the divergence of the literal coface-stabilizer reading of the
-coefficient groups on sparse graphs (order 12 vs closed form 2).
+coefficient groups on sparse graphs (order 12 vs closed form 2).  At the
+`H¹` frontier (`-m slow`), the dims and a digest of the bases of seeded
+graphs with 1500 and 4000 edges.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -235,3 +238,51 @@ def test_coefficient_group_complex_mode_diverges_on_paths():
     assert cg_none.brute_order is None and cg_none.agrees
     with pytest.raises(ValueError):
         coefficient_group(sigma, am, mode="bogus")
+
+
+# ---------------------------------------------------------------------------
+# the H^1 frontier: thousands of edges, with every cross-check on
+
+
+def frontier_graph(seed: int, nverts: int, nedges: int) -> Graph:
+    """A seeded connected graph: a random spanning tree (each vertex, in
+    shuffled order, joins a random earlier one) plus distinct random extra
+    edges."""
+    rng = random.Random(seed)
+    order = list(range(1, nverts + 1))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[k], order[rng.randrange(k)]))) for k in range(1, nverts)}
+    while len(edges) < nedges:
+        edges.add(tuple(sorted(rng.sample(range(1, nverts + 1), 2))))
+    return Graph(range(1, nverts + 1), sorted(edges))
+
+
+def bases_digest(r) -> str:
+    """sha256 of the Z^1, B^1 and H^1 bases, each vector in hex."""
+    h = hashlib.sha256()
+    for basis in (r.z_basis, r.b_basis, r.h_basis):
+        h.update(",".join(format(v, "x") for v in basis).encode() + b";")
+    return h.hexdigest()
+
+
+# (seed, vertices, edges) -> (z1, b1, h1) and the bases' digest, pinned
+# with the column-scan elimination that lowest-bit pivots replaced
+H1_FRONTIER = [
+    (
+        (1500, 750, 1500),
+        (2250, 1499, 751),
+        "69842418d4eb5b54a51ada0e03270543e49d79267aba5bdc65e350283b3e77a7",
+    ),
+    (
+        (4000, 2000, 4000),
+        (6000, 3999, 2001),
+        "406e2a4a546f6e1358b26e1c35295fd045e4ed2921b2bcfadcf04757aec09011",
+    ),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape,dims,digest", H1_FRONTIER, ids=["1500_edges", "4000_edges"])
+def test_h1_frontier_frozen(shape, dims, digest):
+    r = cohomology(build_complex(frontier_graph(*shape)), cross_check=True)
+    assert (r.dims, bases_digest(r)) == (dims, digest)

@@ -1,6 +1,10 @@
 """Bit-packed GF(2) linear algebra."""
 
 import random
+import subprocess
+import sys
+
+import pytest
 
 from coxloops import gf2
 
@@ -88,3 +92,39 @@ def test_random_rank_nullity_consistency():
         basis = gf2.gf2_row_reduce_basis(rows, ncols)
         for r in rows:
             assert gf2.gf2_is_in_rowspan(basis, ncols, r)
+
+
+OUT_OF_RANGE = """
+from coxloops import gf2
+
+cases = [
+    ("rref", lambda: gf2.gf2_rref([0b011, 0b1000], 3)),  # every bit at or above ncols
+    ("rank", lambda: gf2.gf2_rank([0b1001], 3)),  # bits on both sides of ncols
+    ("kernel", lambda: gf2.gf2_kernel_basis([0b1, -1], 3)),  # a negative row
+    ("span", lambda: gf2.gf2_same_span([0b1], [1 << 64], 64)),
+    ("member", lambda: gf2.gf2_is_in_rowspan([0b01, 0b10], 2, 0b111)),
+]
+for name, call in cases:
+    try:
+        call()
+    except ValueError as e:
+        print(__debug__, name, "ValueError", e)
+    else:
+        print(__debug__, name, "returned")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_bits_at_or_above_ncols_are_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", OUT_OF_RANGE], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug = str(not flags)
+    assert [line.split(maxsplit=3) for line in proc.stdout.splitlines()] == [
+        [debug, "rref", "ValueError", "row 1 has a bit at or above column 3"],
+        [debug, "rank", "ValueError", "row 0 has a bit at or above column 3"],
+        [debug, "kernel", "ValueError", "row 1 has a bit at or above column 3"],
+        [debug, "span", "ValueError", "row 0 has a bit at or above column 64"],
+        [debug, "member", "ValueError", "vector has a bit at or above column 2"],
+    ]
