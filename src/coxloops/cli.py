@@ -57,10 +57,17 @@ from .coxeter import (
     enumerate_group,
     enumerate_order,
     recognize_spherical,
+    regular_action,
 )
 from .errors import CheckError, FormatError, ResourceLimitError
 from .graphs import Graph
-from .groups import GroupTable, IdentityReport, is_associative, loop_axiom_failures
+from .groups import (
+    GroupTable,
+    IdentityReport,
+    element_statistics,
+    is_associative,
+    loop_axiom_failures,
+)
 from .loops import LoopTable, chein_loop, is_moufang, verify_doubling_identities
 from .morphisms import (
     automorphism_group,
@@ -668,6 +675,8 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         checks.extend(_identity_checks({"associativity": assoc}))
         if not assoc.holds:
             return payload, checks
+        g = ctx.group
+        stats = element_statistics(g.columns, [(a,) for a in range(g.order)])
     elif note:
         worder = enumerate_order(ctx.obj, cap=ctx.cfg.cap)
         checks.append(_order_check(worder, payload["order"], enumerated=worder))
@@ -675,23 +684,21 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         payload.update({"group_order": worder, "table": None, "table_note": note})
         return payload, checks
     else:
-        order = ctx.group.order
-        checks.append(_order_check(order, payload["order"], enumerated=order))
-    g = ctx.group
-    orders: Dict[str, int] = {}
-    for x in range(g.order):
-        k = str(g.element_order(x))
-        orders[k] = orders.get(k, 0) + 1
+        # the statistics walk W's regular action; no table is built for them
+        w = regular_action(ctx.obj, cap=ctx.cfg.cap)
+        stats = element_statistics(w.act, w.words)
+        checks.append(_order_check(stats.order, payload["order"], enumerated=stats.order))
     payload.update(
         {
-            "group_order": g.order,
-            "abelian": g.is_abelian(),
-            "elementary_abelian": g.is_elementary_abelian(),
-            "involutions": len(g.involutions()),
-            "element_orders": {k: orders[k] for k in sorted(orders, key=int)},
+            "group_order": stats.order,
+            "abelian": stats.abelian,
+            "elementary_abelian": stats.elementary_abelian,
+            "involutions": stats.involutions,
+            "element_orders": {str(k): v for k, v in stats.element_orders.items()},
         }
     )
-    if g.order <= 64:
+    if stats.order <= 64:
+        g = ctx.group
         payload["table"] = [list(row) for row in g.product]
         payload["labels"] = list(g.labels)
     else:

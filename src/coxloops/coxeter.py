@@ -9,13 +9,18 @@ over the trivial subgroup, using the symmetric one-column-per-generator
 table trick available because every generator is an involution; see Holt,
 "Handbook of Computational Group Theory", ch. 5.  Cosets are renumbered
 into BFS shortlex order afterwards, so element 0 is the identity and
-elements come with canonical shortlex words over the generators.
+elements come with canonical shortlex words over the generators.  That
+renumbered action, W acting on itself from the right by the simple
+reflections, is the shared primitive `regular_action`: its size is linear
+in |W|, and `group` reads the element statistics from it
+(`groups.element_statistics`) without building a table.
 
-The product table is read off the BFS tree of that renumbering: if b is
-reached from its parent p by generator s, then b*c = p*(s*c) for every c,
-so row b is row p composed with left translation by s, one
-`groups.composer` call per element.  The generators' left translations
-come from the same tree: s*b = (s*p).x when b = p.x.
+`enumerate_group` is `regular_action` plus the dense product table, read
+off the BFS tree of that renumbering: if b is reached from its parent p by
+generator s, then b*c = p*(s*c) for every c, so row b is row p composed
+with left translation by s, one `groups.composer` call per element.  The
+generators' left translations come from the same tree: s*b = (s*p).x when
+b = p.x.
 
 Finite (spherical) diagrams are recognized by the standard classification
 of finite Coxeter groups (connected components must be trees of shape
@@ -38,6 +43,8 @@ __all__ = [
     "ComponentType",
     "SphericalReport",
     "recognize_spherical",
+    "RegularAction",
+    "regular_action",
     "enumerate_group",
     "enumerate_order",
     "subdiagram",
@@ -371,11 +378,32 @@ def enumerate_order(d: CoxeterDiagram, cap: int = 10000) -> int:
     return len(_enumerate_cosets(d, cap))
 
 
-def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
-    """The full multiplication table of W, elements in BFS shortlex order.
+class RegularAction(NamedTuple):
+    """W acting on itself from the right, elements in BFS shortlex order.
 
-    Memory is quadratic in the order; see enumerate_order for a cheap
-    finiteness/order check on larger groups.
+    `act[x][g]` is g*s_x for the simple reflection s_x (vertex x + 1),
+    `words[g]` is the shortlex word of g over the simple reflections, and
+    `tree[b]` is (parent of b, x) with b = parent * s_x in the BFS tree of
+    that renumbering (`tree[0]` is (0, -1)).  Element 0 is the identity.
+    """
+
+    act: Tuple[Tuple[int, ...], ...]
+    words: Tuple[Tuple[int, ...], ...]
+    tree: Tuple[Tuple[int, int], ...]
+
+    @property
+    def generators(self) -> Tuple[int, ...]:
+        """The simple reflections, in diagram-vertex order."""
+        return tuple(row[0] for row in self.act)
+
+
+def regular_action(d: CoxeterDiagram, cap: int = 10000) -> RegularAction:
+    """W as its right regular action, from coset enumeration over the
+    trivial subgroup, renumbered in BFS shortlex order.
+
+    This is the primitive under `enumerate_group`, and `group` reads its
+    element statistics from it without building a table.  Memory is linear
+    in the order.
     """
     action = _enumerate_cosets(d, cap)
     n_cos = len(action)
@@ -401,10 +429,25 @@ def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
     if head != n_cos:
         raise CheckError("coset graph must be connected")
     # act[x][c] = c.x, the right action of generator x on elements
-    act = [[order_of[action[c][x]] for c in bfs] for x in range(n)]
-    generators = tuple(act[x][0] for x in range(n))
+    act = tuple(tuple([order_of[action[c][x]] for c in bfs]) for x in range(n))
+    w = RegularAction(act, tuple(words), tuple(tree))
+    generators = w.generators
     if len(set(generators)) != n or 0 in generators:
         raise CheckError("simple reflections must be distinct nontrivial elements")
+    return w
+
+
+def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
+    """The full multiplication table of W: `regular_action`, then the dense
+    table built over that action, elements in BFS shortlex order.
+
+    Memory is quadratic in the order; see enumerate_order for a cheap
+    finiteness/order check on larger groups, and `regular_action` for the
+    element statistics without a table.
+    """
+    w = regular_action(d, cap)
+    act, tree, generators = w.act, w.tree, w.generators
+    n_cos = len(tree)
     # left translation by each generator along the BFS tree:
     # s*b = (s*parent(b)).last(b)
     left = []
@@ -418,8 +461,8 @@ def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
     product: List[Tuple[int, ...]] = [tuple(range(n_cos))]
     for parent, x in tree[1:]:
         product.append(left[x](product[parent]))
-    labels = [_word_label(w) for w in words]
-    return GroupTable(product, labels=labels, generators=generators, words=words, validate=False)
+    labels = [_word_label(word) for word in w.words]
+    return GroupTable(product, labels=labels, generators=generators, words=w.words, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ n*n-byte string over all (y, z), built from a few `join` and `translate`
 calls, and the sides are compared whole.  Past order 256, `_sweep` checks
 one pair (x, y) at a time on tuples.  Both give the first failing triple
 in lexicographic order, its sides and the same `checked` count.
+
+`element_statistics` needs no table at all: it walks one word per element
+through a right regular action (a Coxeter group's `coxeter.regular_action`,
+or a table's columns), so `group` reports the element orders of W in
+memory linear in |W|.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ __all__ = [
     "IdentityReport",
     "is_associative",
     "GroupTable",
+    "ElementStatistics",
+    "element_statistics",
     "from_table",
     "cyclic",
     "dihedral",
@@ -352,8 +359,53 @@ class GroupTable(_Table):
         """Every element squares to the identity (this forces abelian)."""
         return all(self.product[a][a] == 0 for a in range(self.order))
 
-    def involutions(self) -> List[int]:
-        return [a for a in range(1, self.order) if self.product[a][a] == 0]
+
+class ElementStatistics(NamedTuple):
+    """A finite group's elements: how many there are, whether they commute
+    or all square to the identity, how many are involutions, and how many
+    have each order (`element_orders`, ascending by order)."""
+
+    order: int
+    abelian: bool
+    elementary_abelian: bool
+    involutions: int
+    element_orders: Dict[int, int]
+
+
+def element_statistics(act: Sequence[Sequence[int]], words: Sequence[Sequence[int]]) -> ElementStatistics:
+    """The element statistics of a finite group G from its right regular
+    action, without a product table.
+
+    `act[x][g]` is g*s_x for generators s_0, s_1, ... of G (0 is the
+    identity), and `words[g]` is a word over them whose product is g, one
+    for every element.  The order of g is the number of steps y <- y*g,
+    each walking g's word through `act`, that take 0 back to 0: the work
+    is the sum of ord(g) * len(words[g]).  G is abelian iff its generators
+    commute pairwise; the involutions and elementary-abelian follow from
+    the orders.  A Coxeter group passes `coxeter.regular_action`, a table
+    its columns with the words (g,).  A walk that is not back at 0 after
+    |G| steps raises CheckError: then `act` is no group's regular action.
+    """
+    n = len(words)
+    counts: Dict[int, int] = {}
+    for g, word in enumerate(words):
+        rows = [act[x] for x in word]
+        y, k = 0, 0
+        while True:
+            for row in rows:
+                y = row[y]
+            k += 1
+            if y == 0:
+                break
+            if k >= n:
+                raise CheckError(f"the walk of element {g} is not back at 0 after {n} steps")
+        counts[k] = counts.get(k, 0) + 1
+    gens = [row[0] for row in act]
+    # s_j s_i == s_i s_j, read as (0 * s_j) * s_i and (0 * s_i) * s_j
+    abelian = all(act[i][gens[j]] == act[j][gens[i]] for i in range(len(gens)) for j in range(i))
+    return ElementStatistics(
+        n, abelian, max(counts) <= 2, counts.get(2, 0), {k: counts[k] for k in sorted(counts)}
+    )
 
 
 def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> GroupTable:

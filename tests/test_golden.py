@@ -10,7 +10,9 @@ no check may depend on `assert`.  The `aut` digests on D4 and B4 were taken
 while `Aut` was still listed element by element; B4 runs only with
 `-m slow`.  The `loop` digests on H3, A4 (loop order 240, the whole Moufang
 suite) and on a non-Moufang table of order 96 were taken while the cubic
-sweeps still composed one pair (x, y) at a time.
+sweeps still composed one pair (x, y) at a time.  The `group` digests on
+F4, D5 and (with `-m slow`) B5 were taken while `group` still read the
+element statistics from W's dense product table.
 """
 
 import contextlib
@@ -81,13 +83,19 @@ FRONTIER_INPUTS = {
     "H3": _cox(3, [(1, 2, 5), (2, 3, 3)]),
     "A4": _cox(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)]),
     "B3_swapped": _table(_swap_intercalate(chein_loop(enumerate_group(diagram_b(3))).product, 1, 1)),
+    "F4": _cox(4, [(1, 2, 3), (2, 3, 4), (3, 4, 3)]),
+    "D5": _cox(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)]),
+    "B5": _cox(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 4)]),
 }
 
-# the whole Moufang suite at loop order 240, and on a failing table
+# the whole Moufang suite at loop order 240, and on a failing table; the
+# element statistics of W past the printed tables (F4 order 1152, D5 1920)
 SWEEPS = [
     ("loop", "H3", "--budget", "20000000"),
     ("loop", "A4", "--budget", "20000000"),
     ("loop", "B3_swapped"),
+    ("group", "F4"),
+    ("group", "D5"),
 ]
 
 COMMANDS = ("group", "loop", "aut", "cohomology", "amalgams", "verify")
@@ -310,11 +318,17 @@ GOLDEN = {
     "loop A4 --budget 20000000 --json": "efc68d94a1602c9f2aa67d86a596ae8c4c8d3339ee24bd436f220dedad9d1b0a",
     "loop B3_swapped": "7dfeeb29829d6c6825b4d6749120eceb9ce8e6cce4e6602b2536963da43e7e0e",
     "loop B3_swapped --json": "ab21c5e343cf73a5539cf1663f7fee8237bb06e77573b14e661d1e9ffc5839d2",
+    "group F4": "5186fc903eeabaa5f15b1af0e2196c18c2f84154b1d5302d261272e5255b4748",
+    "group F4 --json": "ce6614bbd9ac941fe903d345865ffa32447bde13639e3a32adb110b60cabf815",
+    "group D5": "f5774368d84f28ada4e071e28b5416f3d5b5d0495e8f73405007a2ebfb878c69",
+    "group D5 --json": "480ce6ee21a334fcc388e49030fb61c998d39b711bd8032d4f86ec39e4f75ed0",
 }
 
 SLOW_GOLDEN = {
     "aut B4": "61cb284e09f87f128baf19e6cc31c3a526b6900f8ef6b67b1c0f5909419b8204",
     "aut B4 --json": "02ff74d62615e02c2a7cc8ae5ea2d37c0161eacb90ffbda2bdefd5d3aa4c23cd",
+    "group B5 --budget 20000000": "34334c0f3285b0f54646be271315f9a29d37dfff4747472e197b5c7b1ed2052c",
+    "group B5 --budget 20000000 --json": "d13bd3c2ffbc10a692e0b77091ceda3e0200d859dc07ea1ec003693ab32290f6",
 }
 
 

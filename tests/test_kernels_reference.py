@@ -18,6 +18,12 @@ matrices, equal answers from the routines built on it, and equal
 The cubic sweeps have two widths, per x on bytes up to order 256 and per
 pair (x, y) on tuples past it; both are run on the same tables, across the
 boundary, and must give the same reports.
+
+`group`'s element statistics walk words through a regular action
+(`element_statistics`) instead of reading them from a dense table; the
+reference is `GroupTable.element_order`, `is_abelian` and
+`is_elementary_abelian`, and the involution list `GroupTable` used to
+carry, on `enumerate_group`'s table, for diagrams and for table inputs.
 """
 
 import subprocess
@@ -27,7 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxloops import gf2
@@ -43,10 +49,13 @@ from coxloops.coxeter import (
     diagram_h,
     diagram_i2,
     enumerate_group,
+    recognize_spherical,
+    regular_action,
 )
 from coxloops.errors import CheckError
 from coxloops.graphs import Graph
 from coxloops.groups import (
+    ElementStatistics,
     GroupTable,
     _assoc_blocks,
     _assoc_pairs,
@@ -54,9 +63,11 @@ from coxloops.groups import (
     _block_sweep,
     _reports,
     _sweep,
+    alternating4,
     cyclic,
     dihedral,
     direct_product,
+    element_statistics,
     klein4,
     quaternion,
     symmetric3,
@@ -614,3 +625,123 @@ def test_rref_matches_column_scan_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True"]
+
+
+# ---------------------------------------------------------------------------
+# element statistics from the regular action against the dense table
+
+
+def reference_involutions(g: GroupTable) -> List[int]:
+    """The involutions, as `GroupTable.involutions` listed them."""
+    return [a for a in range(1, g.order) if g.product[a][a] == 0]
+
+
+def reference_statistics(g: GroupTable) -> ElementStatistics:
+    orders: Dict[int, int] = {}
+    for x in range(g.order):
+        k = g.element_order(x)
+        orders[k] = orders.get(k, 0) + 1
+    return ElementStatistics(
+        g.order,
+        g.is_abelian(),
+        g.is_elementary_abelian(),
+        len(reference_involutions(g)),
+        {k: orders[k] for k in sorted(orders)},
+    )
+
+
+def assert_same_statistics(new: ElementStatistics, ref: ElementStatistics) -> None:
+    assert new == ref
+    assert list(new.element_orders.items()) == list(ref.element_orders.items())
+
+
+def assert_diagram_statistics(d: CoxeterDiagram) -> None:
+    w, g = regular_action(d), enumerate_group(d)
+    # the primitive is the action the table was built over
+    assert w.words == g.words and w.generators == g.generators
+    assert all(w.act[x][a] == g.product[a][s] for x, s in enumerate(g.generators) for a in range(g.order))
+    assert_same_statistics(element_statistics(w.act, w.words), reference_statistics(g))
+
+
+def table_statistics(g: GroupTable) -> ElementStatistics:
+    return element_statistics(g.columns, [(a,) for a in range(g.order)])
+
+
+def _product_diagram(*parts: CoxeterDiagram) -> CoxeterDiagram:
+    n = sum(d.rank for d in parts)
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    base = 0
+    for d in parts:
+        for i in range(d.rank):
+            for j in range(d.rank):
+                m[base + i][base + j] = d.matrix[i][j]
+        base += d.rank
+    return CoxeterDiagram(m)
+
+
+IRREDUCIBLE = {
+    **{f"A{n}": diagram_a(n) for n in range(1, 6)},
+    **{f"B{n}": diagram_b(n) for n in range(2, 5)},
+    "D4": diagram_d(4),
+    "D5": diagram_d(5),
+    "F4": diagram_f4(),
+    "H3": diagram_h(3),
+    **{f"I2_{m}": diagram_i2(m) for m in range(2, 13)},
+}
+REDUCIBLE = {
+    "A1xB2": _product_diagram(diagram_a(1), diagram_b(2)),
+    "A2xA2": _product_diagram(diagram_a(2), diagram_a(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**IRREDUCIBLE, **REDUCIBLE}))
+def test_statistics_from_the_action_match_the_table(name):
+    assert_diagram_statistics({**IRREDUCIBLE, **REDUCIBLE}[name])
+
+
+@st.composite
+def spherical_diagrams(draw):
+    """A spherical diagram of rank <= 4 and order <= 1200: a product of
+    irreducible ones, its vertices shuffled."""
+    small = [d for d in IRREDUCIBLE.values() if d.rank <= 4]
+    parts = draw(st.lists(st.sampled_from(small), min_size=1, max_size=4).filter(
+        lambda ps: sum(d.rank for d in ps) <= 4
+    ))
+    d = _product_diagram(*parts)
+    perm = draw(st.permutations(range(d.rank)))
+    d = CoxeterDiagram([[d.matrix[perm[i]][perm[j]] for j in range(d.rank)] for i in range(d.rank)])
+    rec = recognize_spherical(d)
+    assert rec.spherical
+    assume(rec.order <= 1200)
+    return d
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(spherical_diagrams())
+def test_statistics_match_on_random_spherical_diagrams(d):
+    assert_diagram_statistics(d)
+
+
+TABLES = {
+    **{f"D{m}": dihedral(m) for m in range(1, 9)},
+    **{f"C{n}": cyclic(n) for n in (1, 2, 5, 6, 8)},
+    "Q8": quaternion(),
+    "V4": klein4(),
+    "A4": alternating4(),
+    "C2xC4": direct_product(cyclic(2), cyclic(4)),
+    "V4xV4": direct_product(klein4(), klein4()),
+    "Q8xC2": direct_product(quaternion(), cyclic(2)),
+    "D4xC2": direct_product(dihedral(4), cyclic(2)),
+    "S3xC3": direct_product(symmetric3(), cyclic(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_statistics_of_tables_match(name):
+    assert_same_statistics(table_statistics(TABLES[name]), reference_statistics(TABLES[name]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(relabelled_groups())
+def test_statistics_of_relabelled_tables_match(g):
+    assert_same_statistics(table_statistics(g), reference_statistics(g))

@@ -20,10 +20,10 @@ from coxloops.amalgams import (
     IsoReport,
 )
 from coxloops.cohomology import CoefficientGroup, CohomologyResult, VertexStar
-from coxloops.coxeter import ComponentType, SphericalReport
+from coxloops.coxeter import ComponentType, RegularAction, SphericalReport
 from coxloops.errors import CheckError
 from coxloops.graphs import Graph, SpanningTree
-from coxloops.groups import IdentityReport, cyclic
+from coxloops.groups import ElementStatistics, IdentityReport, cyclic
 from coxloops.loops import chein_loop
 from coxloops.morphisms import (
     AutGroup,
@@ -38,8 +38,9 @@ M2 = chein_loop(C2)
 E4 = (0, 1, 2, 3)
 CYCLE = ComponentType("-", (1, 2, 3), None, "the underlying graph contains a cycle")
 
-# (type, field values, field names, repr); CoreData holds a dict, AutGroup
-# dicts and identity semantics, so neither is hashed by value
+# (type, field values, field names, repr); CoreData and ElementStatistics
+# hold a dict, AutGroup dicts and identity semantics, so none of them is
+# hashed by value
 RECORDS = [
     (
         Morphism,
@@ -73,6 +74,19 @@ RECORDS = [
         ("spherical", "order", "components"),
         "SphericalReport(spherical=False, order=None, components=(ComponentType(name='-', "
         "vertices=(1, 2, 3), order=None, reason='the underlying graph contains a cycle'),))",
+    ),
+    (
+        RegularAction,
+        (((1, 0),), ((), (0,)), ((0, -1), (0, 0))),
+        ("act", "words", "tree"),
+        "RegularAction(act=((1, 0),), words=((), (0,)), tree=((0, -1), (0, 0)))",
+    ),
+    (
+        ElementStatistics,
+        (2, True, True, 1, {1: 1, 2: 1}),
+        ("order", "abelian", "elementary_abelian", "involutions", "element_orders"),
+        "ElementStatistics(order=2, abelian=True, elementary_abelian=True, involutions=1, "
+        "element_orders={1: 1, 2: 1})",
     ),
     (
         TrichotomyReport,
@@ -188,7 +202,7 @@ RECORDS = [
         "{2: (0, 1, 2, 3), 3: (0, 1, 3, 2)}), nodes=5, degree=4)",
     ),
 ]
-UNHASHED = {CoreData, AutGroup}
+UNHASHED = {CoreData, AutGroup, ElementStatistics}
 
 
 def test_the_table_covers_every_record_type():
@@ -199,7 +213,7 @@ def test_the_table_covers_every_record_type():
         for name, obj in vars(importlib.import_module(f"coxloops.{m}")).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and not name.startswith("_")
     }
-    assert records == {cls for cls, *_ in RECORDS} and len(records) == 17
+    assert records == {cls for cls, *_ in RECORDS} and len(records) == 19
 
 
 @pytest.mark.parametrize("cls, values, names, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])

@@ -5,7 +5,11 @@ of the builders.  Per run, the spherical recognition, H^1, the standard
 amalgam, its core loops and the whole group W are built at most once; the
 edge complex at most twice for a diagram (the amalgam's and H^1's) and once
 for a graph; and `enumerate_group` runs once per distinct core subdiagram
-plus once for W, unless W is itself a core (rank <= 2).  Fresh `Aut`
+plus once for W, unless W is itself a core (rank <= 2).  `group` on a
+diagram reads the element statistics from W's regular action and builds
+W's table only to print it (order <= 64), so on F4 it never runs
+`enumerate_group`, and a forged action whose walks never return is a
+check failure (exit 2), with or without `python -O`.  Fresh `Aut`
 searches (calls of `generating_set`, which memo hits skip) are counted too:
 one per table searched, so the case-3 theorem reuses the search of its
 loop.  So are the certificates of an input table: its loop-axiom checks
@@ -25,12 +29,14 @@ import contextlib
 import functools
 import importlib
 import io
+import subprocess
 import sys
 
 import pytest
 
-from coxloops import gf2, morphisms
+from coxloops import cli, gf2, morphisms
 from coxloops.cli import main, parse_input
+from coxloops.coxeter import RegularAction
 from coxloops.groups import dihedral, quaternion
 
 MODULES = ("cli", "amalgams", "cohomology", "coxeter", "groups", "loops", "morphisms")
@@ -58,6 +64,7 @@ INPUTS = {
     "A2": _cox(2, [(1, 2, 3)]),
     "I2(8)": _cox(2, [(1, 2, 8)]),
     "A1xB2": _cox(3, [(2, 3, 4)]),
+    "F4": _cox(4, [(1, 2, 3), (2, 3, 4), (3, 4, 3)]),
     "D6": "\n".join(["table v1 12"] + [" ".join(map(str, r)) for r in dihedral(6).product]) + "\n",
     "Q8": "\n".join(["table v1 8"] + [" ".join(map(str, r)) for r in quaternion().product]) + "\n",
     "graph": "graph v1\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\nedge 4 5\nedge 5 3\n",
@@ -107,6 +114,8 @@ EXPECTED = {
         build_complex=2, enumerate_group=2, whole=0, generating_set=1,
     ),
     ("aut", "A3"): dict(recognize_spherical=1, enumerate_group=1, whole=1, generating_set=2),
+    ("group", "F4"): dict(recognize_spherical=1),
+    ("group", "A3"): dict(recognize_spherical=1, enumerate_group=1, whole=1),
 }
 
 
@@ -206,3 +215,31 @@ def test_theorems_never_list_aut(command, name, monkeypatch):
     assert all(inside for _, inside in listed)
     if command == "aut" or name == "D6":
         assert listed == []
+
+
+# A2's six elements, with s_1 sending 0 to 1 and then climbing to 5, where
+# it stays: no walk but the identity's ever returns to 0
+FORGED = RegularAction(((1, 2, 3, 4, 5, 5),) * 2, ((), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)), ())
+
+
+def test_a_forged_action_is_a_check_failure(monkeypatch):
+    monkeypatch.setattr(cli, "regular_action", lambda d, cap: FORGED)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS["A2"].encode())))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["group", "-", "--json"]) == 2
+    assert err.getvalue() == "check failure: the walk of element 1 is not back at 0 after 6 steps\n"
+
+
+def test_a_forged_action_is_a_check_failure_under_optimize():
+    code = "\n".join([
+        "import io, sys",
+        "from coxloops import cli",
+        "from coxloops.coxeter import RegularAction",
+        f"cli.regular_action = lambda d, cap: RegularAction{tuple(FORGED)!r}",
+        f"sys.stdin = io.TextIOWrapper(io.BytesIO({INPUTS['A2'].encode()!r}))",
+        "print(__debug__, cli.main(['group', '-']))",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["False", "2"], proc.stderr
+    assert "check failure: the walk of element 1 is not back at 0" in proc.stderr
