@@ -21,13 +21,16 @@ only free choices — the automorphisms of the edge loops stabilizing the
 embedded subloops — propagating each choice to every higher simplex and
 checking consistency, so a failed search certifies non-isomorphism.
 
-`classify_twisted_amalgams` runs one gauge sweep per amalgam a_T instead
-of one search per pair: the same space of edge assignments theta, walked
-depth first with each vertex tested as soon as its edges are assigned.
-The test at vertex j fixes the twists S at j that theta can reach up to
-one flip, so the sweep lists every a_S isomorphic to a_T (the orbit of
-T) at once; that is the H^1 = Z^1 / B^1 statement, certified by
-exhaustion in 2^n sweeps instead of 2^(2n-1) searches.
+`classify_twisted_amalgams` needs one gauge sweep, not one search per
+pair: the same space of edge assignments theta, walked depth first from
+the standard amalgam with each vertex tested as soon as its edges are
+assigned, lists the orbit O of the standard amalgam (every a_S isomorphic
+to it) at once.  Every map an edge induces at a vertex j commutes with
+the vertex twist gamma_j, which the sweep certifies on the finite local
+data; so the orbit of every a_T is T + O, O is certified to be a subgroup
+of the deltas under symmetric difference, and the classes are its cosets.
+That is the H^1 = Z^1 / B^1 statement, certified by exhaustion in one
+sweep instead of 2^(2n-1) searches.
 """
 
 from __future__ import annotations
@@ -114,9 +117,6 @@ class Amalgam:
         `sub` (a subset of core) together with u."""
         data = self._core_data[tuple(core)]
         return subloop_closure(data.loop, [data.gen_of[v] for v in sub] + [data.u])
-
-    def face_pairs(self) -> List[Tuple[Simplex, Simplex]]:
-        return sorted(self.maps.keys())
 
     def __repr__(self) -> str:
         return f"Amalgam(kind={self.kind!r}, edges={len(self.complex.edges)})"
@@ -464,50 +464,55 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
     the standard amalgam `a` into isomorphism classes; the expected outcome
     is 2^n singleton classes.
 
-    The classes are those of the greedy pairwise comparison (each delta,
-    in order, against the first member of every class so far), with the
-    same `pairs_checked`.  Each decision reads the delta's orbit from one
-    gauge sweep per delta (`_twist_orbits`) instead of running an
-    exhaustive `amalgams_isomorphic` search per pair; every merge is still
-    confirmed by `amalgams_isomorphic` and carries its checked witness.
-    The budget applies as in the pairwise search: ResourceLimitError when
-    n >= 1 and the space of one search exceeds it.
+    One gauge sweep (`_standard_orbit`) lists the orbit O of the standard
+    amalgam, and certifies that the orbit of every delta T is T + O.  O is
+    certified to contain the empty delta and to be closed under symmetric
+    difference, so the classes are the cosets of O, numbered in the order
+    their first deltas come (by size, then lexicographically).
+    `pairs_checked` is that of the greedy pairwise comparison, each delta
+    against the first member of every class so far: k + 1 for a delta that
+    joins class k, the number of classes so far for one that opens a new
+    class.  Every merge is still confirmed by `amalgams_isomorphic` and
+    carries its checked witness.  The budget applies as in the pairwise
+    search: ResourceLimitError when n >= 1 and the space of one search
+    exceeds it.
     """
     if a.twists:
         raise ValueError("classification starts from the standard amalgam")
     d = a.diagram
     st = spanning_tree(a.complex.graph)
     n = len(st.nontree_edges)
-    deltas = []
-    for k in range(0, n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            deltas.append(frozenset(combo))
-    orbits = _twist_orbits(a, st, budget) if n else {frozenset(): {frozenset()}}
-    for delta in deltas:
-        if delta not in orbits[delta]:
-            raise CheckError(f"twisted amalgam {sorted(delta)} missing from its own orbit")
-        if any(delta not in orbits[other] for other in orbits[delta]):
-            raise CheckError(f"orbit of twisted amalgam {sorted(delta)} is not symmetric")
+    orbit = _standard_orbit(a, st, budget) if n else {0}
+    if 0 not in orbit:
+        raise CheckError("the standard amalgam is missing from its own orbit")
+    if len(orbit) != 1 << gf2.gf2_rank(list(orbit), n):
+        raise CheckError(
+            "the orbit of the standard amalgam is not closed under symmetric difference"
+        )
     classes: List[List[FrozenSet[int]]] = []
+    class_of: Dict[int, int] = {}  # delta bitmask (bit k - 1 for e_k) -> its class
     pairs = 0
-    for delta in deltas:
-        placed = False
-        for cls in classes:
-            pairs += 1
-            if delta in orbits[cls[0]]:
-                rep = amalgams_isomorphic(
-                    twisted_amalgam(d, cls[0]), twisted_amalgam(d, delta), budget=budget
+    for size in range(n + 1):
+        for combo in combinations(range(1, n + 1), size):
+            delta = frozenset(combo)
+            mask = sum(1 << (k - 1) for k in combo)
+            c = class_of.get(mask)
+            if c is None:
+                pairs += len(classes)
+                for o in orbit:
+                    class_of[mask ^ o] = len(classes)
+                classes.append([delta])
+                continue
+            pairs += c + 1
+            rep = amalgams_isomorphic(
+                twisted_amalgam(d, classes[c][0]), twisted_amalgam(d, delta), budget=budget
+            )
+            if not rep.isomorphic:
+                raise CheckError(
+                    f"gauge sweep merges {sorted(delta)} into {sorted(classes[c][0])}, "
+                    "the isomorphism search does not"
                 )
-                if not rep.isomorphic:
-                    raise CheckError(
-                        f"gauge sweep merges {sorted(delta)} into {sorted(cls[0])}, "
-                        "the isomorphism search does not"
-                    )
-                cls.append(delta)
-                placed = True
-                break
-        if not placed:
-            classes.append([delta])
+            classes[c].append(delta)
     return ClassificationReport(
         cycle_rank=n,
         nontree_edges=st.nontree_edges,
@@ -518,26 +523,35 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
     )
 
 
-def _twist_orbits(
-    a: Amalgam, st: SpanningTree, budget: int
-) -> Dict[FrozenSet[int], Set[FrozenSet[int]]]:
-    """For every delta T, the set of deltas S with a_T isomorphic to a_S,
-    found by one sweep over the edge assignments theta of
-    `amalgams_isomorphic` (a the standard amalgam, which has the same
-    candidates as every twisted one).
+def _standard_orbit(a: Amalgam, st: SpanningTree, budget: int) -> Set[int]:
+    """The deltas S (bit k - 1 for e_k) with a_S isomorphic to the standard
+    amalgam `a`, found by one sweep over the edge assignments theta of
+    `amalgams_isomorphic` (every twisted amalgam has the same candidates).
 
-    The maps a_T and the standard amalgam differ only in the Klein-into-edge
+    The maps of a_T and of `a` differ only in the Klein-into-edge
     components psi_{j,e} = iota_{j,e} o gamma_j^{T(j,e)}, and the loop map
     that theta_e induces on a pointed simplex at j through e is
     gamma_j^{S(j,e)} o r_{j,e}(theta_e) o gamma_j^{T(j,e)}, with
     r_{j,e}(f) = iota^-1 o f o iota.  It depends on (j, e) only, so theta
     is accepted exactly when, at every vertex j of degree >= 2, these maps
-    agree over the edges at j.  gamma_j is a nontrivial involution, so the
-    first edge at j fixes the S-pattern at j up to one flip, and only the
-    patterns inside {e_k : o_k = j} are normalized.  The sweep is a
-    depth-first search over `cx.edges` in order that tests each vertex as
-    soon as its last edge is assigned and prunes the subtree when the test
-    fails; each leaf yields the S it reaches.
+    agree over the edges at j.
+
+    Translation lemma, certified here for every such j, e and candidate f:
+    r_{j,e}(f) commutes with gamma_j (CheckError otherwise).  Then flipping
+    T(j,e) and S(j,e) together leaves the map unchanged, so the orbit of
+    a_T is T + (the orbit of `a`), and one sweep with T empty serves every
+    T.  (The lemma holds on every connected graph with n >= 1: each
+    candidate stabilizes the Klein subloops of both endpoints of e, which
+    meet in the identity and u, or, when e is pendant, the one at j and
+    the image {identity, u} of a cycle edge disjoint from e.  So it fixes
+    u, and r_{j,e}(f) is the identity or gamma_j.)
+
+    gamma_j is a nontrivial involution, so the first edge at j fixes the
+    S-pattern at j up to one flip, and only the patterns inside
+    {e_k : o_k = j} are normalized.  The sweep is a depth-first search
+    over `cx.edges` in order that tests each vertex as soon as its last
+    edge is assigned and prunes the subtree when the test fails; each leaf
+    yields the S it reaches.
     """
     cx = a.complex
     edges = cx.edges
@@ -551,11 +565,11 @@ def _twist_orbits(
         (o, e): 1 << k for k, (o, e) in enumerate(zip(st.chosen_vertex, st.nontree_edges))
     }
 
-    # per vertex j of degree >= 2, tested after its last edge: for each
-    # edge at j its position, its T-bit, and for every candidate and
-    # T(j, e) the ids of the induced maps for S(j, e) = 0 and 1; and the
-    # S-patterns at j (bit p for the p-th edge at j) that are normalized,
-    # with the deltas they stand for
+    # per vertex j of degree >= 2, tested after its last edge: the first
+    # edge's position and, per candidate, the ids of its induced maps for
+    # S(j, e) = 0 and 1; then (pattern bit, position, maps) for every other
+    # edge at j; and the S-patterns at j (bit p for the p-th edge at j)
+    # that are normalized, with the deltas they stand for
     tests: List[List[Tuple]] = [[] for _ in edges]
     for j in cx.graph.vertices:
         star = cx.stars[j].edges
@@ -564,82 +578,65 @@ def _twist_orbits(
         gamma = vertex_twist(a.core_loop((j,)).loop)
         ids: Dict[Tuple[int, ...], int] = {}
         rows = []
-        for e in star:
+        for p, e in enumerate(star):
             other = star[1] if e == star[0] else star[0]
             iota = a.connecting(tuple(sorted((e, other))), (e,))
             psi = (iota, compose_images(iota, gamma))
-            inv = [{y: x for x, y in enumerate(p)} for p in psi]
-            induced = [
-                tuple(
-                    tuple(
-                        ids.setdefault(tuple(inv[s][f[x]] for x in psi[t]), len(ids))
-                        for s in (0, 1)
-                    )
+            inv = [{y: x for x, y in enumerate(q)} for q in psi]
+            maps = []
+            for f in cand[cx.edge_pos[e]]:
+                # m[t][s]: the induced map for T(j, e) = t and S(j, e) = s
+                m = [
+                    [ids.setdefault(tuple(inv[s][f[x]] for x in psi[t]), len(ids)) for s in (0, 1)]
                     for t in (0, 1)
-                )
-                for f in cand[cx.edge_pos[e]]
-            ]
-            rows.append((cx.edge_pos[e], twist_bit.get((j, e), 0), induced))
+                ]
+                if m[0] != m[1][::-1]:
+                    raise CheckError(
+                        f"an induced map at vertex {j} through edge {e} "
+                        "does not commute with the vertex twist"
+                    )
+                maps.append(m[0])
+            rows.append((1 << p, cx.edge_pos[e], maps))
         normal = [(1 << p, twist_bit[(j, e)]) for p, e in enumerate(star) if (j, e) in twist_bit]
         patterns = {0: 0}
         for bit, delta_bit in normal:
             patterns.update({m | bit: d | delta_bit for m, d in patterns.items()})
-        tests[max(r[0] for r in rows)].append((rows, (1 << len(star)) - 1, patterns))
+        last = max(pos for _, pos, _ in rows)
+        tests[last].append((rows[0][1:], rows[1:], (1 << len(star)) - 1, patterns))
 
-    def orbit_of(tmask: int) -> Set[int]:
-        # the vertex tests with T applied: the first edge's position and
-        # maps per candidate, then (pattern bit, position, maps) for the rest
-        fixed = []
-        for at_edge in tests:
-            fixed.append([])
-            for rows, full, patterns in at_edge:
-                applied = [
-                    (1 << p, pos, [m[1 if tmask & bit else 0] for m in induced])
-                    for p, (pos, bit, induced) in enumerate(rows)
-                ]
-                fixed[-1].append((applied[0][1:], applied[1:], full, patterns))
-        assign = [0] * len(edges)
-        found: Set[int] = set()
+    assign = [0] * len(edges)
+    found: Set[int] = set()
 
-        def options(first, rest, full, patterns) -> List[int]:
-            pos0, maps0 = first
-            target = maps0[assign[pos0]][0]
-            flips = 0
-            for bit, pos, maps in rest:
-                m0, m1 = maps[assign[pos]]
-                if m1 == target:
-                    flips |= bit
-                elif m0 != target:
-                    return []
-            # S(j, first edge) = 0 gives the pattern `flips`, = 1 its complement
-            return [patterns[m] for m in (flips, full ^ flips) if m in patterns]
+    def options(first, rest, full, patterns) -> List[int]:
+        pos0, maps0 = first
+        target = maps0[assign[pos0]][0]
+        flips = 0
+        for bit, pos, maps in rest:
+            m0, m1 = maps[assign[pos]]
+            if m1 == target:
+                flips |= bit
+            elif m0 != target:
+                return []
+        # S(j, first edge) = 0 gives the pattern `flips`, = 1 its complement
+        return [patterns[m] for m in (flips, full ^ flips) if m in patterns]
 
-        def dfs(i: int, smask: int) -> None:
-            if i == len(edges):
-                found.add(smask)
-                return
-            for ci in range(len(cand[i])):
-                assign[i] = ci
-                masks = [smask]
-                for test in fixed[i]:
-                    opts = options(*test)
-                    masks = [m | o for m in masks for o in opts]
-                    if not masks:
-                        break
-                for m in masks:
-                    dfs(i + 1, m)
+    def dfs(i: int, smask: int) -> None:
+        if i == len(edges):
+            found.add(smask)
+            return
+        for ci in range(len(cand[i])):
+            assign[i] = ci
+            masks = [smask]
+            for test in tests[i]:
+                opts = options(*test)
+                masks = [m | o for m in masks for o in opts]
+                if not masks:
+                    break
+            for m in masks:
+                dfs(i + 1, m)
 
-        dfs(0, 0)
-        return found
-
-    n = len(st.nontree_edges)
-
-    def as_delta(mask: int) -> FrozenSet[int]:
-        return frozenset(k + 1 for k in range(n) if mask >> k & 1)
-
-    return {
-        as_delta(t): {as_delta(s) for s in orbit_of(t)} for t in range(1 << n)
-    }
+    dfs(0, 0)
+    return found
 
 
 def delta_cocycle(d: CoxeterDiagram, delta: Iterable[int]) -> int:

@@ -95,10 +95,6 @@ class SpanningTree(NamedTuple):
     nontree_edges: Tuple[Edge, ...]  # lexicographic: e_1, ..., e_n
     chosen_vertex: Tuple[int, ...]  # o_j = smaller endpoint of e_j
 
-    @property
-    def cycle_count(self) -> int:
-        return len(self.nontree_edges)
-
 
 def spanning_tree(g: Graph) -> SpanningTree:
     """BFS spanning tree from the smallest vertex, neighbors in ascending

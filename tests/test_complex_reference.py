@@ -4,16 +4,19 @@ classification against the reference paths they replaced.
 The references below are the earlier implementations, condensed: an edge
 complex that lists every subset of at most three edges and filters the
 pointed ones, `cofaces` and `vertex_star` as scans, the Z^1 cross-check by
-elimination over the whole d1, and the classification that compares every
-delta with the first member of each class so far by an exhaustive
-`amalgams_isomorphic` search.  Both must give identical results on named
-graphs and diagrams and on `hypothesis`-generated ones.
+elimination over the whole d1, and two classifications: the brute force
+that compares every delta with the first member of each class so far by an
+exhaustive `amalgams_isomorphic` search, and the same greedy loop reading
+its decisions from one gauge sweep per delta T (`reference_twist_orbits`,
+verbatim).  All must give identical results on named graphs and diagrams
+and on `hypothesis`-generated ones, and every per-T orbit must be T + the
+orbit of the standard amalgam, which the one-sweep classification uses.
 """
 
 import subprocess
 import sys
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,10 @@ from hypothesis import strategies as st
 
 from coxloops import amalgams, gf2
 from coxloops.amalgams import (
+    Amalgam,
     ClassificationReport,
+    _edge_candidates,
+    _standard_orbit,
     amalgams_isomorphic,
     classify_twisted_amalgams,
     standard_amalgam,
@@ -35,10 +41,12 @@ from coxloops.cohomology import (
     cohomology,
     vertex_coboundary,
     vertex_star,
+    vertex_twist,
 )
 from coxloops.coxeter import CoxeterDiagram
 from coxloops.errors import CheckError, ResourceLimitError
-from coxloops.graphs import Graph, spanning_tree
+from coxloops.graphs import Graph, SpanningTree, spanning_tree
+from coxloops.morphisms import compose_images
 
 
 class ReferenceComplex:
@@ -122,6 +130,189 @@ def reference_classification(d: CoxeterDiagram, budget: int = 10_000_000) -> Cla
         classes=tuple(tuple(c) for c in classes),
         pairs_checked=pairs,
     )
+
+
+def reference_sweep_classification(a: Amalgam, budget: int = 10_000_000) -> ClassificationReport:
+    """Partition the 2^n normalized twisted amalgams over the diagram of
+    the standard amalgam `a` into isomorphism classes; the expected outcome
+    is 2^n singleton classes.
+
+    The classes are those of the greedy pairwise comparison (each delta,
+    in order, against the first member of every class so far), with the
+    same `pairs_checked`.  Each decision reads the delta's orbit from one
+    gauge sweep per delta (`reference_twist_orbits`) instead of running an
+    exhaustive `amalgams_isomorphic` search per pair; every merge is still
+    confirmed by `amalgams_isomorphic` and carries its checked witness.
+    The budget applies as in the pairwise search: ResourceLimitError when
+    n >= 1 and the space of one search exceeds it.
+    """
+    if a.twists:
+        raise ValueError("classification starts from the standard amalgam")
+    d = a.diagram
+    st = spanning_tree(a.complex.graph)
+    n = len(st.nontree_edges)
+    deltas = []
+    for k in range(0, n + 1):
+        for combo in combinations(range(1, n + 1), k):
+            deltas.append(frozenset(combo))
+    orbits = reference_twist_orbits(a, st, budget) if n else {frozenset(): {frozenset()}}
+    for delta in deltas:
+        if delta not in orbits[delta]:
+            raise CheckError(f"twisted amalgam {sorted(delta)} missing from its own orbit")
+        if any(delta not in orbits[other] for other in orbits[delta]):
+            raise CheckError(f"orbit of twisted amalgam {sorted(delta)} is not symmetric")
+    classes: List[List[FrozenSet[int]]] = []
+    pairs = 0
+    for delta in deltas:
+        placed = False
+        for cls in classes:
+            pairs += 1
+            if delta in orbits[cls[0]]:
+                rep = amalgams_isomorphic(
+                    twisted_amalgam(d, cls[0]), twisted_amalgam(d, delta), budget=budget
+                )
+                if not rep.isomorphic:
+                    raise CheckError(
+                        f"gauge sweep merges {sorted(delta)} into {sorted(cls[0])}, "
+                        "the isomorphism search does not"
+                    )
+                cls.append(delta)
+                placed = True
+                break
+        if not placed:
+            classes.append([delta])
+    return ClassificationReport(
+        cycle_rank=n,
+        nontree_edges=st.nontree_edges,
+        chosen_vertices=st.chosen_vertex,
+        class_count=len(classes),
+        classes=tuple(tuple(cls) for cls in classes),
+        pairs_checked=pairs,
+    )
+
+
+def reference_twist_orbits(
+    a: Amalgam, st: SpanningTree, budget: int
+) -> Dict[FrozenSet[int], Set[FrozenSet[int]]]:
+    """For every delta T, the set of deltas S with a_T isomorphic to a_S,
+    found by one sweep over the edge assignments theta of
+    `amalgams_isomorphic` (a the standard amalgam, which has the same
+    candidates as every twisted one).
+
+    The maps a_T and the standard amalgam differ only in the Klein-into-edge
+    components psi_{j,e} = iota_{j,e} o gamma_j^{T(j,e)}, and the loop map
+    that theta_e induces on a pointed simplex at j through e is
+    gamma_j^{S(j,e)} o r_{j,e}(theta_e) o gamma_j^{T(j,e)}, with
+    r_{j,e}(f) = iota^-1 o f o iota.  It depends on (j, e) only, so theta
+    is accepted exactly when, at every vertex j of degree >= 2, these maps
+    agree over the edges at j.  gamma_j is a nontrivial involution, so the
+    first edge at j fixes the S-pattern at j up to one flip, and only the
+    patterns inside {e_k : o_k = j} are normalized.  The sweep is a
+    depth-first search over `cx.edges` in order that tests each vertex as
+    soon as its last edge is assigned and prunes the subtree when the test
+    fails; each leaf yields the S it reaches.
+    """
+    cx = a.complex
+    edges = cx.edges
+    cand = [_edge_candidates(a, e, budget) for e in edges]
+    space = 1
+    for c in cand:
+        space *= len(c)
+    if space > budget:
+        raise ResourceLimitError(f"amalgam isomorphism search exceeded budget={budget}")
+    twist_bit = {
+        (o, e): 1 << k for k, (o, e) in enumerate(zip(st.chosen_vertex, st.nontree_edges))
+    }
+
+    # per vertex j of degree >= 2, tested after its last edge: for each
+    # edge at j its position, its T-bit, and for every candidate and
+    # T(j, e) the ids of the induced maps for S(j, e) = 0 and 1; and the
+    # S-patterns at j (bit p for the p-th edge at j) that are normalized,
+    # with the deltas they stand for
+    tests: List[List[Tuple]] = [[] for _ in edges]
+    for j in cx.graph.vertices:
+        star = cx.stars[j].edges
+        if len(star) < 2:
+            continue
+        gamma = vertex_twist(a.core_loop((j,)).loop)
+        ids: Dict[Tuple[int, ...], int] = {}
+        rows = []
+        for e in star:
+            other = star[1] if e == star[0] else star[0]
+            iota = a.connecting(tuple(sorted((e, other))), (e,))
+            psi = (iota, compose_images(iota, gamma))
+            inv = [{y: x for x, y in enumerate(p)} for p in psi]
+            induced = [
+                tuple(
+                    tuple(
+                        ids.setdefault(tuple(inv[s][f[x]] for x in psi[t]), len(ids))
+                        for s in (0, 1)
+                    )
+                    for t in (0, 1)
+                )
+                for f in cand[cx.edge_pos[e]]
+            ]
+            rows.append((cx.edge_pos[e], twist_bit.get((j, e), 0), induced))
+        normal = [(1 << p, twist_bit[(j, e)]) for p, e in enumerate(star) if (j, e) in twist_bit]
+        patterns = {0: 0}
+        for bit, delta_bit in normal:
+            patterns.update({m | bit: d | delta_bit for m, d in patterns.items()})
+        tests[max(r[0] for r in rows)].append((rows, (1 << len(star)) - 1, patterns))
+
+    def orbit_of(tmask: int) -> Set[int]:
+        # the vertex tests with T applied: the first edge's position and
+        # maps per candidate, then (pattern bit, position, maps) for the rest
+        fixed = []
+        for at_edge in tests:
+            fixed.append([])
+            for rows, full, patterns in at_edge:
+                applied = [
+                    (1 << p, pos, [m[1 if tmask & bit else 0] for m in induced])
+                    for p, (pos, bit, induced) in enumerate(rows)
+                ]
+                fixed[-1].append((applied[0][1:], applied[1:], full, patterns))
+        assign = [0] * len(edges)
+        found: Set[int] = set()
+
+        def options(first, rest, full, patterns) -> List[int]:
+            pos0, maps0 = first
+            target = maps0[assign[pos0]][0]
+            flips = 0
+            for bit, pos, maps in rest:
+                m0, m1 = maps[assign[pos]]
+                if m1 == target:
+                    flips |= bit
+                elif m0 != target:
+                    return []
+            # S(j, first edge) = 0 gives the pattern `flips`, = 1 its complement
+            return [patterns[m] for m in (flips, full ^ flips) if m in patterns]
+
+        def dfs(i: int, smask: int) -> None:
+            if i == len(edges):
+                found.add(smask)
+                return
+            for ci in range(len(cand[i])):
+                assign[i] = ci
+                masks = [smask]
+                for test in fixed[i]:
+                    opts = options(*test)
+                    masks = [m | o for m in masks for o in opts]
+                    if not masks:
+                        break
+                for m in masks:
+                    dfs(i + 1, m)
+
+        dfs(0, 0)
+        return found
+
+    n = len(st.nontree_edges)
+
+    def as_delta(mask: int) -> FrozenSet[int]:
+        return frozenset(k + 1 for k in range(n) if mask >> k & 1)
+
+    return {
+        as_delta(t): {as_delta(s) for s in orbit_of(t)} for t in range(1 << n)
+    }
 
 
 ATTRIBUTES = (
@@ -309,17 +500,43 @@ DIAGRAMS = {
 }
 
 
+def as_mask(delta) -> int:
+    return sum(1 << (k - 1) for k in delta)
+
+
+def assert_orbits_are_translates(a: Amalgam) -> None:
+    """Every per-T orbit of the reference sweep is T + the orbit of the
+    standard amalgam, and that orbit is the one-sweep `_standard_orbit`."""
+    st_ = spanning_tree(a.complex.graph)
+    if not st_.nontree_edges:
+        return
+    orbits = reference_twist_orbits(a, st_, 10_000_000)
+    base = {as_mask(s) for s in orbits[frozenset()]}
+    assert base == _standard_orbit(a, st_, 10_000_000)
+    assert len(orbits) == 1 << len(st_.nontree_edges)
+    for t, orbit in orbits.items():
+        assert {as_mask(s) for s in orbit} == {as_mask(t) ^ o for o in base}, sorted(t)
+
+
+def assert_same_classification(d: CoxeterDiagram, brute_force: bool = True) -> ClassificationReport:
+    a = standard_amalgam(d)
+    rep = classify_twisted_amalgams(a)
+    assert rep == reference_sweep_classification(a)
+    if brute_force:
+        assert rep == reference_classification(d)
+    assert_orbits_are_translates(a)
+    return rep
+
+
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))
 def test_classification_matches_reference_on_named_diagrams(name):
-    d = DIAGRAMS[name]
-    assert classify_twisted_amalgams(standard_amalgam(d)) == reference_classification(d)
+    assert_same_classification(DIAGRAMS[name])
 
 
 @pytest.mark.slow
 def test_classification_matches_reference_on_k5_minus_edge():
     d = cox(5, [(a, b, 3) for a, b in complete(5) if (a, b) != (4, 5)])
-    rep = classify_twisted_amalgams(standard_amalgam(d))
-    assert rep == reference_classification(d)
+    rep = assert_same_classification(d)
     assert rep.class_count == 32 and rep.pairs_checked == 496
 
 
@@ -336,22 +553,35 @@ def diagrams(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(diagrams())
 def test_classification_matches_reference_on_random_diagrams(d):
-    assert classify_twisted_amalgams(standard_amalgam(d)) == reference_classification(d)
+    assert_same_classification(d)
 
 
 def test_k5_has_64_singleton_classes():
-    rep = classify_twisted_amalgams(standard_amalgam(cox(5, [(a, b, 3) for a, b in complete(5)])))
+    rep = assert_same_classification(cox(5, [(a, b, 3) for a, b in complete(5)]), brute_force=False)
     assert rep.cycle_rank == 6 and rep.ok
     assert all(len(cls) == 1 for cls in rep.classes)
     assert rep.pairs_checked == 64 * 63 // 2
 
 
 @pytest.mark.slow
+def test_k6_matches_the_per_delta_sweeps():
+    assert_same_classification(cox(6, [(a, b, 3) for a, b in complete(6)]), brute_force=False)
+
+
 def test_k6_has_1024_singleton_classes():
     rep = classify_twisted_amalgams(standard_amalgam(cox(6, [(a, b, 3) for a, b in complete(6)])))
     assert rep.cycle_rank == 10 and rep.ok
     assert all(len(cls) == 1 for cls in rep.classes)
     assert rep.pairs_checked == 1024 * 1023 // 2
+
+
+def test_k7_has_32768_singleton_classes():
+    rep = classify_twisted_amalgams(standard_amalgam(cox(7, [(a, b, 3) for a, b in complete(7)])))
+    assert rep.cycle_rank == 15 and rep.ok
+    assert all(len(cls) == 1 for cls in rep.classes)
+    assert rep.classes[:3] == ((frozenset(),), (frozenset({1}),), (frozenset({2}),))
+    assert rep.classes[-1] == (frozenset(range(1, 16)),)
+    assert rep.pairs_checked == 32768 * 32767 // 2 == 536_854_528
 
 
 @pytest.mark.parametrize("name", ["two_triangles", "K4"])
@@ -364,16 +594,96 @@ def test_classification_budget_is_the_space_of_one_search(name):
 
 
 def test_wrong_orbits_are_refused(monkeypatch):
-    d = DIAGRAMS["two_triangles"]
-    deltas = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-    singletons = {t: {t} for t in deltas}
-    # a merge the isomorphism search does not confirm
-    pair = {deltas[0], deltas[1]}
-    merged = {**singletons, deltas[0]: pair, deltas[1]: pair}
-    # an orbit that misses its own delta, and one that is not symmetric
-    missing = {**singletons, deltas[2]: set()}
-    lopsided = {**singletons, deltas[3]: {deltas[3], deltas[0]}}
-    for orbits, message in ((merged, "merges"), (missing, "own orbit"), (lopsided, "symmetric")):
-        monkeypatch.setattr(amalgams, "_twist_orbits", lambda a, st_, budget, o=orbits: o)
+    d = DIAGRAMS["two_triangles"]  # cycle rank 2: deltas 0, {1}, {2}, {1, 2} as masks 0-3
+    forgeries = (
+        ({1}, "missing from its own orbit"),
+        ({0, 1, 2}, "not closed under symmetric difference"),
+        ({0, 1}, "merges \\[1\\] into \\[\\], the isomorphism search does not"),
+    )
+    for orbit, message in forgeries:
+        monkeypatch.setattr(amalgams, "_standard_orbit", lambda a, st_, budget, o=orbit: set(o))
         with pytest.raises(CheckError, match=message):
             classify_twisted_amalgams(standard_amalgam(d))
+
+
+
+def test_cosets_and_pairs_follow_the_greedy_loop(monkeypatch):
+    """A forged orbit {0, {1, 3}} on K4 (cycle rank 3) with every merge
+    confirmed: the cosets and `pairs_checked` equal those of the greedy
+    loop reading the translated orbits, as a real orbit past {0} would."""
+    d = DIAGRAMS["K4"]
+    base = {0, 0b101}
+
+    def as_delta(mask: int) -> FrozenSet[int]:
+        return frozenset(k + 1 for k in range(3) if mask >> k & 1)
+
+    def confirmed(a, b, budget):
+        return amalgams.IsoReport(True, {}, 1, 1, False)
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(amalgams, "_standard_orbit", lambda a, st_, budget: set(base))
+    monkeypatch.setattr(amalgams, "amalgams_isomorphic", confirmed)
+    monkeypatch.setattr(module, "amalgams_isomorphic", confirmed)
+    monkeypatch.setattr(
+        module,
+        "reference_twist_orbits",
+        lambda a, st_, budget: {as_delta(t): {as_delta(t ^ o) for o in base} for t in range(8)},
+    )
+    a = standard_amalgam(d)
+    rep = classify_twisted_amalgams(a)
+    assert rep == reference_sweep_classification(a)
+    assert rep.class_count == 4 and rep.pairs_checked == 16
+
+FORGED_LEMMA = """
+from coxloops import amalgams
+from coxloops.coxeter import CoxeterDiagram
+from coxloops.errors import CheckError
+
+d = CoxeterDiagram.from_edges(4, [(1, 2, 3), (1, 3, 3), (2, 3, 3), (2, 4, 3), (3, 4, 3)])
+a = amalgams.standard_amalgam(d)
+# an automorphism of order 3 of the Klein loop {e, s, u, su} at a vertex;
+# it commutes with no twist gamma_j, an involution
+cycle = (0, 2, 3, 1)
+# a permutation of the edge loop L_(1,2) acting as `cycle` on the Klein
+# subloop of vertex 1 and fixing everything else
+iota = a.connecting(((1, 2), (1, 3)), ((1, 2),))
+forged = list(range(a.loop_of(((1, 2),)).order))
+for x, y in enumerate(cycle):
+    forged[iota[x]] = iota[y]
+candidates = amalgams._edge_candidates
+fakes = {
+    "gamma": ("vertex_twist", lambda loop: cycle),
+    "candidate": (
+        "_edge_candidates",
+        lambda a, e, budget: candidates(a, e, budget) + [tuple(forged)] * (e == (1, 2)),
+    ),
+}
+for kind, (name, fake) in fakes.items():
+    genuine = getattr(amalgams, name)
+    setattr(amalgams, name, fake)
+    try:
+        amalgams.classify_twisted_amalgams(a)
+    except CheckError as e:
+        print(__debug__, kind, "CheckError", e)
+    else:
+        print(__debug__, kind, "accepted")
+    setattr(amalgams, name, genuine)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_induced_map_not_commuting_with_the_twist_is_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", FORGED_LEMMA], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(maxsplit=3) for line in proc.stdout.splitlines()]
+    debug = str(not flags)
+    assert [line[:3] for line in lines] == [
+        [debug, "gamma", "CheckError"],
+        [debug, "candidate", "CheckError"],
+    ]
+    message = (
+        "an induced map at vertex 1 through edge (1, 2) does not commute with the vertex twist"
+    )
+    assert [line[3] for line in lines] == [message, message]
