@@ -132,7 +132,7 @@ def _build_core_data(d: CoxeterDiagram, cx: EdgeComplex) -> Dict[Tuple[int, ...]
                 f"edge ({i},{j}) has an infinite label; amalgam loops need finite edges"
             )
     out: Dict[Tuple[int, ...], CoreData] = {}
-    trivial = GroupTable([[0]], labels=["e"], words=[()])
+    trivial = GroupTable([[0]], labels=["e"], words=[()], validate=False)
     out[()] = CoreData((), trivial, chein_loop(trivial), {}, 1)
     groups: Dict[CoxeterDiagram, GroupTable] = {}
     cores = [(v,) for v in cx.graph.vertices] + [tuple(e) for e in cx.graph.edges]

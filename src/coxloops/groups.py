@@ -20,13 +20,16 @@ about 10 ns an entry.  When a table's order is at most 256 every entry
 fits in a byte, and its byte views (`_ByteViews`, built once per table)
 compose f o g as `g.translate(f_padded)`, about 1 ns an entry.
 
-The cubic sweeps (`is_associative` here, the Moufang identities in
-`loops`) choose the width from the order alone, through `_cubic`.  In the
-byte width, `_block_sweep` checks each x in one step: every side is one
-n*n-byte string over all (y, z), built from a few `join` and `translate`
-calls, and the sides are compared whole.  Past order 256, `_sweep` checks
-one pair (x, y) at a time on tuples.  Both give the first failing triple
-in lexicographic order, its sides and the same `checked` count.
+Every identity report of the package comes from one engine, `_sweep`: for
+each value of the leading variables, in lexicographic order, every side is
+one sequence over the trailing variables, and the sides are compared
+whole.  The first difference gives the counterexample, its values and the
+`checked` count of the per-instance definition.  The cubic sweeps
+(`is_associative` here, the Moufang identities in `loops`) choose the
+width from the order alone, through `_cubic`: in the byte width every side
+is one n*n-byte string over all (y, z) for one x, built from a few `join`
+and `translate` calls; past order 256 it is one tuple over z for one pair
+(x, y), from compositions made once per x.
 
 `element_statistics` needs no table at all: it walks one word per element
 through a right regular action (a Coxeter group's `coxeter.regular_action`,
@@ -36,8 +39,10 @@ memory linear in |W|.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
+from itertools import product as iproduct
+from math import prod
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -129,79 +134,60 @@ class IdentityReport(NamedTuple):
 
 def _sweep(
     name: str,
-    n: int,
-    sides_at: Callable[[int], Callable[[int], Sequence[Tuple[int, ...]]]],
-    values: Callable[[int, int, int], Tuple[int, ...]],
+    keys: Iterable[Tuple[int, ...]],
+    shape: Sequence[int],
+    sides_at: Callable[..., Sequence[Sequence[int]]],
 ) -> IdentityReport:
-    """A cubic identity over all triples (x, y, z), lexicographic, checked
-    one pair (x, y) at a time: `sides_at(x)(y)` gives the sides as maps of
-    z, and the first z where any side differs completes the counterexample.
+    """An identity over its whole domain, lexicographic, checked one key at
+    a time: the one engine behind every `IdentityReport`.
+
+    `keys` are the values of the leading variables, in order, and `shape`
+    gives the ranges of the trailing ones.  `sides_at(*key)` returns every
+    side as one sequence (bytes or a tuple) over the trailing variables,
+    flattened row-major (the last variable fastest), and the sides are
+    compared whole.  At the first key where they differ, the least position
+    i where any side differs from the first completes the counterexample
+    (the key, then i unflattened by `shape`), `values` are the sides read
+    at i, and `checked` is k*size + i + 1 for the k-th key (from 0).
     """
-    for x in range(n):
-        sides_of = sides_at(x)
-        for y in range(n):
-            first, *rest = sides_of(y)
-            if any(side != first for side in rest):
-                z = next(z for z in range(n) if any(side[z] != first[z] for side in rest))
-                return IdentityReport(name, False, (x * n + y) * n + z + 1, (x, y, z), values(x, y, z))
-    return IdentityReport(name, True, n**3, None, None)
-
-
-def _first_difference(a: bytes, b: bytes) -> int:
-    """The first index where two byte strings of one length differ, or
-    their length when they are equal."""
-    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return len(a) - 1 - (diff.bit_length() - 1) // 8
-
-
-def _block_sweep(
-    name: str,
-    n: int,
-    sides_at: Callable[[int], Sequence[bytes]],
-    values: Callable[[int, int, int], Tuple[int, ...]],
-) -> IdentityReport:
-    """`_sweep` one x at a time: `sides_at(x)` gives the sides as byte
-    strings over all (y, z), with (y, z) at index y*n + z.  When they
-    differ, the least index where any side differs from the first is the
-    first failing (y, z).
-    """
-    for x in range(n):
-        first, *rest = sides_at(x)
+    size = prod(shape)
+    k = -1
+    for k, key in enumerate(keys):
+        first, *rest = sides = sides_at(*key)
         if any(side != first for side in rest):
-            y, z = divmod(min(_first_difference(first, side) for side in rest), n)
-            return IdentityReport(name, False, (x * n + y) * n + z + 1, (x, y, z), values(x, y, z))
-    return IdentityReport(name, True, n**3, None, None)
+            i, values = next((i, vs) for i, vs in enumerate(zip(*sides)) if vs.count(vs[0]) < len(vs))
+            trailing, j = [], i
+            for width in reversed(shape):
+                j, last = divmod(j, width)
+                trailing.append(last)
+            return IdentityReport(name, False, k * size + i + 1, (*key, *reversed(trailing)), values)
+    return IdentityReport(name, True, (k + 1) * size, None, None)
 
 
-def _reports(
-    t: _Table, sweep: Callable, sides: Dict[str, Callable], values: Callable[..., Tuple[int, ...]]
-) -> Dict[str, IdentityReport]:
-    """`sweep` over each identity's sides, in the order of `sides`."""
-    return {
-        name: sweep(name, t.order, sides_at, lambda x, y, z, _n=name: values(t, _n, x, y, z))
-        for name, sides_at in sides.items()
-    }
+def _per_x(sides_at: Callable[[int], Callable[[int], Sequence[Tuple[int, ...]]]]) -> Callable:
+    """`sides_at(x)(y)` as a function of (x, y) that builds `sides_at(x)`,
+    and the compositions it precomputes, once per x."""
+    at = lru_cache(maxsize=1)(sides_at)
+    return lambda x, y: at(x)(y)
 
 
 def _cubic(
     t: _Table,
     pairs: Callable[[_Table], Dict[str, Callable]],
     blocks: Callable[[_Table], Dict[str, Callable]],
-    values: Callable[..., Tuple[int, ...]],
 ) -> Dict[str, IdentityReport]:
-    """Cubic identities over all triples of `t`: `pairs(t)` and `blocks(t)`
-    give each identity's sides for `_sweep` and `_block_sweep`, and
-    `values(t, name, x, y, z)` evaluates them at one triple.  The byte width
-    runs when every entry fits in a byte.
+    """Cubic identities over all triples (x, y, z) of `t`, one `_sweep`
+    each, in the order of their sides.  When every entry fits in a byte,
+    `blocks(t)` gives each identity's sides for one x as byte strings over
+    all (y, z); past order 256, `pairs(t)` gives them as tuples over z for
+    one pair (x, y), from a map of y built once per x.
     """
-    if t.order <= 256:
-        return _reports(t, _block_sweep, blocks(t), values)
-    return _reports(t, _sweep, pairs(t), values)
-
-
-def _assoc_values(t: _Table, name: str, x: int, y: int, z: int) -> Tuple[int, int]:
-    p = t.product
-    return (p[p[x][y]][z], p[x][p[y][z]])
+    n = t.order
+    if n <= 256:
+        return {name: _sweep(name, iproduct(range(n)), (n, n), at) for name, at in blocks(t).items()}
+    return {
+        name: _sweep(name, iproduct(range(n), repeat=2), (n,), _per_x(at)) for name, at in pairs(t).items()
+    }
 
 
 def _assoc_pairs(t: _Table) -> Dict[str, Callable]:
@@ -227,7 +213,7 @@ def is_associative(t: _Table) -> IdentityReport:
 
     As translations: L_{xy} == L_x L_y.
     """
-    return _cubic(t, _assoc_pairs, _assoc_blocks, _assoc_values)["assoc"]
+    return _cubic(t, _assoc_pairs, _assoc_blocks)["assoc"]
 
 
 class _ByteViews:
@@ -547,7 +533,9 @@ def closure(g: _Table, subset: Iterable[int]) -> Tuple[int, ...]:
 
 def subgroup_table(g: GroupTable, elements: Iterable[int]) -> GroupTable:
     """The multiplication table of a subgroup, re-indexed to 0..k-1 in the
-    subgroup's own element order (ascending); labels are inherited."""
+    subgroup's own element order (ascending); labels are inherited.  A
+    finite subset of a group that holds 0 and is closed under the product
+    is a subgroup, so the table inherits g's certificate."""
     elems = sorted(set(elements))
     if not elems or elems[0] != 0:
         raise ValueError("a subgroup must contain the identity 0")
@@ -561,7 +549,7 @@ def subgroup_table(g: GroupTable, elements: Iterable[int]) -> GroupTable:
                 raise ValueError(f"subset not closed: {a}*{b} = {c} is outside")
             row.append(pos[c])
         rows.append(row)
-    return GroupTable(rows, labels=[g.labels[x] for x in elems])
+    return GroupTable(rows, labels=[g.labels[x] for x in elems], validate=False)
 
 
 def all_subgroups(g: GroupTable) -> List[Tuple[int, ...]]:

@@ -18,27 +18,28 @@ the values of both sides so failures can be replayed.
 certificates live: `is_loop`, `is_quasigroup` and a validated `LoopTable`
 read `loop_axiom_failures`, and `is_associative` is re-exported from there.
 
-The doubled table and the cubic sweeps (associativity and the Moufang
-identities, all through `groups._cubic`) are built from the one
-composition kernel of `groups`, which has two widths.  A cubic identity is
-an identity between translations (rows L_x: z -> x*z, columns
-R_x: z -> z*x).  Up to order 256, for each x in turn, every side is one
-byte string over all (y, z), built from whole rows and columns by a few
-`join` and `translate` calls, and the sides are compared whole
-(`_moufang_blocks`).  Past order 256, both sides are composed as tuple maps
-of z for each pair (x, y) (`_moufang_pairs`).  On a mismatch the first
-differing (y, z), or z, completes the counterexample, so it and the
-`checked` count are exactly those of the per-triple iteration.  The
-quadratic suites run per instance through `_run`.
+The doubled table is built from the one composition kernel of `groups`,
+and every identity suite here runs through its one sweep, `groups._sweep`.
+A cubic identity is an identity between translations (rows L_x: z -> x*z,
+columns R_x: z -> z*x).  Up to order 256, for each x in turn, every side
+is one byte string over all (y, z), built from whole rows and columns by a
+few `join` and `translate` calls (`_moufang_blocks`); past order 256, one
+tuple over z for each pair (x, y) (`_moufang_pairs`).  Each doubling rule
+is an equality of two maps on G for fixed g1, gathered from whole rows and
+columns of the loop's own table.  The generator identities keep their
+per-instance sides, read over the last generator slot.  In every case the
+first difference between the sides gives the counterexample and the
+`checked` count of the per-instance iteration.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CheckError
-from .groups import GroupTable, IdentityReport, _cubic, _Table, closure, compose, composer
+from .groups import GroupTable, IdentityReport, _cubic, _sweep, _Table, closure, compose, composer
 from .groups import is_associative, loop_axiom_failures
 
 __all__ = [
@@ -135,27 +136,17 @@ def chein_loop(g: GroupTable) -> LoopTable:
 # identity reports
 
 
-def _run(
-    name: str,
-    instances: Iterable[Tuple[int, ...]],
-    fn: Callable[..., Tuple[int, ...]],
-) -> IdentityReport:
-    checked = 0
-    for xs in instances:
-        checked += 1
-        vals = fn(*xs)
-        v0 = vals[0]
-        if any(v != v0 for v in vals[1:]):
-            return IdentityReport(name, False, checked, tuple(xs), tuple(vals))
-    return IdentityReport(name, True, checked, None, None)
-
-
 def moufang_values(t: LoopTable, name: str, x: int, y: int, z: int) -> Tuple[int, ...]:
     """Evaluate the sides of one Moufang identity at (x, y, z).
 
     m1: z*(x*(y*x)) == ((z*x)*y)*x
     m2: x*(y*(x*z)) == ((x*y)*x)*z
     m3: (x*y)*(z*x) == (x*(y*z))*x == x*((y*z)*x)   (both bracketings)
+
+    `is_moufang` does not call this.  It stays public, like `chein_values`:
+    both belong to the exported names that `tests/test_package.py` pins,
+    and they are the per-instance definitions the tests check the sweeps'
+    whole-row sides against.
     """
     p = t.product
     if name == "m1":
@@ -229,7 +220,7 @@ def is_moufang(t: LoopTable) -> Dict[str, IdentityReport]:
     m2: L_x L_y L_x == L_{(xy)x}
     m3: L_{xy} R_x == R_x L_x L_y == L_x R_x L_y
     """
-    return _cubic(t, _moufang_pairs, _moufang_blocks, moufang_values)
+    return _cubic(t, _moufang_pairs, _moufang_blocks)
 
 
 def chein_values(t: LoopTable, name: str, g1: int, g2: int) -> Tuple[int, int]:
@@ -241,11 +232,17 @@ def chein_values(t: LoopTable, name: str, g1: int, g2: int) -> Tuple[int, int]:
     c1: g1*(g2*u) == (g2*g1)*u
     c2: (g1*u)*g2 == (g1*g2^-1)*u
     c3: (g1*u)*(g2*u) == g2^-1*g1
+
+    `verify_chein_identities` does not call this.  It stays public, like
+    `moufang_values`: both belong to the exported names that
+    `tests/test_package.py` pins, and they are the per-instance definitions
+    the tests check the sweeps' whole-row sides against.  A loop without a
+    group half is a bad argument (ValueError), as there.
     """
     p = t.product
     u = t.group_order
     if u is None:
-        raise CheckError("loop was not built as a doubled loop")
+        raise ValueError("loop does not carry a group half (group_order is None)")
     if name == "c1":
         return (p[g1][p[g2][u]], p[p[g2][g1]][u])
     if name == "c2":
@@ -256,18 +253,34 @@ def chein_values(t: LoopTable, name: str, g1: int, g2: int) -> Tuple[int, int]:
 
 
 def verify_chein_identities(t: LoopTable) -> Dict[str, IdentityReport]:
-    """The three doubling rules over all pairs (g1, g2) in G x G."""
+    """The three doubling rules over all pairs (g1, g2) in G x G.
+
+    For each g1, every side is one tuple over g2, gathered from whole rows
+    and columns of the loop's own table, so nothing assumes that g*u is
+    index N + g or that g^-1 lies in G.  With `at_u` the map g2 -> g2*u
+    and `u_col` the column of u:
+
+    c1: row g1 after at_u == u_col after the column of g1 on G
+    c2: row g1*u on G == u_col after row g1 after the inverse map
+    c3: row g1*u after at_u == the column of g1 read at the inverses
+    """
     if t.group_order is None:
         raise ValueError("loop does not carry a group half (group_order is None)")
-    n = t.group_order
-    out = {}
-    for name in CHEIN_NAMES:
-        out[name] = _run(
-            name,
-            iproduct(range(n), repeat=2),
-            lambda g1, g2, _n=name: chein_values(t, _n, g1, g2),
-        )
-    return out
+    n = u = t.group_order
+    p, inv = t.product, t.rinv[:n]
+    u_col = tuple(map(itemgetter(u), p))
+    at_u = u_col[:n]
+    g_rows, inv_rows = p[:n], compose(p, inv)  # the rows of g2 and of g2^-1
+
+    def col(g1: int, rows: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+        return tuple(map(itemgetter(g1), rows))
+
+    sides = {
+        "c1": lambda g1: (compose(p[g1], at_u), compose(u_col, col(g1, g_rows))),
+        "c2": lambda g1: (p[p[g1][u]][:n], compose(u_col, compose(p[g1], inv))),
+        "c3": lambda g1: (compose(p[p[g1][u]], at_u), col(g1, inv_rows)),
+    }
+    return {name: _sweep(name, iproduct(range(n)), (n,), sides[name]) for name in CHEIN_NAMES}
 
 
 def verify_doubling_identities(g: GroupTable) -> Dict[str, IdentityReport]:
@@ -291,7 +304,10 @@ def verify_doubling_identities(g: GroupTable) -> Dict[str, IdentityReport]:
 
     Generator identities quantify over generator *slots*; counterexamples
     report slot indices (0-based).  All marked generators must be
-    involutions.
+    involutions.  Each identity is one `_sweep`: the u-conjugations compare
+    gathers of row u and the column of u with the inverse map, and the
+    generator identities keep their per-instance sides, read over the last
+    slot.
     """
     if not g.generators:
         raise ValueError("group has no marked generators")
@@ -299,56 +315,41 @@ def verify_doubling_identities(g: GroupTable) -> Dict[str, IdentityReport]:
         raise CheckError("marked generators must be involutions")
     t = chein_loop(g)
     p = t.product
-    u = g.order
+    n = u = g.order
     gens = g.generators
-    out: Dict[str, IdentityReport] = {}
+    m = len(gens)
+    u_col = tuple(map(itemgetter(u), p))
 
+    def over_last(name: str, keys: Iterable[Tuple[int, ...]], width: int, values: Callable) -> IdentityReport:
+        # the instances key + (j,), j < width: each side as one tuple over j
+        return _sweep(
+            name, keys, (width,), lambda *key: tuple(zip(*(values(*key, j) for j in range(width))))
+        )
+
+    out: Dict[str, IdentityReport] = {}
     core = [0] + list(gens)
-    out["involution_squares"] = _run(
+    out["involution_squares"] = over_last(
         "involution_squares",
-        iproduct(range(len(core)), repeat=2),
+        iproduct(range(len(core))),
+        len(core),
         lambda i, j: (p[p[p[core[i]][core[j]]][u]][p[p[core[i]][core[j]]][u]], 0),
     )
-    out["u_conjugation_right"] = _run(
-        "u_conjugation_right",
-        ((w,) for w in range(g.order)),
-        lambda w: (p[p[u][w]][u], g.inverse[w]),
+    out["u_conjugation_right"] = _sweep(
+        "u_conjugation_right", [()], (n,), lambda: (compose(u_col, p[u][:n]), g.inverse)
     )
-    out["u_conjugation_left"] = _run(
-        "u_conjugation_left",
-        ((w,) for w in range(g.order)),
-        lambda w: (p[u][p[w][u]], g.inverse[w]),
+    out["u_conjugation_left"] = _sweep(
+        "u_conjugation_left", [()], (n,), lambda: (compose(p[u], u_col[:n]), g.inverse)
     )
     out.update(verify_chein_identities(t))
-    out["gen_u_swap"] = _run(
-        "gen_u_swap",
-        ((i,) for i in range(len(gens))),
-        lambda i: (p[gens[i]][u], p[u][gens[i]]),
-    )
-    out["gen_left_absorb"] = _run(
-        "gen_left_absorb",
-        iproduct(range(len(gens)), repeat=2),
-        lambda i, j: (p[gens[i]][p[gens[j]][u]], p[p[gens[j]][gens[i]]][u]),
-    )
-    out["gen_right_absorb"] = _run(
-        "gen_right_absorb",
-        iproduct(range(len(gens)), repeat=2),
-        lambda i, j: (p[p[gens[i]][u]][gens[j]], p[p[gens[i]][gens[j]]][u]),
-    )
-    out["gen_pair_collapse"] = _run(
-        "gen_pair_collapse",
-        iproduct(range(len(gens)), repeat=2),
-        lambda i, j: (p[p[gens[i]][u]][p[gens[j]][u]], p[gens[j]][gens[i]]),
-    )
-    out["gen_right_commute"] = _run(
-        "gen_right_commute",
-        iproduct(range(len(gens)), repeat=2),
-        lambda i, j: (p[p[u][gens[i]]][gens[j]], p[gens[j]][p[u][gens[i]]]),
-    )
-
-    def words() -> Iterable[Tuple[int, ...]]:
-        for k in range(1, 5):
-            yield from iproduct(range(len(gens)), repeat=k)
+    out["gen_u_swap"] = over_last("gen_u_swap", [()], m, lambda i: (p[gens[i]][u], p[u][gens[i]]))
+    slot_pairs = {
+        "gen_left_absorb": lambda i, j: (p[gens[i]][p[gens[j]][u]], p[p[gens[j]][gens[i]]][u]),
+        "gen_right_absorb": lambda i, j: (p[p[gens[i]][u]][gens[j]], p[p[gens[i]][gens[j]]][u]),
+        "gen_pair_collapse": lambda i, j: (p[p[gens[i]][u]][p[gens[j]][u]], p[gens[j]][gens[i]]),
+        "gen_right_commute": lambda i, j: (p[p[u][gens[i]]][gens[j]], p[gens[j]][p[u][gens[i]]]),
+    }
+    for name, values in slot_pairs.items():
+        out[name] = over_last(name, iproduct(range(m)), m, values)
 
     def peel(*word: int) -> Tuple[int, int]:
         w = 0
@@ -359,7 +360,10 @@ def verify_doubling_identities(g: GroupTable) -> Dict[str, IdentityReport]:
             tail = g.product[tail][gens[i]]
         return (p[u][w], p[gens[word[0]]][p[u][tail]])
 
-    out["left_peeling"] = _run("left_peeling", words(), peel)
+    # the words of length 1..4 by length, then lexicographic: every prefix
+    # of length 0..3 in that order, then its last letter
+    prefixes = (w for k in range(4) for w in iproduct(range(m), repeat=k))
+    out["left_peeling"] = over_last("left_peeling", prefixes, m, peel)
     return out
 
 

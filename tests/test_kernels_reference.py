@@ -19,6 +19,14 @@ The cubic sweeps have two widths, per x on bytes up to order 256 and per
 pair (x, y) on tuples past it; both are run on the same tables, across the
 boundary, and must give the same reports.
 
+Every identity report comes from the one sweep `groups._sweep`.  Its
+reference is `_run`, one instance at a time, with the per-instance sides:
+`moufang_values` for m1-m3, and `chein_values` and the generator suite's
+lambdas for `verify_doubling_identities`, whose whole reports must be equal
+on the corpus and on forged doubles (entries swapped inside the coset
+half, the coset half relabelled), where g*u is not index N + g and the
+rules fail at many positions.
+
 `group`'s element statistics walk words through a regular action
 (`element_statistics`) instead of reading them from a dense table; the
 reference is `GroupTable.element_order`, `is_abelian` and
@@ -26,11 +34,12 @@ reference is `GroupTable.element_order`, `is_abelian` and
 carry, on `enumerate_group`'s table, for diagrams and for table inputs.
 """
 
+import random
 import subprocess
 import sys
 from itertools import product as iproduct
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -59,9 +68,7 @@ from coxloops.groups import (
     GroupTable,
     _assoc_blocks,
     _assoc_pairs,
-    _assoc_values,
-    _block_sweep,
-    _reports,
+    _per_x,
     _sweep,
     alternating4,
     cyclic,
@@ -73,16 +80,18 @@ from coxloops.groups import (
     symmetric3,
 )
 from coxloops.loops import (
+    CHEIN_NAMES,
     MOUFANG_NAMES,
     IdentityReport,
     LoopTable,
     _moufang_blocks,
     _moufang_pairs,
-    _run,
     chein_loop,
+    chein_values,
     is_associative,
     is_moufang,
     moufang_values,
+    verify_doubling_identities,
 )
 from coxloops.morphisms import automorphism_group, is_homomorphism
 from test_complex_reference import GRAPHS, graphs
@@ -136,6 +145,102 @@ def reference_chein_loop(g: GroupTable) -> LoopTable:
             rau[n + b] = gp[gi[b]][a]
     labels = list(g.labels) + [("u" if a == 0 else f"{g.labels[a]}*u") for a in range(n)]
     return LoopTable(rows, labels=labels, group_order=n, group_generators=g.generators, validate=False)
+
+
+def _run(
+    name: str,
+    instances: Iterable[Tuple[int, ...]],
+    fn: Callable[..., Tuple[int, ...]],
+) -> IdentityReport:
+    checked = 0
+    for xs in instances:
+        checked += 1
+        vals = fn(*xs)
+        v0 = vals[0]
+        if any(v != v0 for v in vals[1:]):
+            return IdentityReport(name, False, checked, tuple(xs), tuple(vals))
+    return IdentityReport(name, True, checked, None, None)
+
+
+def reference_chein_identities(t: LoopTable) -> Dict[str, IdentityReport]:
+    """The three doubling rules one pair (g1, g2) at a time."""
+    n = t.group_order
+    out = {}
+    for name in CHEIN_NAMES:
+        out[name] = _run(
+            name,
+            iproduct(range(n), repeat=2),
+            lambda g1, g2, _n=name: chein_values(t, _n, g1, g2),
+        )
+    return out
+
+
+def reference_doubling_identities(g: GroupTable) -> Dict[str, IdentityReport]:
+    """`verify_doubling_identities` one instance at a time."""
+    t = chein_loop(g)
+    p = t.product
+    u = g.order
+    gens = g.generators
+    out: Dict[str, IdentityReport] = {}
+
+    core = [0] + list(gens)
+    out["involution_squares"] = _run(
+        "involution_squares",
+        iproduct(range(len(core)), repeat=2),
+        lambda i, j: (p[p[p[core[i]][core[j]]][u]][p[p[core[i]][core[j]]][u]], 0),
+    )
+    out["u_conjugation_right"] = _run(
+        "u_conjugation_right",
+        ((w,) for w in range(g.order)),
+        lambda w: (p[p[u][w]][u], g.inverse[w]),
+    )
+    out["u_conjugation_left"] = _run(
+        "u_conjugation_left",
+        ((w,) for w in range(g.order)),
+        lambda w: (p[u][p[w][u]], g.inverse[w]),
+    )
+    out.update(reference_chein_identities(t))
+    out["gen_u_swap"] = _run(
+        "gen_u_swap",
+        ((i,) for i in range(len(gens))),
+        lambda i: (p[gens[i]][u], p[u][gens[i]]),
+    )
+    out["gen_left_absorb"] = _run(
+        "gen_left_absorb",
+        iproduct(range(len(gens)), repeat=2),
+        lambda i, j: (p[gens[i]][p[gens[j]][u]], p[p[gens[j]][gens[i]]][u]),
+    )
+    out["gen_right_absorb"] = _run(
+        "gen_right_absorb",
+        iproduct(range(len(gens)), repeat=2),
+        lambda i, j: (p[p[gens[i]][u]][gens[j]], p[p[gens[i]][gens[j]]][u]),
+    )
+    out["gen_pair_collapse"] = _run(
+        "gen_pair_collapse",
+        iproduct(range(len(gens)), repeat=2),
+        lambda i, j: (p[p[gens[i]][u]][p[gens[j]][u]], p[gens[j]][gens[i]]),
+    )
+    out["gen_right_commute"] = _run(
+        "gen_right_commute",
+        iproduct(range(len(gens)), repeat=2),
+        lambda i, j: (p[p[u][gens[i]]][gens[j]], p[gens[j]][p[u][gens[i]]]),
+    )
+
+    def words() -> Iterable[Tuple[int, ...]]:
+        for k in range(1, 5):
+            yield from iproduct(range(len(gens)), repeat=k)
+
+    def peel(*word: int) -> Tuple[int, int]:
+        w = 0
+        for i in word:
+            w = g.product[w][gens[i]]
+        tail = 0
+        for i in word[1:]:
+            tail = g.product[tail][gens[i]]
+        return (p[u][w], p[gens[word[0]]][p[u][tail]])
+
+    out["left_peeling"] = _run("left_peeling", words(), peel)
+    return out
 
 
 def reference_is_associative(t) -> IdentityReport:
@@ -223,13 +328,13 @@ def left_zero(n: int, x0: int, row: Sequence[int], transpose: bool = False) -> L
 
 
 def reports_by_width(t) -> Tuple[Dict[str, IdentityReport], Dict[str, IdentityReport]]:
-    """assoc and m1-m3 swept per pair on tuples, and per x on bytes."""
-    return tuple(
-        {**_reports(t, sweep, assoc(t), _assoc_values), **_reports(t, sweep, moufang(t), moufang_values)}
-        for sweep, assoc, moufang in (
-            (_sweep, _assoc_pairs, _moufang_pairs),
-            (_block_sweep, _assoc_blocks, _moufang_blocks),
-        )
+    """assoc and m1-m3 swept per pair (x, y) on tuples over z, and per x on
+    bytes over (y, z)."""
+    n = t.order
+    pairs, blocks = {**_assoc_pairs(t), **_moufang_pairs(t)}, {**_assoc_blocks(t), **_moufang_blocks(t)}
+    return (
+        {name: _sweep(name, iproduct(range(n), repeat=2), (n,), _per_x(at)) for name, at in pairs.items()},
+        {name: _sweep(name, iproduct(range(n)), (n, n), at) for name, at in blocks.items()},
     )
 
 
@@ -305,6 +410,100 @@ def test_block_sweeps_match_per_triple_sweeps_at_loop_order_240(name):
     assert t.order == 240
     assert is_moufang(t) == reference_is_moufang(t)
     assert "byte_views" in vars(t)
+
+
+# ---------------------------------------------------------------------------
+# the doubling rules and the generator suite: whole-row sides per key
+# against one instance at a time
+
+
+def forged_double(g: GroupTable, swaps: Sequence[Tuple[int, int, int]], coset_perm: Sequence[int] = ()) -> GroupTable:
+    """A copy of g whose double is M(G, 2) with the coset half relabelled by
+    `coset_perm` (a permutation of N..2N-1, so that g*u need not be index
+    N + g), then, for each (r, c, d) in `swaps`, with the entries (r, c)
+    and (r, d) swapped.  The rows stay permutations, so every element keeps
+    a right inverse; the table is rarely a loop."""
+    n = g.order
+    perm = list(range(n)) + (list(coset_perm) or list(range(n, 2 * n)))
+    rows = relabel_rows(chein_loop(g).product, perm)
+    for r, c, d in swaps:
+        rows[r][c], rows[r][d] = rows[r][d], rows[r][c]
+    h = GroupTable(g.product, labels=g.labels, generators=g.generators, words=g.words, validate=False)
+    h.memo["double"] = LoopTable(rows, group_order=n, group_generators=g.generators, validate=False)
+    return h
+
+
+def seeded_forgeries(seed: int, count: int) -> List[GroupTable]:
+    """`count` forged doubles: 1-3 swaps each, inside the coset half (a
+    group row's swaps stay in the coset columns), every other one with its
+    coset half relabelled."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        g = GROUPS[["A2", "A3", "B3", "I2_5", "A1xB2", "H3"][k % 6]]
+        n = g.order
+        perm = list(range(n, 2 * n))
+        rng.shuffle(perm)
+        swaps = []
+        for _ in range(1 + k % 3):
+            r = rng.randrange(2 * n)
+            swaps.append((r, *rng.sample(range(n if r < n else 0, 2 * n), 2)))
+        out.append(forged_double(g, swaps, perm if k % 2 else ()))
+    return out
+
+
+B3 = GROUPS["B3"]
+FORGED = seeded_forgeries(3, 12) + [
+    # row 5 of G loses its 0 to a coset column: 5's right inverse is a coset element
+    forged_double(B3, [(5, B3.inverse[5], B3.order + 3)]),
+]
+
+
+@pytest.mark.parametrize("name", sorted(set(CORPUS) - {"F4"}))
+def test_doubling_identities_match_per_instance(name):
+    g = GROUPS[name]
+    assert verify_doubling_identities(g) == reference_doubling_identities(g)
+
+
+@pytest.mark.slow
+def test_doubling_identities_match_per_instance_f4():
+    g = GROUPS["F4"]
+    assert verify_doubling_identities(g) == reference_doubling_identities(g)
+
+
+@pytest.mark.parametrize("k", range(len(FORGED)))
+def test_doubling_identities_match_on_forged_doubles(k):
+    assert verify_doubling_identities(FORGED[k]) == reference_doubling_identities(FORGED[k])
+
+
+def test_forged_doubles_fail_everywhere():
+    # the forgeries exercise each doubling rule at several positions, and
+    # several generator identities
+    failures: Dict[str, set] = {}
+    for g in FORGED:
+        for name, rep in verify_doubling_identities(g).items():
+            if not rep.holds:
+                failures.setdefault(name, set()).add((g.order, rep.counterexample))
+    assert all(len(failures[name]) >= 5 for name in CHEIN_NAMES)
+    assert {"gen_u_swap", "gen_left_absorb", "gen_right_absorb", "gen_pair_collapse", "left_peeling"} <= set(failures)
+    assert any(chein_loop(g).product[g.order - 1][g.order] != 2 * g.order - 1 for g in FORGED)
+
+
+@st.composite
+def forged_doubles(draw):
+    g = GROUPS[draw(st.sampled_from(["A1", "A2", "A3", "I2_5", "I2_8", "A1xB2"]))]
+    n = g.order
+    perm = draw(st.permutations(range(n, 2 * n)))
+    cells = st.integers(0, 2 * n - 1).flatmap(
+        lambda r: st.tuples(st.just(r), *[st.integers(n if r < n else 0, 2 * n - 1)] * 2)
+    )
+    return forged_double(g, draw(st.lists(cells, max_size=4)), perm)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(forged_doubles())
+def test_doubling_identities_match_on_random_forgeries(g):
+    assert verify_doubling_identities(g) == reference_doubling_identities(g)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_moufang_values_unknown_name():
         chein_values(t, "c4", 0, 0)
 
 
+def test_chein_values_without_a_group_half():
+    # a bad argument, like `verify_chein_identities` on the same loop: not
+    # a CheckError, which the CLI maps to a failed cross-check
+    t = from_rows(LOOP5)
+    with pytest.raises(ValueError, match="group half"):
+        chein_values(t, "c1", 0, 0)
+    with pytest.raises(ValueError, match="group half"):
+        verify_chein_identities(t)
+
+
 def test_chein_identities_hold_for_doubled_loops():
     for g in (cyclic(5), symmetric3(), dihedral(4)):
         t = chein_loop(g)

@@ -19,6 +19,10 @@ made once per run.  A certificate counts when its table equals the input.
 On a graph, each vertex star's kernel is eliminated once per run, with
 or without the cross-check, and no elimination runs over the global d1.
 
+Every identity that `loop` or `verify` reports with a `checked` count, and
+the associativity behind an `associative` field, is one `groups._sweep`
+call, and the run makes no other.
+
 `Aut` is never listed for the theorems: `aut` builds no
 `AutGroup.elements` at all, and `verify` builds them only inside
 `cohomology._set_stabilizer`, for the edge loops of the coefficient groups
@@ -29,12 +33,13 @@ import contextlib
 import functools
 import importlib
 import io
+import json
 import subprocess
 import sys
 
 import pytest
 
-from coxloops import cli, gf2, morphisms
+from coxloops import cli, gf2, groups, loops, morphisms
 from coxloops.cli import main, parse_input
 from coxloops.coxeter import RegularAction
 from coxloops.groups import dihedral, quaternion
@@ -195,6 +200,30 @@ def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
     assert cx.d1_rows and (cx.d1_rows, len(cx.pointed_pairs)) not in eliminated
     assert len(kernel_rows) == len(cx.graph.vertices) == 5
     assert sorted(map(id, kernel_rows)) == sorted(id(s.d1_rows) for s in cx.stars.values())
+
+
+@pytest.mark.parametrize("name", ["B3", "D6"])
+@pytest.mark.parametrize("command", ["loop", "verify"])
+def test_one_sweep_per_identity_reported(command, name, monkeypatch):
+    swept = []
+    sweep = groups._sweep
+
+    def counting(identity, *args):
+        swept.append(identity)
+        return sweep(identity, *args)
+
+    for module in (groups, loops):
+        monkeypatch.setattr(module, "_sweep", counting)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS[name].encode())))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, "-", "--json"]) == 0
+    report = json.loads(out.getvalue())
+    reported = [check["name"] for check in report["checks"] if "checked" in check]
+    if report.get("associative") is not None:
+        reported.append("assoc")
+    assert "c1" in reported or "m1" in reported
+    assert sorted(swept) == sorted(reported)
 
 
 @pytest.mark.parametrize("name", ["B3", "A1xB2", "I2(8)", "D6"])
