@@ -22,7 +22,9 @@ Each run has one context (`_Run`), made in `main` from the parsed input and
 the flags, that builds each artifact on first use and keeps it: the
 spherical recognition, the underlying graph, its edge complex and H^1, the
 standard amalgam, W and its double.  The commands are compositions of
-shared blocks over it, so one run builds each artifact once.
+shared blocks over it, so one run builds each artifact once.  Whether a
+block runs, or is skipped under ``--budget``, ``--cap`` or a desk-scale
+limit of ``verify``, is one lookup (`_gate`) in one gate table (`_GATES`).
 """
 
 from __future__ import annotations
@@ -75,12 +77,6 @@ from .morphisms import (
     verify_dihedral_decomposition_automorphisms,
     verify_semidirect_automorphisms,
 )
-
-# loops bigger than this are skipped by the cubic triple checks and the
-# brute-force automorphism blocks of `verify` (the dedicated commands still
-# run them, guarded by --budget)
-DESK_LOOP_LIMIT = 64
-
 
 # ---------------------------------------------------------------------------
 # input parsing
@@ -338,20 +334,18 @@ def _skip(name: str, note: str) -> Dict:
 
 
 def _identity_checks(reports: Dict[str, object]) -> List[Dict]:
-    out = []
-    for name, rep in reports.items():
-        entry: Dict = {
-            "name": name,
-            "status": "pass" if rep.holds else "fail",
-            "checked": rep.checked,
-        }
-        if not rep.holds:
-            entry["witness"] = {
+    return [
+        _check(
+            name,
+            rep.holds,
+            witness=None if rep.holds else {
                 "instance": list(rep.counterexample),
                 "values": list(rep.values),
-            }
-        out.append(entry)
-    return out
+            },
+            checked=rep.checked,
+        )
+        for name, rep in reports.items()
+    ]
 
 
 def _order_check(found: int, classified: int, **extra) -> Dict:
@@ -394,53 +388,70 @@ def _graph_payload(graph: Graph) -> Dict:
     }
 
 
-def _triple_budget_gate(order: int, budget: int) -> Optional[str]:
-    if order**3 > budget:
-        return (
-            f"{order}^3 = {order ** 3} triples exceed --budget {budget}; "
-            "raise the budget to run the cubic checks"
-        )
-    return None
+def _fields(obj, names: str) -> Dict:
+    """The named attributes of `obj` (a library report, say), in that order."""
+    return {name: getattr(obj, name) for name in names.split()}
 
 
-def _table_budget_gate(order: int, budget: int) -> Optional[str]:
-    """Materializing a dense table (and the pairwise identity sweeps over
-    it) costs order^2; past the budget only coset counting is run."""
-    if order * order > budget:
-        return (
-            f"{order}^2 = {order * order} table entries exceed --budget "
-            f"{budget}; raise the budget to materialize tables at this order"
-        )
-    return None
+# ---------------------------------------------------------------------------
+# the gate table: every decision to run a block or skip it under --budget,
+# --cap or a desk-scale limit of verify
+
+
+# unit -> (the cost of a block of size n, its limit: a flag or a constant,
+# the skip note); the block is skipped with the note when the cost exceeds
+# the limit.  The desk-scale limits are verify's own: the dedicated commands
+# run those blocks under --budget alone.
+_GATES = {
+    # a dense table of n elements, and the pairwise sweeps over it
+    "entries": (lambda n: n * n, "budget", "{n}^2 = {cost} table entries exceed --budget {limit}; "
+                "raise the budget to materialize tables at this order"),
+    # the cubic identity sweeps of a loop of order n
+    "triples": (lambda n: n**3, "budget",
+                "{n}^3 = {cost} triples exceed --budget {limit}; raise the budget to run the cubic checks"),
+    # enumerating a group of order n
+    "cap": (lambda n: n, "cap", "group order {n} exceeds --cap {limit}"),
+    # verify's Moufang sweep and theorems on a doubled loop of order n
+    "verify_loop": (lambda n: n, 64, "loop order {n} exceeds the desk-scale limit {limit} for verify; "
+                    "use the loop/aut commands"),
+    # verify's theorems on the double (of order n) of a table's group
+    "verify_table": (lambda n: n, 64,
+                     "doubled order {n} exceeds the desk-scale limit {limit} for verify; use the aut command"),
+    # verify's classification of the 2^n twisted amalgams at cycle rank n
+    "verify_classes": (lambda n: 1 << n, 16,
+                       "cycle rank {n} needs {cost} amalgams; beyond desk scale for verify"),
+}
+
+
+def _gate(ctx: _Run, unit: str, n: int) -> Optional[str]:
+    """The skip note of a block of size `n` in `unit`, or None when it runs."""
+    cost, limit, note = _GATES[unit]
+    c, lim = cost(n), getattr(ctx.cfg, limit) if isinstance(limit, str) else limit
+    return note.format(n=n, cost=c, limit=lim) if c > lim else None
+
+
+def _double_gate(ctx: _Run, nonspherical: str) -> Optional[str]:
+    """Why `verify` and `amalgams` do not build W and its double (the note
+    `nonspherical` when W is infinite), or None when they do."""
+    if not ctx.spherical.spherical:
+        return nonspherical
+    order = ctx.spherical.order
+    return _gate(ctx, "cap", order) or _gate(ctx, "entries", 2 * order)
 
 
 # ---------------------------------------------------------------------------
 # blocks shared by the commands
 
 
-def _prologue(ctx: _Run, copies: int) -> Tuple[Dict, List[Dict], Optional[str]]:
+def _head(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     """The start of group, loop and aut: the input's payload and its first
-    check, finite_type for a diagram and loop_axioms for a table (the
-    command ends there when it fails), and for a spherical diagram the
-    budget gate on tables of `copies` * |W| elements."""
+    check, finite_type for a diagram and loop_axioms for a table; the
+    command ends there when it fails."""
     if ctx.kind == "table":
-        return {"order": len(ctx.obj)}, [ctx.rows_loop[1]], None
+        return {"order": len(ctx.obj)}, [ctx.rows_loop[1]]
     payload = _diagram_payload(ctx)
-    if not payload["spherical"]:
-        reasons = [c["reason"] for c in payload["components"] if c["reason"]]
-        return payload, [_check("finite_type", False, witness="; ".join(reasons))], None
-    note = _table_budget_gate(copies * payload["order"], ctx.cfg.budget)
-    return payload, [_check("finite_type", True)], note
-
-
-def _double_gate(ctx: _Run) -> Optional[str]:
-    """Why `verify` and `amalgams` do not build W and its double for a
-    spherical diagram (past --cap, or past the table budget); None when
-    they do."""
-    order = ctx.spherical.order
-    if order > ctx.cfg.cap:
-        return f"group order {order} exceeds --cap {ctx.cfg.cap}"
-    return _table_budget_gate(2 * order, ctx.cfg.budget)
+    reasons = "; ".join(c["reason"] for c in payload["components"] if c["reason"])
+    return payload, [_check("finite_type", payload["spherical"], witness=reasons)]
 
 
 def _gl2_order(k: int) -> int:
@@ -450,22 +461,23 @@ def _gl2_order(k: int) -> int:
     return out
 
 
-def _theorem_checks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
-    """Trichotomy of G plus the matching automorphism structure theorem."""
+def _theorems(ctx: _Run, payload: Dict, checks: List[Dict], note: Optional[str] = None) -> None:
+    """Trichotomy of G plus the matching automorphism structure theorem,
+    added to the command's payload and checks; skipped with its gate's note."""
+    if note:
+        checks.append(_skip("automorphism_theorems", note))
+        return
     g, t, budget = ctx.group, chein_loop(ctx.group), ctx.cfg.budget
-    checks: List[Dict] = []
     tri = classify_trichotomy(g)
-    payload: Dict = {
-        "trichotomy": {
-            "case": tri.case,
-            "label": tri.label,
-            "decomposition": None
-            if tri.decomposition is None
-            else {
-                "subgroup": list(tri.decomposition[0]),
-                "involution": tri.decomposition[1],
-            },
-        }
+    payload["trichotomy"] = {
+        "case": tri.case,
+        "label": tri.label,
+        "decomposition": None
+        if tri.decomposition is None
+        else {
+            "subgroup": list(tri.decomposition[0]),
+            "involution": tri.decomposition[1],
+        },
     }
     aut = automorphism_group(t, budget=budget)
     payload["aut_order"] = aut.order
@@ -487,15 +499,11 @@ def _theorem_checks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
             _check(
                 "aut_is_semidirect_product",
                 rep.ok,
-                witness={
-                    "aut_order": rep.aut_order,
-                    "expected_order": rep.expected_order,
-                    "translations_ok": rep.translations_ok,
-                    "lifts_ok": rep.lifts_ok,
-                    "normal_relation_ok": rep.normal_relation_ok,
-                    "intersection_trivial": rep.intersection_trivial,
-                    "set_matches": rep.set_matches,
-                },
+                witness=_fields(
+                    rep,
+                    "aut_order expected_order translations_ok lifts_ok "
+                    "normal_relation_ok intersection_trivial set_matches",
+                ),
                 expected=rep.expected_order,
                 group_aut_order=rep.group_aut_order,
             )
@@ -506,16 +514,11 @@ def _theorem_checks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
             _check(
                 "aut_of_doubled_dihedral",
                 rep.ok,
-                witness={
-                    "aut_order": rep.aut_order,
-                    "expected_order": rep.expected_order,
-                    "klein_ok": rep.klein_ok,
-                    "centralizer_ok": rep.centralizer_ok,
-                    "rescalings_ok": rep.rescalings_ok,
-                    "symmetric_ok": rep.symmetric_ok,
-                    "lifts_ok": rep.lifts_ok,
-                    "set_matches": rep.set_matches,
-                },
+                witness=_fields(
+                    rep,
+                    "aut_order expected_order klein_ok centralizer_ok rescalings_ok "
+                    "symmetric_ok lifts_ok set_matches",
+                ),
                 expected=rep.expected_order,
                 h_order=rep.h_order,
             )
@@ -527,8 +530,6 @@ def _theorem_checks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
                 witness={"direct": aut.order, "reconstructed": rep.aut_order},
             )
         )
-    return payload, checks
-
 
 
 def _cohomology_blocks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
@@ -565,11 +566,7 @@ def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
         _check(
             "standard_amalgam_valid",
             rep.ok,
-            witness={
-                "injective_ok": rep.injective_ok,
-                "homomorphism_ok": rep.homomorphism_ok,
-                "composition_ok": rep.composition_ok,
-            },
+            witness=_fields(rep, "injective_ok homomorphism_ok composition_ok"),
             simplices=rep.simplices,
             maps_checked=rep.maps_checked,
             chains_checked=rep.chains_checked,
@@ -607,11 +604,7 @@ def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
                 witness={"cycle_rank": cls.cycle_rank, "h1": res.h1},
             )
         )
-    if ctx.spherical.spherical:
-        note = _double_gate(ctx)
-    else:
-        note = "diagram is not spherical; no global doubled loop exists"
-    if not note:
+    if not (note := _double_gate(ctx, "diagram is not spherical; no global doubled loop exists")):
         loop, maps = loop_completion(a, ctx.group)
         crep = verify_completion(a, loop, maps)
         payload["completion"] = {"loop_order": crep.loop_order}
@@ -619,11 +612,7 @@ def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
             _check(
                 "completion_embeds_amalgam",
                 crep.ok,
-                witness={
-                    "injective_ok": crep.injective_ok,
-                    "homomorphism_ok": crep.homomorphism_ok,
-                    "commuting_ok": crep.commuting_ok,
-                },
+                witness=_fields(crep, "injective_ok homomorphism_ok commuting_ok"),
                 loop_order=crep.loop_order,
             )
         )
@@ -663,11 +652,11 @@ def _cmd_parse(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         return _diagram_payload(ctx), []
     if ctx.kind == "graph":
         return _graph_payload(ctx.graph), []
-    return {"order": len(ctx.obj)}, [ctx.rows_loop[1]]
+    return _head(ctx)
 
 
 def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
-    payload, checks, note = _prologue(ctx, 1)
+    payload, checks = _head(ctx)
     if checks[0]["status"] == "fail":
         return payload, checks
     if ctx.kind == "table":
@@ -677,7 +666,7 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
             return payload, checks
         g = ctx.group
         stats = element_statistics(g.columns, [(a,) for a in range(g.order)])
-    elif note:
+    elif note := _gate(ctx, "entries", payload["order"]):
         worder = enumerate_order(ctx.obj, cap=ctx.cfg.cap)
         checks.append(_order_check(worder, payload["order"], enumerated=worder))
         checks.append(_skip("element_statistics", note))
@@ -688,15 +677,9 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         w = regular_action(ctx.obj, cap=ctx.cfg.cap)
         stats = element_statistics(w.act, w.words)
         checks.append(_order_check(stats.order, payload["order"], enumerated=stats.order))
-    payload.update(
-        {
-            "group_order": stats.order,
-            "abelian": stats.abelian,
-            "elementary_abelian": stats.elementary_abelian,
-            "involutions": stats.involutions,
-            "element_orders": {str(k): v for k, v in stats.element_orders.items()},
-        }
-    )
+    payload["group_order"] = stats.order
+    payload.update(_fields(stats, "abelian elementary_abelian involutions"))
+    payload["element_orders"] = {str(k): v for k, v in stats.element_orders.items()}
     if stats.order <= 64:
         g = ctx.group
         payload["table"] = [list(row) for row in g.product]
@@ -708,7 +691,7 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
 
 
 def _cmd_loop(ctx: _Run) -> Tuple[Dict, List[Dict]]:
-    payload, checks, note = _prologue(ctx, 2)
+    payload, checks = _head(ctx)
     if checks[0]["status"] == "fail":
         return payload, checks
     if ctx.kind == "table":
@@ -716,7 +699,7 @@ def _cmd_loop(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         t = ctx.rows_loop[0]
         payload["loop_order"] = t.order
         checks.append(_skip("c1", "not a doubled loop (no group half marked)"))
-    elif note:
+    elif note := _gate(ctx, "entries", 2 * payload["order"]):
         payload.update(
             {
                 "group_order": payload["order"],
@@ -732,8 +715,7 @@ def _cmd_loop(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         t = chein_loop(ctx.group)
         payload.update({"group_order": ctx.group.order, "loop_order": t.order})
         checks.extend(_identity_checks(verify_doubling_identities(ctx.group)))
-    note = _triple_budget_gate(t.order, ctx.cfg.budget)
-    if note:
+    if note := _gate(ctx, "triples", t.order):
         for name in ("m1", "m2", "m3"):
             checks.append(_skip(name, note))
         payload["associative"] = None
@@ -750,38 +732,30 @@ def _cmd_loop(ctx: _Run) -> Tuple[Dict, List[Dict]]:
 
 
 def _cmd_aut(ctx: _Run) -> Tuple[Dict, List[Dict]]:
-    payload, checks, note = _prologue(ctx, 2)
+    payload, checks = _head(ctx)
     if checks[0]["status"] == "fail":
         return payload, checks
     budget = ctx.cfg.budget
     if ctx.kind == "coxeter":
-        if note:
-            payload.update(
-                {"group_order": payload["order"], "loop_order": 2 * payload["order"]}
-            )
-            checks.append(_skip("automorphism_theorems", note))
-            return payload, checks
-        payload.update({"group_order": ctx.group.order, "loop_order": 2 * ctx.group.order})
-        extra, th_checks = _theorem_checks(ctx)
-        payload.update(extra)
-        checks.extend(th_checks)
+        note = _gate(ctx, "entries", 2 * payload["order"])
+        order = payload["order"] if note else ctx.group.order
+        payload.update({"group_order": order, "loop_order": 2 * order})
+        _theorems(ctx, payload, checks, note)
         return payload, checks
     # Aut of the table: of its group, after the theorems on the double, when
     # the associativity probe holds; of the loop otherwise
     table = ctx.rows_loop[0]
-    note = _triple_budget_gate(table.order, budget)
-    if note:
+    if note := _gate(ctx, "triples", table.order):
         checks.append(_skip("associativity_probe", note))
     else:
         payload["associative"] = ctx.associativity.holds
-    doubled = None
+    doubled: Dict = {}
     if payload.get("associative"):
-        doubled, th_checks = _theorem_checks(ctx)
-        checks.extend(th_checks)
+        _theorems(ctx, doubled, checks)
         table = ctx.group
     aut = automorphism_group(table, budget=budget)
     payload.update({"aut_order": aut.order, "aut_nodes": aut.nodes})
-    if doubled is not None:
+    if doubled:
         payload["doubled"] = doubled
     return payload, checks
 
@@ -805,92 +779,46 @@ def _cmd_verify(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     if ctx.kind == "table":
         payload, checks = _cmd_loop(ctx)
         if payload.get("associative"):
-            if 2 * ctx.group.order <= DESK_LOOP_LIMIT:
-                extra, th_checks = _theorem_checks(ctx)
-                payload.update(extra)
-                checks.extend(th_checks)
-            else:
-                checks.append(
-                    _skip(
-                        "automorphism_theorems",
-                        f"doubled order {2 * ctx.group.order} exceeds the desk-scale "
-                        f"limit {DESK_LOOP_LIMIT} for verify; use the aut command",
-                    )
-                )
+            _theorems(ctx, payload, checks, _gate(ctx, "verify_table", 2 * ctx.group.order))
         return payload, checks
 
     payload = _diagram_payload(ctx)
-    checks: List[Dict] = []
-
-    coh_payload, coh_checks = _cohomology_blocks(ctx)
+    coh_payload, checks = _cohomology_blocks(ctx)
     payload["cohomology"] = {
         "dims": coh_payload["dims"],
         "components": coh_payload["components"],
     }
-    checks.extend(coh_checks)
-
-    finite_labels = all(m != math.inf for _, _, m in ctx.obj.edges())
-    if finite_labels:
+    if any(m == math.inf for _, _, m in ctx.obj.edges()):
+        note = "an edge label is infinite"
+        checks += [
+            _skip("coefficient_groups_match_stabilizers", f"{note}; edge loops are undefined there"),
+            _skip("standard_amalgam_valid", note),
+        ]
+    else:
         checks.extend(_coefficient_checks(ctx))
-    else:
-        checks.append(
-            _skip(
-                "coefficient_groups_match_stabilizers",
-                "an edge label is infinite; edge loops are undefined there",
-            )
-        )
-
-    if finite_labels and ctx.graph.is_connected():
-        cycle_rank = coh_payload["dims"]["h1"]
-        classify = cycle_rank <= 4
-        amal_payload, amal_checks = _amalgam_blocks(ctx, classify)
-        if not classify:
-            amal_checks.append(
-                _skip(
-                    "class_count_is_2_pow_cycle_rank",
-                    f"cycle rank {cycle_rank} needs {1 << cycle_rank} amalgams; "
-                    "beyond desk scale for verify",
-                )
-            )
-        payload["amalgams"] = amal_payload
-        checks.extend(amal_checks)
-    else:
-        note = (
-            "underlying graph is disconnected"
-            if finite_labels
-            else "an edge label is infinite"
-        )
-        checks.append(_skip("standard_amalgam_valid", note))
-
-    if not payload["spherical"]:
-        checks.append(
-            _skip(
-                "group_enumeration",
-                "diagram is not spherical (infinite group); global doubled-loop "
-                "checks skipped",
-            )
-        )
-    elif note := _double_gate(ctx):
-        checks.append(_skip("group_enumeration", note))
-    else:
-        t = chein_loop(ctx.group)
-        payload.update({"group_order": ctx.group.order, "loop_order": t.order})
-        checks.append(_order_check(ctx.group.order, payload["order"]))
-        checks.extend(_identity_checks(verify_doubling_identities(ctx.group)))
-        note = _triple_budget_gate(t.order, ctx.cfg.budget)
-        if t.order <= DESK_LOOP_LIMIT and not note:
-            checks.extend(_identity_checks(is_moufang(t)))
-            extra, th_checks = _theorem_checks(ctx)
-            payload.update(extra)
-            checks.extend(th_checks)
+        if not ctx.graph.is_connected():
+            checks.append(_skip("standard_amalgam_valid", "underlying graph is disconnected"))
         else:
-            reason = (
-                note
-                or f"loop order {t.order} exceeds the desk-scale limit "
-                f"{DESK_LOOP_LIMIT} for verify; use the loop/aut commands"
-            )
-            checks.append(_skip("m1", reason))
-            checks.append(_skip("automorphism_theorems", reason))
+            note = _gate(ctx, "verify_classes", coh_payload["dims"]["h1"])
+            payload["amalgams"], amal_checks = _amalgam_blocks(ctx, not note)
+            checks.extend(amal_checks)
+            if note:
+                checks.append(_skip("class_count_is_2_pow_cycle_rank", note))
+
+    if note := _double_gate(
+        ctx, "diagram is not spherical (infinite group); global doubled-loop checks skipped"
+    ):
+        checks.append(_skip("group_enumeration", note))
+        return payload, checks
+    t = chein_loop(ctx.group)
+    payload.update({"group_order": ctx.group.order, "loop_order": t.order})
+    checks.append(_order_check(ctx.group.order, payload["order"]))
+    checks.extend(_identity_checks(verify_doubling_identities(ctx.group)))
+    if note := _gate(ctx, "triples", t.order) or _gate(ctx, "verify_loop", t.order):
+        checks.append(_skip("m1", note))
+    else:
+        checks.extend(_identity_checks(is_moufang(t)))
+    _theorems(ctx, payload, checks, note)
     return payload, checks
 
 
@@ -1018,12 +946,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "input": args.input,
         "input_sha256": hashlib.sha256(data).hexdigest(),
         "kind": kind,
-        "config": {
-            "cap": args.cap,
-            "budget": args.budget,
-            "strict": args.strict,
-            "cross_check": args.cross_check,
-        },
+        "config": _fields(args, "cap budget strict cross_check"),
     }
     report.update(payload)
     report["checks"] = checks

@@ -334,14 +334,16 @@ class _CosetTable:
 
 
 def _enumerate_cosets(d: CoxeterDiagram, cap: int) -> List[List[int]]:
-    """Run HLT to completion; return the compacted generator-action table."""
+    """Run HLT to completion; return the compacted generator-action table.
+
+    Each finite label m gives a dihedral subgroup of order 2m, so |W| >= 2m;
+    past the cap the run is refused before its relator of length 2m is built.
+    """
     n = d.rank
-    relators: List[List[int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = d.matrix[i][j]
-            if m != INF:
-                relators.append([i, j] * m)
+    labels = [(i, j, d.matrix[i][j]) for i in range(n) for j in range(i + 1, n)]
+    if any(m != INF and 2 * m > cap for _, _, m in labels):
+        raise ResourceLimitError(f"coset enumeration exceeded cap={cap} live cosets")
+    relators = [[i, j] * m for i, j, m in labels if m != INF]
     ct = _CosetTable(n, cap)
     alpha = 0
     while alpha < len(ct.tab):

@@ -214,6 +214,23 @@ def test_elementary_abelian_tables_never_list_aut(command, k):
     assert by_name["aut_order_is_general_linear"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("command", ["group", "amalgams", "verify"])
+def test_huge_label_stops_at_the_cap_before_allocating(command):
+    # the dihedral subgroup of a label m has order 2m, so a finite 2m past
+    # the cap is refused before the relator (s_i s_j)^m is spelled out
+    proc = subprocess.run(
+        CLI + [command, "-", "--cap", "200"],
+        input="coxeter v1\nrank 2\nedge 1 2 99999999999\n",
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_address_space_limit,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource limit: coset enumeration exceeded cap=")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cohomology_triangle_json():
     proc, r = run_json(["cohomology", "-"], TRIANGLE_GRAPH)
     assert proc.returncode == 0

@@ -12,7 +12,8 @@ while `Aut` was still listed element by element; B4 runs only with
 suite) and on a non-Moufang table of order 96 were taken while the cubic
 sweeps still composed one pair (x, y) at a time.  The `group` digests on
 F4, D5 and (with `-m slow`) B5 were taken while `group` still read the
-element statistics from W's dense product table.
+element statistics from W's dense product table.  The `SKIPS` digests
+were taken while the CLI still decided each skip in its own helper.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ import sys
 
 import pytest
 
-from coxloops.cli import main
+from coxloops import cli
 from coxloops.coxeter import diagram_b, enumerate_group
 from coxloops.groups import dihedral, klein4, quaternion
 from coxloops.loops import chein_loop
@@ -68,10 +69,13 @@ INPUTS = {
     "graph": "graph v1\nvertices 7\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\nedge 4 5\nedge 5 3\nedge 5 6\n",
 }
 
-# inputs of the budget and cap paths only
+# inputs of the budget, cap and skip paths only
 LIMIT_INPUTS = {
     "H4": _cox(4, [(1, 2, 5), (2, 3, 3), (3, 4, 3)]),
     "two_triangles": _cox(4, [(1, 2, 3), (1, 3, 3), (2, 3, 3), (2, 4, 3), (3, 4, 3)]),
+    "K5": _cox(5, [(i, j, 3) for i in range(1, 6) for j in range(i + 1, 6)]),
+    "D18": _table(dihedral(18).product),
+    "inf_label": _cox(3, [(1, 2, 3), (2, 3, "inf")]),
 }
 
 # the `Aut` frontier: loop orders 384 (D4, in the default run) and 768
@@ -114,24 +118,53 @@ LIMITS = [
     ("aut", "B3", "--budget", "1"),
 ]
 
+# every skip path of the CLI: each gate of its table (triples on H3 and on
+# the D6 table, table entries on B3, --cap on A3, and verify's desk-scale
+# limits on the classes of K5 and the double of the order-36 dihedral
+# table), the double's gate in amalgams and verify, an infinite label, and
+# --no-cross-check; the A2 pair sits on both sides of the triples gate
+SKIPS = [
+    ("loop", "H3"),
+    ("loop", "B3", "--budget", "1"),
+    ("group", "B3", "--budget", "1"),
+    ("aut", "D6", "--budget", "1000"),
+    ("amalgams", "A3", "--cap", "10"),
+    ("amalgams", "B3", "--budget", "1000"),
+    ("verify", "K5"),
+    ("verify", "D18"),
+    ("verify", "A3", "--cap", "10"),
+    ("verify", "B3", "--budget", "1000"),
+    ("verify", "inf_label"),
+    ("verify", "A2", "--no-cross-check"),
+    ("verify", "graph", "--no-cross-check"),
+    ("cohomology", "graph", "--no-cross-check"),
+    ("loop", "A2", "--budget", "1728"),
+    ("loop", "A2", "--budget", "1727"),
+]
+
 CASES = [
     case + flag
-    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS + [("aut", "D4")] + SWEEPS
+    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS + SKIPS + [("aut", "D4")] + SWEEPS
     for flag in ((), ("--json",))
 ]
 
 
-def digest(case) -> str:
+def run(case):
+    """(exit code, standard output, standard error) of one case."""
     command, name, *flags = case
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO({**INPUTS, **LIMIT_INPUTS, **FRONTIER_INPUTS}[name].encode()))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "-", *flags])
+            code = cli.main([command, "-", *flags])
     finally:
         sys.stdin = stdin
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(case) -> str:
+    blob = json.dumps(list(run(case)))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -310,6 +343,38 @@ GOLDEN = {
     "group H4 --json": "b9638cfd0f6282f0c1a441344234e1607e639d6f821394680e01d03de72ed93b",
     "aut B3 --budget 1": "7ccf5a9bf2dc91cd53ba23f81d23f43033f9b559680cd0660c09b27deeedc4ba",
     "aut B3 --budget 1 --json": "5633d854b758ca0752d1a64bb9017529a1a45e0e881ff1aba4d108fe55d0766c",
+    "loop H3": "486c1fd81e85fdcaeb92a0fe42addbdb13b71ba003340d234f5244a5704ce514",
+    "loop H3 --json": "2ec61d7cc1737d9af0e32b3aad9488895dbbdd83f4f6ad832ed8b6fcb15dedfa",
+    "loop B3 --budget 1": "390882658fe58f6d99a458f9337513078968282c92507cd2535ad2d51353f4c3",
+    "loop B3 --budget 1 --json": "ae8c7bbcd3a69a52f156dc3cce36afbce0172a37a837b9ff4976855dcc1e0e50",
+    "group B3 --budget 1": "37ea22c245e372ead2c4b598983dec755c9ec5c2cdff563e8caf4ef848f53d98",
+    "group B3 --budget 1 --json": "19fcba2b74f9be33d89c6d7c943ad36617d233d8630db4cb3fc664532c17272e",
+    "aut D6 --budget 1000": "ef02795601c9b7e1eb81c1c5095e63c18d2d3c2aeaa480feb627deff5bc199ce",
+    "aut D6 --budget 1000 --json": "673b26a16d03a1d0841ea698f851b29a9e0978a8158b4605b1685c49c802442d",
+    "amalgams A3 --cap 10": "6ae0ef41ea5cab3988800d35e16ea866d5d346e0c57fc9d8cc1891c12b4fbb73",
+    "amalgams A3 --cap 10 --json": "0d39ff193689d1d2f7761237da27d753ca57d0133c86d7b8d985214caf66f896",
+    "amalgams B3 --budget 1000": "575016c17fa3a8999d044afb495693f80458ce274f6e4c197ab73a11a576c0f8",
+    "amalgams B3 --budget 1000 --json": "d9bc009dfc2d545ab6624eed7d83d839a9eeee17e2a0ddfd045ce136228d0a95",
+    "verify K5": "75405082a87c6d7f0aee1848e754589d7ed53cbef4f8bc64f341742dc5f5ddb6",
+    "verify K5 --json": "5661b6480f83487aa39557be71d9062a71408a38d1836b86fd0aca7bea90e22a",
+    "verify D18": "be5909d2fda36219da2c3497dd96469cf9bcedd41357f2a7556f2b4984c29fcd",
+    "verify D18 --json": "02d4c0e57b6c31464f8a70a5b18b85d83c952ec31d9d8e4815c125f208142e17",
+    "verify A3 --cap 10": "532fef8363a8f364c3218b7fb5e8ae853a3a5f6b9aaf9631552ac20a90636278",
+    "verify A3 --cap 10 --json": "2463276a29af118d52405b10ecdc712881603ef30cbb2ef746a5bfd4196833d8",
+    "verify B3 --budget 1000": "de0a2f6e84bbb972ba325decb5288b663d571e30a82fd846091e80ff15ebf78c",
+    "verify B3 --budget 1000 --json": "f61f8149dc97e330c05e48783e3688fd94fd06da2ca9c3b38860691579590e82",
+    "verify inf_label": "e03876a18a74a1f555e8fa7347bd654a2326dabe3a2ad48421ad432e87019841",
+    "verify inf_label --json": "fe0b1966329230c116beba5d9e6ecad3d173714c469900b02967fb2a2f859fb0",
+    "verify A2 --no-cross-check": "cbe601fd08d366864f02e6961cd5bb452f5435f1ef955502ea602e24050f147a",
+    "verify A2 --no-cross-check --json": "ad5ef0642d2900e9ddacabb69749585c2d7a3c99d8758f7aca85ab370cd8d793",
+    "verify graph --no-cross-check": "5562eb8953bbfd9eb0baae5b28a86b09ebf6093e2150fd267276c1610b51a18d",
+    "verify graph --no-cross-check --json": "5c01ab3196fa8b856ec3bc25ed83fa7cb0db366018e9b9f8ecc87892001e1c6d",
+    "cohomology graph --no-cross-check": "bce40eb179be49b54347e0528201fc043e039dfe49891944a7714f992889319b",
+    "cohomology graph --no-cross-check --json": "7141361e826689e941d455be382acf29c183a0aaca11f33f3351dde265a4d43e",
+    "loop A2 --budget 1728": "80a59d6e1d6b6864d60c130a8116c802e6f7bf4e4847db0d08b3cba68faa886b",
+    "loop A2 --budget 1728 --json": "1be1b0ce1c952d6c91e88a7f24adb5ae703b1229f225729caeb8ef14437a06ea",
+    "loop A2 --budget 1727": "00e82c7c8ccb13e31ba229b98fc7a2c9d689825e64e0d9f37c3c86bf3fe9f6c2",
+    "loop A2 --budget 1727 --json": "d6a2a7236e630d84877e8fa35abb68c0c078ea2e35cbcef36edb683ee402036e",
     "aut D4": "ace826d636692a5c6bd2db942867a8b93cae65e37a83e9d33864fed5097c54b7",
     "aut D4 --json": "582933669c9f767939b8979939f70f41f0c78796d040e34546d51d5827ee640f",
     "loop H3 --budget 20000000": "4b1121ad2b27a94f28d9e21938f4c67b1ecaad29d869e3f8cadbdbaf582a3f44",
@@ -359,3 +424,26 @@ def test_reports_are_identical_under_optimize():
 def test_frontier_reports_match_frozen_digests():
     got = {case: digest(tuple(case.split())) for case in SLOW_GOLDEN}
     assert [case for case in SLOW_GOLDEN if got[case] != SLOW_GOLDEN[case]] == []
+
+
+def test_every_gate_is_reached_and_every_limit_note_comes_from_the_gate_table(monkeypatch):
+    # a gate added to the table without a golden case, or a skip note on a
+    # limit decided outside the table, fails here
+    gated = {}
+    gate = cli._gate
+
+    def recording(ctx, unit, n):
+        note = gate(ctx, unit, n)
+        if note is not None:
+            gated[note] = unit
+        return note
+
+    monkeypatch.setattr(cli, "_gate", recording)
+    skips = set()
+    for case in (case for case in CASES if case[-1] == "--json"):
+        _, out, _ = run(case)
+        if out:
+            skips.update(c["note"] for c in json.loads(out)["checks"] if c["status"] == "skip")
+    assert set(gated.values()) == set(cli._GATES)
+    limits = {note for note in skips if any(word in note for word in ("--budget", "--cap", "desk"))}
+    assert limits and limits <= set(gated)
