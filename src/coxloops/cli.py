@@ -30,12 +30,21 @@ limit of ``verify``, is one lookup (`_gate`) in one gate table (`_GATES`).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
+
+# the input digest comes from CPython's built-in SHA-256, as in `random`:
+# hashlib always loads the OpenSSL binding, a heavy import for one digest
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import gf2
 from .amalgams import (
@@ -778,7 +787,9 @@ def _cmd_verify(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         return _cohomology_blocks(ctx)
     if ctx.kind == "table":
         payload, checks = _cmd_loop(ctx)
-        if payload.get("associative"):
+        if note := payload.get("assoc_note"):
+            _theorems(ctx, payload, checks, note)
+        elif payload.get("associative"):
             _theorems(ctx, payload, checks, _gate(ctx, "verify_table", 2 * ctx.group.order))
         return payload, checks
 
@@ -944,7 +955,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "schema": 1,
         "command": args.command,
         "input": args.input,
-        "input_sha256": hashlib.sha256(data).hexdigest(),
+        "input_sha256": sha256(data).hexdigest(),
         "kind": kind,
         "config": _fields(args, "cap budget strict cross_check"),
     }

@@ -1,17 +1,24 @@
 """End-to-end command-line runs: exit codes, JSON reports, determinism.
 
 Every test drives the installed module through a subprocess, exactly as a
-user would.  Exit codes: 0 = all checks pass, 2 = a check failed,
+user would, except the differential checks of the report's input digest
+against `hashlib`.  Exit codes: 0 = all checks pass, 2 = a check failed,
 3 = resource limit, 4 = parse/usage/I-O error.
 """
 
+import hashlib
 import json
+import random
 import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import test_golden as golden
+from coxloops import cli
 from coxloops.groups import cyclic, direct_product, quaternion
 
 CLI = [sys.executable, "-m", "coxloops.cli"]
@@ -315,10 +322,6 @@ def test_verify_table_runs_theorem_block_at_desk_scale():
     assert r["ok"] is True
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="verify on a table of order >= 216 bypasses the theorem block silently (ROADMAP item 5)",
-)
 def test_verify_large_table_reports_the_theorem_block():
     proc, r = run_json(["verify", "-"], table_text(direct_product(cyclic(6), cyclic(36))))
     assert proc.returncode == 0
@@ -356,3 +359,45 @@ def test_file_input_matches_stdin(tmp_path):
     assert r_file["input_sha256"] == r_stdin["input_sha256"]
     for k in ("group_order", "element_orders", "checks", "ok"):
         assert r_file[k] == r_stdin[k]
+
+
+# the input digest comes from CPython's built-in SHA-256, not from hashlib,
+# so each check below holds it against hashlib
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.binary(max_size=1 << 12))
+def test_digest_matches_hashlib(data):
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_digest_matches_hashlib_on_empty_and_8mb_inputs():
+    for data in (b"", random.Random(0).randbytes(8 << 20)):
+        assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_input_digest_matches_hashlib_on_every_golden_input():
+    inputs = {**golden.INPUTS, **golden.LIMIT_INPUTS, **golden.FRONTIER_INPUTS}
+    for name, text in inputs.items():
+        code, out, _ = golden.run(("parse", name, "--json"))
+        assert code == 0, name
+        assert json.loads(out)["input_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_report_is_the_same_without_a_builtin_sha256():
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from coxloops import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('_hashlib' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    fallback = subprocess.run(
+        [sys.executable, "-c", code, "verify", "-", "--json"],
+        input=A2, capture_output=True, text=True, timeout=120,
+    )
+    builtin = run(["verify", "-", "--json"], A2)
+    assert fallback.returncode == builtin.returncode == 0
+    assert fallback.stdout == builtin.stdout
+    assert fallback.stderr == "True\n"

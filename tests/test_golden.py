@@ -13,7 +13,9 @@ suite) and on a non-Moufang table of order 96 were taken while the cubic
 sweeps still composed one pair (x, y) at a time.  The `group` digests on
 F4, D5 and (with `-m slow`) B5 were taken while `group` still read the
 element statistics from W's dense product table.  The `SKIPS` digests
-were taken while the CLI still decided each skip in its own helper.
+were taken while the CLI still decided each skip in its own helper, except
+`verify Q8 --budget 1`, taken when `verify` on a table began to report the
+theorem block that the triples gate skips.
 """
 
 import contextlib
@@ -119,10 +121,11 @@ LIMITS = [
 ]
 
 # every skip path of the CLI: each gate of its table (triples on H3 and on
-# the D6 table, table entries on B3, --cap on A3, and verify's desk-scale
-# limits on the classes of K5 and the double of the order-36 dihedral
-# table), the double's gate in amalgams and verify, an infinite label, and
-# --no-cross-check; the A2 pair sits on both sides of the triples gate
+# the D6 and Q8 tables, table entries on B3, --cap on A3, and verify's
+# desk-scale limits on the classes of K5 and the double of the order-36
+# dihedral table), the double's gate in amalgams and verify, an infinite
+# label, and --no-cross-check; the A2 pair sits on both sides of the
+# triples gate
 SKIPS = [
     ("loop", "H3"),
     ("loop", "B3", "--budget", "1"),
@@ -132,6 +135,7 @@ SKIPS = [
     ("amalgams", "B3", "--budget", "1000"),
     ("verify", "K5"),
     ("verify", "D18"),
+    ("verify", "Q8", "--budget", "1"),
     ("verify", "A3", "--cap", "10"),
     ("verify", "B3", "--budget", "1000"),
     ("verify", "inf_label"),
@@ -359,6 +363,8 @@ GOLDEN = {
     "verify K5 --json": "5661b6480f83487aa39557be71d9062a71408a38d1836b86fd0aca7bea90e22a",
     "verify D18": "be5909d2fda36219da2c3497dd96469cf9bcedd41357f2a7556f2b4984c29fcd",
     "verify D18 --json": "02d4c0e57b6c31464f8a70a5b18b85d83c952ec31d9d8e4815c125f208142e17",
+    "verify Q8 --budget 1": "04efa53465f811ca9139a3c529d00bed69bd415e47e577c9410f13c734fb1af3",
+    "verify Q8 --budget 1 --json": "0fe9f8f9013399459b16e782f97493e98c57da70c3734f106a75d91b9861b635",
     "verify A3 --cap 10": "532fef8363a8f364c3218b7fb5e8ae853a3a5f6b9aaf9631552ac20a90636278",
     "verify A3 --cap 10 --json": "2463276a29af118d52405b10ecdc712881603ef30cbb2ef746a5bfd4196833d8",
     "verify B3 --budget 1000": "de0a2f6e84bbb972ba325decb5288b663d571e30a82fd846091e80ff15ebf78c",

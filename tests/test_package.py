@@ -2,13 +2,19 @@
 and a cold start that stays light.
 
 Certificates must hold under `python -O`, which strips `assert`, so every
-check in `src/coxloops/` raises `CheckError` instead.  Every command pays
-for `import coxloops.cli`, so the package builds its records as
-`NamedTuple`s and never imports `dataclasses`, which pulls in `inspect`.
+check in `src/coxloops/` raises `CheckError` instead.  Every command is a
+fresh process that pays for each module it loads, so the package builds
+its records as `NamedTuple`s and never imports `dataclasses`, which pulls
+in `inspect`, and the report's input digest comes from CPython's built-in
+SHA-256 module, not from `hashlib`, which loads OpenSSL.  Beyond what an
+interpreter that has used `argparse` and `json` holds, a command loads only
+the package, `__future__` and that SHA-256 module.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +102,57 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# a fresh interpreter that has used argparse and json, and imported the
+# light stdlib modules the package names, as every command does
+BASELINE = """
+import argparse, json, sys
+import collections, functools, importlib, itertools, math, operator, typing
+parser = argparse.ArgumentParser()
+parser.add_argument("input")
+parser.add_argument("--n", type=int, default=1)
+parser.format_help()
+parser.parse_args(["-"])
+json.loads(json.dumps({"a": [1, None]}, indent=2))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# one command run by `main` on standard input, in a fresh interpreter
+COMMAND = """
+import io, json, sys
+sys.stdin = io.TextIOWrapper(io.BytesIO({text!r}.encode()))
+from coxloops.cli import main
+code = main({args!r})
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+COLD_RUNS = [
+    (["parse", "-"], "coxeter v1\nrank 3\nedge 1 2 3\nedge 2 3 4\n"),
+    (["verify", "-"], "coxeter v1\nrank 3\nedge 1 2 3\nedge 2 3 4\n"),
+    (["verify", "-", "--json"], "table v1 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"),
+    (["cohomology", "-"], "graph v1\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\n"),
+]
+
+
+def _fresh(flags, code):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_command_loads_only_the_package_beyond_argparse_and_json(flags):
+    baseline = set(json.loads(_fresh(flags, BASELINE).stdout))
+    # the SHA-256 module: CPython's built-in one, so never `_hashlib`, or
+    # hashlib on a build that has none
+    sha = {name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)}
+    allowed = {"__future__", *(sha or ("hashlib", "_hashlib", "_blake2"))}
+    for args, text in COLD_RUNS:
+        proc = _fresh(flags, COMMAND.format(text=text, args=args))
+        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0, args
+        added = {name for name in set(loaded) - baseline if name.split(".")[0] != "coxloops"}
+        assert added <= allowed, (args, sorted(added - allowed))
