@@ -192,14 +192,17 @@ def twisted_amalgam(d: CoxeterDiagram, delta: Iterable[int]) -> Amalgam:
     component (o_j, e_j) is twisted exactly for j in delta."""
     graph = d.underlying_graph()
     st = spanning_tree(graph)  # also rejects disconnected graphs
-    n = len(st.nontree_edges)
     dset = frozenset(delta)
-    if not all(isinstance(j, int) and 1 <= j <= n for j in dset):
-        raise ValueError(f"delta must be a subset of 1..{n}, got {sorted(dset)}")
-    twists = frozenset(
-        (st.chosen_vertex[j - 1], st.nontree_edges[j - 1]) for j in dset
-    )
-    return _build(d, build_complex(graph), twists, f"twisted{sorted(dset)}")
+    return _build(d, build_complex(graph), _twists(st, dset), f"twisted{sorted(dset)}")
+
+
+def _twists(st: SpanningTree, delta: FrozenSet[int]) -> FrozenSet[Tuple[int, Edge]]:
+    """The components (o_j, e_j) for j in delta; ValueError unless delta is
+    a subset of 1..n."""
+    n = len(st.nontree_edges)
+    if not all(isinstance(j, int) and 1 <= j <= n for j in delta):
+        raise ValueError(f"delta must be a subset of 1..{n}, got {sorted(delta)}")
+    return frozenset((st.chosen_vertex[j - 1], st.nontree_edges[j - 1]) for j in delta)
 
 
 def cocycle_to_amalgam(d: CoxeterDiagram, z: int) -> Amalgam:
@@ -219,7 +222,8 @@ def cocycle_to_amalgam(d: CoxeterDiagram, z: int) -> Amalgam:
     npairs = len(cx.pointed_pairs)
     if z < 0 or z >> npairs:
         raise ValueError(f"cocycle has bits outside the {npairs} pointed pairs")
-    if gf2.apply_rows(cx.d1_rows, z):
+    on = set(gf2.support(z))
+    if any(sum(p in on for p in faces) & 1 for faces in cx.d1_faces):
         raise ValueError("not a cocycle: d1(z) != 0")
     twists = set()
     for j, star in cx.stars.items():
@@ -647,8 +651,6 @@ def delta_cocycle(d: CoxeterDiagram, delta: Iterable[int]) -> int:
     st = spanning_tree(graph)
     cx = build_complex(graph)
     z = 0
-    for j in delta:
-        e = st.nontree_edges[j - 1]
-        o = st.chosen_vertex[j - 1]
+    for o, e in _twists(st, frozenset(delta)):
         z ^= vertex_coboundary(cx, o, e)
     return z

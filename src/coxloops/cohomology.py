@@ -18,7 +18,8 @@ pairs and triples of edges at each vertex, sum C(deg, k) of them, and the
 C(|E|, 3) subsets without a common vertex are only listed when something
 asks for them (amalgams do; cohomology and vertex stars never do).
 Each vertex star, with its local coboundaries, is built once per complex.
-d1 o d0 = 0 is certified one pointed triple at a time.
+The global d1 is kept as each pointed triple's three faces, never as dense
+rows, and d1 o d0 = 0 is certified one pointed triple at a time.
 
 For a connected graph with cycle rank n, dim H^1 = |E| - |V| + 1 = n, and
 closed-form bases exist: local coboundaries d0_i(a_e) (all pointed pairs
@@ -122,9 +123,11 @@ class EdgeComplex:
     one vertex star.  `stars` holds one `VertexStar` per vertex, built
     once; the pointed simplices are the union of the stars' pairs and
     triples (sum of C(deg, k) work instead of C(E, k)), sorted into the
-    lexicographic order of the filtered all-subsets scan.  The unpointed
-    simplices (`pairs`, `triples` and their empty cores in `core`) are only
-    built on first use.
+    lexicographic order of the filtered all-subsets scan.  `pair_star`, the
+    one star map, takes pointed pair k to (its star's vertex, its index
+    there); `d1_faces` is d1 as each pointed triple's three face positions.
+    The unpointed simplices (`pairs`, `triples` and their empty cores in
+    `core`) are only built on first use.
     """
 
     def __init__(self, graph: Graph):
@@ -134,35 +137,28 @@ class EdgeComplex:
         self.stars: Dict[int, VertexStar] = {
             v: _star(v, tuple(graph.edges_at(v))) for v in graph.vertices
         }
-        self.pointed_pairs: Tuple[Simplex, ...] = tuple(
-            sorted(s for star in self.stars.values() for s in star.pairs)
+        slots = sorted(
+            (s, (v, k)) for v, star in self.stars.items() for k, s in enumerate(star.pairs)
         )
+        self.pointed_pairs: Tuple[Simplex, ...] = tuple(s for s, _ in slots)
+        self.pair_star: List[Tuple[int, int]] = [slot for _, slot in slots]
         self.pointed_triples: Tuple[Simplex, ...] = tuple(
             sorted(s for star in self.stars.values() for s in star.triples)
         )
         self.pair_pos: Dict[Simplex, int] = {s: k for k, s in enumerate(self.pointed_pairs)}
-        self.triple_pos: Dict[Simplex, int] = {s: k for k, s in enumerate(self.pointed_triples)}
         # d0: rows = pointed pairs over edge coordinates
         self.d0_rows: List[int] = [
             (1 << self.edge_pos[s[0]]) | (1 << self.edge_pos[s[1]])
             for s in self.pointed_pairs
         ]
-        # d1: rows = pointed triples over pointed-pair coordinates; every
-        # 2-face of a pointed triple is pointed, so lookups never miss.  The
-        # rows do not come from the star rows, so `cohomology` can compare.
-        # Row t of d1 o d0 is the XOR of the d0 rows of t's faces, and
-        # must vanish.
-        self.d1_rows: List[int] = []
-        for s in self.pointed_triples:
-            row = 0
-            composed = 0
-            for f in combinations(s, 2):
-                k = self.pair_pos[f]
-                row |= 1 << k
-                composed ^= self.d0_rows[k]
-            if composed:
-                raise CheckError("d1 o d0 != 0")
-            self.d1_rows.append(row)
+        # faces from `pair_pos`, not from the star rows, so `cohomology` can
+        # compare; row t of d1 o d0 is the XOR of the d0 rows at t's faces
+        self.d1_faces: List[Tuple[int, ...]] = [
+            tuple(self.pair_pos[f] for f in combinations(s, 2)) for s in self.pointed_triples
+        ]
+        d0 = self.d0_rows
+        if any(d0[a] ^ d0[b] ^ d0[c] for a, b, c in self.d1_faces):
+            raise CheckError("d1 o d0 != 0")
 
     @cached_property
     def pairs(self) -> Tuple[Simplex, ...]:
@@ -322,29 +318,27 @@ def _z1_by_stars(cx: EdgeComplex, z_at: Dict[int, List[int]]) -> int:
     """dim Z^1 by elimination, one vertex star at a time, certifying that
     the closed-form cocycles `z_at[i]` at each vertex i span ker d1 there.
 
-    The stars' pairs must partition the pointed pairs, and every row of
-    the global d1 must be its star's row lifted to global pair coordinates.
-    Then d1 is block-diagonal by star, ker d1 is the direct sum of the
-    lifted star kernels, and dim Z^1 is the sum of the star nullities.
+    `cx.pair_star` must map the pointed pairs one to one onto the stars'
+    pairs, and each global d1 row (the sum of its faces) must be its star
+    row lifted.  Then d1 is block-diagonal by star, ker d1 is the direct
+    sum of the lifted star kernels, and dim Z^1 sums the star nullities.
     """
-    lifts = {i: [cx.pair_pos[s] for s in star.pairs] for i, star in cx.stars.items()}
-    if sorted(p for lift in lifts.values() for p in lift) != list(range(len(cx.pointed_pairs))):
+    slots = sorted(((i, k), s) for i, star in cx.stars.items() for k, s in enumerate(star.pairs))
+    if sorted(zip(cx.pair_star, cx.pointed_pairs)) != slots or len(cx.pointed_pairs) != len(slots):
         raise CheckError("the vertex stars do not partition the pointed pairs")
-    lifted = {
-        cx.triple_pos[s]: sum(1 << lifts[i][k] for k in gf2.support(row))
-        for i, star in cx.stars.items()
-        for s, row in zip(star.triples, star.d1_rows)
-    }
-    bad = [t for t, row in enumerate(cx.d1_rows) if lifted.get(t) != row]
-    if bad or len(lifted) != len(cx.d1_rows):
+    rows = {s: (i, r) for i, star in cx.stars.items() for s, r in zip(star.triples, star.d1_rows)}
+    bad = [  # each star row is popped by the one global row of its triple
+        t for t, (s, faces) in enumerate(zip(cx.pointed_triples, cx.d1_faces))
+        if [*_restrict(cx, faces).items()] != [rows.pop(s, None)]
+    ]
+    if bad or rows or len(cx.d1_faces) != len(cx.pointed_triples):
         raise CheckError(f"d1 rows {bad} are not the lifted rows of their vertex stars")
     z1 = 0
     for i, star in cx.stars.items():
-        local = [[k for k, p in enumerate(lifts[i]) if v >> p & 1] for v in z_at[i]]
-        if any(len(ks) != v.bit_count() for ks, v in zip(local, z_at[i])):
+        z_local = [_restrict(cx, gf2.support(v)) for v in z_at[i]]
+        if any(w.keys() - {i} for w in z_local):
             raise CheckError(f"a closed-form cocycle at {i} leaves its star")
-        z_local = [gf2.vector_from_support(ks) for ks in local]
-        if not gf2.gf2_same_span(z_local, star.kernel, len(star.pairs)):
+        if not gf2.gf2_same_span([w.get(i, 0) for w in z_local], star.kernel, len(star.pairs)):
             raise CheckError(f"closed-form Z basis does not span ker d1 at vertex {i}")
         z1 += len(star.kernel)
     return z1
@@ -357,17 +351,18 @@ def _cocycles_by_stars(cx: EdgeComplex, vectors: Sequence[int]) -> List[bool]:
     rows of d1 at the triples of star i are then d1_i lifted, so d1 v == 0
     iff each star that v touches annihilates v's restriction to its pairs.
     """
-    where = {
-        cx.pair_pos[s]: (i, k) for i, star in cx.stars.items() for k, s in enumerate(star.pairs)
-    }
-    out = []
-    for v in vectors:
-        local: Dict[int, int] = {}
-        for p in gf2.support(v):
-            i, k = where[p]
-            local[i] = local.get(i, 0) | 1 << k
-        out.append(not any(gf2.apply_rows(cx.stars[i].d1_rows, w) for i, w in local.items()))
-    return out
+    parts = [_restrict(cx, gf2.support(v)).items() for v in vectors]
+    return [not any(gf2.apply_rows(cx.stars[i].d1_rows, w) for i, w in ws) for ws in parts]
+
+
+def _restrict(cx: EdgeComplex, positions: Sequence[int]) -> Dict[Optional[int], int]:
+    """The sum of the unit vectors at `positions` in C^1, split by
+    `cx.pair_star` into one local vector per star it touches (None: outside)."""
+    local: Dict[Optional[int], int] = {}
+    for p in positions:
+        i, k = cx.pair_star[p] if 0 <= p < len(cx.pointed_pairs) else (None, 0)
+        local[i] = local.get(i, 0) ^ 1 << k
+    return local
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from coxloops.morphisms import (
     verify_doubled_dihedral_automorphisms,
     verify_semidirect_automorphisms,
 )
+from test_complex_reference import apply_d1
 
 TRIANGLE = CoxeterDiagram.from_edges(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)])
 TWO_TRIANGLES = CoxeterDiagram.from_edges(
@@ -160,7 +161,7 @@ def test_criterion_5_cohomology_on_100_random_graphs():
             cx = build_complex(g)  # the constructor verifies d1 o d0 = 0
             npairs = len(cx.pointed_pairs)
             for v in r.z_basis + r.h_basis:
-                assert gf2.apply_rows(cx.d1_rows, v) == 0
+                assert apply_d1(cx, v) == 0
             assert gf2.gf2_rank(list(r.z_basis), npairs) == r.z1
             assert gf2.gf2_rank(list(r.b_basis), npairs) == r.b1
             assert gf2.gf2_rank(list(r.b_basis + r.h_basis), npairs) == r.b1 + r.h1

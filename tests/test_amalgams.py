@@ -175,6 +175,22 @@ def test_delta_cocycle_correspondence():
             assert rep.isomorphic
 
 
+@pytest.mark.parametrize("delta", [[0], [2], [-1], ["1"]])
+def test_delta_outside_1_to_n_is_refused(delta):
+    for build in (delta_cocycle, twisted_amalgam):
+        with pytest.raises(ValueError, match=r"delta must be a subset of 1\.\.1"):
+            build(TRIANGLE, delta)
+
+
+def test_delta_is_a_set():
+    # a repeated index twists e_1 once, in the cocycle as in the amalgam
+    z = delta_cocycle(TRIANGLE, [1, 1])
+    assert z == delta_cocycle(TRIANGLE, [1]) != 0
+    assert twisted_amalgam(TRIANGLE, [1, 1]).twists == twisted_amalgam(TRIANGLE, [1]).twists
+    rep = amalgams_isomorphic(cocycle_to_amalgam(TRIANGLE, z), twisted_amalgam(TRIANGLE, [1, 1]))
+    assert rep.isomorphic
+
+
 def test_coboundaries_give_the_standard_class():
     r = cohomology(build_complex(TRIANGLE.underlying_graph()))
     std = standard_amalgam(TRIANGLE)

@@ -4,11 +4,14 @@ Frozen values: (z1, b1, h1) for the named graphs, the full triangle bases,
 and the divergence of the literal coface-stabilizer reading of the
 coefficient groups on sparse graphs (order 12 vs closed form 2).  At the
 `H¹` frontier (`-m slow`), the dims and a digest of the bases of seeded
-graphs with 1500 and 4000 edges.
+graphs with 1500 and 4000 edges and of a dense one (2000 edges on 200
+vertices).
 """
 
 import hashlib
+import json
 import random
+import resource
 import subprocess
 import sys
 from itertools import combinations
@@ -26,10 +29,11 @@ from coxloops.cohomology import (
 )
 from coxloops.coxeter import CoxeterDiagram, diagram_a, enumerate_group
 from coxloops.amalgams import standard_amalgam
-from coxloops.gf2 import apply_rows, support
+from coxloops.gf2 import support
 from coxloops.graphs import Graph
 from coxloops.groups import cyclic
 from coxloops.loops import chein_loop
+from test_complex_reference import apply_d1
 
 TRIANGLE = Graph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
 K4 = Graph(range(1, 5), [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
@@ -72,7 +76,7 @@ def test_complex_counts_k4():
     # pointed triples = the four full vertex stars; triangles have empty core
     assert len(cx.pointed_triples) == 4
     assert len(cx.d0_rows) == 12
-    assert len(cx.d1_rows) == 4
+    assert len(cx.d1_faces) == 4
 
 
 def test_cofaces_in_triangle_complex():
@@ -90,7 +94,7 @@ def test_coboundary_composition_is_zero():
         from coxloops.gf2 import transpose
 
         for col in transpose(cx.d0_rows, len(cx.edges)):
-            assert apply_rows(cx.d1_rows, col) == 0
+            assert apply_d1(cx, col) == 0
 
 
 def test_vertex_coboundary_requires_incidence():
@@ -266,7 +270,8 @@ def bases_digest(r) -> str:
 
 
 # (seed, vertices, edges) -> (z1, b1, h1) and the bases' digest, pinned
-# with the column-scan elimination that lowest-bit pivots replaced
+# with the column-scan elimination that lowest-bit pivots replaced; the
+# dense graph's with the dense global d1 rows that its faces replaced
 H1_FRONTIER = [
     (
         (1500, 750, 1500),
@@ -278,11 +283,49 @@ H1_FRONTIER = [
         (6000, 3999, 2001),
         "406e2a4a546f6e1358b26e1c35295fd045e4ed2921b2bcfadcf04757aec09011",
     ),
+    (
+        (2000, 200, 2000),
+        (3800, 1999, 1801),
+        "572c7ecaafe72f4749c6315ba7ce306fc657a98b2070f76542fdd1b1d1b98a42",
+    ),
 ]
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shape,dims,digest", H1_FRONTIER, ids=["1500_edges", "4000_edges"])
+@pytest.mark.parametrize(
+    "shape,dims,digest", H1_FRONTIER, ids=["1500_edges", "4000_edges", "2000_dense_edges"]
+)
 def test_h1_frontier_frozen(shape, dims, digest):
     r = cohomology(build_complex(frontier_graph(*shape)), cross_check=True)
     assert (r.dims, bases_digest(r)) == (dims, digest)
+
+
+DENSE_H1 = """
+import json, sys
+from coxloops.cohomology import build_complex, cohomology
+from coxloops.graphs import Graph
+
+edges = [tuple(e) for e in json.load(sys.stdin)]
+print(json.dumps(cohomology(build_complex(Graph(range(1, 101), edges)), cross_check=True).dims))
+"""
+
+
+def _address_space_limit():
+    # runs in the child before exec: 256 MB of address space, which the
+    # sparse d1 fits in (about 100 MB) and dense d1 rows (about 540 MB) do not
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_dense_graph_cohomology_fits_in_256_mb():
+    # average degree 20: 130,612 pointed triples over 19,857 pointed pairs
+    edges = frontier_graph(100, 100, 1000).edges
+    proc = subprocess.run(
+        [sys.executable, "-c", DENSE_H1],
+        input=json.dumps(edges),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_address_space_limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1900, 999, 901]

@@ -13,6 +13,7 @@ and on `hypothesis`-generated ones, and every per-T orbit must be T + the
 orbit of the standard amalgam, which the one-sweep classification uses.
 """
 
+import importlib
 import subprocess
 import sys
 from itertools import combinations
@@ -50,7 +51,8 @@ from coxloops.morphisms import compose_images
 
 
 class ReferenceComplex:
-    """Every edge subset of size <= 3, pointed ones filtered from all."""
+    """Every edge subset of size <= 3, pointed ones filtered from all, with
+    d1 as one dense bit row per pointed triple over all pointed pairs."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -67,7 +69,6 @@ class ReferenceComplex:
         self.pointed_pairs = tuple(s for s in self.pairs if self.core[s])
         self.pointed_triples = tuple(s for s in self.triples if self.core[s])
         self.pair_pos = {s: k for k, s in enumerate(self.pointed_pairs)}
-        self.triple_pos = {s: k for k, s in enumerate(self.pointed_triples)}
         self.d0_rows = [
             (1 << self.edge_pos[s[0]]) | (1 << self.edge_pos[s[1]]) for s in self.pointed_pairs
         ]
@@ -95,6 +96,12 @@ def reference_vertex_star(cx: ReferenceComplex, i: int) -> VertexStar:
     d0 = tuple((1 << pos[s[0]]) | (1 << pos[s[1]]) for s in pairs)
     d1 = tuple(sum(1 << ppos[f] for f in combinations(s, 2)) for s in triples)
     return VertexStar(i, edges, pairs, triples, d0, d1)
+
+
+def apply_d1(cx, v: int) -> int:
+    """d1 v from the complex's faces: bit t is the parity of v on the faces
+    of pointed triple t."""
+    return sum((sum(v >> p & 1 for p in f) & 1) << t for t, f in enumerate(cx.d1_faces))
 
 
 def reference_z1(cx, z_basis: List[int]) -> int:
@@ -317,7 +324,7 @@ def reference_twist_orbits(
 
 ATTRIBUTES = (
     "edges", "edge_pos", "pairs", "triples", "core", "pointed_pairs",
-    "pointed_triples", "pair_pos", "triple_pos", "d0_rows", "d1_rows",
+    "pointed_triples", "pair_pos", "d0_rows",
 )
 
 
@@ -331,6 +338,14 @@ def assert_same_complex(graph: Graph) -> None:
         assert cx.cofaces(tuple(reversed(sigma))) == ref.cofaces(sigma)
     for sigma in ((), ((0, 99),), ref.edges[:1] * 2, ref.edges[:4]):
         assert cx.cofaces(sigma) == ref.cofaces(sigma), sigma
+    # d1 as faces: the supports of the dense rows, ascending
+    assert cx.d1_faces == [tuple(gf2.support(row)) for row in ref.d1_rows]
+    # the star map: each pointed pair's core vertex and place in that star
+    assert cx.pair_star == [
+        (i, reference_vertex_star(ref, i).pairs.index(s))
+        for s in ref.pointed_pairs
+        for i in ref.core[s]
+    ]
     for v in graph.vertices + (max(graph.vertices, default=0) + 1,):
         assert graph.edges_at(v) == [e for e in graph.edges if v in e]
         assert vertex_star(cx, v) == reference_vertex_star(ref, v)
@@ -349,7 +364,9 @@ def assert_same_complex(graph: Graph) -> None:
         z_basis + list(result.h_basis) + singles
         + [a | b for a, b in zip(singles, singles[1:])] + [sum(singles)]
     )
-    assert _cocycles_by_stars(cx, vectors) == [not gf2.apply_rows(ref.d1_rows, v) for v in vectors]
+    dense = [gf2.apply_rows(ref.d1_rows, v) for v in vectors]
+    assert [apply_d1(cx, v) for v in vectors] == dense
+    assert _cocycles_by_stars(cx, vectors) == [not d1v for d1v in dense]
 
 
 def complete(n: int) -> List[Tuple[int, int]]:
@@ -410,17 +427,24 @@ from coxloops.cohomology import build_complex, cohomology
 from coxloops.errors import CheckError
 from coxloops.graphs import Graph
 
-for kind in ("row_spans_two_stars", "star_row_corrupted"):
+for kind in ("stars_overlap", "row_spans_two_stars", "star_row_corrupted", "row_missing"):
     cx = build_complex(Graph(range(1, 5), [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]))
-    if kind == "row_spans_two_stars":
-        # move the lowest bit of d1 row 0 onto a pair pointed elsewhere
+    if kind == "stars_overlap":
+        # star 2 claims a pair of star 1 in place of its own first pair
+        star = cx.stars[2]
+        cx.stars[2] = star._replace(pairs=cx.stars[1].pairs[:1] + star.pairs[1:])
+    elif kind == "row_spans_two_stars":
+        # move the first face of d1 row 0 onto a pair pointed elsewhere
         core = set.intersection(*map(set, cx.pointed_triples[0]))
         foreign = next(k for k, s in enumerate(cx.pointed_pairs) if set(s[0]) & set(s[1]) != core)
-        row = cx.d1_rows[0]
-        cx.d1_rows[0] = row ^ (row & -row) | 1 << foreign
-    else:
+        cx.d1_faces[0] = (foreign,) + cx.d1_faces[0][1:]
+    elif kind == "star_row_corrupted":
         star = cx.stars[1]
         cx.stars[1] = star._replace(d1_rows=(star.d1_rows[0] ^ 1,) + star.d1_rows[1:])
+    else:
+        # drop the last pointed triple with its row: its star row is left over
+        cx.pointed_triples = cx.pointed_triples[:-1]
+        del cx.d1_faces[-1]
     try:
         cohomology(cx)
     except CheckError as e:
@@ -439,10 +463,26 @@ def test_d1_not_block_diagonal_by_star_is_refused(flags):
     lines = [line.split(maxsplit=3) for line in proc.stdout.splitlines()]
     debug = str(not flags)
     assert [line[:3] for line in lines] == [
+        [debug, "stars_overlap", "CheckError"],
         [debug, "row_spans_two_stars", "CheckError"],
         [debug, "star_row_corrupted", "CheckError"],
+        [debug, "row_missing", "CheckError"],
     ]
-    assert all("d1 rows [0] are not the lifted rows" in line[3] for line in lines)
+    assert lines[0][3] == "the vertex stars do not partition the pointed pairs"
+    assert all("d1 rows [0] are not the lifted rows" in line[3] for line in lines[1:3])
+    assert lines[3][3] == "d1 rows [] are not the lifted rows of their vertex stars"
+
+
+def test_closed_form_cocycle_leaving_its_star_is_refused(monkeypatch):
+    coho = importlib.import_module("coxloops.cohomology")
+    cx = build_complex(GRAPHS["triangle"])
+    genuine = coho.vertex_coboundary
+    foreign = 1 << cx.pair_pos[((1, 2), (2, 3))]  # a pair pointed at vertex 2
+    monkeypatch.setattr(
+        coho, "vertex_coboundary", lambda cx, i, e: genuine(cx, i, e) | foreign * (i == 1)
+    )
+    with pytest.raises(CheckError, match="a closed-form cocycle at 1 leaves its star"):
+        cohomology(cx)
 
 
 NON_COCYCLE = """
