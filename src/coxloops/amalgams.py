@@ -35,8 +35,9 @@ sweep instead of 2^(2n-1) searches.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations, product as iproduct
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .cohomology import EdgeComplex, _set_stabilizer, build_complex, vertex_coboundary, vertex_twist
@@ -67,14 +68,16 @@ __all__ = [
 ]
 
 
-class CoreData(NamedTuple):
+class CoreData(namedtuple("CoreData", [
+    "core",
+    "group",
+    "loop",
+    "gen_of",  # diagram vertex -> its reflection in the loop
+    "u",  # index of the doubling involution
+])):
     """The standard loop attached to a core J (0, 1 or 2 vertices)."""
 
-    core: Tuple[int, ...]
-    group: GroupTable
-    loop: LoopTable
-    gen_of: Dict[int, int]  # diagram vertex -> its reflection in the loop
-    u: int  # index of the doubling involution
+    __slots__ = ()
 
 
 class Amalgam:
@@ -242,13 +245,9 @@ def cocycle_to_amalgam(d: CoxeterDiagram, z: int) -> Amalgam:
 # verification
 
 
-class AmalgamReport(NamedTuple):
-    simplices: int
-    maps_checked: int
-    chains_checked: int
-    injective_ok: bool
-    homomorphism_ok: bool
-    composition_ok: bool
+class AmalgamReport(namedtuple("AmalgamReport", "simplices maps_checked chains_checked "
+                               "injective_ok homomorphism_ok composition_ok")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -290,12 +289,9 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
     )
 
 
-class CompletionReport(NamedTuple):
-    loop_order: int
-    maps_checked: int
-    injective_ok: bool
-    homomorphism_ok: bool
-    commuting_ok: bool
+class CompletionReport(namedtuple("CompletionReport", "loop_order maps_checked "
+                                  "injective_ok homomorphism_ok commuting_ok")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -347,12 +343,14 @@ def verify_completion(
 # isomorphism of amalgams
 
 
-class IsoReport(NamedTuple):
-    isomorphic: bool
-    witness: Optional[Dict[Simplex, Tuple[int, ...]]]
-    assignments: int  # assignments actually examined
-    space: int  # full size of the search space
-    exhausted: bool  # search covered the whole space (certifies a negative)
+class IsoReport(namedtuple("IsoReport", [
+    "isomorphic",
+    "witness",  # simplex -> images of its theta, or None
+    "assignments",  # assignments actually examined
+    "space",  # full size of the search space
+    "exhausted",  # search covered the whole space (certifies a negative)
+])):
+    __slots__ = ()
 
 
 def _edge_candidates(a: Amalgam, e: Edge, budget: int) -> List[Tuple[int, ...]]:
@@ -450,13 +448,15 @@ def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]
 # classification
 
 
-class ClassificationReport(NamedTuple):
-    cycle_rank: int
-    nontree_edges: Tuple[Edge, ...]
-    chosen_vertices: Tuple[int, ...]
-    class_count: int
-    classes: Tuple[Tuple[FrozenSet[int], ...], ...]  # deltas grouped by class
-    pairs_checked: int
+class ClassificationReport(namedtuple("ClassificationReport", [
+    "cycle_rank",
+    "nontree_edges",
+    "chosen_vertices",
+    "class_count",
+    "classes",  # deltas (frozensets) grouped by class
+    "pairs_checked",
+])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -29,11 +29,13 @@ limit of ``verify``, is one lookup (`_gate`) in one gate table (`_GATES`).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import os
 import sys
 from functools import cached_property
+from itertools import islice
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 # the input digest comes from CPython's built-in SHA-256, as in `random`:
@@ -262,7 +264,7 @@ class _Run:
     them on first use and then kept, so all blocks of a command work on the
     same objects, and nothing outlives the run."""
 
-    def __init__(self, kind: str, obj, cfg: argparse.Namespace):
+    def __init__(self, kind: str, obj, cfg: SimpleNamespace):
         self.kind = kind
         self.obj = obj
         self.cfg = cfg
@@ -876,48 +878,163 @@ def _render_human(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxloops",
-        description="Doubled loops over Coxeter diagrams: exhaustive identity, "
-        "automorphism, cohomology, and amalgam-classification pipelines.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("input", help="input file path, or - for standard input")
-    parser.add_argument(
-        "--cap", type=int, default=10000, help="group-order limit for enumeration"
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=10_000_000,
-        help="work limit for searches, identity sweeps, and table materialization",
-    )
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument(
-        "--strict", action="store_true", help="reject disconnected graphs"
-    )
-    parser.add_argument(
-        "--no-cross-check",
-        dest="cross_check",
-        action="store_false",
-        help="skip brute-force cross-checks of closed forms",
-    )
-    return parser
+# the command line: each long option -> (its attribute, its kind: `int` takes
+# a value, True or False is what the flag stores), its metavar and help;
+# the two positionals are the command and the input, and -h/--help prints
+# the help
+_OPTIONS = {
+    "--cap": ("cap", int, "CAP", "group-order limit for enumeration"),
+    "--budget": ("budget", int, "BUDGET",
+                 "work limit for searches, identity sweeps, and table materialization"),
+    "--json": ("json", True, "", "emit a JSON report"),
+    "--strict": ("strict", True, "", "reject disconnected graphs"),
+    "--no-cross-check": ("cross_check", False, "", "skip brute-force cross-checks of closed forms"),
+}
+_DEFAULTS = {"cap": 10000, "budget": 10_000_000, "json": False, "strict": False, "cross_check": True}
+_USAGE = "usage: coxloops [-h] {}\n                {{{}}} input".format(
+    " ".join(f"[{name} {meta}]" if meta else f"[{name}]" for name, (_, _, meta, _) in _OPTIONS.items()),
+    ",".join(COMMANDS),
+)
+
+
+class _UsageError(Exception):
+    """A command line that does not parse: usage and the message on stderr, exit 4."""
+
+
+def _help() -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(f"{name} {meta}".rstrip(), text) for name, (_, _, meta, text) in _OPTIONS.items()]
+    return "\n".join([
+        _USAGE,
+        "",
+        "Doubled loops over Coxeter diagrams: exhaustive identity, automorphism,",
+        "cohomology, and amalgam-classification pipelines.",
+        "",
+        "positional arguments:",
+        f"  {{{','.join(COMMANDS)}}}",
+        f"  {'input':<22}input file path, or - for standard input",
+        "",
+        "options:",
+        *(f"  {name:<22}{text}" for name, text in rows),
+    ])
+
+
+def _is_option(arg: str) -> bool:
+    """Whether `arg` is read as an option: it starts with `-` and is not `-`
+    (standard input), a negative number (`-5`, `-.5`, `-1.5`) or a word
+    with a space in it."""
+    if len(arg) < 2 or arg[0] != "-" or " " in arg:
+        return False
+    whole, dot, frac = arg[1:].partition(".")
+    negative_number = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return not negative_number
+
+
+def _match(arg: str) -> Tuple[Optional[str], Optional[str]]:
+    """The option `arg` names, exactly or by a unique prefix of a long
+    option, with its value after `=` (or None); (None, None) when it names none."""
+    if not arg.startswith("--"):
+        if not arg.startswith("-h"):
+            return None, None
+        # -h=x and -hx give x to -h, which takes none; -hh is -h twice
+        return "--help", arg[3:] if arg.startswith("-h=") else arg[2:].lstrip("h") or None
+    name, eq, value = arg.partition("=")
+    matches = [o for o in ("--help", *_OPTIONS) if o.startswith(name)]
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+    return (matches[0], value if eq else None) if matches else (None, None)
+
+
+def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The run's flags and positionals from `argv`; None once -h/--help has
+    printed the help.  Raises `_UsageError`.
+
+    Options go anywhere among the positionals, take their value as the next
+    argument or after `=`, and may be shortened to a unique prefix; after
+    `--` every argument is a positional.  As with `argparse`, every option
+    is matched first, so an ambiguous prefix is refused before anything
+    else; then, left to right, a bad value, a value given to a flag or an
+    invalid command is refused where it stands, and a leftover argument or
+    a missing positional once all are read.
+    """
+    cut = argv.index("--") if "--" in argv else len(argv)
+    options = {i: _match(arg) for i, arg in enumerate(argv[:cut]) if _is_option(arg)}
+    cfg = SimpleNamespace(**_DEFAULTS)
+    positionals: List[str] = []
+    extras: List[str] = []
+    last = -1  # where the last positional stood
+    args = iter(enumerate(argv))
+    for i, arg in args:
+        if i not in options:
+            if len(positionals) == 2:
+                # `--` is dropped while a positional is open or right after the input
+                if i != cut or i != last + 1:
+                    extras.append(arg)
+            elif i != cut:
+                if not positionals and arg not in _COMMANDS:
+                    choices = ", ".join(map(repr, COMMANDS))
+                    raise _UsageError(f"argument command: invalid choice: {arg!r} (choose from {choices})")
+                positionals.append(arg)
+                last = i
+            continue
+        option, value = options[i]
+        if option is None:
+            extras.append(arg)
+            continue
+        if option == "--help":
+            if value is not None:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            print(_help())
+            return None
+        attr, kind, _, _ = _OPTIONS[option]
+        if kind is not int:
+            if value is not None:
+                raise _UsageError(f"argument {option}: ignored explicit argument {value!r}")
+            setattr(cfg, attr, kind)
+            continue
+        if value is None:
+            j, value = next(args, (None, None))
+            if j is None or j == cut or j in options:
+                raise _UsageError(f"argument {option}: expected one argument")
+        try:
+            setattr(cfg, attr, int(value))
+        except ValueError:
+            raise _UsageError(f"argument {option}: invalid int value: {value!r}") from None
+    if len(positionals) < 2:
+        missing = ("command", "input")[len(positionals):]
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    cfg.command, cfg.input = positionals
+    return cfg
+
+
+def _write_report(report: Dict, as_json: bool) -> None:
+    """The report on stdout: JSON streamed from the encoder in batches of
+    chunks, so the whole document is never held at once (the same bytes as
+    `json.dumps(report, indent=2)`), or the human rendering."""
+    out = sys.stdout
+    if as_json:
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        while batch := "".join(islice(chunks, 4096)):
+            out.write(batch)
+        out.write("\n")
+    else:
+        out.write(_render_human(report) + "\n")
+    out.flush()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors; 2 means "check failure" here,
-        # so usage problems join parse/I/O errors under exit code 4
-        return 0 if e.code == 0 else 4
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as e:
+        print(f"{_USAGE}\ncoxloops: error: {e}", file=sys.stderr)
+        return 4
+    if args is None:
+        return 0
     if args.cap < 1 or args.budget < 1:
         print("error: --cap and --budget must be >= 1", file=sys.stderr)
         return 4
-
     try:
         if args.input == "-":
             data = sys.stdin.buffer.read()
@@ -963,10 +1080,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report["checks"] = checks
     report["ok"] = ok
 
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(_render_human(report))
+    try:
+        _write_report(report, args.json)
+    except OSError as e:  # a closed pipe (BrokenPipeError) or a full disk
+        # the interpreter flushes stdout once more at exit; send that flush to
+        # devnull so it cannot fail again (the SIGPIPE note of the `signal` docs)
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # a stdout without a file descriptor has nothing left to flush
+        print(f"error: cannot write the report: {e}", file=sys.stderr)
+        return 4
     return 0 if ok else 2
 
 

@@ -42,9 +42,10 @@ and a brute-force stabilizer and insists they agree.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from typing import Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import CheckError
@@ -69,13 +70,14 @@ __all__ = [
 ]
 
 
-class _VertexStarFields(NamedTuple):
-    vertex: int
-    edges: Tuple[Edge, ...]  # edges at the vertex = C^0_i coordinates
-    pairs: Tuple[Simplex, ...]  # pointed pairs at the vertex = C^1_i
-    triples: Tuple[Simplex, ...]
-    d0_rows: Tuple[int, ...]  # C^0_i -> C^1_i
-    d1_rows: Tuple[int, ...]  # C^1_i -> C^2_i
+_VertexStarFields = namedtuple("_VertexStarFields", [
+    "vertex",
+    "edges",  # edges at the vertex = C^0_i coordinates
+    "pairs",  # pointed pairs at the vertex = C^1_i
+    "triples",
+    "d0_rows",  # C^0_i -> C^1_i
+    "d1_rows",  # C^1_i -> C^2_i
+])
 
 
 class VertexStar(_VertexStarFields):  # no __slots__: `kernel` is cached in __dict__
@@ -222,17 +224,19 @@ def vertex_coboundary(cx: EdgeComplex, i: int, e: Edge) -> int:
     return v
 
 
-class CohomologyResult(NamedTuple):
-    graph: Graph
-    z1: int
-    b1: int
-    h1: int
-    pair_index: Tuple[Simplex, ...]  # coordinates of C^1
-    z_basis: Tuple[int, ...]  # closed-form cocycle basis
-    b_basis: Tuple[int, ...]  # closed-form coboundary basis
-    h_basis: Tuple[int, ...]  # representatives of an H^1 basis
-    h_basis_edges: Tuple[Edge, ...]  # the non-tree edge behind each class
-    components: int
+class CohomologyResult(namedtuple("CohomologyResult", [
+    "graph",
+    "z1",
+    "b1",
+    "h1",
+    "pair_index",  # coordinates of C^1
+    "z_basis",  # closed-form cocycle basis
+    "b_basis",  # closed-form coboundary basis
+    "h_basis",  # representatives of an H^1 basis
+    "h_basis_edges",  # the non-tree edge behind each class
+    "components",
+])):
+    __slots__ = ()
 
     @property
     def dims(self) -> Tuple[int, int, int]:
@@ -408,13 +412,15 @@ def edge_twist(t: LoopTable) -> Tuple[int, ...]:
     return images_t
 
 
-class CoefficientGroup(NamedTuple):
-    simplex: Simplex
-    core: Tuple[int, ...]
-    order: int
-    generator: Optional[Tuple[int, ...]]  # images in Aut(G_sigma), None if trivial
-    brute_order: Optional[int]  # None when the cross-check was skipped
-    mode: str
+class CoefficientGroup(namedtuple("CoefficientGroup", [
+    "simplex",
+    "core",
+    "order",
+    "generator",  # images in Aut(G_sigma), None if trivial
+    "brute_order",  # None when the cross-check was skipped
+    "mode",
+])):
+    __slots__ = ()
 
     @property
     def agrees(self) -> bool:

@@ -31,7 +31,8 @@ in closed form; `enumerate_order` provides the independent cross-check.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CheckError, DiagramError, ResourceLimitError
 from .graphs import Graph, connected_components
@@ -150,17 +151,17 @@ class CoxeterDiagram:
 # classification of finite Coxeter groups
 
 
-class ComponentType(NamedTuple):
-    name: str  # "A3", "I2(7)", "G2", ... or "-" when not spherical
-    vertices: Tuple[int, ...]
-    order: Optional[int]
-    reason: Optional[str] = None  # set when the component is not spherical
+class ComponentType(namedtuple("ComponentType", [
+    "name",  # "A3", "I2(7)", "G2", ... or "-" when not spherical
+    "vertices",
+    "order",  # None when not spherical
+    "reason",  # set when the component is not spherical (default None)
+], defaults=(None,))):
+    __slots__ = ()
 
 
-class SphericalReport(NamedTuple):
-    spherical: bool
-    order: Optional[int]
-    components: Tuple[ComponentType, ...]
+class SphericalReport(namedtuple("SphericalReport", "spherical order components")):
+    __slots__ = ()
 
 
 def _component_type(d: CoxeterDiagram, verts: Tuple[int, ...]) -> ComponentType:
@@ -380,7 +381,7 @@ def enumerate_order(d: CoxeterDiagram, cap: int = 10000) -> int:
     return len(_enumerate_cosets(d, cap))
 
 
-class RegularAction(NamedTuple):
+class RegularAction(namedtuple("RegularAction", "act words tree")):
     """W acting on itself from the right, elements in BFS shortlex order.
 
     `act[x][g]` is g*s_x for the simple reflection s_x (vertex x + 1),
@@ -389,9 +390,7 @@ class RegularAction(NamedTuple):
     that renumbering (`tree[0]` is (0, -1)).  Element 0 is the identity.
     """
 
-    act: Tuple[Tuple[int, ...], ...]
-    words: Tuple[Tuple[int, ...], ...]
-    tree: Tuple[Tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def generators(self) -> Tuple[int, ...]:

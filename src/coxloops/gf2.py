@@ -94,6 +94,11 @@ def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
 
     One basis vector per free column, in ascending column order; this is the
     standard canonical kernel basis read off the RREF.
+
+    M B = 0 is certified once per row: with `cols[k]` the set of basis
+    vectors that have bit k (as a bit mask), bit j of the XOR of `cols`
+    over a row's support is the row's product with basis vector j, so that
+    XOR must vanish.
     """
     pivots, reduced = gf2_rref(rows, ncols)
     pivot_set = set(pivots)
@@ -106,8 +111,15 @@ def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
             if prow & (1 << free):
                 v ^= 1 << pcol
         basis.append(v)
-    if any(parity(r & v) for v in basis for r in rows):
-        raise CheckError("kernel basis vector not annihilated by the matrix")
+    cols = transpose(basis, ncols)
+    for r in rows:
+        products = 0
+        while r:
+            k = r.bit_length() - 1
+            products ^= cols[k]
+            r ^= 1 << k
+        if products:
+            raise CheckError("kernel basis vector not annihilated by the matrix")
     return basis
 
 

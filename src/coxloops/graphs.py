@@ -7,8 +7,8 @@ trees and reports are deterministic.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from collections import deque, namedtuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -89,11 +89,13 @@ def connected_components(g: Graph) -> List[Graph]:
     return comps
 
 
-class SpanningTree(NamedTuple):
-    root: int
-    tree_edges: Tuple[Edge, ...]  # lexicographic
-    nontree_edges: Tuple[Edge, ...]  # lexicographic: e_1, ..., e_n
-    chosen_vertex: Tuple[int, ...]  # o_j = smaller endpoint of e_j
+class SpanningTree(namedtuple("SpanningTree", [
+    "root",
+    "tree_edges",  # lexicographic
+    "nontree_edges",  # lexicographic: e_1, ..., e_n
+    "chosen_vertex",  # o_j = smaller endpoint of e_j
+])):
+    __slots__ = ()
 
 
 def spanning_tree(g: Graph) -> SpanningTree:

@@ -39,12 +39,13 @@ memory linear in |W|.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import permutations
 from itertools import product as iproduct
 from math import prod
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CheckError
 
@@ -109,19 +110,16 @@ def loop_axiom_failures(rows: Sequence[Sequence[int]]) -> Iterator[Tuple[str, st
                 yield "latin", f"not a quasigroup: {kind} {a} repeats a value"
 
 
-class IdentityReport(NamedTuple):
+class IdentityReport(namedtuple("IdentityReport", "name holds checked counterexample values")):
     """Outcome of checking one identity over its full quantifier domain.
 
     `counterexample` is the first failing instance in the documented
     iteration order (plain lexicographic over the domain), and `values`
-    are the evaluated sides at that instance (all must be equal to hold).
+    are the evaluated sides at that instance (all must be equal to hold);
+    both are None when it holds.
     """
 
-    name: str
-    holds: bool
-    checked: int
-    counterexample: Optional[Tuple[int, ...]]
-    values: Optional[Tuple[int, ...]]
+    __slots__ = ()
 
     def brief(self) -> str:
         if self.holds:
@@ -346,16 +344,12 @@ class GroupTable(_Table):
         return all(self.product[a][a] == 0 for a in range(self.order))
 
 
-class ElementStatistics(NamedTuple):
+class ElementStatistics(namedtuple("ElementStatistics", "order abelian elementary_abelian involutions element_orders")):
     """A finite group's elements: how many there are, whether they commute
     or all square to the identity, how many are involutions, and how many
     have each order (`element_orders`, ascending by order)."""
 
-    order: int
-    abelian: bool
-    elementary_abelian: bool
-    involutions: int
-    element_orders: Dict[int, int]
+    __slots__ = ()
 
 
 def element_statistics(act: Sequence[Sequence[int]], words: Sequence[Sequence[int]]) -> ElementStatistics:

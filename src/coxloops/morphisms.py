@@ -42,9 +42,10 @@ the complete search.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
 from operator import eq
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CheckError, ResourceLimitError
 from .groups import GroupTable, closure, compose, composer, subgroup_table
@@ -72,10 +73,10 @@ __all__ = [
 ]
 
 
-class Morphism(NamedTuple):
+class Morphism(namedtuple("Morphism", "images")):
     """A map between loops/groups given by its image tuple on 0..n-1."""
 
-    images: Tuple[int, ...]
+    __slots__ = ()
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -143,12 +144,13 @@ def _profiles(t) -> List[Tuple]:
     return [(orders[x], sq_roots[x], commuting[x]) for x in range(n)]
 
 
-class _AutGroupFields(NamedTuple):
-    base: Tuple[int, ...]
-    strong_generators: Tuple[Tuple[int, ...], ...]
-    transversals: Tuple[Dict[int, Tuple[int, ...]], ...]
-    nodes: int  # candidate assignments tried by the search
-    degree: int  # the order of the table
+_AutGroupFields = namedtuple("_AutGroupFields", [
+    "base",
+    "strong_generators",
+    "transversals",  # one dict per level: image of the base point -> automorphism
+    "nodes",  # candidate assignments tried by the search
+    "degree",  # the order of the table
+])
 
 
 class AutGroup(_AutGroupFields):  # no __slots__: `elements` is cached in __dict__
@@ -412,11 +414,13 @@ def lifted_automorphism(t: LoopTable, psi: Sequence[int]) -> Morphism:
 # trichotomy
 
 
-class TrichotomyReport(NamedTuple):
-    case: int  # 1, 2, or 3
-    label: str  # elementary_abelian / indecomposable / dihedral
-    loop_order: int
-    decomposition: Optional[Tuple[Tuple[int, ...], int]]  # (H elements, u')
+class TrichotomyReport(namedtuple("TrichotomyReport", [
+    "case",  # 1, 2, or 3
+    "label",  # elementary_abelian / indecomposable / dihedral
+    "loop_order",
+    "decomposition",  # (H elements, u'), or None
+])):
+    __slots__ = ()
 
 
 def dihedral_decomposition(g: GroupTable) -> Optional[Tuple[Tuple[int, ...], int]]:
@@ -483,17 +487,19 @@ def classify_trichotomy(g: GroupTable) -> TrichotomyReport:
 # case 2: Aut(M(G,2)) = G x| Aut(G)
 
 
-class SemidirectAutReport(NamedTuple):
-    loop_order: int
-    aut_order: int
-    group_aut_order: int
-    expected_order: int  # |G| * |Aut(G)|
-    translations_ok: bool
-    lifts_ok: bool
-    normal_relation_ok: bool  # lift o translation_g o lift^-1 == translation_psi(g)
-    intersection_trivial: bool
-    set_matches: bool
-    nodes: int
+class SemidirectAutReport(namedtuple("SemidirectAutReport", [
+    "loop_order",
+    "aut_order",
+    "group_aut_order",
+    "expected_order",  # |G| * |Aut(G)|
+    "translations_ok",
+    "lifts_ok",
+    "normal_relation_ok",  # lift o translation_g o lift^-1 == translation_psi(g)
+    "intersection_trivial",
+    "set_matches",
+    "nodes",
+])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -592,19 +598,21 @@ def verify_semidirect_automorphisms(g: GroupTable, budget: int = 10_000_000) -> 
 # case 3: Aut(M(M(H,2),2)) = (H x H) x| (S3 x Aut(H))
 
 
-class DoubledDihedralAutReport(NamedTuple):
-    h_order: int
-    loop_order: int
-    aut_order: int
-    expected_order: int  # |H|^2 * 6 * |Aut(H)|
-    klein_ok: bool  # {e, u1, u2, u3} is a Klein 4-subloop
-    centralizer_ok: bool  # C_L(h) == H for the recorded h of order > 2
-    centralizer_witness: int
-    rescalings_ok: bool  # N = H x H: automorphisms, closed, exact size
-    symmetric_ok: bool  # S = <sigma1, sigma2> has order 6, nonabelian
-    lifts_ok: bool  # A = doubly lifted Aut(H)
-    set_matches: bool
-    nodes: int
+class DoubledDihedralAutReport(namedtuple("DoubledDihedralAutReport", [
+    "h_order",
+    "loop_order",
+    "aut_order",
+    "expected_order",  # |H|^2 * 6 * |Aut(H)|
+    "klein_ok",  # {e, u1, u2, u3} is a Klein 4-subloop
+    "centralizer_ok",  # C_L(h) == H for the recorded h of order > 2
+    "centralizer_witness",
+    "rescalings_ok",  # N = H x H: automorphisms, closed, exact size
+    "symmetric_ok",  # S = <sigma1, sigma2> has order 6, nonabelian
+    "lifts_ok",  # A = doubly lifted Aut(H)
+    "set_matches",
+    "nodes",
+])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

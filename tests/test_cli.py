@@ -6,18 +6,23 @@ against `hashlib`.  Exit codes: 0 = all checks pass, 2 = a check failed,
 3 = resource limit, 4 = parse/usage/I-O error.
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import resource
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import test_golden as golden
+from test_cohomology import frontier_graph
 from coxloops import cli
 from coxloops.groups import cyclic, direct_product, quaternion
 
@@ -83,6 +88,205 @@ def test_usage_errors_exit_4():
     assert run(["group", "-", "--cap", "0"], A2).returncode == 4
     # --help stays conventional
     assert run(["--help"]).returncode == 0
+
+
+# argv forms with the parent parser's outcome, taken from `argparse` before
+# the table-driven parser replaced it: (argv, exit code, the report's config
+# as (cap, budget, strict, cross_check), "help", or the last stderr line).
+# "F" stands for an A2 diagram file; `-` reads the same diagram from stdin.
+# Each form runs behind a leading `--json`, so that its config is readable.
+ARGV_FORMS = [
+    (['parse', 'F'], 0, (10000, 10000000, False, True)),
+    (['parse', 'F', '--cap', '5'], 0, (5, 10000000, False, True)),
+    (['parse', 'F', '--cap=5'], 0, (5, 10000000, False, True)),
+    (['parse', 'F', '--bud', '7'], 0, (10000, 7, False, True)),
+    (['parse', 'F', '--bud=7'], 0, (10000, 7, False, True)),
+    (['parse', 'F', '--no-cross'], 0, (10000, 10000000, False, False)),
+    (['parse', 'F', '--n'], 0, (10000, 10000000, False, False)),
+    (['parse', 'F', '--s', '--j'], 0, (10000, 10000000, True, True)),
+    (['--strict', 'parse', 'F'], 0, (10000, 10000000, True, True)),
+    (['parse', '--strict', 'F'], 0, (10000, 10000000, True, True)),
+    (['parse', 'F', '--strict'], 0, (10000, 10000000, True, True)),
+    (['--cap', '5', 'parse', '--budget', '9', 'F', '--no-cross-check'], 0, (5, 9, False, False)),
+    (['--', 'parse', 'F'], 0, (10000, 10000000, False, True)),
+    (['parse', '--', 'F'], 0, (10000, 10000000, False, True)),
+    (['parse', 'F', '--'], 0, (10000, 10000000, False, True)),
+    (['parse', 'F', '--strict', '--'], 4, 'coxloops: error: unrecognized arguments: --'),
+    (['parse', 'F', 'extra', '--'], 4, 'coxloops: error: unrecognized arguments: extra --'),
+    (['parse', 'F', '--', '--'], 4, 'coxloops: error: unrecognized arguments: --'),
+    (['--cap', '--', '5', 'parse', 'F'], 4, 'coxloops: error: argument --cap: expected one argument'),
+    (['parse', '-'], 0, (10000, 10000000, False, True)),
+    (['parse', '--', '-'], 0, (10000, 10000000, False, True)),
+    (['--cap=3', '--', 'parse', '-'], 0, (3, 10000000, False, True)),
+    (['parse', 'F', '--cap', '-1'], 4, 'error: --cap and --budget must be >= 1'),
+    (['parse', 'F', '--cap', 'x'], 4, "coxloops: error: argument --cap: invalid int value: 'x'"),
+    (['parse', 'F', '--cap'], 4, 'coxloops: error: argument --cap: expected one argument'),
+    (['parse', 'F', '--cap', '0'], 4, 'error: --cap and --budget must be >= 1'),
+    (['parse', 'F', '--budget', '-5'], 4, 'error: --cap and --budget must be >= 1'),
+    (['parse', 'F', '--cap='], 4, "coxloops: error: argument --cap: invalid int value: ''"),
+    (['parse', 'F', '--cap', '--strict'], 4, 'coxloops: error: argument --cap: expected one argument'),
+    (['parse', 'F', '--cap', '-x'], 4, 'coxloops: error: argument --cap: expected one argument'),
+    (['parse', 'F', '--cap', '5', '--cap', '6'], 0, (6, 10000000, False, True)),
+    (['parse', 'F', '--cap', ' 1_0 '], 0, (10, 10000000, False, True)),
+    (['parse', 'F', '--cap', '+12'], 0, (12, 10000000, False, True)),
+    (['parse', 'F', '--cap', '1.5'], 4, "coxloops: error: argument --cap: invalid int value: '1.5'"),
+    (['parse', 'F', '--json=1'], 4, "coxloops: error: argument --json: ignored explicit argument '1'"),
+    (['parse', 'F', '--strict=1'], 4, "coxloops: error: argument --strict: ignored explicit argument '1'"),
+    (['parse', 'F', '--no-cross-check='], 4, "coxloops: error: argument --no-cross-check: ignored explicit argument ''"),
+    (['parse', 'F', '--foo'], 4, 'coxloops: error: unrecognized arguments: --foo'),
+    (['parse', 'F', '-x'], 4, 'coxloops: error: unrecognized arguments: -x'),
+    (['parse', 'F', '-cap', '5'], 4, 'coxloops: error: unrecognized arguments: -cap 5'),
+    (['parse', 'F', '--CAP', '5'], 4, 'coxloops: error: unrecognized arguments: --CAP 5'),
+    (['parse', 'F', '---cap', '5'], 4, 'coxloops: error: unrecognized arguments: ---cap 5'),
+    (['parse', 'F', '--foo=1'], 4, 'coxloops: error: unrecognized arguments: --foo=1'),
+    (['parse', 'F', 'extra'], 4, 'coxloops: error: unrecognized arguments: extra'),
+    (['parse', 'F', '--', '--strict'], 4, 'coxloops: error: unrecognized arguments: --strict'),
+    (['bogus', 'F'], 4, "coxloops: error: argument command: invalid choice: 'bogus' (choose from 'parse', 'group', 'loop', 'aut', 'cohomology', 'amalgams', 'verify')"),
+    ([], 4, 'coxloops: error: the following arguments are required: command, input'),
+    (['parse'], 4, 'coxloops: error: the following arguments are required: input'),
+    (['--strict'], 4, 'coxloops: error: the following arguments are required: command, input'),
+    (['-h'], 0, 'help'),
+    (['--help'], 0, 'help'),
+    (['--he'], 0, 'help'),
+    (['parse', 'F', '--h'], 0, 'help'),
+    (['parse', 'F', '-h'], 0, 'help'),
+    (['bogus', '--help'], 4, "coxloops: error: argument command: invalid choice: 'bogus' (choose from 'parse', 'group', 'loop', 'aut', 'cohomology', 'amalgams', 'verify')"),
+    (['--help', 'bogus'], 0, 'help'),
+    (['parse', 'F', '--foo', '--help'], 0, 'help'),
+    (['parse', 'F', 'extra', '-h'], 0, 'help'),
+    (['parse', 'F', '--cap', 'x', '--help'], 4, "coxloops: error: argument --cap: invalid int value: 'x'"),
+    (['parse', 'F', '--help', '--cap', 'x'], 0, 'help'),
+    (['parse', '--', 'F', '--help'], 4, 'coxloops: error: unrecognized arguments: --help'),
+    (['verify', 'F', '--cap', '5'], 0, (5, 10000000, False, True)),
+    (['verify', 'F', '--budget=1'], 3, 'resource limit: automorphism search exceeded budget=1 nodes'),
+    (['loop', 'F', '--bu', '10'], 0, (10000, 10, False, True)),
+    (['aut', '--no-cross-check', '-', '--strict'], 0, (10000, 10000000, True, False)),
+]
+
+
+def _main_in_process(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(A2.encode())))
+    code = cli.main(argv)
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("form, code, outcome", ARGV_FORMS, ids=[" ".join(f[0]) or "<none>" for f in ARGV_FORMS])
+def test_argv_forms_match_the_argparse_parser(form, code, outcome, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a2.cox"
+    path.write_text(A2, encoding="utf-8")
+    argv = ["--json", *(str(path) if a == "F" else a for a in form)]
+    got, out, err = _main_in_process(argv, monkeypatch, capsys)
+    assert got == code
+    if isinstance(outcome, tuple):
+        cfg = json.loads(out)["config"]
+        assert (cfg["cap"], cfg["budget"], cfg["strict"], cfg["cross_check"]) == outcome
+    elif outcome == "help":
+        assert out.startswith("usage: coxloops ") and err == ""
+    else:
+        assert out == "" and err.splitlines()[-1] == outcome
+        if outcome.startswith("coxloops: error:"):
+            assert err.startswith("usage: coxloops ")
+
+
+def _argparse_parser():
+    """The `argparse` parser the table-driven one replaced, as it stood."""
+    parser = argparse.ArgumentParser(prog="coxloops")
+    parser.add_argument("command", choices=cli.COMMANDS)
+    parser.add_argument("input")
+    parser.add_argument("--cap", type=int, default=10000)
+    parser.add_argument("--budget", type=int, default=10_000_000)
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--strict", action="store_true")
+    parser.add_argument("--no-cross-check", dest="cross_check", action="store_false")
+    return parser
+
+
+# words that reach every path of the parser: commands, flags exact and by
+# prefix, with values after `=`, negative numbers, `-h` bundles, `--`
+ARGV_WORDS = [
+    "parse", "verify", "bogus", "F", "-", "--", "---", "", "x", "5", "-1", "-1.5", "-.5", "-1.",
+    "-1e3", "-inf", "1_0", " 3 ", "a b", "-a b", "-5x", "-c", "-x", "--foo", "--cap", "--cap=5",
+    "--cap=", "--ca", "--budget", "--bud=7", "--json", "--json=1", "--j", "--strict", "--s=",
+    "--no-cross", "--no-cross-check=0", "--=1", "-h", "-h=", "-h=1", "-hh", "-hx", "-hhx",
+    "--help", "--help=1", "--he", "--h=",
+]
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_WORDS), max_size=6))
+def test_parser_matches_argparse(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            expected = ("ok", vars(_argparse_parser().parse_args(argv)))
+    except SystemExit as e:
+        expected = ("help",) if e.code == 0 else ("error", err.getvalue().splitlines()[-1])
+    # argparse reads `-- --` after the command as the input [], which the
+    # old main then failed to open with a TypeError traceback
+    assume(expected[0] != "ok" or isinstance(expected[1]["input"], str))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cfg = cli._parse_args(argv)
+        got = ("help",) if cfg is None else ("ok", vars(cfg))
+    except cli._UsageError as e:
+        got = ("error", f"coxloops: error: {e}")
+    assert got == expected
+
+
+def test_help_names_every_command_and_flag(monkeypatch, capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = _main_in_process([flag], monkeypatch, capsys)
+        assert code == 0 and err == ""
+        for word in (*cli.COMMANDS, "input", "--cap", "--budget", "--json", "--strict", "--no-cross-check"):
+            assert word in out, word
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_usage_errors_show_no_traceback(flags):
+    for args in (["--cap", "x", "parse", "-"], ["parse", "-", "--foo"], ["bogus", "-"], [],
+                 ["parse", "-", "--json=1"], ["parse", "-", "--cap"], ["parse", "-", "--budget", "0"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "coxloops.cli", *args],
+            input=A2, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 4, args
+        assert proc.stdout == "" and "error:" in proc.stderr, args
+        assert "Traceback" not in proc.stderr, args
+
+
+def _write_into_a_closed_pipe(flags, args, text):
+    """Run the CLI with stdout a pipe whose reader is gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "coxloops.cli", *args],
+            input=text, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_closed_stdout_exits_4_without_a_traceback(flags):
+    graph = "graph v1\n" + "".join(f"edge {i} {j}\n" for i, j in frontier_graph(1500, 750, 1500).edges)
+    # a report written while streaming, and one still buffered at exit
+    for args, text in ((["cohomology", "-", "--json"], graph), (["parse", "-"], A2)):
+        proc = _write_into_a_closed_pipe(flags, args, text)
+        assert proc.returncode == 4, (args, proc.stderr)
+        assert proc.stderr.startswith("error: cannot write the report:"), args
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, args
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_disk_exits_4():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            CLI + ["parse", "-", "--json"], input=A2, stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr
+    assert "No space left on device" in proc.stderr
 
 
 def test_group_a2_json():

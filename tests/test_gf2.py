@@ -128,3 +128,41 @@ def test_bits_at_or_above_ncols_are_refused(flags):
         [debug, "span", "ValueError", "row 0 has a bit at or above column 64"],
         [debug, "member", "ValueError", "vector has a bit at or above column 2"],
     ]
+
+
+FORGED_KERNEL = """
+import random
+from coxloops import gf2
+from coxloops.errors import CheckError
+
+real_rref = gf2.gf2_rref
+rng = random.Random(3)
+rows = [rng.getrandbits(12) for _ in range(7)]
+pivots, reduced = real_rref(rows, 12)
+free = [c for c in range(12) if c not in pivots]
+caught = tried = 0
+for k in range(len(reduced)):
+    for col in free:
+        # reduced row k off by one bit at a free column: the kernel vector
+        # of that column loses or gains the bit of pivot k
+        forged = reduced[:k] + [reduced[k] ^ 1 << col] + reduced[k + 1:]
+        gf2.gf2_rref = lambda rs, n: (pivots, forged)
+        tried += 1
+        try:
+            gf2.gf2_kernel_basis(rows, 12)
+        except CheckError as e:
+            caught += str(e) == "kernel basis vector not annihilated by the matrix"
+gf2.gf2_rref = real_rref
+print(__debug__, len(free), tried, caught)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_kernel_vector_off_by_one_bit_is_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", FORGED_KERNEL], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug, nfree, tried, caught = proc.stdout.split()
+    assert debug == str(not flags) and int(nfree) > 0
+    assert int(tried) == int(caught) == int(nfree) * (12 - int(nfree))

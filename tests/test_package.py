@@ -3,12 +3,15 @@ and a cold start that stays light.
 
 Certificates must hold under `python -O`, which strips `assert`, so every
 check in `src/coxloops/` raises `CheckError` instead.  Every command is a
-fresh process that pays for each module it loads, so the package builds
-its records as `NamedTuple`s and never imports `dataclasses`, which pulls
-in `inspect`, and the report's input digest comes from CPython's built-in
+fresh process that pays for each module it loads and builds, so the
+package builds its records as `collections.namedtuple` subclasses, never
+as `typing.NamedTuple` (which compiles every field annotation) or
+dataclasses (`dataclasses` pulls in `inspect`); the CLI reads its flags
+with a small table-driven parser, not `argparse`, which pulls in `gettext`
+and `locale`; and the report's input digest comes from CPython's built-in
 SHA-256 module, not from `hashlib`, which loads OpenSSL.  Beyond what an
-interpreter that has used `argparse` and `json` holds, a command loads only
-the package, `__future__` and that SHA-256 module.
+interpreter that has used `json` holds, a command loads only the package,
+`__future__` and that SHA-256 module, and streams its JSON report.
 """
 
 import ast
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import coxloops
+import coxloops.cli
 
 PACKAGE = Path(coxloops.__file__).resolve().parent
 SUBMODULES = (
@@ -94,6 +98,21 @@ def test_no_module_imports_dataclasses():
     assert imports == []
 
 
+def test_no_module_uses_typing_named_tuple():
+    uses = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "typing":
+                named = any(alias.name == "NamedTuple" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                named = node.attr == "NamedTuple"
+            else:
+                continue
+            if named:
+                uses.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert uses == []
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
     code = "import sys, coxloops.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
@@ -104,16 +123,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
     assert proc.stdout == "[]\n"
 
 
-# a fresh interpreter that has used argparse and json, and imported the
-# light stdlib modules the package names, as every command does
+# a fresh interpreter that has used json, and imported the light stdlib
+# modules the package names, as every command does
 BASELINE = """
-import argparse, json, sys
-import collections, functools, importlib, itertools, math, operator, typing
-parser = argparse.ArgumentParser()
-parser.add_argument("input")
-parser.add_argument("--n", type=int, default=1)
-parser.format_help()
-parser.parse_args(["-"])
+import json, sys
+import collections, functools, importlib, itertools, math, operator, os, types, typing
 json.loads(json.dumps({"a": [1, None]}, indent=2))
 print(json.dumps(sorted(sys.modules)))
 """
@@ -144,8 +158,9 @@ def _fresh(flags, code):
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_a_command_loads_only_the_package_beyond_argparse_and_json(flags):
+def test_a_command_loads_only_the_package_beyond_json(flags):
     baseline = set(json.loads(_fresh(flags, BASELINE).stdout))
+    assert not {"argparse", "gettext", "locale"} & baseline
     # the SHA-256 module: CPython's built-in one, so never `_hashlib`, or
     # hashlib on a build that has none
     sha = {name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)}
@@ -156,3 +171,34 @@ def test_a_command_loads_only_the_package_beyond_argparse_and_json(flags):
         assert code == 0, args
         added = {name for name in set(loaded) - baseline if name.split(".")[0] != "coxloops"}
         assert added <= allowed, (args, sorted(added - allowed))
+        assert not {"argparse", "gettext", "locale"} & set(loaded), args
+
+
+class _Writes:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_streamed_report_is_json_dumps_byte_for_byte(monkeypatch):
+    # more than 4096 encoder chunks, so the report crosses batch boundaries
+    report = {
+        "schema": 1,
+        "checks": [
+            {"name": f"c{i}", "values": [i, -i, None, True, 0.5, "\u00e9\n"], "empty": {}}
+            for i in range(1500)
+        ],
+        "ok": True,
+    }
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(report))
+    assert chunks > 3 * 4096
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    coxloops.cli._write_report(report, True)
+    assert "".join(out.writes) == json.dumps(report, indent=2) + "\n"
+    assert len(out.writes) == -(-chunks // 4096) + 1  # each full batch, the rest, then "\n"
