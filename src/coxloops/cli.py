@@ -676,7 +676,7 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         if not assoc.holds:
             return payload, checks
         g = ctx.group
-        stats = element_statistics(g.columns, [(a,) for a in range(g.order)])
+        stats = element_statistics(g.columns, [(0, a) for a in range(g.order)])
     elif note := _gate(ctx, "entries", payload["order"]):
         worder = enumerate_order(ctx.obj, cap=ctx.cfg.cap)
         checks.append(_order_check(worder, payload["order"], enumerated=worder))
@@ -686,7 +686,7 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     else:
         # the statistics walk W's regular action; no table is built for them
         w = regular_action(ctx.obj, cap=ctx.cfg.cap)
-        stats = element_statistics(w.act, w.words)
+        stats = element_statistics(w.act, w.tree)
         checks.append(_order_check(stats.order, payload["order"], enumerated=stats.order))
     payload["group_order"] = stats.order
     payload.update(_fields(stats, "abelian elementary_abelian involutions"))

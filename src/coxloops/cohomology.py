@@ -17,7 +17,9 @@ or triple has exactly one core vertex, so the pointed simplices are the
 pairs and triples of edges at each vertex, sum C(deg, k) of them, and the
 C(|E|, 3) subsets without a common vertex are only listed when something
 asks for them (amalgams do; cohomology and vertex stars never do).
-Each vertex star, with its local coboundaries, is built once per complex.
+Each vertex star is built once per complex.  Its local coboundaries
+depend on its degree only, so each complex builds them once per degree
+and eliminates each distinct local d1 once (`EdgeComplex.kernels`).
 The global d1 is kept as each pointed triple's three faces, never as dense
 rows, and d1 o d0 = 0 is certified one pointed triple at a time.
 
@@ -82,12 +84,23 @@ _VertexStarFields = namedtuple("_VertexStarFields", [
 
 class VertexStar(_VertexStarFields):  # no __slots__: `kernel` is cached in __dict__
     """The subcomplex C^*_i of simplices pointed exactly at vertex i, in
-    local coordinates (positions in `edges`, `pairs` and `triples`)."""
+    local coordinates (positions in `edges`, `pairs` and `triples`).
+
+    A star built by an `EdgeComplex` holds the complex's `kernels` memo,
+    keyed by the exact local d1 rows, so stars with the same local matrix
+    share one elimination; any other star, a `_replace`d one included,
+    eliminates its own rows."""
+
+    kernels: Optional[Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]]] = None
 
     @cached_property
     def kernel(self) -> Tuple[int, ...]:
-        """Canonical basis of ker d1_i, from one elimination kept on the star."""
-        return tuple(gf2.gf2_kernel_basis(self.d1_rows, len(self.pairs)))
+        """Canonical basis of ker d1_i, certified by `gf2_kernel_basis`."""
+        key = (self.d1_rows, len(self.pairs))
+        memo = {} if self.kernels is None else self.kernels
+        if key not in memo:
+            memo[key] = tuple(gf2.gf2_kernel_basis(*key))
+        return memo[key]
 
     def is_acyclic(self) -> bool:
         """H^1 of a star vanishes: ker d1_i == im d0_i."""
@@ -95,14 +108,19 @@ class VertexStar(_VertexStarFields):  # no __slots__: `kernel` is cached in __di
         return gf2.gf2_same_span(self.kernel, image, len(self.pairs))
 
 
-def _star(i: int, edges: Tuple[Edge, ...]) -> VertexStar:
-    pos = {e: k for k, e in enumerate(edges)}
-    pairs = tuple(combinations(edges, 2))
-    triples = tuple(combinations(edges, 3))
+def _local_rows(degree: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """d0 and d1 of a star with `degree` edges, in local coordinates: they
+    depend on the degree only."""
+    pairs = list(combinations(range(degree), 2))
     ppos = {s: k for k, s in enumerate(pairs)}
-    d0 = tuple((1 << pos[s[0]]) | (1 << pos[s[1]]) for s in pairs)
-    d1 = tuple(sum(1 << ppos[f] for f in combinations(s, 2)) for s in triples)
-    return VertexStar(i, edges, pairs, triples, d0, d1)
+    d0 = tuple((1 << a) | (1 << b) for a, b in pairs)
+    d1 = tuple(sum(1 << ppos[f] for f in combinations(s, 2)) for s in combinations(range(degree), 3))
+    return d0, d1
+
+
+def _star(i: int, edges: Tuple[Edge, ...], rows: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> VertexStar:
+    """The star at i over `edges`, with `rows` = `_local_rows(len(edges))`."""
+    return VertexStar(i, edges, tuple(combinations(edges, 2)), tuple(combinations(edges, 3)), *rows)
 
 
 def vertex_star(cx: EdgeComplex, i: int) -> VertexStar:
@@ -114,7 +132,7 @@ def vertex_star(cx: EdgeComplex, i: int) -> VertexStar:
     it; it stays public because it answers for any vertex, and the
     benchmark tracer wraps it by this name.
     """
-    return cx.stars[i] if i in cx.stars else _star(i, ())
+    return cx.stars[i] if i in cx.stars else _star(i, (), _local_rows(0))
 
 
 class EdgeComplex:
@@ -128,17 +146,27 @@ class EdgeComplex:
     lexicographic order of the filtered all-subsets scan.  `pair_star`, the
     one star map, takes pointed pair k to (its star's vertex, its index
     there); `d1_faces` is d1 as each pointed triple's three face positions.
-    The unpointed simplices (`pairs`, `triples` and their empty cores in
-    `core`) are only built on first use.
+    Stars of one degree share their local rows, and `kernels` holds one
+    certified kernel basis per distinct local d1.  The unpointed simplices
+    (`pairs`, `triples` and their empty cores in `core`) are only built on
+    first use.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.edges: Tuple[Edge, ...] = graph.edges
         self.edge_pos: Dict[Edge, int] = {e: k for k, e in enumerate(self.edges)}
-        self.stars: Dict[int, VertexStar] = {
-            v: _star(v, tuple(graph.edges_at(v))) for v in graph.vertices
-        }
+        # the local rows once per degree, the star kernels once per
+        # distinct local d1
+        local: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        self.kernels: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
+        self.stars: Dict[int, VertexStar] = {}
+        for v in graph.vertices:
+            edges = tuple(graph.edges_at(v))
+            if len(edges) not in local:
+                local[len(edges)] = _local_rows(len(edges))
+            self.stars[v] = star = _star(v, edges, local[len(edges)])
+            star.kernels = self.kernels
         slots = sorted(
             (s, (v, k)) for v, star in self.stars.items() for k, s in enumerate(star.pairs)
         )

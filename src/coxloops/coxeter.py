@@ -7,13 +7,20 @@ m_ij in {2, 3, ...} or infinity off the diagonal.  Vertices are named
 The group W is enumerated with the HLT (scan-and-fill) coset enumeration
 over the trivial subgroup, using the symmetric one-column-per-generator
 table trick available because every generator is an involution; see Holt,
-"Handbook of Computational Group Theory", ch. 5.  Cosets are renumbered
-into BFS shortlex order afterwards, so element 0 is the identity and
-elements come with canonical shortlex words over the generators.  That
-renumbered action, W acting on itself from the right by the simple
-reflections, is the shared primitive `regular_action`: its size is linear
-in |W|, and `group` reads the element statistics from it
-(`groups.element_statistics`) without building a table.
+"Handbook of Computational Group Theory", ch. 5.  The table is stored by
+column: one flat list per generator, `cols[x][c]` the coset c times s_x,
+so a coset costs one slot per generator instead of a list of its own, and
+a relator is scanned as the list of its generators' columns.  Compaction
+renumbers the live cosets through a list indexed by coset.  Cosets are
+then renumbered into BFS shortlex order, so element 0 is the identity.
+That renumbered action, W acting on itself from the right by the simple
+reflections, is the shared primitive `regular_action`: the action and the
+BFS tree, each linear in |W| with a small constant, and `group` reads the
+element statistics from it (`groups.element_statistics`) without building
+a table.  No words are stored: the shortlex word of an element is the
+generators on its tree path from the identity, read off the tree where it
+is needed (the statistics walk, and `enumerate_group`'s labels, `words`
+and, through them, the parabolic embeddings).
 
 `enumerate_group` is `regular_action` plus the dense product table, read
 off the BFS tree of that renumbering: if b is reached from its parent p by
@@ -247,10 +254,13 @@ def recognize_spherical(d: CoxeterDiagram) -> SphericalReport:
 
 
 class _CosetTable:
+    """The HLT table, one column per generator: `cols[x][c]` is coset c
+    times generator x, -1 while undefined.  A relator is scanned as the
+    list of its generators' columns."""
+
     def __init__(self, ngens: int, cap: int):
-        self.ngens = ngens
         self.cap = cap
-        self.tab: List[List[int]] = [[-1] * ngens]
+        self.cols: List[List[int]] = [[-1] for _ in range(ngens)]
         self.parent: List[int] = [0]  # union-find over coset indices
         self.live = 1
 
@@ -263,12 +273,13 @@ class _CosetTable:
             p[c], c = root, p[c]
         return root
 
-    def define(self, c: int, x: int) -> int:
-        d = len(self.tab)
-        self.tab.append([-1] * self.ngens)
+    def define(self, c: int, col: List[int]) -> int:
+        d = len(self.parent)
+        for column in self.cols:
+            column.append(-1)
         self.parent.append(d)
-        self.tab[c][x] = d
-        self.tab[d][x] = c
+        col[c] = d
+        col[d] = c
         self.live += 1
         if self.live > self.cap:
             raise ResourceLimitError(
@@ -293,49 +304,74 @@ class _CosetTable:
         while k < len(queue):
             y = queue[k]
             k += 1
-            for x in range(self.ngens):
-                d = self.tab[y][x]
+            for col in self.cols:
+                d = col[y]
                 if d < 0:
                     continue
-                self.tab[y][x] = -1
-                if self.tab[d][x] == y:
-                    self.tab[d][x] = -1
+                col[y] = -1
+                if col[d] == y:
+                    col[d] = -1
                 mu, nu = self.rep(y), self.rep(d)
-                if self.tab[mu][x] >= 0:
-                    self._merge(self.tab[mu][x], nu, queue)
-                elif self.tab[nu][x] >= 0:
-                    self._merge(self.tab[nu][x], mu, queue)
+                if col[mu] >= 0:
+                    self._merge(col[mu], nu, queue)
+                elif col[nu] >= 0:
+                    self._merge(col[nu], mu, queue)
                 else:
-                    self.tab[mu][x] = nu
-                    self.tab[nu][x] = mu
+                    col[mu] = nu
+                    col[nu] = mu
 
-    def scan_and_fill(self, alpha: int, word: Sequence[int]) -> None:
-        tab = self.tab
+    def scan_and_fill(self, alpha: int, word: Sequence[List[int]]) -> None:
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and tab[f][word[i]] >= 0:
-                f = tab[f][word[i]]
+            while i <= j and word[i][f] >= 0:
+                f = word[i][f]
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and tab[b][word[j]] >= 0:
-                b = tab[b][word[j]]
+            while j >= i and word[j][b] >= 0:
+                b = word[j][b]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                tab[f][word[i]] = b
-                tab[b][word[i]] = f
+                word[i][f] = b
+                word[i][b] = f
                 return
             self.define(f, word[i])
 
+    def compact(self) -> List[List[int]]:
+        """The columns restricted to the live cosets, renumbered 0, 1, ...
+
+        A merged coset's root is smaller than it, so one ascending pass
+        numbers every coset, live or merged, by its root's rank.
+        """
+        renum: List[int] = []
+        live: List[int] = []
+        for c in range(len(self.parent)):
+            r = self.rep(c)
+            if r == c:
+                renum.append(len(live))
+                live.append(c)
+            else:
+                renum.append(renum[r])
+        out, undefined = [], []
+        for col in self.cols:
+            entries = [col[c] for c in live]
+            if -1 in entries:
+                undefined.append(live[entries.index(-1)])
+            out.append([renum[e] for e in entries])
+        if undefined:
+            raise CheckError(f"coset {min(undefined)} has an undefined entry after enumeration")
+        return out
+
 
 def _enumerate_cosets(d: CoxeterDiagram, cap: int) -> List[List[int]]:
-    """Run HLT to completion; return the compacted generator-action table.
+    """Run HLT to completion; return the compacted columns, `cols[x][c]`
+    the coset c times generator x.
 
     Each finite label m gives a dihedral subgroup of order 2m, so |W| >= 2m;
     past the cap the run is refused before its relator of length 2m is built.
@@ -344,10 +380,11 @@ def _enumerate_cosets(d: CoxeterDiagram, cap: int) -> List[List[int]]:
     labels = [(i, j, d.matrix[i][j]) for i in range(n) for j in range(i + 1, n)]
     if any(m != INF and 2 * m > cap for _, _, m in labels):
         raise ResourceLimitError(f"coset enumeration exceeded cap={cap} live cosets")
-    relators = [[i, j] * m for i, j, m in labels if m != INF]
     ct = _CosetTable(n, cap)
+    cols = ct.cols
+    relators = [[cols[i], cols[j]] * m for i, j, m in labels if m != INF]
     alpha = 0
-    while alpha < len(ct.tab):
+    while alpha < len(ct.parent):
         if ct.rep(alpha) != alpha:
             alpha += 1
             continue
@@ -356,20 +393,11 @@ def _enumerate_cosets(d: CoxeterDiagram, cap: int) -> List[List[int]]:
             if ct.rep(alpha) != alpha:
                 break
         if ct.rep(alpha) == alpha:
-            for x in range(n):
-                if ct.tab[alpha][x] < 0:
-                    ct.define(alpha, x)
+            for col in cols:
+                if col[alpha] < 0:
+                    ct.define(alpha, col)
         alpha += 1
-    # compact to live cosets
-    live = [c for c in range(len(ct.tab)) if ct.rep(c) == c]
-    renum = {c: i for i, c in enumerate(live)}
-    out = []
-    for c in live:
-        row = ct.tab[c]
-        if not all(e >= 0 for e in row):
-            raise CheckError(f"coset {c} has an undefined entry after enumeration")
-        out.append([renum[ct.rep(e)] for e in row])
-    return out
+    return ct.compact()
 
 
 def _word_label(word: Sequence[int]) -> str:
@@ -378,16 +406,16 @@ def _word_label(word: Sequence[int]) -> str:
 
 def enumerate_order(d: CoxeterDiagram, cap: int = 10000) -> int:
     """Order of W via coset enumeration only (no product table)."""
-    return len(_enumerate_cosets(d, cap))
+    return len(_enumerate_cosets(d, cap)[0])
 
 
-class RegularAction(namedtuple("RegularAction", "act words tree")):
+class RegularAction(namedtuple("RegularAction", "act tree")):
     """W acting on itself from the right, elements in BFS shortlex order.
 
-    `act[x][g]` is g*s_x for the simple reflection s_x (vertex x + 1),
-    `words[g]` is the shortlex word of g over the simple reflections, and
+    `act[x][g]` is g*s_x for the simple reflection s_x (vertex x + 1), and
     `tree[b]` is (parent of b, x) with b = parent * s_x in the BFS tree of
     that renumbering (`tree[0]` is (0, -1)).  Element 0 is the identity.
+    The shortlex word of b is the generators on its tree path from 0.
     """
 
     __slots__ = ()
@@ -404,43 +432,46 @@ def regular_action(d: CoxeterDiagram, cap: int = 10000) -> RegularAction:
 
     This is the primitive under `enumerate_group`, and `group` reads its
     element statistics from it without building a table.  Memory is linear
-    in the order.
+    in the order: the action and the BFS tree, no words.
     """
-    action = _enumerate_cosets(d, cap)
-    n_cos = len(action)
-    n = d.rank
-    # renumber cosets in BFS shortlex order and record canonical words and
-    # the BFS tree: tree[b] = (parent of b, generator x with b = parent.x)
+    cols = _enumerate_cosets(d, cap)
+    n_cos = len(cols[0])
+    # renumber cosets in BFS shortlex order and record the BFS tree:
+    # tree[b] = (parent of b, generator x with b = parent.x)
     order_of: List[int] = [-1] * n_cos
     bfs: List[int] = [0]
     order_of[0] = 0
-    words: List[Tuple[int, ...]] = [()]
     tree: List[Tuple[int, int]] = [(0, -1)]
     head = 0
     while head < len(bfs):
         c = bfs[head]
-        for x in range(n):
-            e = action[c][x]
+        for x, col in enumerate(cols):
+            e = col[c]
             if order_of[e] < 0:
                 order_of[e] = len(bfs)
-                words.append(words[head] + (x,))
-                tree.append((head, x))
+                tree.append((order_of[c], x))
                 bfs.append(e)
         head += 1
     if head != n_cos:
         raise CheckError("coset graph must be connected")
-    # act[x][c] = c.x, the right action of generator x on elements
-    act = tuple(tuple([order_of[action[c][x]] for c in bfs]) for x in range(n))
-    w = RegularAction(act, tuple(words), tuple(tree))
+    # act[x][b] = b.x, the right action of generator x on elements; each
+    # column is dropped once renumbered, so at most one column and its
+    # renumbered row are held side by side
+    act = []
+    for x in range(len(cols)):
+        col, cols[x] = cols[x], None
+        act.append(tuple([order_of[col[c]] for c in bfs]))
+    w = RegularAction(tuple(act), tuple(tree))
     generators = w.generators
-    if len(set(generators)) != n or 0 in generators:
+    if len(set(generators)) != len(act) or 0 in generators:
         raise CheckError("simple reflections must be distinct nontrivial elements")
     return w
 
 
 def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
     """The full multiplication table of W: `regular_action`, then the dense
-    table built over that action, elements in BFS shortlex order.
+    table built over that action, elements in BFS shortlex order, with the
+    shortlex words read off the BFS tree.
 
     Memory is quadratic in the order; see enumerate_order for a cheap
     finiteness/order check on larger groups, and `regular_action` for the
@@ -449,6 +480,9 @@ def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
     w = regular_action(d, cap)
     act, tree, generators = w.act, w.tree, w.generators
     n_cos = len(tree)
+    words: List[Tuple[int, ...]] = [()]
+    for parent, x in tree[1:]:
+        words.append(words[parent] + (x,))
     # left translation by each generator along the BFS tree:
     # s*b = (s*parent(b)).last(b)
     left = []
@@ -462,8 +496,8 @@ def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
     product: List[Tuple[int, ...]] = [tuple(range(n_cos))]
     for parent, x in tree[1:]:
         product.append(left[x](product[parent]))
-    labels = [_word_label(word) for word in w.words]
-    return GroupTable(product, labels=labels, generators=generators, words=w.words, validate=False)
+    labels = [_word_label(word) for word in words]
+    return GroupTable(product, labels=labels, generators=generators, words=words, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ and `translate` calls; past order 256 it is one tuple over z for one pair
 (x, y), from compositions made once per x.
 
 `element_statistics` needs no table at all: it walks one word per element
-through a right regular action (a Coxeter group's `coxeter.regular_action`,
-or a table's columns), so `group` reports the element orders of W in
-memory linear in |W|.
+through a right regular action, each word read off a tree of the action
+(a Coxeter group's `coxeter.regular_action` with its BFS tree, or a
+table's columns with the star tree), so `group` reports the element
+orders of W in memory linear in |W|.
 """
 
 from __future__ import annotations
@@ -352,33 +353,46 @@ class ElementStatistics(namedtuple("ElementStatistics", "order abelian elementar
     __slots__ = ()
 
 
-def element_statistics(act: Sequence[Sequence[int]], words: Sequence[Sequence[int]]) -> ElementStatistics:
+def element_statistics(act: Sequence[Sequence[int]], tree: Sequence[Tuple[int, int]]) -> ElementStatistics:
     """The element statistics of a finite group G from its right regular
     action, without a product table.
 
     `act[x][g]` is g*s_x for generators s_0, s_1, ... of G (0 is the
-    identity), and `words[g]` is a word over them whose product is g, one
-    for every element.  The order of g is the number of steps y <- y*g,
-    each walking g's word through `act`, that take 0 back to 0: the work
-    is the sum of ord(g) * len(words[g]).  G is abelian iff its generators
-    commute pairwise; the involutions and elementary-abelian follow from
-    the orders.  A Coxeter group passes `coxeter.regular_action`, a table
-    its columns with the words (g,).  A walk that is not back at 0 after
-    |G| steps raises CheckError: then `act` is no group's regular action.
+    identity), and `tree[g]` is (p, x) with g = p*s_x, one entry for every
+    element, each path of parents ending at 0 (`tree[0]` is not read).
+    The word of g is the generators on its path from 0, read off the tree
+    when g's walk starts; its first pass must reach g, so the words name
+    |G| distinct elements.  The order of g is the number of steps
+    y <- y*g, each walking g's word through `act`, that take 0 back to 0:
+    the work is the sum of ord(g) * len(word of g).  G is abelian iff its
+    generators commute pairwise; the involutions and elementary-abelian
+    follow from the orders.  A Coxeter group passes
+    `coxeter.regular_action`'s BFS tree, a table its columns with the star
+    tree (0, a).  A walk that is not back at 0 after |G| steps raises
+    CheckError: then `act` is no group's regular action.
     """
-    n = len(words)
+    n = len(tree)
     counts: Dict[int, int] = {}
-    for g, word in enumerate(words):
-        rows = [act[x] for x in word]
-        y, k = 0, 0
-        while True:
+    for g in range(n):
+        rows, b = [], g
+        while b:
+            b, x = tree[b]
+            rows.append(act[x])
+            if len(rows) >= n:
+                raise CheckError(f"the tree path of element {g} does not reach 0")
+        rows.reverse()
+        y = 0
+        for row in rows:
+            y = row[y]
+        if y != g:
+            raise CheckError(f"the word of element {g} reaches {y}")
+        k = 1
+        while y:
+            if k >= n:
+                raise CheckError(f"the walk of element {g} is not back at 0 after {n} steps")
             for row in rows:
                 y = row[y]
             k += 1
-            if y == 0:
-                break
-            if k >= n:
-                raise CheckError(f"the walk of element {g} is not back at 0 after {n} steps")
         counts[k] = counts.get(k, 0) + 1
     gens = [row[0] for row in act]
     # s_j s_i == s_i s_j, read as (0 * s_j) * s_i and (0 * s_i) * s_j

@@ -18,6 +18,7 @@ from itertools import combinations
 
 import pytest
 
+from coxloops import gf2
 from coxloops.cohomology import (
     build_complex,
     coefficient_group,
@@ -117,6 +118,29 @@ def test_vertex_stars_acyclic_on_named_graphs():
     cx = build_complex(K4)
     s = vertex_star(cx, 1)
     assert (len(s.edges), len(s.pairs), len(s.triples)) == (3, 3, 1)
+
+
+def test_stars_share_rows_and_kernels_by_local_matrix(monkeypatch):
+    calls = []
+    kernel_basis = gf2.gf2_kernel_basis
+    monkeypatch.setattr(gf2, "gf2_kernel_basis", lambda *a: calls.append(a) or kernel_basis(*a))
+    cx = build_complex(K4)  # four stars of degree 3
+    stars = list(cx.stars.values())
+    assert all(s.d0_rows is stars[0].d0_rows and s.d1_rows is stars[0].d1_rows for s in stars)
+    assert all(s.is_acyclic() for s in stars) and len(calls) == 1
+    assert all(s.kernel is stars[0].kernel for s in stars)
+    # a forged star holding the complex's memo still gets its own
+    # elimination, certified by gf2_kernel_basis; a `_replace`d star holds
+    # no memo at all
+    forged = stars[0]._replace(d1_rows=(stars[0].d1_rows[0] ^ 1,))
+    assert forged.kernels is None
+    forged.kernels = cx.kernels
+    assert forged.kernel == (1, 6) and stars[0].kernel == (3, 5) and not forged.is_acyclic()
+    assert calls[-1] == (forged.d1_rows, 3) and len(calls) == 2
+    # equal rows in another tuple are the same local matrix
+    copy = stars[1]._replace(d1_rows=tuple(list(stars[1].d1_rows)))
+    copy.kernels = cx.kernels
+    assert copy.kernel is stars[0].kernel and len(calls) == 2
 
 
 def test_disconnected_graphs_sum_and_strict_rejects():

@@ -1,6 +1,9 @@
 """Diagram validation, spherical recognition, and coset enumeration."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -18,10 +21,11 @@ from coxloops.coxeter import (
     enumerate_group,
     enumerate_order,
     recognize_spherical,
+    regular_action,
     subdiagram,
 )
 from coxloops.errors import DiagramError, ResourceLimitError
-from coxloops.groups import dihedral
+from coxloops.groups import dihedral, element_statistics
 from coxloops.morphisms import is_homomorphism
 
 FROZEN_ORDERS = [
@@ -242,3 +246,87 @@ def test_rank4_sweep_recognition_vs_enumeration():
 
 def test_e6_enumeration_slowish_but_exact():
     assert enumerate_order(diagram_e(6), cap=60000) == 51840
+
+
+def test_regular_action_and_statistics_stay_in_linear_memory():
+    # the traced peak of D5's action (1920 elements, rank 5) and of the
+    # statistics walk over it: the action and the BFS tree, no stored words
+    # and no row list per coset (the row-major table with stored words
+    # peaked at about 830 KB)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        w = regular_action(diagram_d(5))
+        stats = element_statistics(w.act, w.tree)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert stats.order == 1920 and stats.element_orders[12] == 160
+    assert peak < 600 * 1024, peak
+
+
+FORGED_ACTIONS = """
+from coxloops import coxeter
+from coxloops.coxeter import diagram_a, regular_action
+from coxloops.errors import CheckError
+from coxloops.groups import element_statistics
+
+A2 = regular_action(diagram_a(2))
+compact, enumerate_cosets = coxeter._CosetTable.compact, coxeter._enumerate_cosets
+
+
+def hole(ct):  # coset 1 loses its s_1 entry, coset 0 its s_2 entry
+    ct.cols[0][1] = ct.cols[1][0] = -1
+    return compact(ct)
+
+
+cases = {
+    "undefined_entry": lambda: setattr(coxeter._CosetTable, "compact", hole),
+    # A1 twice over: s_1 swaps 0 with 1 and 2 with 3, nothing joins them
+    "disconnected": lambda: setattr(coxeter, "_enumerate_cosets", lambda d, cap: [[1, 0, 3, 2]]),
+    "equal_generators": lambda: setattr(coxeter, "_enumerate_cosets", lambda d, cap: [[1, 0]] * 2),
+}
+for kind, forge in cases.items():
+    forge()
+    try:
+        regular_action(diagram_a(2))
+    except CheckError as e:
+        print(__debug__, kind, "CheckError", e)
+    else:
+        print(__debug__, kind, "accepted")
+    coxeter._CosetTable.compact, coxeter._enumerate_cosets = compact, enumerate_cosets
+
+trees = {
+    # 4 and 5 are each other's parents: neither path reaches 0
+    "tree_cycle": A2.tree[:4] + ((5, 0), (4, 1)),
+    # element 5 read as s_2 s_1, the word of element 4
+    "wrong_word": A2.tree[:5] + ((2, 0),),
+}
+for kind, tree in trees.items():
+    try:
+        element_statistics(A2.act, tree)
+    except CheckError as e:
+        print(__debug__, kind, "CheckError", e)
+    else:
+        print(__debug__, kind, "accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_forged_enumerations_and_trees_are_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", FORGED_ACTIONS], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug = str(not flags)
+    assert proc.stdout.splitlines() == [
+        f"{debug} undefined_entry CheckError coset 0 has an undefined entry after enumeration",
+        f"{debug} disconnected CheckError coset graph must be connected",
+        f"{debug} equal_generators CheckError simple reflections must be distinct nontrivial elements",
+        f"{debug} tree_cycle CheckError the tree path of element 4 does not reach 0",
+        f"{debug} wrong_word CheckError the word of element 5 reaches 4",
+    ]

@@ -12,8 +12,10 @@ while `Aut` was still listed element by element; B4 runs only with
 suite) and on a non-Moufang table of order 96 were taken while the cubic
 sweeps still composed one pair (x, y) at a time.  The `group` digests on
 F4, D5 and (with `-m slow`) B5 were taken while `group` still read the
-element statistics from W's dense product table.  The `SKIPS` digests
-were taken while the CLI still decided each skip in its own helper, except
+element statistics from W's dense product table, and those on H4 and E6
+(`-m slow`, orders 14400 and 51840) while W's regular action was still a
+row-major coset table with a stored word per element.  The `SKIPS`
+digests were taken while the CLI still decided each skip in its own helper, except
 `verify Q8 --budget 1`, taken when `verify` on a table began to report the
 theorem block that the triples gate skips.
 """
@@ -92,6 +94,7 @@ FRONTIER_INPUTS = {
     "F4": _cox(4, [(1, 2, 3), (2, 3, 4), (3, 4, 3)]),
     "D5": _cox(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)]),
     "B5": _cox(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 4)]),
+    "E6": _cox(6, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (3, 6, 3)]),
 }
 
 # the whole Moufang suite at loop order 240, and on a failing table; the
@@ -400,6 +403,10 @@ SLOW_GOLDEN = {
     "aut B4 --json": "02ff74d62615e02c2a7cc8ae5ea2d37c0161eacb90ffbda2bdefd5d3aa4c23cd",
     "group B5 --budget 20000000": "34334c0f3285b0f54646be271315f9a29d37dfff4747472e197b5c7b1ed2052c",
     "group B5 --budget 20000000 --json": "d13bd3c2ffbc10a692e0b77091ceda3e0200d859dc07ea1ec003693ab32290f6",
+    "group H4 --cap 20000 --budget 300000000": "60f801ccd8e596ed30f14ce398cdea52a34b18f96a2dea057976dae53efa6d7f",
+    "group H4 --cap 20000 --budget 300000000 --json": "0a6301ddf6f22ce01dbc849e39d7b1559aa50b643170aa6566dc561596adb3cb",
+    "group E6 --cap 60000 --budget 3000000000": "fb8d4e51ce423847be8b84edc674dbda9d5c41cd141cca91c81c1b9f88aa2da8",
+    "group E6 --cap 60000 --budget 3000000000 --json": "4c3d7a0dea582af36a83d193e3ee9fde946d64023eb194156455134077c18c24",
 }
 
 

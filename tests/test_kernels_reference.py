@@ -45,9 +45,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxloops import gf2
+from coxloops import coxeter, gf2
 from coxloops.cohomology import build_complex, cohomology
 from coxloops.coxeter import (
+    INF,
     CoxeterDiagram,
     _enumerate_cosets,
     _word_label,
@@ -61,7 +62,7 @@ from coxloops.coxeter import (
     recognize_spherical,
     regular_action,
 )
-from coxloops.errors import CheckError
+from coxloops.errors import CheckError, ResourceLimitError
 from coxloops.graphs import Graph
 from coxloops.groups import (
     ElementStatistics,
@@ -100,34 +101,187 @@ from test_complex_reference import GRAPHS, graphs
 # reference paths
 
 
-def reference_enumerate_group(d: CoxeterDiagram) -> GroupTable:
-    """BFS shortlex renumbering, then a*b by replaying b's word from a."""
-    action = _enumerate_cosets(d, 10000)
+class ReferenceCosetTable:
+    """The row-major HLT table the column layout replaced: `tab[c][x]` is
+    coset c times generator x, and compaction renumbers through a dict."""
+
+    def __init__(self, ngens: int, cap: int):
+        self.ngens, self.cap = ngens, cap
+        self.tab: List[List[int]] = [[-1] * ngens]
+        self.parent: List[int] = [0]
+        self.live = 1
+
+    def rep(self, c: int) -> int:
+        p = self.parent
+        root = c
+        while p[root] != root:
+            root = p[root]
+        while p[c] != root:
+            p[c], c = root, p[c]
+        return root
+
+    def define(self, c: int, x: int) -> int:
+        d = len(self.tab)
+        self.tab.append([-1] * self.ngens)
+        self.parent.append(d)
+        self.tab[c][x], self.tab[d][x] = d, c
+        self.live += 1
+        if self.live > self.cap:
+            raise ResourceLimitError(f"coset enumeration exceeded cap={self.cap} live cosets")
+        return d
+
+    def merge(self, a: int, b: int, queue: List[int]) -> None:
+        a, b = sorted((self.rep(a), self.rep(b)))
+        if a != b:
+            self.parent[b] = a
+            self.live -= 1
+            queue.append(b)
+
+    def coincidence(self, a: int, b: int) -> None:
+        queue: List[int] = []
+        self.merge(a, b, queue)
+        for y in queue:  # grows while it is read
+            for x in range(self.ngens):
+                d = self.tab[y][x]
+                if d < 0:
+                    continue
+                self.tab[y][x] = -1
+                if self.tab[d][x] == y:
+                    self.tab[d][x] = -1
+                mu, nu = self.rep(y), self.rep(d)
+                if self.tab[mu][x] >= 0:
+                    self.merge(self.tab[mu][x], nu, queue)
+                elif self.tab[nu][x] >= 0:
+                    self.merge(self.tab[nu][x], mu, queue)
+                else:
+                    self.tab[mu][x], self.tab[nu][x] = nu, mu
+
+    def scan_and_fill(self, alpha: int, word: Sequence[int]) -> None:
+        tab = self.tab
+        f, i, b, j = alpha, 0, alpha, len(word) - 1
+        while True:
+            while i <= j and tab[f][word[i]] >= 0:
+                f, i = tab[f][word[i]], i + 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and tab[b][word[j]] >= 0:
+                b, j = tab[b][word[j]], j - 1
+            if j < i:
+                return self.coincidence(f, b)
+            if j == i:
+                tab[f][word[i]], tab[b][word[i]] = b, f
+                return
+            self.define(f, word[i])
+
+    def compact(self) -> List[List[int]]:
+        live = [c for c in range(len(self.tab)) if self.rep(c) == c]
+        renum = {c: i for i, c in enumerate(live)}
+        out = []
+        for c in live:
+            row = self.tab[c]
+            if not all(e >= 0 for e in row):
+                raise CheckError(f"coset {c} has an undefined entry after enumeration")
+            out.append([renum[self.rep(e)] for e in row])
+        return out
+
+
+def reference_hlt(d: CoxeterDiagram, cap: int, made: Optional[List] = None) -> ReferenceCosetTable:
+    """HLT run to completion on the row-major table; the table is also
+    appended to `made`, so a run that trips the cap can be inspected."""
+    n = d.rank
+    labels = [(i, j, d.matrix[i][j]) for i in range(n) for j in range(i + 1, n)]
+    if any(m != INF and 2 * m > cap for _, _, m in labels):
+        raise ResourceLimitError(f"coset enumeration exceeded cap={cap} live cosets")
+    relators = [[i, j] * m for i, j, m in labels if m != INF]
+    ct = ReferenceCosetTable(n, cap)
+    if made is not None:
+        made.append(ct)
+    alpha = 0
+    while alpha < len(ct.tab):
+        if ct.rep(alpha) == alpha:
+            for w in relators:
+                ct.scan_and_fill(alpha, w)
+                if ct.rep(alpha) != alpha:
+                    break
+            if ct.rep(alpha) == alpha:
+                for x in range(n):
+                    if ct.tab[alpha][x] < 0:
+                        ct.define(alpha, x)
+        alpha += 1
+    return ct
+
+
+def reference_regular_action(d: CoxeterDiagram, cap: int = 10000):
+    """(act, words, tree) from the row-major table: BFS shortlex renumbering
+    with a stored word for every element."""
+    action = reference_hlt(d, cap).compact()
     n_cos, n = len(action), d.rank
     order_of = [-1] * n_cos
     order_of[0] = 0
-    bfs, words = [0], [()]
+    bfs, words, tree = [0], [()], [(0, -1)]
     head = 0
     while head < len(bfs):
         c = bfs[head]
-        head += 1
         for x in range(n):
             e = action[c][x]
             if order_of[e] < 0:
                 order_of[e] = len(bfs)
-                words.append(words[head - 1] + (x,))
+                words.append(words[head] + (x,))
+                tree.append((head, x))
                 bfs.append(e)
-    act = [[order_of[action[c][x]] for x in range(n)] for c in bfs]
+        head += 1
+    if head != n_cos:
+        raise CheckError("coset graph must be connected")
+    act = tuple(tuple(order_of[action[c][x]] for c in bfs) for x in range(n))
+    return act, tuple(words), tuple(tree)
+
+
+def reference_element_statistics(act, words) -> ElementStatistics:
+    """The statistics walk over stored words, one word per element."""
+    n = len(words)
+    counts: Dict[int, int] = {}
+    for g, word in enumerate(words):
+        y, k = 0, 0
+        while True:
+            for x in word:
+                y = act[x][y]
+            k += 1
+            if y == 0:
+                break
+            if k >= n:
+                raise CheckError(f"the walk of element {g} is not back at 0 after {n} steps")
+        counts[k] = counts.get(k, 0) + 1
+    gens = [row[0] for row in act]
+    abelian = all(act[i][gens[j]] == act[j][gens[i]] for i in range(len(gens)) for j in range(i))
+    return ElementStatistics(
+        n, abelian, max(counts) <= 2, counts.get(2, 0), {k: counts[k] for k in sorted(counts)}
+    )
+
+
+def tree_words(tree) -> List[Tuple[int, ...]]:
+    """Each element's word: the generators on its path from 0 in `tree`."""
+    words: List[Tuple[int, ...]] = [()]
+    for parent, x in tree[1:]:
+        words.append(words[parent] + (x,))
+    return words
+
+
+def reference_enumerate_group(d: CoxeterDiagram) -> GroupTable:
+    """BFS shortlex renumbering, then a*b by replaying b's word from a."""
+    act, words, _ = reference_regular_action(d)
+    n_cos, n = len(words), d.rank
     product = []
     for a in range(n_cos):
         row = []
         for b in range(n_cos):
             c = a
             for x in words[b]:
-                c = act[c][x]
+                c = act[x][c]
             row.append(c)
         product.append(row)
-    generators = tuple(act[0][x] for x in range(n))
+    generators = tuple(act[x][0] for x in range(n))
     labels = [_word_label(w) for w in words]
     return GroupTable(product, labels=labels, generators=generators, words=words, validate=False)
 
@@ -857,13 +1011,13 @@ def assert_same_statistics(new: ElementStatistics, ref: ElementStatistics) -> No
 def assert_diagram_statistics(d: CoxeterDiagram) -> None:
     w, g = regular_action(d), enumerate_group(d)
     # the primitive is the action the table was built over
-    assert w.words == g.words and w.generators == g.generators
+    assert tree_words(w.tree) == list(g.words) and w.generators == g.generators
     assert all(w.act[x][a] == g.product[a][s] for x, s in enumerate(g.generators) for a in range(g.order))
-    assert_same_statistics(element_statistics(w.act, w.words), reference_statistics(g))
+    assert_same_statistics(element_statistics(w.act, w.tree), reference_statistics(g))
 
 
 def table_statistics(g: GroupTable) -> ElementStatistics:
-    return element_statistics(g.columns, [(a,) for a in range(g.order)])
+    return element_statistics(g.columns, [(0, a) for a in range(g.order)])
 
 
 def _product_diagram(*parts: CoxeterDiagram) -> CoxeterDiagram:
@@ -944,3 +1098,128 @@ def test_statistics_of_tables_match(name):
 @given(relabelled_groups())
 def test_statistics_of_relabelled_tables_match(g):
     assert_same_statistics(table_statistics(g), reference_statistics(g))
+
+
+# ---------------------------------------------------------------------------
+# the column-major coset table and the tree-read words against the
+# row-major table with stored words
+
+
+class RecordingTable(coxeter._CosetTable):
+    """The live table, kept for inspection after the run ends or trips."""
+
+    made: List["RecordingTable"] = []
+
+    def __init__(self, ngens: int, cap: int):
+        super().__init__(ngens, cap)
+        RecordingTable.made.append(self)
+
+
+def transposed(rows: Sequence[Sequence[int]], ngens: int) -> List[List[int]]:
+    return [[row[x] for row in rows] for x in range(ngens)]
+
+
+def hlt_outcome(run: Callable[[], List[List[int]]]):
+    """The columns a run returns, or the message of its ResourceLimitError."""
+    try:
+        return run()
+    except ResourceLimitError as e:
+        return str(e)
+
+
+def assert_same_hlt(d: CoxeterDiagram, cap: int, monkeypatch):
+    """Both HLT runs at `cap` end alike: the same compacted columns (rows
+    transposed on the reference side), or the same ResourceLimitError at
+    the same define, with the same table entries and union-find forest.
+    Returns the outcome."""
+    RecordingTable.made, made = [], []
+    monkeypatch.setattr(coxeter, "_CosetTable", RecordingTable)
+    new = hlt_outcome(lambda: _enumerate_cosets(d, cap))
+    ref = hlt_outcome(lambda: transposed(reference_hlt(d, cap, made).compact(), d.rank))
+    assert new == ref
+    assert len(RecordingTable.made) == len(made) <= 1
+    for ct, rt in zip(RecordingTable.made, made):  # none if the dihedral pre-check trips
+        assert ct.cols == transposed(rt.tab, d.rank) and ct.parent == rt.parent
+    return new
+
+
+def assert_same_action(d: CoxeterDiagram) -> None:
+    w = regular_action(d)
+    act, words, tree = reference_regular_action(d)
+    assert (w.act, w.tree) == (act, tree)
+    assert tree_words(w.tree) == list(words)
+    new = element_statistics(w.act, w.tree)
+    assert_same_statistics(new, reference_element_statistics(act, words))
+
+
+def assert_same_trips(d: CoxeterDiagram, caps: Iterable[int], monkeypatch) -> None:
+    for cap in caps:
+        out = assert_same_hlt(d, cap, monkeypatch)
+        assert out == f"coset enumeration exceeded cap={cap} live cosets" or len(out[0]) <= cap
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_coset_columns_match_the_row_major_table(name, monkeypatch):
+    assert isinstance(assert_same_hlt(CORPUS[name], 10000, monkeypatch), list)
+    assert_same_action(CORPUS[name])
+
+
+@pytest.mark.parametrize("name", sorted(set(CORPUS) - {"F4"}))
+def test_every_cap_trips_where_the_row_major_table_does(name, monkeypatch):
+    order = GROUPS[name].order
+    assert_same_trips(CORPUS[name], range(1, order + 2), monkeypatch)
+
+
+@pytest.mark.slow
+def test_every_cap_trips_where_the_row_major_table_does_f4(monkeypatch):
+    assert_same_trips(CORPUS["F4"], range(1, GROUPS["F4"].order + 2), monkeypatch)
+
+
+@st.composite
+def small_diagrams(draw):
+    """A diagram of rank <= 4 over the labels 2-6 and infinity."""
+    n = draw(st.integers(1, 4))
+    labels = st.sampled_from([2, 3, 4, 5, 6, INF])
+    m = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(labels)
+    return CoxeterDiagram(m)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_diagrams())
+def test_coset_columns_match_on_random_diagrams(d):
+    # past 400 live cosets (every infinite group here) only the trip is
+    # compared; a finite group is compared at every cap up to |W| + 1
+    # when |W| <= 120, and around |W| past that
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        out = assert_same_hlt(d, 400, monkeypatch)
+        if isinstance(out, list):
+            assert_same_action(d)
+            order = len(out[0])
+            caps = range(1, order + 2) if order <= 120 else (order // 2, order - 1, order, order + 1)
+            assert_same_trips(d, caps, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_undefined_entry_is_refused_with_the_row_major_message(seed, monkeypatch):
+    # holes poked into the finished table at seeded live cosets: both
+    # compactions name the least coset with a hole, in row order
+    d = CORPUS[["A3", "B3", "H3", "A1xB2"][seed % 4]]
+    RecordingTable.made = []
+    monkeypatch.setattr(coxeter, "_CosetTable", RecordingTable)
+    _enumerate_cosets(d, 10000)
+    [ct] = RecordingTable.made
+    rt = ReferenceCosetTable(d.rank, 10000)
+    rt.tab, rt.parent = transposed(ct.cols, len(ct.parent)), list(ct.parent)
+    live = [c for c in range(len(ct.parent)) if ct.rep(c) == c]
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        c, x = rng.choice(live), rng.randrange(d.rank)
+        ct.cols[x][c] = rt.tab[c][x] = -1
+    with pytest.raises(CheckError) as new:
+        ct.compact()
+    with pytest.raises(CheckError) as ref:
+        rt.compact()
+    assert str(new.value) == str(ref.value)

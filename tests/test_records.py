@@ -77,9 +77,9 @@ RECORDS = [
     ),
     (
         RegularAction,
-        (((1, 0),), ((), (0,)), ((0, -1), (0, 0))),
-        ("act", "words", "tree"),
-        "RegularAction(act=((1, 0),), words=((), (0,)), tree=((0, -1), (0, 0)))",
+        (((1, 0),), ((0, -1), (0, 0))),
+        ("act", "tree"),
+        "RegularAction(act=((1, 0),), tree=((0, -1), (0, 0)))",
     ),
     (
         ElementStatistics,

@@ -199,8 +199,12 @@ def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
     [cx] = complexes
     d1_rows = [gf2.vector_from_support(faces) for faces in cx.d1_faces]
     assert d1_rows and (d1_rows, len(cx.pointed_pairs)) not in eliminated
-    assert len(kernel_rows) == len(cx.graph.vertices) == 5
-    assert sorted(map(id, kernel_rows)) == sorted(id(s.d1_rows) for s in cx.stars.values())
+    # one elimination per distinct local matrix: the stars of one degree
+    # share their rows and their kernel
+    local = {(s.d1_rows, len(s.pairs)) for s in cx.stars.values()}
+    assert len(cx.graph.vertices) == 5 and len(local) == len(kernel_rows) == 2
+    assert {id(s.d1_rows) for s in cx.stars.values()} == set(map(id, kernel_rows))
+    assert all(s.kernel is cx.kernels[s.d1_rows, len(s.pairs)] for s in cx.stars.values())
 
 
 @pytest.mark.parametrize("name", ["B3", "D6"])
@@ -247,9 +251,10 @@ def test_theorems_never_list_aut(command, name, monkeypatch):
         assert listed == []
 
 
-# A2's six elements, with s_1 sending 0 to 1 and then climbing to 5, where
-# it stays: no walk but the identity's ever returns to 0
-FORGED = RegularAction(((1, 2, 3, 4, 5, 5),) * 2, ((), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)), ())
+# A2's six elements on the BFS tree of the words (), s1, s2, s1s2, s2s1,
+# s1s2s1, with s_1 sending 0 to 1 and then climbing to 5, where it stays:
+# no walk but the identity's ever returns to 0
+FORGED = RegularAction(((1, 2, 3, 4, 5, 5),) * 2, ((0, -1), (0, 0), (0, 1), (1, 1), (2, 0), (3, 0)))
 
 
 def test_a_forged_action_is_a_check_failure(monkeypatch):
