@@ -67,6 +67,7 @@ from .cohomology import (
 from .coxeter import (
     CoxeterDiagram,
     SphericalReport,
+    _group_table,
     enumerate_group,
     enumerate_order,
     recognize_spherical,
@@ -394,7 +395,7 @@ def _diagram_payload(ctx: _Run) -> Dict:
 def _graph_payload(graph: Graph) -> Dict:
     return {
         "vertices": list(graph.vertices),
-        "edges": [list(e) for e in graph.edges],
+        "edges": list(graph.edges),
         "connected": graph.is_connected(),
     }
 
@@ -560,11 +561,11 @@ def _cohomology_blocks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         **_graph_payload(graph),
         "components": res.components,
         "dims": {"z1": res.z1, "b1": res.b1, "h1": res.h1},
-        "pair_index": [[list(e) for e in s] for s in res.pair_index],
+        "pair_index": list(res.pair_index),
         "z_basis": [gf2.support(v) for v in res.z_basis],
         "b_basis": [gf2.support(v) for v in res.b_basis],
         "h_basis": [gf2.support(v) for v in res.h_basis],
-        "h_basis_edges": [list(e) for e in res.h_basis_edges],
+        "h_basis_edges": list(res.h_basis_edges),
     }
     return payload, checks
 
@@ -692,7 +693,8 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     payload.update(_fields(stats, "abelian elementary_abelian involutions"))
     payload["element_orders"] = {str(k): v for k, v in stats.element_orders.items()}
     if stats.order <= 64:
-        g = ctx.group
+        # the table of a diagram is built over the action the statistics walked
+        g = ctx.group if ctx.kind == "table" else _group_table(w)
         payload["table"] = [list(row) for row in g.product]
         payload["labels"] = list(g.labels)
     else:
@@ -1009,14 +1011,19 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return cfg
 
 
+# encoder chunks joined per write: a batch of a few KB holds little of a
+# large report, and larger batches measured no faster
+_WRITE_BATCH = 256
+
+
 def _write_report(report: Dict, as_json: bool) -> None:
     """The report on stdout: JSON streamed from the encoder in batches of
-    chunks, so the whole document is never held at once (the same bytes as
-    `json.dumps(report, indent=2)`), or the human rendering."""
+    `_WRITE_BATCH` chunks, so the whole document is never held at once (the
+    same bytes as `json.dumps(report, indent=2)`), or the human rendering."""
     out = sys.stdout
     if as_json:
         chunks = json.JSONEncoder(indent=2).iterencode(report)
-        while batch := "".join(islice(chunks, 4096)):
+        while batch := "".join(islice(chunks, _WRITE_BATCH)):
             out.write(batch)
         out.write("\n")
     else:

@@ -39,7 +39,9 @@ Aut(G_sigma) stabilizing the canonical subloops below sigma's core.  In
 closed form it is trivial when the core is empty and has order 2
 otherwise, generated by `edge_twist` (single edge) or `vertex_twist`
 (pointed pair/triple); `coefficient_group` computes both the closed form
-and a brute-force stabilizer and insists they agree.
+and a brute-force stabilizer and insists they agree.  The stabilizer tests
+every automorphism, walking the products of Aut's transversals without
+listing Aut (`_set_stabilizer`).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import gf2
 from .errors import CheckError
 from .graphs import Edge, Graph, connected_components, spanning_tree
+from .groups import composer
 from .loops import LoopTable, subloop_closure
 from .morphisms import automorphism_group, is_automorphism
 
@@ -516,6 +519,33 @@ def _set_stabilizer(
     loop: LoopTable, targets: Collection[FrozenSet[int]], budget: int
 ) -> List[Tuple[int, ...]]:
     """The automorphisms of `loop` that map every target set onto itself,
-    in `automorphism_group(loop).elements` order."""
+    sorted: the list that filtering `automorphism_group(loop).elements`
+    gives, with Aut never listed.
+
+    A bijection f maps every target onto itself exactly when it keeps each
+    point's signature, the targets that contain it: sig o f == sig.  The
+    walk forms every product t1 o ... o tk over Aut's transversals depth
+    first, carrying the prefix p and sig o p, and tests each complete
+    product with one gather, sig o p o tk == sig; p o tk is formed for the
+    members only.  So every automorphism is tested, and only the prefixes
+    and the members are held.
+    """
     aut = automorphism_group(loop, budget=budget)
-    return [f for f in aut.elements if all(frozenset(f[x] for x in s) == s for s in targets)]
+    bits = [0] * aut.degree  # bit i: the point lies in the i-th target
+    for i, s in enumerate(targets):
+        for x in s:
+            bits[x] |= 1 << i
+    sig = tuple(bits)
+    identity = tuple(range(aut.degree))
+    levels = [[composer(t) for t in level.values()] for level in aut.transversals]
+    last = levels.pop() if levels else [composer(identity)]
+    members: List[Tuple[int, ...]] = []
+    stack = [(identity, sig, 0)]
+    while stack:
+        p, c, i = stack.pop()
+        if i < len(levels):
+            stack.extend([(g(p), g(c), i + 1) for g in levels[i]])
+        else:
+            members.extend([g(p) for g in last if g(c) == sig])
+    members.sort()
+    return members

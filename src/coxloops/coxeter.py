@@ -477,7 +477,11 @@ def enumerate_group(d: CoxeterDiagram, cap: int = 10000) -> GroupTable:
     finiteness/order check on larger groups, and `regular_action` for the
     element statistics without a table.
     """
-    w = regular_action(d, cap)
+    return _group_table(regular_action(d, cap))
+
+
+def _group_table(w: RegularAction) -> GroupTable:
+    """The dense table of `enumerate_group`, built over the action `w`."""
     act, tree, generators = w.act, w.tree, w.generators
     n_cos = len(tree)
     words: List[Tuple[int, ...]] = [()]

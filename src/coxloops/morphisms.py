@@ -17,9 +17,10 @@ The result, `AutGroup`, is a base and strong generating set (Seress,
 base, the search's leaves as strong generators, and one transversal per
 level.  Its order is the product of the transversal sizes, membership
 sifts an image tuple through the levels, and the |Aut| image tuples
-themselves are listed only on demand.  A `budget` caps the number of
-candidate assignments tried (`AutGroup.nodes`), and raising past it is a
-hard error, never a silent truncation.  The result is memoized on the
+themselves are listed only on demand, which nothing in the package makes.
+A `budget` caps the number of candidate assignments tried
+(`AutGroup.nodes`), and raising past it is a hard error, never a silent
+truncation.  The result is memoized on the
 table it was computed from (`memo["aut"]`), so it lives exactly as long
 as that table; a memo hit honours the budget too.
 
@@ -200,7 +201,9 @@ class AutGroup(_AutGroupFields):  # no __slots__: `elements` is cached in __dict
     @cached_property
     def elements(self) -> Tuple[Tuple[int, ...], ...]:
         """Every automorphism as an image tuple, sorted; |Aut| of them, so
-        built only on demand."""
+        built only on demand.  The package itself never lists them: the
+        theorems count, and set stabilizers walk the transversals
+        (`cohomology._set_stabilizer`); the tests keep them as a reference."""
         elements: List[Tuple[int, ...]] = [tuple(range(self.degree))]
         for level in reversed(self.transversals):
             elements = [compose(f, suffix) for f in level.values() for suffix in elements]

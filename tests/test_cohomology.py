@@ -268,6 +268,28 @@ def test_coefficient_group_complex_mode_diverges_on_paths():
         coefficient_group(sigma, am, mode="bogus")
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_stabilizer_disagreeing_with_the_closed_form_fails_verify(flags):
+    # every canonical subloop forged to {0}, which every automorphism fixes:
+    # the stabilizer at the A2 edge is all 108 automorphisms of M(S3, 2),
+    # not the closed form's 2, and the check must hold without asserts too
+    code = "\n".join([
+        "import io, sys",
+        "from coxloops import cli",
+        "from coxloops.amalgams import Amalgam",
+        "Amalgam.core_subloop = lambda self, core, sub: (0,)",
+        "sys.stdin = io.TextIOWrapper(io.BytesIO(b'coxeter v1\\nrank 2\\nedge 1 2 3\\n'))",
+        "print(__debug__, cli.main(['verify', '-']))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.split() == [str(not flags), "2"], proc.stderr
+    assert proc.stderr == (
+        "check failure: coefficient group at ((1, 2),): closed form 2 != stabilizer order 108\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the H^1 frontier: thousands of edges, with every cross-check on
 

@@ -16,8 +16,15 @@ elements, in both orders (`reference_automorphism_group`,
 `reference_closure`, with the profiles and generating set they used).  The
 row gathers must reproduce them exactly: the same base, strong generators,
 transversals and node count, and the same closures.
+
+The set stabilizers of the coefficient groups and amalgams walk the
+transversals without listing `Aut`. They must equal the filter of the
+listed `AutGroup.elements`, in its order, on the edge and vertex loops of
+A2, B2 and I2(5..8) and on the trivial loop, for `hypothesis`-drawn
+families of unions of subloops and arbitrary subsets.
 """
 
+import functools
 import math
 import subprocess
 import sys
@@ -29,7 +36,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxloops.coxeter import diagram_a, diagram_h, diagram_i2, enumerate_group
+from coxloops.cohomology import _set_stabilizer
+from coxloops.coxeter import diagram_a, diagram_b, diagram_h, diagram_i2, enumerate_group
 from coxloops.errors import ResourceLimitError
 from coxloops.groups import (
     GroupTable,
@@ -534,3 +542,52 @@ def test_h3_loop_automorphisms():
     h3 = enumerate_group(diagram_h(3))
     assert automorphism_group(chein_loop(h3)).order == 14400
     assert verify_semidirect_automorphisms(h3).ok
+
+
+# ---------------------------------------------------------------------------
+# set stabilizers: the transversal walk against the filter of the listed Aut
+
+# the vertex loop M(Z2, 2), the edge loops M(W, 2) of rank-2 diagrams, and
+# the trivial loop, whose Aut has no levels at all
+STABILIZER_LOOPS = {
+    "trivial": lambda: LoopTable([[0]]),
+    "vertex": lambda: chein_loop(cyclic(2)),
+    "A2": lambda: chein_loop(enumerate_group(diagram_a(2))),
+    "B2": lambda: chein_loop(enumerate_group(diagram_b(2))),
+    **{f"I2({m})": (lambda m=m: chein_loop(enumerate_group(diagram_i2(m)))) for m in range(5, 9)},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def stabilizer_loop(name: str) -> LoopTable:
+    return STABILIZER_LOOPS[name]()
+
+
+@st.composite
+def stabilizer_cases(draw):
+    name = draw(st.sampled_from(sorted(STABILIZER_LOOPS)))
+    loop = stabilizer_loop(name)
+    points = st.integers(0, loop.order - 1)
+    subloop_unions = st.lists(st.lists(points, max_size=2), min_size=1, max_size=3).map(
+        lambda gens: frozenset().union(*(closure(loop, g) for g in gens))
+    )
+    targets = draw(st.lists(st.one_of(subloop_unions, st.frozensets(points)), max_size=4))
+    return name, targets
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stabilizer_cases())
+def test_set_stabilizer_walk_matches_the_filtered_elements(case):
+    name, targets = case
+    loop = stabilizer_loop(name)
+    expected = [
+        f for f in automorphism_group(loop).elements
+        if all(frozenset(f[x] for x in s) == s for s in targets)
+    ]
+    assert _set_stabilizer(loop, targets, 10_000_000) == expected
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZER_LOOPS))
+def test_set_stabilizer_of_nothing_is_all_of_aut(name):
+    loop = stabilizer_loop(name)
+    assert _set_stabilizer(loop, [], 10_000_000) == list(automorphism_group(loop).elements)

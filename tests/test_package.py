@@ -186,7 +186,9 @@ class _Writes:
 
 
 def test_streamed_report_is_json_dumps_byte_for_byte(monkeypatch):
-    # more than 4096 encoder chunks, so the report crosses batch boundaries
+    # more than three batches of encoder chunks, so the report crosses batch
+    # boundaries
+    batch = coxloops.cli._WRITE_BATCH
     report = {
         "schema": 1,
         "checks": [
@@ -196,9 +198,26 @@ def test_streamed_report_is_json_dumps_byte_for_byte(monkeypatch):
         "ok": True,
     }
     chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(report))
-    assert chunks > 3 * 4096
+    assert chunks > 3 * batch
     out = _Writes()
     monkeypatch.setattr(sys, "stdout", out)
     coxloops.cli._write_report(report, True)
     assert "".join(out.writes) == json.dumps(report, indent=2) + "\n"
-    assert len(out.writes) == -(-chunks // 4096) + 1  # each full batch, the rest, then "\n"
+    assert len(out.writes) == -(-chunks // batch) + 1  # each full batch, the rest, then "\n"
+
+
+def test_cohomology_payload_hands_the_encoder_the_results_tuples():
+    # the report's simplices and edges are the result's own tuples, not a
+    # list per entry; json writes a tuple as the array a list would give
+    text = "graph v1\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\n"
+    ctx = coxloops.cli._Run(*coxloops.cli.parse_input(text), coxloops.cli._parse_args(["cohomology", "-"]))
+    payload, _ = coxloops.cli._cohomology_blocks(ctx)
+    res = ctx.cohomology
+    for key, entries in (
+        ("pair_index", res.pair_index),
+        ("h_basis_edges", res.h_basis_edges),
+        ("edges", ctx.graph.edges),
+    ):
+        assert type(payload[key]) is list and entries
+        assert len(payload[key]) == len(entries)
+        assert all(a is b for a, b in zip(payload[key], entries)), key

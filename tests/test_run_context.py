@@ -7,9 +7,10 @@ edge complex at most twice for a diagram (the amalgam's and H^1's) and once
 for a graph; and `enumerate_group` runs once per distinct core subdiagram
 plus once for W, unless W is itself a core (rank <= 2).  `group` on a
 diagram reads the element statistics from W's regular action and builds
-W's table only to print it (order <= 64), so on F4 it never runs
-`enumerate_group`, and a forged action whose walks never return is a
-check failure (exit 2), with or without `python -O`.  Fresh `Aut`
+W's table over that same action only to print it (order <= 64): it runs
+`regular_action` once and never `enumerate_group`, and a forged action
+whose walks never return is a check failure (exit 2), with or without
+`python -O`.  Fresh `Aut`
 searches (calls of `generating_set`, which memo hits skip) are counted too:
 one per table searched, so the case-3 theorem reuses the search of its
 loop.  So are the certificates of an input table: its loop-axiom checks
@@ -23,10 +24,10 @@ Every identity that `loop` or `verify` reports with a `checked` count, and
 the associativity behind an `associative` field, is one `groups._sweep`
 call, and the run makes no other.
 
-`Aut` is never listed for the theorems: `aut` builds no
-`AutGroup.elements` at all, and `verify` builds them only inside
-`cohomology._set_stabilizer`, for the edge loops of the coefficient groups
-and amalgams.
+`Aut` is never listed: no `aut` or `verify` run builds `AutGroup.elements`.
+The set stabilizers of the coefficient groups and amalgams walk Aut's
+transversals instead, so `verify` on I2(8) (|Aut| = 1536 on the edge loop)
+peaks under 300 KB of traced memory.
 """
 
 import contextlib
@@ -36,10 +37,11 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from coxloops import cli, gf2, groups, loops, morphisms
+from coxloops import cli, coxeter, gf2, groups, loops, morphisms
 from coxloops.cli import main, parse_input
 from coxloops.coxeter import RegularAction
 from coxloops.groups import dihedral, quaternion
@@ -120,18 +122,8 @@ EXPECTED = {
     ),
     ("aut", "A3"): dict(recognize_spherical=1, enumerate_group=1, whole=1, generating_set=2),
     ("group", "F4"): dict(recognize_spherical=1),
-    ("group", "A3"): dict(recognize_spherical=1, enumerate_group=1, whole=1),
+    ("group", "A3"): dict(recognize_spherical=1),
 }
-
-
-def _called_from(function: str) -> bool:
-    """Whether the caller of the caller runs inside `function`."""
-    frame = sys._getframe(2)
-    while frame is not None:
-        if frame.f_code.co_name == function:
-            return True
-        frame = frame.f_back
-    return False
 
 
 @pytest.mark.parametrize("command,name", sorted(EXPECTED))
@@ -234,11 +226,11 @@ def test_one_sweep_per_identity_reported(command, name, monkeypatch):
 @pytest.mark.parametrize("name", ["B3", "A1xB2", "I2(8)", "D6"])
 @pytest.mark.parametrize("command", ["aut", "verify"])
 def test_theorems_never_list_aut(command, name, monkeypatch):
-    listed = []  # (degree, called from _set_stabilizer) per elements build
+    listed = []  # the degree of each Aut listed
     elements = morphisms.AutGroup.elements.func
 
     def listing(aut):
-        listed.append((aut.degree, _called_from("_set_stabilizer")))
+        listed.append(aut.degree)
         return elements(aut)
 
     monkeypatch.setattr(morphisms.AutGroup, "elements", functools.cached_property(listing))
@@ -246,9 +238,55 @@ def test_theorems_never_list_aut(command, name, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS[name].encode())))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, "-", "--json"]) == 0
-    assert all(inside for _, inside in listed)
-    if command == "aut" or name == "D6":
-        assert listed == []
+    assert listed == []
+
+
+class _Sink:
+    def write(self, text):
+        pass
+
+    def flush(self):
+        pass
+
+
+def test_verify_walks_aut_in_small_memory(monkeypatch):
+    # listing Aut of the I2(8) edge loop (1536 tuples of 32) peaked at about
+    # 600 KB; the walk holds the prefixes and the members only
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS["I2(8)"].encode())))
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(_Sink()):
+            assert main(["verify", "-", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 300_000
+
+
+@pytest.mark.parametrize("name", ["A2", "B3"])
+def test_one_regular_action_per_group_run(name, monkeypatch):
+    # the statistics and the printed table share one action; enumerate_group
+    # would walk W a second time
+    actions = []
+    action = coxeter.regular_action
+
+    def counting(d, cap=10000):
+        actions.append(d)
+        return action(d, cap)
+
+    for module in (cli, coxeter):
+        monkeypatch.setattr(module, "regular_action", counting)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS[name].encode())))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["group", "-", "--json"]) == 0
+    assert json.loads(out.getvalue())["table"] is not None
+    assert len(actions) == 1
 
 
 # A2's six elements on the BFS tree of the words (), s1, s2, s1s2, s2s1,
