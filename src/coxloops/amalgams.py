@@ -44,9 +44,9 @@ from .cohomology import EdgeComplex, _set_stabilizer, build_complex, vertex_cobo
 from .coxeter import CoxeterDiagram, embed_parabolic, enumerate_group, subdiagram
 from .errors import CheckError, ResourceLimitError
 from .graphs import Edge, SpanningTree, spanning_tree
-from .groups import GroupTable
-from .loops import LoopTable, chein_loop, subloop_closure
-from .morphisms import compose_images, is_homomorphism
+from .groups import GroupTable, closure, compose
+from .loops import LoopTable, chein_loop
+from .morphisms import is_homomorphism
 
 Simplex = Tuple[Edge, ...]
 
@@ -112,14 +112,11 @@ class Amalgam:
     def connecting(self, tau: Simplex, rho: Simplex) -> Tuple[int, ...]:
         return self.maps[(tuple(tau), tuple(rho))]
 
-    def connecting_images(self, tau: Simplex, rho: Simplex) -> FrozenSet[int]:
-        return frozenset(self.connecting(tau, rho))
-
     def core_subloop(self, core: Sequence[int], sub: Sequence[int]) -> Tuple[int, ...]:
         """Canonical subloop of L_core generated by the reflections of
         `sub` (a subset of core) together with u."""
         data = self._core_data[tuple(core)]
-        return subloop_closure(data.loop, [data.gen_of[v] for v in sub] + [data.u])
+        return closure(data.loop, [data.gen_of[v] for v in sub] + [data.u])
 
     def __repr__(self) -> str:
         return f"Amalgam(kind={self.kind!r}, edges={len(self.complex.edges)})"
@@ -179,7 +176,7 @@ def _build(
                         core_data[j_tau].group, positions, core_data[j_rho].group
                     )
                     if len(j_tau) == 1 and len(rho) == 1 and (j_tau[0], rho[0]) in twists:
-                        images = compose_images(images, klein_twist[j_tau])
+                        images = compose(images, klein_twist[j_tau])
                 maps[(tau, rho)] = images
     return Amalgam(d, cx, core_data, maps, kind, twists)
 
@@ -276,7 +273,7 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
                     for sig_edges in combinations(rho, small):
                         sig = tuple(sig_edges)
                         chains += 1
-                        via = compose_images(a.connecting(rho, sig), a.connecting(tau, rho))
+                        via = compose(a.connecting(rho, sig), a.connecting(tau, rho))
                         if via != a.connecting(tau, sig):
                             comp = False
     return AmalgamReport(
@@ -328,7 +325,7 @@ def verify_completion(
         if not is_homomorphism(phi, a.loop_of(sigma), loop):
             hom = False
     for (tau, rho), psi in a.maps.items():
-        if compose_images(maps[rho], psi) != maps[tau]:
+        if compose(maps[rho], psi) != maps[tau]:
             comm = False
     return CompletionReport(
         loop_order=loop.order,
@@ -361,7 +358,7 @@ def _edge_candidates(a: Amalgam, e: Edge, budget: int) -> List[Tuple[int, ...]]:
     of the embedded Klein subloops — and of {0, u} when some coface has
     empty core — inside Aut(L_e)."""
     sigma = (e,)
-    targets = {a.connecting_images(tau, sigma) for tau in a.complex.cofaces(sigma)}
+    targets = {frozenset(a.connecting(tau, sigma)) for tau in a.complex.cofaces(sigma)}
     return _set_stabilizer(a.loop_of(sigma), targets, budget)
 
 
@@ -438,8 +435,8 @@ def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]
         if not is_automorphism(a.loop_of(sigma), theta[tuple(sigma)]):
             raise CheckError("isomorphism witness is not an automorphism family")
     for (tau, rho) in a.maps:
-        lhs = compose_images(theta[rho], a.maps[(tau, rho)])
-        rhs = compose_images(b.maps[(tau, rho)], theta[tau])
+        lhs = compose(theta[rho], a.maps[(tau, rho)])
+        rhs = compose(b.maps[(tau, rho)], theta[tau])
         if lhs != rhs:
             raise CheckError("isomorphism witness fails to commute")
 
@@ -585,7 +582,7 @@ def _standard_orbit(a: Amalgam, st: SpanningTree, budget: int) -> Set[int]:
         for p, e in enumerate(star):
             other = star[1] if e == star[0] else star[0]
             iota = a.connecting(tuple(sorted((e, other))), (e,))
-            psi = (iota, compose_images(iota, gamma))
+            psi = (iota, compose(iota, gamma))
             inv = [{y: x for x, y in enumerate(q)} for q in psi]
             maps = []
             for f in cand[cx.edge_pos[e]]:

@@ -20,11 +20,12 @@ failed, 3 a cap/budget resource limit was hit, 4 parse/usage/I-O error.
 
 Each run has one context (`_Run`), made in `main` from the parsed input and
 the flags, that builds each artifact on first use and keeps it: the
-spherical recognition, the underlying graph, its edge complex and H^1, the
-standard amalgam, W and its double.  The commands are compositions of
-shared blocks over it, so one run builds each artifact once.  Whether a
-block runs, or is skipped under ``--budget``, ``--cap`` or a desk-scale
-limit of ``verify``, is one lookup (`_gate`) in one gate table (`_GATES`).
+spherical recognition, the underlying graph, its edge complex, H^1 and the
+standard amalgam over that one complex, W and its double.  The commands
+are compositions of shared blocks over it, so one run builds each artifact
+once.  Whether a block runs, or is skipped under ``--budget``, ``--cap`` or
+a desk-scale limit of ``verify``, is one lookup (`_gate`) in one gate table
+(`_GATES`).
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ except ImportError:
 from . import gf2
 from .amalgams import (
     Amalgam,
+    _build,
     classify_twisted_amalgams,
     loop_completion,
-    standard_amalgam,
     verify_amalgam,
     verify_completion,
 )
@@ -288,7 +289,8 @@ class _Run:
 
     @cached_property
     def amalgam(self) -> Amalgam:
-        return standard_amalgam(self.obj)
+        # the standard amalgam over the run's own complex, which H^1 shares
+        return _build(self.obj, self.complex, frozenset(), "standard")
 
     @cached_property
     def rows_loop(self) -> Tuple[Optional[LoopTable], Dict]:

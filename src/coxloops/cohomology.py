@@ -54,8 +54,8 @@ from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import gf2
 from .errors import CheckError
 from .graphs import Edge, Graph, connected_components, spanning_tree
-from .groups import composer
-from .loops import LoopTable, subloop_closure
+from .groups import closure, composer
+from .loops import LoopTable
 from .morphisms import automorphism_group, is_automorphism
 
 Simplex = Tuple[Edge, ...]  # sorted tuple of edges
@@ -319,14 +319,14 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
 
     if cross_check:
         z1_elim = _z1_by_stars(cx, z_at)
-        b_span = gf2.gf2_row_reduce_basis(d0_cols, npairs)
+        b_span = gf2.gf2_rref(d0_cols, npairs)[1]
         b1_elim = len(b_span)  # rank d0 = rank of its columns
         if (z1, b1, h1) != (z1_elim, b1_elim, z1_elim - b1_elim):
             raise CheckError(
                 f"closed-form dims {(z1, b1, h1)} != elimination "
                 f"{(z1_elim, b1_elim, z1_elim - b1_elim)}"
             )
-        if gf2.gf2_row_reduce_basis(b_basis, npairs) != b_span:
+        if gf2.gf2_rref(b_basis, npairs)[1] != b_span:
             raise CheckError("closed-form B basis does not span im d0")
         if gf2.gf2_rank(b_basis + h_basis, npairs) != b1 + h1:
             raise CheckError("H^1 representatives are not independent over B^1")
@@ -427,7 +427,7 @@ def edge_twist(t: LoopTable) -> Tuple[int, ...]:
     gens = t.group_generators
     if n is None or len(gens) != 2:
         raise CheckError("edge twist needs a doubled loop with two reflection generators")
-    rot = set(subloop_closure(t, [t.product[gens[0]][gens[1]]]))
+    rot = set(closure(t, [t.product[gens[0]][gens[1]]]))
     if len(rot) * 2 != n:
         raise CheckError("generators must present a dihedral group")
     images = []
@@ -472,11 +472,7 @@ def coefficient_group(
 
     mode="structural" (default) cross-checks against the brute force
     stabilizer of every canonical subloop L_K, K a proper subset of the
-    core, inside Aut(G_sigma).  mode="complex" instead stabilizes the
-    images of the connecting maps from the cofaces of sigma in the edge
-    complex — the literal reading, which agrees on locally rich graphs
-    (e.g. the triangle) but is coarser on sparse ones.  mode="none" skips
-    the brute force.
+    core, inside Aut(G_sigma); mode="none" skips the brute force.
     """
     sigma = tuple(sorted(tuple(sorted(e)) for e in sigma))
     loop: LoopTable = amalgam.loop_of(sigma)
@@ -494,11 +490,6 @@ def coefficient_group(
             frozenset(amalgam.core_subloop(core, sub))
             for k in range(len(core))
             for sub in combinations(core, k)
-        ]
-    elif mode == "complex":
-        targets = [
-            frozenset(amalgam.connecting_images(rho, sigma))
-            for rho in amalgam.complex.cofaces(sigma)
         ]
     elif mode != "none":
         raise ValueError(f"unknown mode {mode!r}")

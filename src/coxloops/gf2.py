@@ -16,7 +16,6 @@ __all__ = [
     "support",
     "gf2_rank",
     "gf2_rref",
-    "gf2_row_reduce_basis",
     "gf2_kernel_basis",
     "gf2_is_in_rowspan",
     "gf2_same_span",
@@ -82,11 +81,6 @@ def gf2_rref(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
 
 def gf2_rank(rows: Sequence[int], ncols: int) -> int:
     return len(gf2_rref(rows, ncols)[0])
-
-
-def gf2_row_reduce_basis(rows: Sequence[int], ncols: int) -> List[int]:
-    """Canonical (RREF) basis of the span of the given rows."""
-    return gf2_rref(rows, ncols)[1]
 
 
 def gf2_kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:

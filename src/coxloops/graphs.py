@@ -71,22 +71,29 @@ class Graph:
 
 
 def connected_components(g: Graph) -> List[Graph]:
-    """Induced components, ordered by smallest vertex; labels preserved."""
-    unseen = set(g.vertices)
-    comps: List[Graph] = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+    """Induced components, ordered by smallest vertex; labels preserved.
+
+    One BFS labels every vertex with its component, starting from each
+    unlabelled vertex in ascending order, and one pass over the edges hands
+    each edge to the component of its endpoints: linear in |V| + |E|.
+    """
+    comp_of: Dict[int, int] = {}
+    members: List[List[int]] = []
+    for start in g.vertices:
+        if start in comp_of:
+            continue
+        comp_of[start] = len(members)
+        comp = [start]
+        for v in comp:  # the list is its own BFS queue
             for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        unseen -= comp
-        comps.append(Graph(comp, [e for e in g.edges if e[0] in comp]))
-    return comps
+                if w not in comp_of:
+                    comp_of[w] = len(members)
+                    comp.append(w)
+        members.append(comp)
+    edges: List[List[Edge]] = [[] for _ in members]
+    for e in g.edges:
+        edges[comp_of[e[0]]].append(e)
+    return [Graph(vs, es) for vs, es in zip(members, edges)]
 
 
 class SpanningTree(namedtuple("SpanningTree", [

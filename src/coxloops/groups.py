@@ -59,7 +59,6 @@ __all__ = [
     "GroupTable",
     "ElementStatistics",
     "element_statistics",
-    "from_table",
     "cyclic",
     "dihedral",
     "quaternion",
@@ -274,9 +273,6 @@ class _Table:
         if failure is not None:
             raise CheckError(failure[1])
 
-    def mul(self, a: int, b: int) -> int:
-        return self.product[a][b]
-
     def element_order(self, x: int) -> int:
         """Order of x under left powers x, x*x, x*(x*x), ...
 
@@ -332,13 +328,6 @@ class GroupTable(_Table):
             raise CheckError("associativity fails at ({},{},{})".format(*assoc.counterexample))
 
     is_abelian = _Table.is_commutative
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def conj(self, a: int, b: int) -> int:
-        """b^-1 a b"""
-        return self.product[self.product[self.inverse[b]][a]][b]
 
     def is_elementary_abelian(self) -> bool:
         """Every element squares to the identity (this forces abelian)."""
@@ -400,10 +389,6 @@ def element_statistics(act: Sequence[Sequence[int]], tree: Sequence[Tuple[int, i
     return ElementStatistics(
         n, abelian, max(counts) <= 2, counts.get(2, 0), {k: counts[k] for k in sorted(counts)}
     )
-
-
-def from_table(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> GroupTable:
-    return GroupTable(rows, labels=labels)
 
 
 def cyclic(n: int) -> GroupTable:

@@ -17,6 +17,7 @@ the values of both sides so failures can be replayed.
 `LoopTable` shares the one table type of `groups`, where both axiom
 certificates live: `is_loop`, `is_quasigroup` and a validated `LoopTable`
 read `loop_axiom_failures`, and `is_associative` is re-exported from there.
+A subloop is generated as a subgroup is, by `groups.closure`.
 
 The doubled table is built from the one composition kernel of `groups`,
 and every identity suite here runs through its one sweep, `groups._sweep`.
@@ -39,13 +40,12 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CheckError
-from .groups import GroupTable, IdentityReport, _cubic, _sweep, _Table, closure, compose, composer
+from .groups import GroupTable, IdentityReport, _cubic, _sweep, _Table, compose, composer
 from .groups import is_associative, loop_axiom_failures
 
 __all__ = [
     "LoopTable",
     "IdentityReport",
-    "from_rows",
     "chein_loop",
     "is_quasigroup",
     "is_loop",
@@ -55,7 +55,6 @@ __all__ = [
     "chein_values",
     "verify_chein_identities",
     "verify_doubling_identities",
-    "subloop_closure",
     "MOUFANG_NAMES",
     "CHEIN_NAMES",
 ]
@@ -92,14 +91,6 @@ class LoopTable(_Table):
         if not self.is_commutative():
             return False
         return is_associative(self).holds
-
-    @property
-    def u_index(self) -> Optional[int]:
-        return self.group_order
-
-
-def from_rows(rows: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> LoopTable:
-    return LoopTable(rows, labels=labels)
 
 
 def is_quasigroup(rows: Sequence[Sequence[int]]) -> bool:
@@ -365,7 +356,3 @@ def verify_doubling_identities(g: GroupTable) -> Dict[str, IdentityReport]:
     prefixes = (w for k in range(4) for w in iproduct(range(m), repeat=k))
     out["left_peeling"] = over_last("left_peeling", prefixes, m, peel)
     return out
-
-
-# a subloop is generated exactly like a subgroup: closure under the product
-subloop_closure = closure

@@ -1,6 +1,9 @@
 """Loop and group morphisms, automorphism groups, and the structure of
 Aut(M(G, 2)).
 
+A morphism is its image tuple on 0..n-1, an automorphism included, and
+maps compose with `groups.compose`.
+
 `automorphism_group` searches Aut level by level along the stabilizer chain
 of a greedy generating set g1..gk, deepest level first.  Assigning an image
 to one more generator forces images of everything it generates, and every
@@ -50,11 +53,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CheckError, ResourceLimitError
 from .groups import GroupTable, closure, compose, composer, subgroup_table
-from .loops import LoopTable, chein_loop, subloop_closure
+from .loops import LoopTable, chein_loop
 
 __all__ = [
-    "Morphism",
-    "compose_images",
     "invert_images",
     "is_homomorphism",
     "is_automorphism",
@@ -72,25 +73,6 @@ __all__ = [
     "verify_doubled_dihedral_automorphisms",
     "verify_dihedral_decomposition_automorphisms",
 ]
-
-
-class Morphism(namedtuple("Morphism", "images")):
-    """A map between loops/groups given by its image tuple on 0..n-1."""
-
-    __slots__ = ()
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-
-compose_images = compose  # (f o g)(x) = f(g(x))
 
 
 def invert_images(f: Sequence[int]) -> Tuple[int, ...]:
@@ -129,7 +111,7 @@ def generating_set(t) -> Tuple[int, ...]:
     while len(have) < t.order:
         x = min(set(range(t.order)) - have)
         gens.append(x)
-        have = set(subloop_closure(t, gens))
+        have = set(closure(t, gens))
     return tuple(gens)
 
 
@@ -394,23 +376,21 @@ def automorphism_group(t, budget: int = 10_000_000) -> AutGroup:
 # the distinguished automorphisms of a doubled loop
 
 
-def translation_automorphism(t: LoopTable, g: int) -> Morphism:
+def translation_automorphism(t: LoopTable, g: int) -> Tuple[int, ...]:
     """phi_g: fixes the group half pointwise, maps x*u to (g*x)*u."""
     n = t.group_order
     if n is None or not 0 <= g < n:
         raise CheckError(f"translation needs a doubled loop and a group element, got {g}")
     gp = t.product  # group products live in the top-left block
-    images = list(range(n)) + [n + gp[g][x] for x in range(n)]
-    return Morphism(tuple(images))
+    return tuple(range(n)) + tuple(n + gp[g][x] for x in range(n))
 
 
-def lifted_automorphism(t: LoopTable, psi: Sequence[int]) -> Morphism:
+def lifted_automorphism(t: LoopTable, psi: Sequence[int]) -> Tuple[int, ...]:
     """The automorphism of M(G, 2) induced by psi in Aut(G): x*u -> psi(x)*u."""
     n = t.group_order
     if n is None or len(psi) != n:
         raise CheckError("a lift needs a doubled loop and a map of its group half")
-    images = [psi[x] for x in range(n)] + [n + psi[x] for x in range(n)]
-    return Morphism(tuple(images))
+    return tuple(psi) + tuple(n + psi[x] for x in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +534,14 @@ def verify_semidirect_automorphisms(g: GroupTable, budget: int = 10_000_000) -> 
     aut_g = automorphism_group(g, budget=budget)
     aut_l = automorphism_group(t, budget=budget)
     gens = aut_g.base  # generating_set(G)
-    translations = [translation_automorphism(t, x).images for x in range(n)]
-    lifts = {a: lifted_automorphism(t, a).images for a in aut_g.strong_generators}
+    translations = [translation_automorphism(t, x) for x in range(n)]
+    lifts = {a: lifted_automorphism(t, a) for a in aut_g.strong_generators}
     moves_u = all(translations[x][u] == n + x for x in range(n))
     translations_ok = (
         moves_u
         and all(is_automorphism(t, translations[s]) for s in gens)
         and all(
-            compose_images(translations[s], translations[x]) == translations[gp[s][x]]
+            compose(translations[s], translations[x]) == translations[gp[s][x]]
             for s in gens
             for x in range(n)
         )
@@ -573,7 +553,7 @@ def verify_semidirect_automorphisms(g: GroupTable, budget: int = 10_000_000) -> 
         and all(f[:n] == a and is_automorphism(t, f) for a, f in lifts.items())
     )
     relation_ok = all(
-        compose_images(f, compose_images(translations[s], invert_images(f)))
+        compose(f, compose(translations[s], invert_images(f)))
         == translations[a[s]]
         for a, f in lifts.items()
         for s in gens
@@ -722,7 +702,7 @@ def verify_dihedral_decomposition_automorphisms(
 
     klein = {0, u1, u2, u3}
     klein_ok = (
-        subloop_closure(t, [u1, u2]) == tuple(sorted(klein))
+        closure(t, [u1, u2]) == tuple(sorted(klein))
         and p[u1][u1] == 0
         and p[u2][u2] == 0
         and p[u3][u3] == 0
@@ -749,14 +729,14 @@ def verify_dihedral_decomposition_automorphisms(
         )
         and all(is_automorphism(t, rescalings[st]) for st in steps)
         and all(
-            compose_images(rescalings[(a, b)], rescalings[(c, d)])
+            compose(rescalings[(a, b)], rescalings[(c, d)])
             == rescalings[(hp[a][c], hp[b][d])]
             for a, b in steps
             for c, d in rescalings
         )
     )
 
-    sigma1 = translation_automorphism(t, u1).images
+    sigma1 = translation_automorphism(t, u1)
     sigma2 = tuple(coset[(0, 3, 2, 1)[c]][k] for k, c in coords)
     symmetric = {identity}
     frontier = [identity]
@@ -764,7 +744,7 @@ def verify_dihedral_decomposition_automorphisms(
         new = []
         for f in frontier:
             for s in (sigma1, sigma2):
-                fs = compose_images(f, s)
+                fs = compose(f, s)
                 if fs not in symmetric:
                     symmetric.add(fs)
                     new.append(fs)
@@ -773,7 +753,7 @@ def verify_dihedral_decomposition_automorphisms(
         len(symmetric) == 6
         and is_automorphism(t, sigma1)
         and is_automorphism(t, sigma2)
-        and compose_images(sigma1, sigma2) != compose_images(sigma2, sigma1)
+        and compose(sigma1, sigma2) != compose(sigma2, sigma1)
     )
     permutes_klein = all({s[u1], s[u2], s[u3]} == {u1, u2, u3} for s in symmetric) and len(
         {(s[u1], s[u2]) for s in symmetric}

@@ -47,7 +47,7 @@ from coxloops.cohomology import (
 from coxloops.coxeter import CoxeterDiagram
 from coxloops.errors import CheckError, ResourceLimitError
 from coxloops.graphs import Graph, SpanningTree, spanning_tree
-from coxloops.morphisms import compose_images
+from coxloops.groups import compose
 
 
 class ReferenceComplex:
@@ -247,7 +247,7 @@ def reference_twist_orbits(
         for e in star:
             other = star[1] if e == star[0] else star[0]
             iota = a.connecting(tuple(sorted((e, other))), (e,))
-            psi = (iota, compose_images(iota, gamma))
+            psi = (iota, compose(iota, gamma))
             inv = [{y: x for x, y in enumerate(p)} for p in psi]
             induced = [
                 tuple(

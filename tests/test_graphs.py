@@ -1,6 +1,11 @@
 """Graphs, components, and the BFS spanning tree."""
 
+import time
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxloops.graphs import Graph, connected_components, spanning_tree
 
@@ -38,6 +43,55 @@ def test_connected_components_preserve_labels():
     assert comps[0].edges == ((1, 2),)
     assert not g.is_connected()
     assert triangle().is_connected()
+
+
+def reference_components(g):
+    """The components found one BFS at a time, each collecting its edges by
+    a scan over every edge: the quadratic original, kept as the reference."""
+    unseen = set(g.vertices)
+    comps = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        unseen -= comp
+        comps.append(Graph(comp, [e for e in g.edges if e[0] in comp]))
+    return comps
+
+
+@st.composite
+def graphs(draw):
+    vertices = draw(st.sets(st.integers(-5, 30), max_size=24))
+    if not vertices:
+        return Graph((), ())
+    ends = st.sampled_from(sorted(vertices))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=40))
+    return Graph(vertices, {(i, j) if i < j else (j, i) for i, j in pairs if i != j})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graphs())
+def test_connected_components_match_the_reference(g):
+    comps = connected_components(g)
+    assert comps == reference_components(g)
+    assert g.is_connected() == (len(comps) <= 1)
+
+
+def test_connected_components_are_linear_in_the_edges():
+    # 20000 disjoint edges: a scan of every edge per component is 4 * 10^8
+    # steps, while one labelling pass and one pass over the edges are 10^5
+    g = Graph(range(40000), [(2 * k, 2 * k + 1) for k in range(20000)])
+    start = time.perf_counter()
+    comps = connected_components(g)
+    elapsed = time.perf_counter() - start
+    assert len(comps) == 20000 and comps[-1].edges == ((39998, 39999),)
+    assert elapsed < 5.0, elapsed
 
 
 def test_spanning_tree_triangle():

@@ -18,7 +18,6 @@ from coxloops.groups import (
     cyclic,
     dihedral,
     direct_product,
-    from_table,
     klein4,
     quaternion,
     subgroup_table,
@@ -49,7 +48,7 @@ def test_dihedral_basics():
         # distinguished generators are two reflections whose product rotates
         s, t = g.generators
         assert g.element_order(s) == 2 and g.element_order(t) == 2
-        assert g.element_order(g.mul(s, t)) == m
+        assert g.element_order(g.product[s][t]) == m
 
 
 def test_quaternion_frozen():
@@ -57,7 +56,7 @@ def test_quaternion_frozen():
     assert q.order == 8
     assert not q.is_abelian()
     assert order_histogram(q) == {1: 1, 2: 1, 4: 6}
-    assert [a for a in range(1, 8) if q.mul(a, a) == 0] == [1]  # -1 is the unique involution
+    assert [a for a in range(1, 8) if q.product[a][a] == 0] == [1]  # -1 is the unique involution
     assert q.labels[1] == "-1"
 
 
@@ -72,7 +71,7 @@ def test_klein4_elementary_abelian():
     v = klein4()
     assert v.order == 4
     assert v.is_elementary_abelian()
-    assert [a for a in range(1, 4) if v.mul(a, a) == 0] == [1, 2, 3]
+    assert [a for a in range(1, 4) if v.product[a][a] == 0] == [1, 2, 3]
 
 
 def test_symmetric3_is_dihedral3():
@@ -83,15 +82,16 @@ def test_symmetric3_is_dihedral3():
 
 def test_inverse_and_conjugation():
     g = dihedral(4)
+    p, inv = g.product, g.inverse
     for a in range(g.order):
-        assert g.mul(a, g.inv(a)) == 0
-        assert g.mul(g.inv(a), a) == 0
-    # conj(a, b) = b^-1 a b: conjugating a rotation by a reflection inverts it
+        assert p[a][inv[a]] == 0
+        assert p[inv[a]][a] == 0
+    # b^-1 a b: conjugating a rotation by a reflection inverts it
     r, s = 1, 4
-    assert g.conj(r, s) == g.inv(r)
+    assert p[p[inv[s]][r]][s] == inv[r]
     # identity is central
     for b in range(g.order):
-        assert g.conj(0, b) == 0
+        assert p[p[inv[b]][0]][b] == 0
 
 
 def test_direct_product_cyclic_2_3_is_cyclic6():
@@ -172,9 +172,9 @@ def test_all_subgroups_entries_are_subgroups():
 
 def test_validation_rejects_bad_tables():
     with pytest.raises(AssertionError):
-        from_table([[0, 1], [1, 1]])  # row 1 is not a permutation
+        GroupTable([[0, 1], [1, 1]])  # row 1 is not a permutation
     with pytest.raises(AssertionError):
-        from_table([[1, 0], [0, 1]])  # 0 is not the identity
+        GroupTable([[1, 0], [0, 1]])  # 0 is not the identity
     # a Latin square with identity that is not associative (smallest: order 5)
     loop5 = [
         [0, 1, 2, 3, 4],
@@ -184,17 +184,17 @@ def test_validation_rejects_bad_tables():
         [4, 2, 0, 1, 3],
     ]
     with pytest.raises(AssertionError):
-        from_table(loop5)
+        GroupTable(loop5)
 
 
 def test_validation_rejects_nonassociative_table_under_optimize():
     # the order-5 loop must be refused even with asserts stripped by -O
     code = "\n".join([
         "from coxloops.errors import CheckError",
-        "from coxloops.groups import from_table",
+        "from coxloops.groups import GroupTable",
         "rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]",
         "try:",
-        "    from_table(rows)",
+        "    GroupTable(rows)",
         "except CheckError as e:",
         "    print(__debug__, 'CheckError', e)",
         "else:",

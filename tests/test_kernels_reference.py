@@ -914,7 +914,7 @@ def answers(rows: List[int], other: List[int], probes: List[int], ncols: int) ->
     """What the routines built on `gf2.gf2_rref` answer on one matrix."""
     return (
         gf2.gf2_rank(rows, ncols),
-        gf2.gf2_row_reduce_basis(rows, ncols),
+        gf2.gf2_rref(rows, ncols)[1],
         gf2.gf2_kernel_basis(rows, ncols),
         gf2.gf2_same_span(rows, other, ncols),
         gf2.gf2_same_span(rows, rows[::-1] + other[:1], ncols),

@@ -8,20 +8,18 @@ counts for the doubling suite on small Coxeter groups.
 import pytest
 
 from coxloops.coxeter import diagram_a, diagram_b, diagram_h, diagram_i2, enumerate_group
-from coxloops.groups import cyclic, dihedral, klein4, symmetric3
+from coxloops.groups import closure, cyclic, dihedral, klein4, symmetric3
 from coxloops.loops import (
     CHEIN_NAMES,
     MOUFANG_NAMES,
     LoopTable,
     chein_loop,
     chein_values,
-    from_rows,
     is_associative,
     is_loop,
     is_moufang,
     is_quasigroup,
     moufang_values,
-    subloop_closure,
     verify_chein_identities,
     verify_doubling_identities,
 )
@@ -39,7 +37,7 @@ LOOP5 = [
 def test_chein_loop_of_trivial_group():
     t = chein_loop(cyclic(1))
     assert t.order == 2
-    assert t.u_index == 1
+    assert t.group_order == 1
     assert t.product == ((0, 1), (1, 0))
     assert t.labels == ("e", "u")
 
@@ -50,9 +48,9 @@ def test_chein_loop_of_cyclic3_is_dihedral():
     assert t.order == 6
     assert is_associative(t).holds
     assert not t.is_commutative()
-    u = t.u_index
+    u = t.group_order
     r = 1
-    assert t.mul(t.mul(u, r), u) == 2  # u r u = r^-1
+    assert t.product[t.product[u][r]][u] == 2  # u r u = r^-1
 
 
 def test_chein_loop_of_klein4_is_elementary_abelian():
@@ -105,7 +103,7 @@ def test_coset_elements_are_involutions():
 
 def test_loop5_is_loop_but_not_moufang_frozen():
     assert is_loop(LOOP5)
-    t = from_rows(LOOP5)
+    t = LoopTable(LOOP5)
     rep = is_associative(t)
     assert not rep.holds
     assert rep.counterexample == (1, 1, 2)
@@ -140,9 +138,9 @@ def test_quasigroup_and_loop_predicates():
 
 def test_loop_table_validation():
     with pytest.raises(AssertionError):
-        from_rows([[0, 0], [1, 1]])
+        LoopTable([[0, 0], [1, 1]])
     with pytest.raises(AssertionError):
-        from_rows([[1, 0], [0, 1]])  # 0 is not the identity
+        LoopTable([[1, 0], [0, 1]])  # 0 is not the identity
     # validate=False skips the axioms (identity fails here) at caller's risk
     t = LoopTable([[0, 1], [0, 1]], validate=False)
     assert t.order == 2
@@ -159,7 +157,7 @@ def test_moufang_values_unknown_name():
 def test_chein_values_without_a_group_half():
     # a bad argument, like `verify_chein_identities` on the same loop: not
     # a CheckError, which the CLI maps to a failed cross-check
-    t = from_rows(LOOP5)
+    t = LoopTable(LOOP5)
     with pytest.raises(ValueError, match="group half"):
         chein_values(t, "c1", 0, 0)
     with pytest.raises(ValueError, match="group half"):
@@ -177,7 +175,7 @@ def test_chein_identities_hold_for_doubled_loops():
 
 
 def test_chein_identities_need_group_half():
-    t = from_rows([[0, 1], [1, 0]])  # no group_order marked
+    t = LoopTable([[0, 1], [1, 0]])  # no group_order marked
     with pytest.raises(ValueError):
         verify_chein_identities(t)
 
@@ -228,15 +226,15 @@ def test_doubling_suite_requires_marked_involutions():
 
 def test_subloop_closure():
     t = chein_loop(symmetric3())
-    u = t.u_index
-    assert subloop_closure(t, [u]) == (0, u)
+    u = t.group_order
+    assert closure(t, [u]) == (0, u)
     # the group half is closed
-    assert subloop_closure(t, t.group_generators) == tuple(range(6))
+    assert closure(t, t.group_generators) == tuple(range(6))
     # one reflection together with u: a Klein four-subloop
     s = t.group_generators[0]
-    assert len(subloop_closure(t, [s, u])) == 4
+    assert len(closure(t, [s, u])) == 4
     # a reflection with a rotated coset element still closes at order 4
-    assert subloop_closure(t, [s, u + 1]) == (0, 3, 7, 11)
+    assert closure(t, [s, u + 1]) == (0, 3, 7, 11)
     # both reflections and u generate everything
-    assert len(subloop_closure(t, list(t.group_generators) + [u])) == 12
-    assert subloop_closure(t, []) == (0,)
+    assert len(closure(t, list(t.group_generators) + [u])) == 12
+    assert closure(t, []) == (0,)

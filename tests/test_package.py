@@ -1,5 +1,6 @@
-"""Package-wide guards: the exported names, no `assert` in the sources,
-and a cold start that stays light.
+"""Package-wide guards: the exported names, the names the benchmark
+tracer wraps, no `assert` in the sources, and a cold start that stays
+light.
 
 Certificates must hold under `python -O`, which strips `assert`, so every
 check in `src/coxloops/` raises `CheckError` instead.  Every command is a
@@ -36,14 +37,14 @@ SUBMODULES = (
 EXPORTED_BEFORE = """
 CheckError DiagramError FormatError ResourceLimitError gf2_rref gf2_rank
 gf2_kernel_basis gf2_same_span Graph SpanningTree connected_components spanning_tree
-GroupTable from_table cyclic dihedral quaternion alternating4 klein4 symmetric3
+GroupTable cyclic dihedral quaternion alternating4 klein4 symmetric3
 direct_product closure subgroup_table all_subgroups INF CoxeterDiagram ComponentType
 SphericalReport recognize_spherical enumerate_order enumerate_group subdiagram
 embed_parabolic diagram_a diagram_b diagram_d diagram_e diagram_f4 diagram_h diagram_i2
-LoopTable IdentityReport chein_loop from_rows is_quasigroup is_loop is_associative
+LoopTable IdentityReport chein_loop is_quasigroup is_loop is_associative
 is_moufang moufang_values chein_values verify_chein_identities
-verify_doubling_identities subloop_closure Morphism AutGroup TrichotomyReport
-SemidirectAutReport DoubledDihedralAutReport automorphism_group compose_images
+verify_doubling_identities AutGroup TrichotomyReport
+SemidirectAutReport DoubledDihedralAutReport automorphism_group
 invert_images is_homomorphism is_automorphism generating_set translation_automorphism
 lifted_automorphism dihedral_decomposition classify_trichotomy
 verify_semidirect_automorphisms verify_doubled_dihedral_automorphisms EdgeComplex
@@ -56,10 +57,36 @@ classify_twisted_amalgams ClassificationReport __version__
 
 
 def test_every_earlier_export_still_resolves():
-    assert len(EXPORTED_BEFORE) == 96
+    assert len(EXPORTED_BEFORE) == 91
     for name in EXPORTED_BEFORE:
         assert name in coxloops.__all__
         assert hasattr(coxloops, name)
+
+
+# the benchmark's tracer (`benchmarks/tracer.py`, read here, never changed)
+# looks up every function it wraps by module and name, so a deleted or moved
+# function would make every traced run fail
+TRACER_CONTRACT = """
+import importlib, json, sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import tracer
+names = sorted(set(tracer.SPANS) | set(tracer.COUNTERS))
+missing = [q for q in names if not hasattr(importlib.import_module(q.rpartition(".")[0]), q.rpartition(".")[2])]
+t = tracer.Tracer(0)
+if not missing:
+    t.install()
+print(json.dumps({{"names": len(names), "missing": missing, "unwrapped": t.unwrapped()}}))
+"""
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    code = TRACER_CONTRACT.format(bench=str(bench), src=str(PACKAGE.parent))
+    # -B: importing the tracer writes no bytecode under benchmarks/
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["names"] > 0 and result["missing"] == [] and result["unwrapped"] == []
 
 
 def test_every_submodule_export_is_a_package_export():

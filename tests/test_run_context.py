@@ -1,10 +1,10 @@
 """One CLI run builds each artifact once.
 
 `main` runs in-process with counting wrappers around every module binding
-of the builders.  Per run, the spherical recognition, H^1, the standard
-amalgam, its core loops and the whole group W are built at most once; the
-edge complex at most twice for a diagram (the amalgam's and H^1's) and once
-for a graph; and `enumerate_group` runs once per distinct core subdiagram
+of the builders.  Per run, the spherical recognition, the edge complex,
+H^1, the standard amalgam (`amalgams._build`, which the CLI calls over the
+complex H^1 uses), its core loops and the whole group W are built at most
+once; and `enumerate_group` runs once per distinct core subdiagram
 plus once for W, unless W is itself a core (rank <= 2).  `group` on a
 diagram reads the element statistics from W's regular action and builds
 W's table over that same action only to print it (order <= 64): it runs
@@ -50,7 +50,7 @@ MODULES = ("cli", "amalgams", "cohomology", "coxeter", "groups", "loops", "morph
 BUILDERS = (
     "recognize_spherical",
     "cohomology",
-    "standard_amalgam",
+    "_build",
     "_build_core_data",
     "build_complex",
     "enumerate_group",
@@ -81,28 +81,28 @@ INPUTS = {
 # input diagram itself
 EXPECTED = {
     ("verify", "B3"): dict(
-        recognize_spherical=1, cohomology=1, standard_amalgam=1, _build_core_data=1,
-        build_complex=2, enumerate_group=4, whole=1, generating_set=3,
+        recognize_spherical=1, cohomology=1, _build=1, _build_core_data=1,
+        build_complex=1, enumerate_group=4, whole=1, generating_set=3,
     ),
     ("verify", "K5"): dict(
-        recognize_spherical=1, cohomology=1, standard_amalgam=1, _build_core_data=1,
-        build_complex=2, enumerate_group=2, whole=0, generating_set=3,
+        recognize_spherical=1, cohomology=1, _build=1, _build_core_data=1,
+        build_complex=1, enumerate_group=2, whole=0, generating_set=3,
     ),
     ("verify", "A2"): dict(
-        recognize_spherical=1, cohomology=1, standard_amalgam=1, _build_core_data=1,
-        build_complex=2, enumerate_group=2, whole=1, generating_set=2,
+        recognize_spherical=1, cohomology=1, _build=1, _build_core_data=1,
+        build_complex=1, enumerate_group=2, whole=1, generating_set=2,
     ),
     ("verify", "I2(8)"): dict(
-        recognize_spherical=1, cohomology=1, standard_amalgam=1, _build_core_data=1,
-        build_complex=2, enumerate_group=2, whole=1, generating_set=2,
+        recognize_spherical=1, cohomology=1, _build=1, _build_core_data=1,
+        build_complex=1, enumerate_group=2, whole=1, generating_set=2,
     ),
     ("amalgams", "A2"): dict(
-        recognize_spherical=1, cohomology=1, standard_amalgam=1, _build_core_data=1,
-        build_complex=2, enumerate_group=2, whole=1,
+        recognize_spherical=1, cohomology=1, _build=1, _build_core_data=1,
+        build_complex=1, enumerate_group=2, whole=1,
     ),
     ("amalgams", "I2(8)"): dict(
-        recognize_spherical=1, cohomology=1, standard_amalgam=1, _build_core_data=1,
-        build_complex=2, enumerate_group=2, whole=1,
+        recognize_spherical=1, cohomology=1, _build=1, _build_core_data=1,
+        build_complex=1, enumerate_group=2, whole=1,
     ),
     ("verify", "D6"): dict(generating_set=2, loop_axiom_failures=1, is_associative=1),
     ("verify", "Q8"): dict(generating_set=2, loop_axiom_failures=1, is_associative=1),
@@ -117,8 +117,8 @@ EXPECTED = {
     ("verify", "graph"): dict(cohomology=1, build_complex=1),
     ("cohomology", "graph"): dict(cohomology=1, build_complex=1),
     ("amalgams", "K4"): dict(
-        recognize_spherical=1, cohomology=1, standard_amalgam=1, _build_core_data=1,
-        build_complex=2, enumerate_group=2, whole=0, generating_set=1,
+        recognize_spherical=1, cohomology=1, _build=1, _build_core_data=1,
+        build_complex=1, enumerate_group=2, whole=0, generating_set=1,
     ),
     ("aut", "A3"): dict(recognize_spherical=1, enumerate_group=1, whole=1, generating_set=2),
     ("group", "F4"): dict(recognize_spherical=1),
