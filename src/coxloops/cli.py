@@ -49,47 +49,14 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import gf2
-from .amalgams import (
-    Amalgam,
-    _build,
-    classify_twisted_amalgams,
-    loop_completion,
-    verify_amalgam,
-    verify_completion,
-)
-from .cohomology import (
-    CohomologyResult,
-    EdgeComplex,
-    build_complex,
-    coefficient_group,
-    cohomology,
-)
-from .coxeter import (
-    CoxeterDiagram,
-    SphericalReport,
-    _group_table,
-    enumerate_group,
-    enumerate_order,
-    recognize_spherical,
-    regular_action,
-)
+from . import amalgams, coxeter, gf2, graphs, groups, loops, morphisms
 from .errors import CheckError, FormatError, ResourceLimitError
-from .graphs import Graph
-from .groups import (
-    GroupTable,
-    IdentityReport,
-    element_statistics,
-    is_associative,
-    loop_axiom_failures,
-)
-from .loops import LoopTable, chein_loop, is_moufang, verify_doubling_identities
-from .morphisms import (
-    automorphism_group,
-    classify_trichotomy,
-    verify_dihedral_decomposition_automorphisms,
-    verify_semidirect_automorphisms,
-)
+
+# the layers are module objects that the package registers lazily, so a
+# layer's body runs when a command first calls into it, and each call looks
+# its function up at call time; `coxloops.cohomology` is the function H^1,
+# so that layer comes from `sys.modules`
+cohomology = sys.modules[f"{__package__}.cohomology"]
 
 # ---------------------------------------------------------------------------
 # input parsing
@@ -134,7 +101,7 @@ def parse_input(text: str):
     )
 
 
-def _parse_coxeter(lines) -> CoxeterDiagram:
+def _parse_coxeter(lines) -> coxeter.CoxeterDiagram:
     rank: Optional[int] = None
     edges: List[Tuple[int, int, object]] = []
     seen = set()
@@ -187,10 +154,10 @@ def _parse_coxeter(lines) -> CoxeterDiagram:
             raise FormatError(f"unknown directive {fields[0]!r} in coxeter input", num)
     if rank is None:
         raise FormatError("missing rank line")
-    return CoxeterDiagram.from_edges(rank, edges)
+    return coxeter.CoxeterDiagram.from_edges(rank, edges)
 
 
-def _parse_graph(lines) -> Graph:
+def _parse_graph(lines) -> graphs.Graph:
     nverts = 0
     edges: List[Tuple[int, int]] = []
     seen = set()
@@ -227,7 +194,7 @@ def _parse_graph(lines) -> Graph:
             raise FormatError(f"unknown directive {fields[0]!r} in graph input", num)
     if nverts == 0:
         raise FormatError("graph has no vertices (add `vertices <n>` or edges)")
-    return Graph(range(1, nverts + 1), edges)
+    return graphs.Graph(range(1, nverts + 1), edges)
 
 
 def _parse_table(lines, order: int, header_num: int) -> List[List[int]]:
@@ -272,34 +239,34 @@ class _Run:
         self.cfg = cfg
 
     @cached_property
-    def spherical(self) -> SphericalReport:
-        return recognize_spherical(self.obj)
+    def spherical(self) -> coxeter.SphericalReport:
+        return coxeter.recognize_spherical(self.obj)
 
     @cached_property
-    def graph(self) -> Graph:
+    def graph(self) -> graphs.Graph:
         return self.obj.underlying_graph() if self.kind == "coxeter" else self.obj
 
     @cached_property
-    def complex(self) -> EdgeComplex:
-        return build_complex(self.graph)
+    def complex(self) -> cohomology.EdgeComplex:
+        return cohomology.build_complex(self.graph)
 
     @cached_property
-    def cohomology(self) -> CohomologyResult:
-        return cohomology(self.complex, strict=self.cfg.strict, cross_check=self.cfg.cross_check)
+    def cohomology(self) -> cohomology.CohomologyResult:
+        return cohomology.cohomology(self.complex, strict=self.cfg.strict, cross_check=self.cfg.cross_check)
 
     @cached_property
-    def amalgam(self) -> Amalgam:
+    def amalgam(self) -> amalgams.Amalgam:
         # the standard amalgam over the run's own complex, which H^1 shares
-        return _build(self.obj, self.complex, frozenset(), "standard")
+        return amalgams._build(self.obj, self.complex, frozenset(), "standard")
 
     @cached_property
-    def rows_loop(self) -> Tuple[Optional[LoopTable], Dict]:
+    def rows_loop(self) -> Tuple[Optional[loops.LoopTable], Dict]:
         """A table as a loop, with the loop axioms certified once as a
         check; the LoopTable only exists when they pass."""
         n = len(self.obj)
-        failure = next(loop_axiom_failures(self.obj), None)
+        failure = next(groups.loop_axiom_failures(self.obj), None)
         if failure is None:
-            return LoopTable(self.obj, validate=False), _check("loop_axioms", True, order=n)
+            return loops.LoopTable(self.obj, validate=False), _check("loop_axioms", True, order=n)
         if failure[0] == "identity":
             witness = "element 0 is not a two-sided identity"
         else:
@@ -307,20 +274,21 @@ class _Run:
         return None, _check("loop_axioms", False, witness=witness, order=n)
 
     @cached_property
-    def associativity(self) -> IdentityReport:
+    def associativity(self) -> groups.IdentityReport:
         """Associativity of the run's loop, the input table (once its loop
         axioms passed) or M(W, 2), swept once per run."""
-        return is_associative(self.rows_loop[0] if self.kind == "table" else chein_loop(self.group))
+        loop = self.rows_loop[0] if self.kind == "table" else loops.chein_loop(self.group)
+        return groups.is_associative(loop)
 
     @cached_property
-    def group(self) -> GroupTable:
+    def group(self) -> groups.GroupTable:
         """W of a diagram, or the group of a table from the run's two
         certificates; its double M(W, 2) is `chein_loop(ctx.group)`, which
         the group keeps."""
         if self.kind == "table":
             if not self.associativity.holds:
                 raise CheckError(self.associativity.brief())
-            return GroupTable(self.obj, validate=False)
+            return groups.GroupTable(self.obj, validate=False)
         if "amalgam" in vars(self) and self.graph.is_connected() and self.obj.rank <= 2:
             # a connected diagram of rank <= 2 is its own core, so when the run
             # built the amalgam (verify, amalgams) W is the core group it
@@ -328,7 +296,7 @@ class _Run:
             w = self.amalgam.core_loop(self.obj.vertices).group
             if w.order <= self.cfg.cap:
                 return w
-        return enumerate_group(self.obj, cap=self.cfg.cap)
+        return coxeter.enumerate_group(self.obj, cap=self.cfg.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +362,8 @@ def _diagram_payload(ctx: _Run) -> Dict:
     }
 
 
-def _graph_payload(graph: Graph) -> Dict:
-    return {
-        "vertices": list(graph.vertices),
-        "edges": list(graph.edges),
-        "connected": graph.is_connected(),
-    }
+def _graph_payload(graph: graphs.Graph, connected: bool) -> Dict:
+    return {"vertices": list(graph.vertices), "edges": list(graph.edges), "connected": connected}
 
 
 def _fields(obj, names: str) -> Dict:
@@ -481,8 +445,8 @@ def _theorems(ctx: _Run, payload: Dict, checks: List[Dict], note: Optional[str] 
     if note:
         checks.append(_skip("automorphism_theorems", note))
         return
-    g, t, budget = ctx.group, chein_loop(ctx.group), ctx.cfg.budget
-    tri = classify_trichotomy(g)
+    g, t, budget = ctx.group, loops.chein_loop(ctx.group), ctx.cfg.budget
+    tri = morphisms.classify_trichotomy(g)
     payload["trichotomy"] = {
         "case": tri.case,
         "label": tri.label,
@@ -493,7 +457,7 @@ def _theorems(ctx: _Run, payload: Dict, checks: List[Dict], note: Optional[str] 
             "involution": tri.decomposition[1],
         },
     }
-    aut = automorphism_group(t, budget=budget)
+    aut = morphisms.automorphism_group(t, budget=budget)
     payload["aut_order"] = aut.order
     payload["aut_nodes"] = aut.nodes
     if tri.case == 1:
@@ -508,7 +472,7 @@ def _theorems(ctx: _Run, payload: Dict, checks: List[Dict], note: Optional[str] 
             )
         )
     elif tri.case == 2:
-        rep = verify_semidirect_automorphisms(g, budget=budget)
+        rep = morphisms.verify_semidirect_automorphisms(g, budget=budget)
         checks.append(
             _check(
                 "aut_is_semidirect_product",
@@ -523,7 +487,7 @@ def _theorems(ctx: _Run, payload: Dict, checks: List[Dict], note: Optional[str] 
             )
         )
     else:
-        rep = verify_dihedral_decomposition_automorphisms(g, tri.decomposition, budget=budget)
+        rep = morphisms.verify_dihedral_decomposition_automorphisms(g, tri.decomposition, budget=budget)
         checks.append(
             _check(
                 "aut_of_doubled_dihedral",
@@ -560,7 +524,8 @@ def _cohomology_blocks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         _check("vertex_stars_acyclic", not stars_bad, witness=stars_bad)
     )
     payload = {
-        **_graph_payload(graph),
+        # H^1 counted the components, so the graph is not walked again
+        **_graph_payload(graph, res.components <= 1),
         "components": res.components,
         "dims": {"z1": res.z1, "b1": res.b1, "h1": res.h1},
         "pair_index": list(res.pair_index),
@@ -575,7 +540,7 @@ def _cohomology_blocks(ctx: _Run) -> Tuple[Dict, List[Dict]]:
 def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
     checks: List[Dict] = []
     a = ctx.amalgam
-    rep = verify_amalgam(a)
+    rep = amalgams.verify_amalgam(a)
     checks.append(
         _check(
             "standard_amalgam_valid",
@@ -590,7 +555,7 @@ def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
     res = ctx.cohomology
     payload["h1_dim"] = res.h1
     if classify:
-        cls = classify_twisted_amalgams(a, budget=ctx.cfg.budget)
+        cls = amalgams.classify_twisted_amalgams(a, budget=ctx.cfg.budget)
         payload.update(
             {
                 "cycle_rank": cls.cycle_rank,
@@ -619,8 +584,8 @@ def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
             )
         )
     if not (note := _double_gate(ctx, "diagram is not spherical; no global doubled loop exists")):
-        loop, maps = loop_completion(a, ctx.group)
-        crep = verify_completion(a, loop, maps)
+        loop, maps = amalgams.loop_completion(a, ctx.group)
+        crep = amalgams.verify_completion(a, loop, maps)
         payload["completion"] = {"loop_order": crep.loop_order}
         checks.append(
             _check(
@@ -642,7 +607,7 @@ def _coefficient_checks(ctx: _Run) -> List[Dict]:
     orders: List[int] = []
     for sigma in a.simplices():
         # coefficient_group raises CheckError when the stabilizer disagrees
-        orders.append(coefficient_group(sigma, a, mode=mode, budget=cfg.budget).order)
+        orders.append(cohomology.coefficient_group(sigma, a, mode=mode, budget=cfg.budget).order)
     entry = _check(
         "coefficient_groups_match_stabilizers",
         True,
@@ -665,7 +630,7 @@ def _cmd_parse(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     if ctx.kind == "coxeter":
         return _diagram_payload(ctx), []
     if ctx.kind == "graph":
-        return _graph_payload(ctx.graph), []
+        return _graph_payload(ctx.graph, ctx.graph.is_connected()), []
     return _head(ctx)
 
 
@@ -679,24 +644,24 @@ def _cmd_group(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         if not assoc.holds:
             return payload, checks
         g = ctx.group
-        stats = element_statistics(g.columns, [(0, a) for a in range(g.order)])
+        stats = groups.element_statistics(g.columns, [(0, a) for a in range(g.order)])
     elif note := _gate(ctx, "entries", payload["order"]):
-        worder = enumerate_order(ctx.obj, cap=ctx.cfg.cap)
+        worder = coxeter.enumerate_order(ctx.obj, cap=ctx.cfg.cap)
         checks.append(_order_check(worder, payload["order"], enumerated=worder))
         checks.append(_skip("element_statistics", note))
         payload.update({"group_order": worder, "table": None, "table_note": note})
         return payload, checks
     else:
         # the statistics walk W's regular action; no table is built for them
-        w = regular_action(ctx.obj, cap=ctx.cfg.cap)
-        stats = element_statistics(w.act, w.tree)
+        w = coxeter.regular_action(ctx.obj, cap=ctx.cfg.cap)
+        stats = groups.element_statistics(w.act, w.tree)
         checks.append(_order_check(stats.order, payload["order"], enumerated=stats.order))
     payload["group_order"] = stats.order
     payload.update(_fields(stats, "abelian elementary_abelian involutions"))
     payload["element_orders"] = {str(k): v for k, v in stats.element_orders.items()}
     if stats.order <= 64:
         # the table of a diagram is built over the action the statistics walked
-        g = ctx.group if ctx.kind == "table" else _group_table(w)
+        g = ctx.group if ctx.kind == "table" else coxeter._group_table(w)
         payload["table"] = [list(row) for row in g.product]
         payload["labels"] = list(g.labels)
     else:
@@ -727,16 +692,16 @@ def _cmd_loop(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         checks.append(_skip("m1", note))
         return payload, checks
     else:
-        t = chein_loop(ctx.group)
+        t = loops.chein_loop(ctx.group)
         payload.update({"group_order": ctx.group.order, "loop_order": t.order})
-        checks.extend(_identity_checks(verify_doubling_identities(ctx.group)))
+        checks.extend(_identity_checks(loops.verify_doubling_identities(ctx.group)))
     if note := _gate(ctx, "triples", t.order):
         for name in ("m1", "m2", "m3"):
             checks.append(_skip(name, note))
         payload["associative"] = None
         payload["assoc_note"] = note
     else:
-        checks.extend(_identity_checks(is_moufang(t)))
+        checks.extend(_identity_checks(loops.is_moufang(t)))
         assoc = ctx.associativity
         payload["associative"] = assoc.holds
         payload["assoc_witness"] = (
@@ -768,7 +733,7 @@ def _cmd_aut(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     if payload.get("associative"):
         _theorems(ctx, doubled, checks)
         table = ctx.group
-    aut = automorphism_group(table, budget=budget)
+    aut = morphisms.automorphism_group(table, budget=budget)
     payload.update({"aut_order": aut.order, "aut_nodes": aut.nodes})
     if doubled:
         payload["doubled"] = doubled
@@ -827,14 +792,14 @@ def _cmd_verify(ctx: _Run) -> Tuple[Dict, List[Dict]]:
     ):
         checks.append(_skip("group_enumeration", note))
         return payload, checks
-    t = chein_loop(ctx.group)
+    t = loops.chein_loop(ctx.group)
     payload.update({"group_order": ctx.group.order, "loop_order": t.order})
     checks.append(_order_check(ctx.group.order, payload["order"]))
-    checks.extend(_identity_checks(verify_doubling_identities(ctx.group)))
+    checks.extend(_identity_checks(loops.verify_doubling_identities(ctx.group)))
     if note := _gate(ctx, "triples", t.order) or _gate(ctx, "verify_loop", t.order):
         checks.append(_skip("m1", note))
     else:
-        checks.extend(_identity_checks(is_moufang(t)))
+        checks.extend(_identity_checks(loops.is_moufang(t)))
     _theorems(ctx, payload, checks, note)
     return payload, checks
 

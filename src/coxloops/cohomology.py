@@ -89,12 +89,13 @@ class VertexStar(_VertexStarFields):  # no __slots__: `kernel` is cached in __di
     """The subcomplex C^*_i of simplices pointed exactly at vertex i, in
     local coordinates (positions in `edges`, `pairs` and `triples`).
 
-    A star built by an `EdgeComplex` holds the complex's `kernels` memo,
-    keyed by the exact local d1 rows, so stars with the same local matrix
-    share one elimination; any other star, a `_replace`d one included,
-    eliminates its own rows."""
+    A star built by an `EdgeComplex` holds the complex's `kernels` and
+    `acyclic` memos, keyed by the exact local matrices, so stars with the
+    same local matrices share one elimination of each kind; any other star,
+    a `_replace`d one included, eliminates its own rows."""
 
     kernels: Optional[Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]]] = None
+    acyclic: Optional[Dict[Tuple, bool]] = None
 
     @cached_property
     def kernel(self) -> Tuple[int, ...]:
@@ -107,8 +108,12 @@ class VertexStar(_VertexStarFields):  # no __slots__: `kernel` is cached in __di
 
     def is_acyclic(self) -> bool:
         """H^1 of a star vanishes: ker d1_i == im d0_i."""
-        image = gf2.transpose(self.d0_rows, len(self.edges))
-        return gf2.gf2_same_span(self.kernel, image, len(self.pairs))
+        key = (self.d0_rows, len(self.edges), self.kernel, len(self.pairs))
+        memo = {} if self.acyclic is None else self.acyclic
+        if key not in memo:
+            image = gf2.transpose(self.d0_rows, len(self.edges))
+            memo[key] = gf2.gf2_same_span(self.kernel, image, len(self.pairs))
+        return memo[key]
 
 
 def _local_rows(degree: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -149,27 +154,29 @@ class EdgeComplex:
     lexicographic order of the filtered all-subsets scan.  `pair_star`, the
     one star map, takes pointed pair k to (its star's vertex, its index
     there); `d1_faces` is d1 as each pointed triple's three face positions.
-    Stars of one degree share their local rows, and `kernels` holds one
-    certified kernel basis per distinct local d1.  The unpointed simplices
-    (`pairs`, `triples` and their empty cores in `core`) are only built on
-    first use.
+    Stars of one degree share their local rows; `kernels` holds one
+    certified kernel basis per distinct local d1, and `acyclic` one
+    acyclicity test per distinct pair of local d0 and kernel.  The
+    unpointed simplices (`pairs`, `triples` and their empty cores in
+    `core`) are only built on first use.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.edges: Tuple[Edge, ...] = graph.edges
         self.edge_pos: Dict[Edge, int] = {e: k for k, e in enumerate(self.edges)}
-        # the local rows once per degree, the star kernels once per
-        # distinct local d1
+        # the local rows once per degree, the star kernels and acyclicity
+        # tests once per distinct local matrix
         local: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         self.kernels: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
+        self.acyclic: Dict[Tuple, bool] = {}
         self.stars: Dict[int, VertexStar] = {}
         for v in graph.vertices:
             edges = tuple(graph.edges_at(v))
             if len(edges) not in local:
                 local[len(edges)] = _local_rows(len(edges))
             self.stars[v] = star = _star(v, edges, local[len(edges)])
-            star.kernels = self.kernels
+            star.kernels, star.acyclic = self.kernels, self.acyclic
         slots = sorted(
             (s, (v, k)) for v, star in self.stars.items() for k, s in enumerate(star.pairs)
         )
@@ -385,9 +392,26 @@ def _cocycles_by_stars(cx: EdgeComplex, vectors: Sequence[int]) -> List[bool]:
     Exact once `_z1_by_stars` has certified d1 block-diagonal by star: the
     rows of d1 at the triples of star i are then d1_i lifted, so d1 v == 0
     iff each star that v touches annihilates v's restriction to its pairs.
+    d1_i w is the XOR of the columns of d1_i at the bits of w (a bit past
+    every row meets none); each distinct local d1 is transposed into its
+    columns once.
     """
+    columns: Dict[int, List[int]] = {}  # id of a star's d1 rows -> their columns
+
+    def annihilates(i: Optional[int], w: int) -> bool:
+        rows = cx.stars[i].d1_rows
+        if id(rows) not in columns:
+            columns[id(rows)] = gf2.transpose(rows, max((r.bit_length() for r in rows), default=0))
+        cols, image = columns[id(rows)], 0
+        w &= (1 << len(cols)) - 1
+        while w:
+            low = w & -w
+            image ^= cols[low.bit_length() - 1]
+            w ^= low
+        return not image
+
     parts = [_restrict(cx, gf2.support(v)).items() for v in vectors]
-    return [not any(gf2.apply_rows(cx.stars[i].d1_rows, w) for i, w in ws) for ws in parts]
+    return [all(annihilates(i, w) for i, w in ws) for ws in parts]
 
 
 def _restrict(cx: EdgeComplex, positions: Sequence[int]) -> Dict[Optional[int], int]:

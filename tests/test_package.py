@@ -12,13 +12,19 @@ with a small table-driven parser, not `argparse`, which pulls in `gettext`
 and `locale`; and the report's input digest comes from CPython's built-in
 SHA-256 module, not from `hashlib`, which loads OpenSSL.  Beyond what an
 interpreter that has used `json` holds, a command loads only the package,
-`__future__` and that SHA-256 module, and streams its JSON report.
+`__future__` and that SHA-256 module, and streams its JSON report.  The
+package registers its layers lazily, so `import coxloops.cli` runs only
+`errors`, and a command runs only the layers its code path reaches; the
+package's exports, `__all__` and `dir` are served on first use, as the
+eager star imports once served them.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +102,10 @@ def test_every_submodule_export_is_a_package_export():
             assert name in coxloops.__all__
             assert getattr(coxloops, name) is getattr(module, name)
     assert len(coxloops.__all__) == len(set(coxloops.__all__))
+    # the layers the package does not bind by name: those an export of theirs names
+    assert coxloops._SHADOWED == tuple(
+        m for m in SUBMODULES if m in importlib.import_module(f"coxloops.{m}").__all__
+    )
 
 
 def test_no_assert_statement_in_the_package():
@@ -170,6 +180,8 @@ print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 
 COLD_RUNS = [
     (["parse", "-"], "coxeter v1\nrank 3\nedge 1 2 3\nedge 2 3 4\n"),
+    (["group", "-"], "coxeter v1\nrank 3\nedge 1 2 3\nedge 2 3 4\n"),
+    (["loop", "-", "--json"], "coxeter v1\nrank 3\nedge 1 2 3\nedge 2 3 4\n"),
     (["verify", "-"], "coxeter v1\nrank 3\nedge 1 2 3\nedge 2 3 4\n"),
     (["verify", "-", "--json"], "table v1 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"),
     (["cohomology", "-"], "graph v1\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\n"),
@@ -199,6 +211,124 @@ def test_a_command_loads_only_the_package_beyond_json(flags):
         added = {name for name in set(loaded) - baseline if name.split(".")[0] != "coxloops"}
         assert added <= allowed, (args, sorted(added - allowed))
         assert not {"argparse", "gettext", "locale"} & set(loaded), args
+
+
+# the layers whose bodies have run: a layer the package registered lazily
+# gets its names, `__all__` first among them, when its body runs
+LAYERS_RUN = f"""
+import io, json, sys
+def ran():
+    ran = []
+    for m in {SUBMODULES!r}:
+        module = sys.modules.get("coxloops." + m)
+        if module is not None and "__all__" in object.__getattribute__(module, "__dict__"):
+            ran.append(m)
+    return sorted(ran)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_importing_the_cli_runs_no_layer_but_errors(flags):
+    code = LAYERS_RUN + """
+import coxloops.cli
+registered = sorted(n for n in sys.modules if n.startswith("coxloops."))
+print(json.dumps([registered, ran()]))
+"""
+    registered, ran = json.loads(_fresh(flags, code).stdout)
+    assert registered == sorted(f"coxloops.{m}" for m in (*SUBMODULES, "cli"))
+    assert ran == ["errors"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_the_first_import_writes_every_layers_bytecode(flags, tmp_path):
+    # a command that first reaches a layer never compiles it: the package
+    # import writes the bytecode of every layer that has none, running none
+    shutil.copytree(PACKAGE, tmp_path / "coxloops", ignore=shutil.ignore_patterns("__pycache__"))
+    code = LAYERS_RUN + "import coxloops; print(json.dumps([coxloops.__file__, ran()]))"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPATH")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60,
+        cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [str(tmp_path / "coxloops" / "__init__.py"), []]
+    for m in SUBMODULES:
+        source = str(tmp_path / "coxloops" / f"{m}.py")
+        assert Path(importlib.util.cache_from_source(source, optimization="1" if flags else "")).is_file(), m
+
+
+# one command run by `main`, as in COMMAND, reporting the layers it ran
+COMMAND_LAYERS = LAYERS_RUN + """
+sys.stdin = io.TextIOWrapper(io.BytesIO({text!r}.encode()))
+from coxloops.cli import main
+code = main({args!r})
+print(json.dumps([code, ran()]), file=sys.stderr)
+"""
+
+# one input of each dialect
+TEXTS = {
+    "coxeter": "coxeter v1\nrank 3\nedge 1 2 3\nedge 2 3 4\n",
+    "graph": "graph v1\nedge 1 2\nedge 2 3\nedge 1 3\nedge 3 4\n",
+    "table": "table v1 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n",
+}
+BELOW_LOOPS = ["errors", "graphs", "groups", "coxeter"]
+TO_COHOMOLOGY = ["errors", "gf2", "graphs", "groups", "loops", "morphisms", "cohomology"]
+
+# command and input dialect -> the layers whose bodies the command runs
+LAYERS_BY_RUN = {
+    ("parse", "coxeter"): BELOW_LOOPS,
+    ("parse", "graph"): ["errors", "graphs"],
+    ("parse", "table"): ["errors", "groups", "loops"],
+    ("group", "coxeter"): BELOW_LOOPS,
+    ("group", "table"): ["errors", "groups", "loops"],
+    ("loop", "coxeter"): [*BELOW_LOOPS, "loops"],
+    ("aut", "coxeter"): [*BELOW_LOOPS, "loops", "morphisms"],
+    ("cohomology", "graph"): TO_COHOMOLOGY,
+    ("verify", "graph"): TO_COHOMOLOGY,
+    ("verify", "coxeter"): SUBMODULES,
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("command,kind", sorted(LAYERS_BY_RUN))
+def test_a_command_runs_only_its_layers(command, kind, flags):
+    code = COMMAND_LAYERS.format(text=TEXTS[kind], args=[command, "-", "--json"])
+    result, ran = json.loads(_fresh(flags, code).stderr.splitlines()[-1])
+    assert result == 0
+    assert ran == sorted(LAYERS_BY_RUN[command, kind])
+
+
+PACKAGE_API = LAYERS_RUN + """
+import coxloops
+ran_at_import = ran()
+names = dir(coxloops)
+star = {}
+exec("from coxloops import *", star)
+print(json.dumps({
+    "ran_at_import": ran_at_import,
+    "ran": ran(),
+    "all": coxloops.__all__,
+    "dir": names,
+    "star": sorted(star.keys() - {"__builtins__"}),
+    "same": all(star[name] is getattr(coxloops, name) for name in coxloops.__all__),
+    "cohomology": coxloops.cohomology is sys.modules["coxloops.cohomology"].cohomology,
+    "layers": {m: getattr(coxloops, m) is sys.modules["coxloops." + m] for m in coxloops._SUBMODULES},
+}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_the_package_api_is_served_on_first_use(flags):
+    got = json.loads(_fresh(flags, PACKAGE_API).stdout)
+    # importing the package runs no layer; `dir` runs them all
+    assert got["ran_at_import"] == [] and got["ran"] == sorted(SUBMODULES)
+    assert set(EXPORTED_BEFORE) <= set(got["all"]) and len(got["all"]) == len(set(got["all"]))
+    assert got["star"] == sorted(got["all"]) and got["same"]
+    assert set(got["all"]) | set(SUBMODULES) <= set(got["dir"]) and got["dir"] == sorted(got["dir"])
+    # the function H^1 wins over its layer; every other layer is the
+    # package attribute of its name
+    assert got["cohomology"]
+    assert got["layers"] == {m: m != "cohomology" for m in SUBMODULES}
 
 
 class _Writes:

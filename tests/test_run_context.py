@@ -41,7 +41,7 @@ import tracemalloc
 
 import pytest
 
-from coxloops import cli, coxeter, gf2, groups, loops, morphisms
+from coxloops import coxeter, gf2, graphs, groups, loops, morphisms
 from coxloops.cli import main, parse_input
 from coxloops.coxeter import RegularAction
 from coxloops.groups import dihedral, quaternion
@@ -166,8 +166,8 @@ def test_one_build_per_artifact(command, name, monkeypatch):
 @pytest.mark.parametrize("command", ["cohomology", "verify"])
 def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
     complexes, kernel_rows, eliminated = [], [], []
-    modules = [importlib.import_module(f"coxloops.{m}") for m in ("cli", "cohomology")]
-    build, kernel, rref = modules[0].build_complex, gf2.gf2_kernel_basis, gf2.gf2_rref
+    cohomology = importlib.import_module("coxloops.cohomology")
+    build, kernel, rref = cohomology.build_complex, gf2.gf2_kernel_basis, gf2.gf2_rref
 
     def building(graph):
         complexes.append(build(graph))
@@ -181,8 +181,7 @@ def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
         eliminated.append((list(rows), ncols))
         return rref(rows, ncols)
 
-    for module in modules:
-        monkeypatch.setattr(module, "build_complex", building)
+    monkeypatch.setattr(cohomology, "build_complex", building)
     monkeypatch.setattr(gf2, "gf2_kernel_basis", kernel_counting)
     monkeypatch.setattr(gf2, "gf2_rref", rref_recording)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS["graph"].encode())))
@@ -197,6 +196,64 @@ def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
     assert len(cx.graph.vertices) == 5 and len(local) == len(kernel_rows) == 2
     assert {id(s.d1_rows) for s in cx.stars.values()} == set(map(id, kernel_rows))
     assert all(s.kernel is cx.kernels[s.d1_rows, len(s.pairs)] for s in cx.stars.values())
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-cross-check"]])
+@pytest.mark.parametrize("command", ["cohomology", "verify"])
+def test_one_acyclicity_test_per_local_matrix(command, flags, monkeypatch):
+    # is_acyclic eliminates the kernel against the image of d0, once per
+    # distinct local matrix: the kernel is the first span it compares
+    complexes, compared = [], []
+    cohomology = importlib.import_module("coxloops.cohomology")
+    build, same_span = cohomology.build_complex, gf2.gf2_same_span
+
+    def building(graph):
+        complexes.append(build(graph))
+        return complexes[-1]
+
+    def comparing(rows_a, rows_b, ncols):
+        compared.append(rows_a)
+        return same_span(rows_a, rows_b, ncols)
+
+    monkeypatch.setattr(cohomology, "build_complex", building)
+    monkeypatch.setattr(gf2, "gf2_same_span", comparing)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS["graph"].encode())))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, "-", "--json", *flags]) == 0
+    [cx] = complexes
+    kernels = [s.kernel for s in cx.stars.values()]
+    assert len(cx.stars) == 5 and len(cx.acyclic) == 2
+    assert sum(any(rows is k for k in kernels) for rows in compared) == 2
+    assert {"name": "vertex_stars_acyclic", "status": "pass"} in json.loads(out.getvalue())["checks"]
+
+
+@pytest.mark.parametrize("name", ["connected", "disconnected"])
+def test_cohomology_walks_the_components_once(name, monkeypatch):
+    # H^1 counts the components, and the report's `connected` is read off
+    # that count; parse walks them for `connected` itself
+    text = INPUTS["graph"] + ("edge 6 7\n" if name == "disconnected" else "")
+    walks = []
+    components = graphs.connected_components
+
+    def walking(g):
+        walks.append(g)
+        return components(g)
+
+    for module in (graphs, importlib.import_module("coxloops.cohomology")):
+        monkeypatch.setattr(module, "connected_components", walking)
+    reports = {}
+    for command in ("cohomology", "parse"):
+        walks.clear()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "-", "--json"]) == 0
+        reports[command] = json.loads(out.getvalue())
+        assert len(walks) == 1, command
+    connected = name == "connected"
+    assert reports["cohomology"]["connected"] is reports["parse"]["connected"] is connected
+    assert reports["cohomology"]["components"] == (1 if connected else 2)
 
 
 @pytest.mark.parametrize("name", ["B3", "D6"])
@@ -279,8 +336,7 @@ def test_one_regular_action_per_group_run(name, monkeypatch):
         actions.append(d)
         return action(d, cap)
 
-    for module in (cli, coxeter):
-        monkeypatch.setattr(module, "regular_action", counting)
+    monkeypatch.setattr(coxeter, "regular_action", counting)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS[name].encode())))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -296,7 +352,7 @@ FORGED = RegularAction(((1, 2, 3, 4, 5, 5),) * 2, ((0, -1), (0, 0), (0, 1), (1, 
 
 
 def test_a_forged_action_is_a_check_failure(monkeypatch):
-    monkeypatch.setattr(cli, "regular_action", lambda d, cap: FORGED)
+    monkeypatch.setattr(coxeter, "regular_action", lambda d, cap: FORGED)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS["A2"].encode())))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -307,9 +363,8 @@ def test_a_forged_action_is_a_check_failure(monkeypatch):
 def test_a_forged_action_is_a_check_failure_under_optimize():
     code = "\n".join([
         "import io, sys",
-        "from coxloops import cli",
-        "from coxloops.coxeter import RegularAction",
-        f"cli.regular_action = lambda d, cap: RegularAction{tuple(FORGED)!r}",
+        "from coxloops import cli, coxeter",
+        f"coxeter.regular_action = lambda d, cap: coxeter.RegularAction{tuple(FORGED)!r}",
         f"sys.stdin = io.TextIOWrapper(io.BytesIO({INPUTS['A2'].encode()!r}))",
         "print(__debug__, cli.main(['group', '-']))",
     ])
