@@ -86,19 +86,61 @@ def parse_input(text: str):
     if fields[:2] == ["graph", "v1"] and len(fields) == 2:
         return ("graph", _parse_graph(rest))
     if fields[:2] == ["table", "v1"]:
-        if len(fields) != 3:
-            raise FormatError("table header must read `table v1 <order>`", num)
-        try:
-            order = int(fields[2])
-        except ValueError:
-            raise FormatError(f"table order {fields[2]!r} is not an integer", num)
-        if order < 1:
-            raise FormatError(f"table order must be >= 1, got {order}", num)
+        order = _count(fields, "table header", "table v1 <order>", "table order", num)
         return ("table", _parse_table(rest, order, num))
     raise FormatError(
         f"unknown header {header!r} (expected `coxeter v1`, `graph v1`, or `table v1 <order>`)",
         num,
     )
+
+
+def _count(fields: List[str], where: str, usage: str, what: str, num: int) -> int:
+    """The positive count that ends a line reading `usage`: a rank, a vertex
+    count or a table order, named `what`; `where` names the line."""
+    if len(fields) != len(usage.split()):
+        raise FormatError(f"{where} must read `{usage}`", num)
+    try:
+        n = int(fields[-1])
+    except ValueError:
+        raise FormatError(f"{what} {fields[-1]!r} is not an integer", num)
+    if n < 1:
+        raise FormatError(f"{what} must be >= 1, got {n}", num)
+    return n
+
+
+def _edge(fields: List[str], num: int, seen: set, rank: Optional[int] = None) -> Tuple[int, int, object]:
+    """The endpoints of an edge line, and its label on a diagram of `rank`
+    (None on a graph): the rules of both dialects, in the order they fire.
+    `seen` holds the edges read so far, as sorted pairs."""
+    usage = "edge <i> <j>" if rank is None else "edge <i> <j> <m>"
+    if len(fields) != len(usage.split()):
+        raise FormatError(f"edge line must read `{usage}`", num)
+    try:
+        i, j = int(fields[1]), int(fields[2])
+    except ValueError:
+        raise FormatError("edge endpoints must be integers", num)
+    if rank is None and min(i, j) < 1:
+        raise FormatError(f"edge ({i},{j}) endpoints must be >= 1", num)
+    if rank is not None and not (1 <= min(i, j) and max(i, j) <= rank):
+        raise FormatError(f"edge ({i},{j}) out of range for rank {rank}", num)
+    if i == j:
+        raise FormatError(f"edge ({i},{j}) is a loop", num)
+    m: object = None
+    if rank is not None:
+        if fields[3] == "inf":
+            m = math.inf
+        else:
+            try:
+                m = int(fields[3])
+            except ValueError:
+                raise FormatError(f"edge label {fields[3]!r} must be an integer >= 3 or `inf`", num)
+            if m < 3:
+                raise FormatError(f"edge label must be >= 3 or the pair left to the default 2, got {m}", num)
+    key = (min(i, j), max(i, j))
+    if key in seen:
+        raise FormatError(f"duplicate edge ({key[0]},{key[1]})", num)
+    seen.add(key)
+    return i, j, m
 
 
 def _parse_coxeter(lines) -> coxeter.CoxeterDiagram:
@@ -110,46 +152,11 @@ def _parse_coxeter(lines) -> coxeter.CoxeterDiagram:
         if fields[0] == "rank":
             if rank is not None:
                 raise FormatError("duplicate rank line", num)
-            if len(fields) != 2:
-                raise FormatError("rank line must read `rank <n>`", num)
-            try:
-                rank = int(fields[1])
-            except ValueError:
-                raise FormatError(f"rank {fields[1]!r} is not an integer", num)
-            if rank < 1:
-                raise FormatError(f"rank must be >= 1, got {rank}", num)
+            rank = _count(fields, "rank line", "rank <n>", "rank", num)
         elif fields[0] == "edge":
             if rank is None:
                 raise FormatError("edge line before rank line", num)
-            if len(fields) != 4:
-                raise FormatError("edge line must read `edge <i> <j> <m>`", num)
-            try:
-                i, j = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError("edge endpoints must be integers", num)
-            if not (1 <= i <= rank and 1 <= j <= rank):
-                raise FormatError(f"edge ({i},{j}) out of range for rank {rank}", num)
-            if i == j:
-                raise FormatError(f"edge ({i},{j}) is a loop", num)
-            if fields[3] == "inf":
-                m: object = math.inf
-            else:
-                try:
-                    m = int(fields[3])
-                except ValueError:
-                    raise FormatError(
-                        f"edge label {fields[3]!r} must be an integer >= 3 or `inf`", num
-                    )
-                if m < 3:
-                    raise FormatError(
-                        f"edge label must be >= 3 or the pair left to the default 2, got {m}",
-                        num,
-                    )
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise FormatError(f"duplicate edge ({key[0]},{key[1]})", num)
-            seen.add(key)
-            edges.append((i, j, m))
+            edges.append(_edge(fields, num, seen, rank))
         else:
             raise FormatError(f"unknown directive {fields[0]!r} in coxeter input", num)
     if rank is None:
@@ -164,31 +171,10 @@ def _parse_graph(lines) -> graphs.Graph:
     for num, line in lines:
         fields = line.split()
         if fields[0] == "vertices":
-            if len(fields) != 2:
-                raise FormatError("vertices line must read `vertices <n>`", num)
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise FormatError(f"vertex count {fields[1]!r} is not an integer", num)
-            if n < 1:
-                raise FormatError(f"vertex count must be >= 1, got {n}", num)
-            nverts = max(nverts, n)
+            nverts = max(nverts, _count(fields, "vertices line", "vertices <n>", "vertex count", num))
         elif fields[0] == "edge":
-            if len(fields) != 3:
-                raise FormatError("edge line must read `edge <i> <j>`", num)
-            try:
-                i, j = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError("edge endpoints must be integers", num)
-            if i < 1 or j < 1:
-                raise FormatError(f"edge ({i},{j}) endpoints must be >= 1", num)
-            if i == j:
-                raise FormatError(f"edge ({i},{j}) is a loop", num)
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise FormatError(f"duplicate edge ({key[0]},{key[1]})", num)
-            seen.add(key)
-            edges.append(key)
+            i, j, _ = _edge(fields, num, seen)
+            edges.append((i, j))
             nverts = max(nverts, i, j)
         else:
             raise FormatError(f"unknown directive {fields[0]!r} in graph input", num)
@@ -243,6 +229,12 @@ class _Run:
         return coxeter.recognize_spherical(self.obj)
 
     @cached_property
+    def connected(self) -> bool:
+        """Whether a diagram's underlying graph is connected, read off the
+        components its recognition split it into."""
+        return len(self.spherical.components) <= 1
+
+    @cached_property
     def graph(self) -> graphs.Graph:
         return self.obj.underlying_graph() if self.kind == "coxeter" else self.obj
 
@@ -289,7 +281,7 @@ class _Run:
             if not self.associativity.holds:
                 raise CheckError(self.associativity.brief())
             return groups.GroupTable(self.obj, validate=False)
-        if "amalgam" in vars(self) and self.graph.is_connected() and self.obj.rank <= 2:
+        if "amalgam" in vars(self) and self.connected and self.obj.rank <= 2:
             # a connected diagram of rank <= 2 is its own core, so when the run
             # built the amalgam (verify, amalgams) W is the core group it
             # enumerated; past --cap, enumerate_group below still refuses W
@@ -741,7 +733,7 @@ def _cmd_aut(ctx: _Run) -> Tuple[Dict, List[Dict]]:
 
 
 def _cmd_amalgams(ctx: _Run) -> Tuple[Dict, List[Dict]]:
-    if not ctx.graph.is_connected():
+    if not ctx.connected:
         raise FormatError(
             "the amalgams command needs a connected diagram (underlying graph)"
         )
@@ -778,7 +770,7 @@ def _cmd_verify(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         ]
     else:
         checks.extend(_coefficient_checks(ctx))
-        if not ctx.graph.is_connected():
+        if not ctx.connected:
             checks.append(_skip("standard_amalgam_valid", "underlying graph is disconnected"))
         else:
             note = _gate(ctx, "verify_classes", coh_payload["dims"]["h1"])

@@ -82,6 +82,78 @@ def test_parse_errors_exit_4():
     assert run(["parse", "-"], "table v1 2\n0 1\n1\n").returncode == 4
 
 
+# one malformed document per FormatError of the three dialects, then a few
+# with two faults, where the first rule fires: the exact message on stderr
+# after `error: `, with exit code 4
+PARSE_ERRORS = [
+    ('', 'empty input (no significant lines)'),
+    ('# only a comment\n\n', 'empty input (no significant lines)'),
+    ('table v1\n', 'line 1: table header must read `table v1 <order>`'),
+    ('table v1 two\n', "line 1: table order 'two' is not an integer"),
+    ('table v1 0\n', 'line 1: table order must be >= 1, got 0'),
+    ('nonsense v9\n',
+     "line 1: unknown header 'nonsense v9' (expected `coxeter v1`, `graph v1`, or `table v1 <order>`)"),
+    ('coxeter v1 extra\n',
+     "line 1: unknown header 'coxeter v1 extra' (expected `coxeter v1`, `graph v1`, or `table v1 <order>`)"),
+    ('coxeter v1\nrank 2\nrank 3\n', 'line 3: duplicate rank line'),
+    ('coxeter v1\nrank\n', 'line 2: rank line must read `rank <n>`'),
+    ('coxeter v1\nrank two\n', "line 2: rank 'two' is not an integer"),
+    ('coxeter v1\nrank 0\n', 'line 2: rank must be >= 1, got 0'),
+    ('coxeter v1\nedge 1 2 3\nrank 2\n', 'line 2: edge line before rank line'),
+    ('coxeter v1\nrank 2\nedge 1 2\n', 'line 3: edge line must read `edge <i> <j> <m>`'),
+    ('coxeter v1\nrank 2\nedge 1 b 3\n', 'line 3: edge endpoints must be integers'),
+    ('coxeter v1\nrank 2\nedge 1 3 3\n', 'line 3: edge (1,3) out of range for rank 2'),
+    ('coxeter v1\nrank 2\nedge 0 1 3\n', 'line 3: edge (0,1) out of range for rank 2'),
+    ('coxeter v1\nrank 2\nedge 2 2 3\n', 'line 3: edge (2,2) is a loop'),
+    ('coxeter v1\nrank 2\nedge 1 2 x\n', "line 3: edge label 'x' must be an integer >= 3 or `inf`"),
+    ('coxeter v1\nrank 2\nedge 1 2 2\n',
+     'line 3: edge label must be >= 3 or the pair left to the default 2, got 2'),
+    ('coxeter v1\nrank 2\nedge 1 2 3\nedge 2 1 4\n', 'line 4: duplicate edge (1,2)'),
+    ('coxeter v1\nrank 2\nvertices 2\n', "line 3: unknown directive 'vertices' in coxeter input"),
+    ('coxeter v1\n', 'missing rank line'),
+    ('coxeter v1\nrank 2\nedge 1 1 2\n', 'line 3: edge (1,1) is a loop'),
+    ('coxeter v1\nrank 2\nedge 1 2 3\nedge 2 1 2\n',
+     'line 4: edge label must be >= 3 or the pair left to the default 2, got 2'),
+    ('coxeter v1\nrank 2\nedge 1 2 3 # c\nedge 1 2 3\n', 'line 4: duplicate edge (1,2)'),
+    ('graph v1\nvertices\n', 'line 2: vertices line must read `vertices <n>`'),
+    ('graph v1\nvertices many\n', "line 2: vertex count 'many' is not an integer"),
+    ('graph v1\nvertices 0\n', 'line 2: vertex count must be >= 1, got 0'),
+    ('graph v1\nedge 1 2 3\n', 'line 2: edge line must read `edge <i> <j>`'),
+    ('graph v1\nedge 1 x\n', 'line 2: edge endpoints must be integers'),
+    ('graph v1\nedge 0 2\n', 'line 2: edge (0,2) endpoints must be >= 1'),
+    ('graph v1\nedge 3 3\n', 'line 2: edge (3,3) is a loop'),
+    ('graph v1\nedge 1 2\nedge 2 1\n', 'line 3: duplicate edge (1,2)'),
+    ('graph v1\nrank 2\n', "line 2: unknown directive 'rank' in graph input"),
+    ('graph v1\n', 'graph has no vertices (add `vertices <n>` or edges)'),
+    ('graph v1\nedge 0 0\n', 'line 2: edge (0,0) endpoints must be >= 1'),
+    ('graph v1\nedge -1 -1\n', 'line 2: edge (-1,-1) endpoints must be >= 1'),
+    ('table v1 2\n0 1\n1 0\n0 1\n', 'line 4: extra row after the 2 table rows'),
+    ('table v1 2\n0 1\n1\n', 'line 3: table row has 1 entries, expected 2'),
+    ('table v1 2\n0 1\n1 z\n', "line 3: table entry 'z' is not an integer"),
+    ('table v1 2\n0 1\n1 2\n', 'line 3: table entry 2 out of range 0..1'),
+    ('table v1 2\n0 1\n', 'line 1: table has 1 rows, expected 2'),
+    ('table v1 2\n0 -1\n', 'line 2: table entry -1 out of range 0..1'),
+    ('table v1 2\n0 1 2\n', 'line 2: table row has 3 entries, expected 2'),    # two faults on one line, or one over two lines: the rule that fires first
+    ('coxeter v1\nedge 1 2\n', 'line 2: edge line before rank line'),
+    ('coxeter v1\nrank 2\nedge 0 0 3\n', 'line 3: edge (0,0) out of range for rank 2'),
+    ('coxeter v1\nrank 2\nrank x\n', 'line 3: duplicate rank line'),
+    ('table v1 0 1\n', 'line 1: table header must read `table v1 <order>`'),
+    ('coxeter v1\nrank 2\nedge 1 x 2 9\n', 'line 3: edge line must read `edge <i> <j> <m>`'),
+    ('coxeter v1\nrank 2\nedge 1 2 inf\nedge 1 2 inf\n', 'line 4: duplicate edge (1,2)'),
+    ('graph v1\nvertices 0 1\n', 'line 2: vertices line must read `vertices <n>`'),
+    ('graph v1\nedge 1 x 9\n', 'line 2: edge line must read `edge <i> <j>`'),
+    ('coxeter v1\nrank 0 1\n', 'line 2: rank line must read `rank <n>`'),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_each_parse_error_has_its_message(text, message, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    assert cli.main(["parse", "-"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_usage_errors_exit_4():
     assert run(["bogus", "-"], "").returncode == 4
     assert run(["group", "/nonexistent/path"], "").returncode == 4

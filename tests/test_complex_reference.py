@@ -36,7 +36,6 @@ from coxloops.amalgams import (
 )
 from coxloops.cohomology import (
     VertexStar,
-    _cocycles_by_stars,
     _z1_by_stars,
     build_complex,
     cohomology,
@@ -357,8 +356,8 @@ def assert_same_complex(graph: Graph) -> None:
     z_basis = [v for vs in z_at.values() for v in vs]
     result = cohomology(cx)
     assert _z1_by_stars(cx, z_at) == reference_z1(ref, z_basis) == result.z1
-    # the per-star cocycle test against d1 over the whole complex, on
-    # cocycles and on vectors that touch one star or several
+    # d1 from the faces against the dense d1, on cocycles and on vectors
+    # that touch one star or several
     singles = [1 << k for k in range(len(ref.pointed_pairs))]
     vectors = (
         z_basis + list(result.h_basis) + singles
@@ -366,7 +365,14 @@ def assert_same_complex(graph: Graph) -> None:
     )
     dense = [gf2.apply_rows(ref.d1_rows, v) for v in vectors]
     assert [apply_d1(cx, v) for v in vectors] == dense
-    assert _cocycles_by_stars(cx, vectors) == [not d1v for d1v in dense]
+    # what the B^1 and H^1 certificates claim, by elimination over the dense
+    # rows: the H^1 representatives are cocycles, B spans im d0, and B u H
+    # is independent
+    npairs = len(ref.pointed_pairs)
+    assert not any(dense[len(z_basis):len(z_basis) + result.h1])
+    d0_cols = gf2.transpose(ref.d0_rows, len(ref.edges))
+    assert gf2.gf2_same_span(result.b_basis, d0_cols, npairs)
+    assert gf2.gf2_rank(result.b_basis + result.h_basis, npairs) == result.b1 + result.h1
 
 
 def complete(n: int) -> List[Tuple[int, int]]:
@@ -518,6 +524,52 @@ def test_h1_representative_not_a_cocycle_is_refused(flags):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split(maxsplit=2) == [
         str(not flags), "CheckError", "an H^1 representative is not a cocycle\n"
+    ]
+
+
+B_AND_H_FORGERIES = """
+import importlib
+
+from coxloops.errors import CheckError
+from coxloops.graphs import Graph
+
+coho = importlib.import_module("coxloops.cohomology")
+genuine = coho.spanning_tree
+# two triangles on the edge (2, 3): BFS from 1 leaves (2, 3) and (3, 4)
+# out of the tree, at the vertices 2 and 3
+graph = Graph(range(1, 5), [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+for kind in ("column_of_one_edge", "class_repeated"):
+    cx = coho.build_complex(graph)
+    if kind == "column_of_one_edge":
+        # pointed pair 0 is ((1, 2), (1, 3)); its d0 row keeps the bit of
+        # (1, 2) alone, so the d0 columns of the component no longer sum to 0
+        cx.d0_rows[0] &= -cx.d0_rows[0]
+    else:
+        # the first non-tree edge twice: each representative is a cocycle,
+        # and there are h1 of them, but they span one class
+        coho.spanning_tree = lambda g: genuine(g)._replace(
+            nontree_edges=genuine(g).nontree_edges[:1] * 2,
+            chosen_vertex=genuine(g).chosen_vertex[:1] * 2,
+        )
+    try:
+        coho.cohomology(cx)
+    except CheckError as e:
+        print(__debug__, kind, "CheckError", e)
+    else:
+        print(__debug__, kind, "accepted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_b1_not_spanning_or_h1_dependent_is_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", B_AND_H_FORGERIES], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug = str(not flags)
+    assert [line.split(maxsplit=3) for line in proc.stdout.splitlines()] == [
+        [debug, "column_of_one_edge", "CheckError", "closed-form B basis does not span im d0"],
+        [debug, "class_repeated", "CheckError", "H^1 representatives are not independent over B^1"],
     ]
 
 

@@ -161,10 +161,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
 
 
 # a fresh interpreter that has used json, and imported the light stdlib
-# modules the package names, as every command does
+# modules the package names, as every command does; `importlib.util` among
+# them, for `LazyLoader`, which a `site` .pth file may or may not have loaded
 BASELINE = """
 import json, sys
-import collections, functools, importlib, itertools, math, operator, os, types, typing
+import collections, functools, importlib, importlib.util, itertools, math, operator, os, types, typing
 json.loads(json.dumps({"a": [1, None]}, indent=2))
 print(json.dumps(sorted(sys.modules)))
 """

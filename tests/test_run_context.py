@@ -18,7 +18,9 @@ loop.  So are the certificates of an input table: its loop-axiom checks
 made once per run.  A certificate counts when its table equals the input.
 
 On a graph, each vertex star's kernel is eliminated once per run, with
-or without the cross-check, and no elimination runs over the global d1.
+or without the cross-check, and no elimination runs over the global d1;
+over whole-complex C^1 vectors the cross-check makes one elimination, of
+the B^1 basis and the H^1 representatives together.
 
 Every identity that `loop` or `verify` reports with a `checked` count, and
 the associativity behind an `associative` field, is one `groups._sweep`
@@ -185,11 +187,18 @@ def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
     monkeypatch.setattr(gf2, "gf2_kernel_basis", kernel_counting)
     monkeypatch.setattr(gf2, "gf2_rref", rref_recording)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS["graph"].encode())))
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert main([command, "-", "--json", *flags]) == 0
     [cx] = complexes
+    npairs = len(cx.pointed_pairs)
     d1_rows = [gf2.vector_from_support(faces) for faces in cx.d1_faces]
-    assert d1_rows and (d1_rows, len(cx.pointed_pairs)) not in eliminated
+    assert d1_rows and (d1_rows, npairs) not in eliminated
+    # over whole-complex C^1 vectors, the cross-check eliminates B u H and
+    # nothing else: B^1 and the cocycles are certified without elimination
+    report = json.loads(out.getvalue())
+    b_and_h = [gf2.vector_from_support(s) for s in report["b_basis"] + report["h_basis"]]
+    assert [rows for rows, ncols in eliminated if ncols == npairs] == [b_and_h] * (not flags)
     # one elimination per distinct local matrix: the stars of one degree
     # share their rows and their kernel
     local = {(s.d1_rows, len(s.pairs)) for s in cx.stars.values()}
@@ -228,11 +237,17 @@ def test_one_acyclicity_test_per_local_matrix(command, flags, monkeypatch):
     assert {"name": "vertex_stars_acyclic", "status": "pass"} in json.loads(out.getvalue())["checks"]
 
 
-@pytest.mark.parametrize("name", ["connected", "disconnected"])
+@pytest.mark.parametrize("name", ["connected", "disconnected", "B3"])
 def test_cohomology_walks_the_components_once(name, monkeypatch):
     # H^1 counts the components, and the report's `connected` is read off
-    # that count; parse walks them for `connected` itself
-    text = INPUTS["graph"] + ("edge 6 7\n" if name == "disconnected" else "")
+    # that count; parse walks them for `connected` itself.  A diagram's
+    # recognition walks them too, and `verify` and `amalgams` read whether
+    # the diagram is connected off it: two walks, one per source
+    if name == "B3":
+        text, expected = INPUTS["B3"], {"cohomology": 1, "parse": 1, "verify": 2, "amalgams": 2}
+    else:
+        text = INPUTS["graph"] + ("edge 6 7\n" if name == "disconnected" else "")
+        expected = {"cohomology": 1, "parse": 1}
     walks = []
     components = graphs.connected_components
 
@@ -240,17 +255,19 @@ def test_cohomology_walks_the_components_once(name, monkeypatch):
         walks.append(g)
         return components(g)
 
-    for module in (graphs, importlib.import_module("coxloops.cohomology")):
+    for module in (graphs, coxeter, importlib.import_module("coxloops.cohomology")):
         monkeypatch.setattr(module, "connected_components", walking)
     reports = {}
-    for command in ("cohomology", "parse"):
+    for command, count in expected.items():
         walks.clear()
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main([command, "-", "--json"]) == 0
         reports[command] = json.loads(out.getvalue())
-        assert len(walks) == 1, command
+        assert len(walks) == count, command
+    if name == "B3":
+        return
     connected = name == "connected"
     assert reports["cohomology"]["connected"] is reports["parse"]["connected"] is connected
     assert reports["cohomology"]["components"] == (1 if connected else 2)
