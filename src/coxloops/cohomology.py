@@ -29,13 +29,18 @@ at vertex i containing e) span the cocycles, global coboundaries d0(a_e)
 span the coboundaries, and the classes of d0_{o_j}(a_{e_j}) over the
 non-tree edges e_j of a spanning tree form a basis of H^1.  The module
 verifies all of this with one elimination per distinct star kernel and one
-global one.  Z^1 is certified one vertex star at a time: d1 is
-block-diagonal by star, so ker d1 is the direct sum of the star kernels,
-and the closed-form cocycles at each vertex span its star's kernel.  B^1
-spans im d0 because the d0 columns of each component sum to 0.  The one
-global elimination, of B^1 and the H^1 representatives together, shows
-them independent.  Each H^1 representative at vertex o is one of the
-certified cocycles at o, or their sum, so it is a cocycle.
+over half-edge coordinates, none over C^1.  Z^1 is certified one vertex
+star at a time: d1 is block-diagonal by star, so ker d1 is the direct sum
+of the star kernels, and the closed-form cocycles at each vertex span its
+star's kernel.  B^1 spans im d0 because the d0 columns of each component
+sum to 0.  B^1 and the H^1 representatives are independent by one
+elimination of their lifts to the 2|E| half-edge coordinates (i, e), one
+per vertex i and edge e at i, standing for d0_i(a_e); each star's
+all-ones block spans the kernel of that map and joins the elimination.
+Each H^1 representative at vertex o is one of the certified cocycles at
+o, or their sum, so it is a cocycle and lifts to a coordinate at o; each
+B^1 vector, the d0 column of e = (u, v), is checked to be
+d0_u(a_e) + d0_v(a_e).
 
 Coefficient systems: for the standard amalgam over a diagram, the
 coefficient group A_sigma attached to a simplex is the subgroup of
@@ -56,12 +61,12 @@ from itertools import combinations
 from operator import xor
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from . import gf2
+# `groups`, `loops` and `morphisms` are the package's lazy module objects:
+# each body runs when the coefficient-group code below first calls into
+# it, so H^1 and the edge complex run on `gf2` and `graphs` alone
+from . import gf2, groups, loops, morphisms
 from .errors import CheckError
 from .graphs import Edge, Graph, connected_components, spanning_tree
-from .groups import closure, composer
-from .loops import LoopTable
-from .morphisms import automorphism_group, is_automorphism
 
 Simplex = Tuple[Edge, ...]  # sorted tuple of edges
 
@@ -294,16 +299,16 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
     vertices contribute nothing); `strict=True` rejects them instead.
     The closed forms are certified unless `cross_check` is off: Z^1 by
     elimination per vertex star (`_z1_by_stars`), B^1 spanning im d0 by the
-    zero sum of each component's d0 columns, B^1 and H^1 independent by
-    one elimination over the whole complex, and each H^1 representative as
-    one of the certified cocycles at its vertex or their sum.
+    zero sum of each component's d0 columns, each H^1 representative as
+    one of the certified cocycles at its vertex or their sum, and B^1 and
+    H^1 independent by one elimination over half-edge coordinates
+    (`_independent_over_b1`).
     """
     graph = cx.graph
     comps = connected_components(graph)
     edge_comps = [c for c in comps if c.edges]
     if strict and len(comps) > 1:
         raise ValueError(f"graph has {len(comps)} components (strict mode)")
-    npairs = len(cx.pointed_pairs)
 
     # closed-form dimensions
     z1 = sum(d - 1 for v in graph.vertices if (d := graph.degree(v)) >= 2)
@@ -343,14 +348,7 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
         # the others, and B spans im d0
         if any(reduce(xor, (d0_cols[cx.edge_pos[e]] for e in c.edges)) for c in edge_comps):
             raise CheckError("closed-form B basis does not span im d0")
-        # the one global elimination: B u H independent, so B is a basis of
-        # im d0 (rank d0 = b1), and H is independent over B
-        if gf2.gf2_rank(b_basis + h_basis, npairs) != b1 + h1:
-            raise CheckError("H^1 representatives are not independent over B^1")
-        # `_z1_by_stars` certified the cocycles z_at[o]; d0_o(a_e) is one of
-        # them, or their sum when e is o's first edge
-        if any(h not in z_at[o] and h != reduce(xor, z_at[o], 0) for h, o in zip(h_basis, h_at)):
-            raise CheckError("an H^1 representative is not a cocycle")
+        _independent_over_b1(cx, z_at, d0_cols, edge_comps, h_basis, h_at)
     if len(z_basis) != z1 or len(b_basis) != b1 or len(h_basis) != h1:
         raise CheckError("closed-form basis sizes disagree with dimensions")
 
@@ -368,6 +366,64 @@ def cohomology(cx: EdgeComplex, strict: bool = False, cross_check: bool = True) 
     )
 
 
+def _independent_over_b1(
+    cx: EdgeComplex,
+    z_at: Dict[int, List[int]],
+    d0_cols: List[int],
+    edge_comps: List[Graph],
+    h_basis: List[int],
+    h_at: List[int],
+) -> None:
+    """Certify B u H independent by one elimination in half-edge
+    coordinates, once `_z1_by_stars` has certified the cocycles `z_at`.
+
+    Coordinate (i, e), for a vertex i and an edge e at i, stands for the
+    local coboundary d0_i(a_e): the cocycle z_at[i] of e, or their sum for
+    i's first edge f_i.  The cocycles at i lie in star i, the stars' pairs
+    are disjoint, and the cocycles are independent (`cohomology` checks
+    that there are dim Z^1 of them), so the kernel of that map is spanned
+    by each star's all-ones block K_i.  Each vector of B u H is checked to
+    be the image of its lift: an H^1 representative at o is a local
+    coboundary at o, and the d0 column of e = (u, v) is
+    d0_u(a_e) + d0_v(a_e).  Then rank(lifts u K) = rank(B u H) + |K|, over
+    2|E| columns instead of one per pointed pair.
+    """
+    slot: Dict[Tuple[int, Edge], int] = {}  # (i, e) -> its coordinate
+    local: List[int] = []  # the local coboundary of each coordinate
+    kernel: List[int] = []  # K_i, for each star with edges
+    for i, star in cx.stars.items():
+        if star.edges:
+            kernel.append((1 << len(star.edges)) - 1 << len(local))
+            slot.update(((i, e), len(local) + k) for k, e in enumerate(star.edges))
+            local += [reduce(xor, z_at[i], 0), *z_at[i]]
+    # d0_o(a_e) is one of the cocycles at o, or their sum when e is o's
+    # first edge; the lift is the first coordinate at o that it equals
+    h_lifts = []
+    for h, o in zip(h_basis, h_at):
+        first = slot[o, cx.stars[o].edges[0]]
+        block = local[first:first + len(cx.stars[o].edges)]
+        if h not in block:
+            raise CheckError("an H^1 representative is not a cocycle")
+        h_lifts.append(1 << first + block.index(h))
+    # the sum stands for d0_i(a_{f_i}): the local coboundaries at i sum to 0
+    for i, star in cx.stars.items():
+        if star.edges and vertex_coboundary(cx, i, star.edges[0]) != local[slot[i, star.edges[0]]]:
+            raise CheckError(f"the local coboundaries at {i} do not sum to 0")
+    # each B vector is the sum of its edge's two ends' local coboundaries;
+    # then so is the column B skips: it is the sum of the others, and the
+    # lifts of all of a component's edges sum to its K blocks
+    b_lifts = []
+    for c in edge_comps:
+        for e in c.edges[1:]:
+            u, v = slot[e[0], e], slot[e[1], e]
+            if d0_cols[cx.edge_pos[e]] != local[u] ^ local[v]:
+                raise CheckError(f"the d0 column of {e} is not the sum of its ends' local coboundaries")
+            b_lifts.append(1 << u | 1 << v)
+    # the K rows last: eliminated first, they cost 3-4 times as much
+    if gf2.gf2_rank(b_lifts + h_lifts + kernel, len(local)) != len(b_lifts) + len(h_lifts) + len(kernel):
+        raise CheckError("H^1 representatives are not independent over B^1")
+
+
 def _z1_by_stars(cx: EdgeComplex, z_at: Dict[int, List[int]]) -> int:
     """dim Z^1 by elimination, one vertex star at a time, certifying that
     the closed-form cocycles `z_at[i]` at each vertex i span ker d1 there.
@@ -376,16 +432,37 @@ def _z1_by_stars(cx: EdgeComplex, z_at: Dict[int, List[int]]) -> int:
     pairs, and each global d1 row (the sum of its faces) must be its star
     row lifted.  Then d1 is block-diagonal by star, ker d1 is the direct
     sum of the lifted star kernels, and dim Z^1 sums the star nullities.
+    A global row finds its star row through the star's local d1, indexed
+    once per distinct matrix, so nothing but one byte per triple is held.
     """
     slots = sorted(((i, k), s) for i, star in cx.stars.items() for k, s in enumerate(star.pairs))
     if sorted(zip(cx.pair_star, cx.pointed_pairs)) != slots or len(cx.pointed_pairs) != len(slots):
         raise CheckError("the vertex stars do not partition the pointed pairs")
-    rows = {s: (i, r) for i, star in cx.stars.items() for s, r in zip(star.triples, star.d1_rows)}
-    bad = [  # each star row is popped by the one global row of its triple
-        t for t, (s, faces) in enumerate(zip(cx.pointed_triples, cx.d1_faces))
-        if [*_restrict(cx, faces).items()] != [rows.pop(s, None)]
-    ]
-    if bad or rows or len(cx.d1_faces) != len(cx.pointed_triples):
+    # each distinct local d1 is indexed once, row -> local triple, and each
+    # star fetches its index once; `hit` marks the star triples matched, at
+    # each star's offset
+    index: Dict[Tuple[Tuple[int, ...], int], Dict[int, int]] = {}
+    at: Dict[int, Tuple[Dict[int, int], Tuple[Simplex, ...], int]] = {}
+    size = 0
+    for i, star in cx.stars.items():
+        key = (star.d1_rows, len(star.triples))
+        if key not in index:
+            index[key] = {r: k for k, r in zip(range(key[1]), key[0])}
+        at[i] = (index[key], star.triples, size)
+        size += len(star.triples)
+    hit = bytearray(size)
+    bad = []  # each star row is matched by the one global row of its triple
+    for t, (s, faces) in enumerate(zip(cx.pointed_triples, cx.d1_faces)):
+        local = _restrict(cx, faces)
+        if len(local) == 1 and None not in local:
+            [(i, r)] = local.items()
+            rows, triples, offset = at[i]
+            k = rows.get(r)
+            if k is not None and triples[k] == s and not hit[offset + k]:
+                hit[offset + k] = 1
+                continue
+        bad.append(t)
+    if bad or hit.count(0) or len(cx.d1_faces) != len(cx.pointed_triples):
         raise CheckError(f"d1 rows {bad} are not the lifted rows of their vertex stars")
     z1 = 0
     for i, star in cx.stars.items():
@@ -412,18 +489,18 @@ def _restrict(cx: EdgeComplex, positions: Sequence[int]) -> Dict[Optional[int], 
 # coefficient groups of the standard amalgam
 
 
-def vertex_twist(t: LoopTable) -> Tuple[int, ...]:
+def vertex_twist(t: loops.LoopTable) -> Tuple[int, ...]:
     """The order-2 automorphism of the Klein doubled loop M(Z2, 2) swapping
     the generator s with s*u and fixing u."""
     if t.group_order != 2 or t.order != 4:
         raise CheckError(f"vertex twist needs M(Z2, 2), got a loop of order {t.order}")
     images = (0, 3, 2, 1)
-    if not is_automorphism(t, images):
+    if not morphisms.is_automorphism(t, images):
         raise CheckError("vertex twist must be an automorphism")
     return images
 
 
-def edge_twist(t: LoopTable) -> Tuple[int, ...]:
+def edge_twist(t: loops.LoopTable) -> Tuple[int, ...]:
     """The order-2 automorphism of a doubled dihedral loop M(W, 2):
     inversion on the rotation subgroup H < W, w -> w*u on the reflections,
     h*u -> h^-1*u, w*u -> w.
@@ -435,7 +512,7 @@ def edge_twist(t: LoopTable) -> Tuple[int, ...]:
     gens = t.group_generators
     if n is None or len(gens) != 2:
         raise CheckError("edge twist needs a doubled loop with two reflection generators")
-    rot = set(closure(t, [t.product[gens[0]][gens[1]]]))
+    rot = set(groups.closure(t, [t.product[gens[0]][gens[1]]]))
     if len(rot) * 2 != n:
         raise CheckError("generators must present a dihedral group")
     images = []
@@ -444,7 +521,7 @@ def edge_twist(t: LoopTable) -> Tuple[int, ...]:
     for g in range(n):
         images.append(n + t.rinv[g] if g in rot else g)
     images_t = tuple(images)
-    if not is_automorphism(t, images_t):
+    if not morphisms.is_automorphism(t, images_t):
         raise CheckError("edge twist must be an automorphism")
     if any(images_t[images_t[x]] != x for x in range(t.order)):
         raise CheckError("edge twist must be an involution")
@@ -483,7 +560,7 @@ def coefficient_group(
     core, inside Aut(G_sigma); mode="none" skips the brute force.
     """
     sigma = tuple(sorted(tuple(sorted(e)) for e in sigma))
-    loop: LoopTable = amalgam.loop_of(sigma)
+    loop: loops.LoopTable = amalgam.loop_of(sigma)
     core = amalgam.core_of(sigma)
 
     if not core:
@@ -503,7 +580,7 @@ def coefficient_group(
         raise ValueError(f"unknown mode {mode!r}")
     brute = None if mode == "none" else len(_set_stabilizer(loop, targets, budget))
 
-    if gen is not None and not is_automorphism(loop, gen):
+    if gen is not None and not morphisms.is_automorphism(loop, gen):
         raise CheckError(f"coefficient group generator at {sigma} is not an automorphism")
     result = CoefficientGroup(sigma, core, closed_order, gen, brute, mode)
     if mode == "structural" and not result.agrees:
@@ -515,7 +592,7 @@ def coefficient_group(
 
 
 def _set_stabilizer(
-    loop: LoopTable, targets: Collection[FrozenSet[int]], budget: int
+    loop: loops.LoopTable, targets: Collection[FrozenSet[int]], budget: int
 ) -> List[Tuple[int, ...]]:
     """The automorphisms of `loop` that map every target set onto itself,
     sorted: the list that filtering `automorphism_group(loop).elements`
@@ -529,15 +606,15 @@ def _set_stabilizer(
     members only.  So every automorphism is tested, and only the prefixes
     and the members are held.
     """
-    aut = automorphism_group(loop, budget=budget)
+    aut = morphisms.automorphism_group(loop, budget=budget)
     bits = [0] * aut.degree  # bit i: the point lies in the i-th target
     for i, s in enumerate(targets):
         for x in s:
             bits[x] |= 1 << i
     sig = tuple(bits)
     identity = tuple(range(aut.degree))
-    levels = [[composer(t) for t in level.values()] for level in aut.transversals]
-    last = levels.pop() if levels else [composer(identity)]
+    levels = [[groups.composer(t) for t in level.values()] for level in aut.transversals]
+    last = levels.pop() if levels else [groups.composer(identity)]
     members: List[Tuple[int, ...]] = []
     stack = [(identity, sig, 0)]
     while stack:

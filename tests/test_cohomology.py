@@ -4,12 +4,13 @@ Frozen values: (z1, b1, h1) for the named graphs, the full triangle bases,
 and the divergence of the literal coface-stabilizer reading of the
 coefficient groups on sparse graphs (order 12 vs closed form 2).  At the
 `H¹` frontier (`-m slow`), the dims and a digest of the bases of seeded
-graphs with 1500 and 4000 edges and of a dense one (2000 edges on 200
-vertices).
+graphs with 1500 and 4000 edges and of two dense ones (2000 edges on 200
+vertices, 4000 on 400), and the peak memory of the larger dense one.
 """
 
 import hashlib
 import json
+import os
 import random
 import resource
 import subprocess
@@ -310,7 +311,9 @@ def bases_digest(r) -> str:
 
 # (seed, vertices, edges) -> (z1, b1, h1) and the bases' digest, pinned
 # with the column-scan elimination that lowest-bit pivots replaced; the
-# dense graph's with the dense global d1 rows that its faces replaced
+# 2000-edge dense graph's with the dense global d1 rows that its faces
+# replaced, the 4000-edge one's with the elimination of B u H over all
+# pointed pairs that the half-edge coordinates replaced
 H1_FRONTIER = [
     (
         (1500, 750, 1500),
@@ -327,12 +330,19 @@ H1_FRONTIER = [
         (3800, 1999, 1801),
         "572c7ecaafe72f4749c6315ba7ce306fc657a98b2070f76542fdd1b1d1b98a42",
     ),
+    (
+        (4001, 400, 4000),
+        (7600, 3999, 3601),
+        "08545a27a0471937abcf186a60bbcf819d43f8dfbf010c4a2b6bad1cc28b8cf5",
+    ),
 ]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "shape,dims,digest", H1_FRONTIER, ids=["1500_edges", "4000_edges", "2000_dense_edges"]
+    "shape,dims,digest",
+    H1_FRONTIER,
+    ids=["1500_edges", "4000_edges", "2000_dense_edges", "4000_dense_edges"],
 )
 def test_h1_frontier_frozen(shape, dims, digest):
     r = cohomology(build_complex(frontier_graph(*shape)), cross_check=True)
@@ -368,3 +378,34 @@ def test_dense_graph_cohomology_fits_in_256_mb():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [1900, 999, 901]
+
+
+DENSE_PEAK = """
+import json, sys
+from coxloops.cohomology import build_complex, cohomology
+from coxloops.graphs import Graph
+
+nverts, edges = json.load(sys.stdin)
+r = cohomology(build_complex(Graph(range(1, nverts + 1), map(tuple, edges))), cross_check=True)
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([r.dims, peak_kb]))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak memory is read from VmHWM")
+def test_dense_4000_edges_certify_within_300_mb():
+    # average degree 20: 530,537 pointed triples over 79,833 pointed pairs;
+    # a fresh process, so the peak is this build and certificate alone
+    edges = frontier_graph(4001, 400, 4000).edges
+    proc = subprocess.run(
+        [sys.executable, "-c", DENSE_PEAK],
+        input=json.dumps([400, edges]),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    dims, peak_kb = json.loads(proc.stdout)
+    assert dims == [7600, 3999, 3601] and peak_kb <= 300 << 10

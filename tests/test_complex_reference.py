@@ -14,6 +14,7 @@ orbit of the standard amalgam, which the one-sweep classification uses.
 """
 
 import importlib
+import json
 import subprocess
 import sys
 from itertools import combinations
@@ -479,6 +480,23 @@ def test_d1_not_block_diagonal_by_star_is_refused(flags):
     assert lines[3][3] == "d1 rows [] are not the lifted rows of their vertex stars"
 
 
+@pytest.mark.parametrize("kind,bad", [("swapped", "0, 1"), ("repeated", "1")])
+def test_d1_rows_within_a_star_moved_are_refused(kind, bad):
+    # the first two pointed triples of K5 lie in the star at 1.  Swapped,
+    # their rows still span that star's block, but each is another triple's;
+    # the first repeated, with its row, in place of the second, it matches
+    # the star's first row twice and leaves the second unmatched
+    cx = build_complex(Graph(range(1, 6), complete(5)))
+    assert cx.stars[1].triples[:2] == cx.pointed_triples[:2]
+    if kind == "swapped":
+        cx.d1_faces[:2] = cx.d1_faces[1::-1]
+    else:
+        cx.pointed_triples = cx.pointed_triples[:1] * 2 + cx.pointed_triples[2:]
+        cx.d1_faces[1] = cx.d1_faces[0]
+    with pytest.raises(CheckError, match=rf"^d1 rows \[{bad}\] are not the lifted rows"):
+        cohomology(cx)
+
+
 def test_closed_form_cocycle_leaving_its_star_is_refused(monkeypatch):
     coho = importlib.import_module("coxloops.cohomology")
     cx = build_complex(GRAPHS["triangle"])
@@ -488,6 +506,19 @@ def test_closed_form_cocycle_leaving_its_star_is_refused(monkeypatch):
         coho, "vertex_coboundary", lambda cx, i, e: genuine(cx, i, e) | foreign * (i == 1)
     )
     with pytest.raises(CheckError, match="a closed-form cocycle at 1 leaves its star"):
+        cohomology(cx)
+
+
+def test_local_coboundaries_not_summing_to_0_are_refused(monkeypatch):
+    # the first edge at 3 is (1, 3); no basis asks for d0_3(a_(1, 3)), the
+    # sum of the cocycles at 3, so only the half-edge certificate reads it
+    coho = importlib.import_module("coxloops.cohomology")
+    cx = build_complex(GRAPHS["triangle"])
+    genuine = coho.vertex_coboundary
+    monkeypatch.setattr(
+        coho, "vertex_coboundary", lambda cx, i, e: 0 if (i, e) == (3, (1, 3)) else genuine(cx, i, e)
+    )
+    with pytest.raises(CheckError, match="the local coboundaries at 3 do not sum to 0"):
         cohomology(cx)
 
 
@@ -571,6 +602,47 @@ def test_b1_not_spanning_or_h1_dependent_is_refused(flags):
         [debug, "column_of_one_edge", "CheckError", "closed-form B basis does not span im d0"],
         [debug, "class_repeated", "CheckError", "H^1 representatives are not independent over B^1"],
     ]
+
+
+MOVED_ROW = """
+import json
+
+from coxloops.cohomology import build_complex, cohomology
+from coxloops.errors import CheckError
+from coxloops.graphs import Graph
+
+for n in (4, 5):
+    graph = Graph(range(1, n + 1), [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)])
+    for k in (0, 7, -1):
+        # the d0 row of pointed pair k names its first edge and the first
+        # edge outside the pair: two bits in one component, so the
+        # component's d0 columns still sum to 0
+        cx = build_complex(graph)
+        e, f = cx.pointed_pairs[k]
+        g = next(g for g in cx.edges if g not in (e, f))
+        cx.d0_rows[k] = 1 << cx.edge_pos[e] | 1 << cx.edge_pos[g]
+        try:
+            cohomology(cx)
+        except CheckError as err:
+            print(json.dumps([__debug__, "CheckError", [f, g], str(err)]))
+        else:
+            print(json.dumps([__debug__, "accepted", [f, g], ""]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_d0_row_moved_to_another_edge_of_its_component_is_refused(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", MOVED_ROW], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [[not flags, "CheckError"]] * 6
+    # the column named is one that lost or gained the row's bit
+    for _, _, moved, message in lines:
+        assert message in [
+            f"the d0 column of {tuple(e)} is not the sum of its ends' local coboundaries" for e in moved
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ TEXTS = {
     "table": "table v1 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n",
 }
 BELOW_LOOPS = ["errors", "graphs", "groups", "coxeter"]
-TO_COHOMOLOGY = ["errors", "gf2", "graphs", "groups", "loops", "morphisms", "cohomology"]
+TO_COHOMOLOGY = ["errors", "gf2", "graphs", "cohomology"]
 
 # command and input dialect -> the layers whose bodies the command runs
 LAYERS_BY_RUN = {
@@ -284,7 +284,9 @@ LAYERS_BY_RUN = {
     ("group", "table"): ["errors", "groups", "loops"],
     ("loop", "coxeter"): [*BELOW_LOOPS, "loops"],
     ("aut", "coxeter"): [*BELOW_LOOPS, "loops", "morphisms"],
+    ("cohomology", "coxeter"): [*BELOW_LOOPS, "gf2", "cohomology"],
     ("cohomology", "graph"): TO_COHOMOLOGY,
+    ("amalgams", "coxeter"): SUBMODULES,
     ("verify", "graph"): TO_COHOMOLOGY,
     ("verify", "coxeter"): SUBMODULES,
 }
@@ -297,6 +299,21 @@ def test_a_command_runs_only_its_layers(command, kind, flags):
     result, ran = json.loads(_fresh(flags, code).stderr.splitlines()[-1])
     assert result == 0
     assert ran == sorted(LAYERS_BY_RUN[command, kind])
+
+
+# H^1 of a graph through the library, with the cross-check on
+GRAPH_H1_LAYERS = LAYERS_RUN + """
+from coxloops.cohomology import build_complex, cohomology
+from coxloops.graphs import Graph
+dims = cohomology(build_complex(Graph(range(1, 5), [(1, 2), (2, 3), (1, 3), (3, 4)]))).dims
+print(json.dumps([dims, ran()]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_h1_of_a_graph_runs_only_its_layers(flags):
+    dims, ran = json.loads(_fresh(flags, GRAPH_H1_LAYERS).stdout)
+    assert dims == [4, 3, 1] and ran == sorted(TO_COHOMOLOGY)
 
 
 PACKAGE_API = LAYERS_RUN + """

@@ -18,9 +18,10 @@ loop.  So are the certificates of an input table: its loop-axiom checks
 made once per run.  A certificate counts when its table equals the input.
 
 On a graph, each vertex star's kernel is eliminated once per run, with
-or without the cross-check, and no elimination runs over the global d1;
-over whole-complex C^1 vectors the cross-check makes one elimination, of
-the B^1 basis and the H^1 representatives together.
+or without the cross-check, and no elimination runs over the global d1
+or over whole-complex C^1 vectors; the cross-check makes one elimination
+over the 2|E| half-edge coordinates, of the lifts of the B^1 basis and
+the H^1 representatives with each star's all-ones block.
 
 Every identity that `loop` or `verify` reports with a `checked` count, and
 the associativity behind an `associative` field, is one `groups._sweep`
@@ -194,11 +195,20 @@ def test_one_elimination_per_vertex_star(command, flags, monkeypatch):
     npairs = len(cx.pointed_pairs)
     d1_rows = [gf2.vector_from_support(faces) for faces in cx.d1_faces]
     assert d1_rows and (d1_rows, npairs) not in eliminated
-    # over whole-complex C^1 vectors, the cross-check eliminates B u H and
-    # nothing else: B^1 and the cocycles are certified without elimination
+    # nothing is eliminated over whole-complex C^1 vectors: the cross-check
+    # eliminates the lifts of B u H once, over the half-edge coordinates,
+    # with each star's all-ones block K_i after them
     report = json.loads(out.getvalue())
-    b_and_h = [gf2.vector_from_support(s) for s in report["b_basis"] + report["h_basis"]]
-    assert [rows for rows, ncols in eliminated if ncols == npairs] == [b_and_h] * (not flags)
+    assert all(ncols != npairs for _, ncols in eliminated)
+    blocks, half_edges = [], 0
+    for star in cx.stars.values():
+        blocks.append((1 << len(star.edges)) - 1 << half_edges)
+        half_edges += len(star.edges)
+    assert half_edges == 2 * len(cx.edges) != npairs
+    lifted = [rows for rows, ncols in eliminated if ncols == half_edges]
+    assert [(len(rows), rows[-len(blocks):]) for rows in lifted] == [
+        (len(report["b_basis"]) + len(report["h_basis"]) + len(blocks), blocks)
+    ] * (not flags)
     # one elimination per distinct local matrix: the stars of one degree
     # share their rows and their kernel
     local = {(s.d1_rows, len(s.pairs)) for s in cx.stars.values()}
