@@ -32,10 +32,19 @@ __version__ = "0.1.0"
 _SUBMODULES = ("errors", "gf2", "graphs", "groups", "coxeter", "loops", "morphisms", "cohomology", "amalgams")
 _SHADOWED = ("cohomology",)
 
+
+def _bytecode_current(spec) -> bool:
+    """Whether the layer's bytecode exists and is not older than its source."""
+    try:
+        return os.stat(spec.cached).st_mtime >= os.stat(spec.origin).st_mtime
+    except OSError:
+        return False
+
+
 # each layer is a source file beside this one
 for _name in _SUBMODULES:
     _spec = spec_from_file_location(f"{__name__}.{_name}", os.path.join(__path__[0], f"{_name}.py"))
-    if not (sys.dont_write_bytecode or _spec.cached is None or os.path.exists(_spec.cached)):
+    if not (sys.dont_write_bytecode or _spec.cached is None or _bytecode_current(_spec)):
         # compiled now, and its bytecode written, so that no command pays to
         # compile a layer when it first reaches it
         _spec.loader.get_code(_spec.name)

@@ -21,22 +21,23 @@ only free choices — the automorphisms of the edge loops stabilizing the
 embedded subloops — propagating each choice to every higher simplex and
 checking consistency, so a failed search certifies non-isomorphism.
 
-`classify_twisted_amalgams` needs one gauge sweep, not one search per
-pair: the same space of edge assignments theta, walked depth first from
-the standard amalgam with each vertex tested as soon as its edges are
-assigned, lists the orbit O of the standard amalgam (every a_S isomorphic
-to it) at once.  Every map an edge induces at a vertex j commutes with
-the vertex twist gamma_j, which the sweep certifies on the finite local
-data; so the orbit of every a_T is T + O, O is certified to be a subgroup
-of the deltas under symmetric difference, and the classes are its cosets.
-That is the H^1 = Z^1 / B^1 statement, certified by exhaustion in one
-sweep instead of 2^(2n-1) searches.
+`classify_twisted_amalgams` needs one GF(2) elimination, not one search
+per pair.  Every map an edge induces at a vertex j is the identity or
+the vertex twist gamma_j, which is certified on the finite local data;
+so the edge assignments theta that carry the standard amalgam to some
+a_S are the solutions of one linear system, and the orbit O of the
+standard amalgam (every a_S isomorphic to it) is the image of its
+kernel.  The orbit of every a_T is T + O, O is certified to be a
+subgroup of the deltas under symmetric difference, and the classes are
+its cosets.  That is the H^1 = Z^1 / B^1 statement, certified by one
+elimination instead of 2^(2n-1) searches.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, product as iproduct
+from math import prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
@@ -46,7 +47,7 @@ from .errors import CheckError, ResourceLimitError
 from .graphs import Edge, SpanningTree, spanning_tree
 from .groups import GroupTable, closure, compose
 from .loops import LoopTable, chein_loop
-from .morphisms import is_homomorphism
+from .morphisms import is_automorphism, is_homomorphism
 
 Simplex = Tuple[Edge, ...]
 
@@ -165,8 +166,7 @@ def _build(
     for tau in cx.simplices():
         j_tau = cx.core[tau]
         for size in range(1, len(tau)):
-            for rho_edges in combinations(tau, size):
-                rho = tuple(rho_edges)
+            for rho in combinations(tau, size):
                 j_rho = cx.core[rho]
                 if j_tau == j_rho:
                     images = tuple(range(core_data[j_tau].loop.order))
@@ -267,11 +267,9 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
         if len(tau) < 3:
             continue
         for mid in range(2, len(tau)):
-            for rho_edges in combinations(tau, mid):
-                rho = tuple(rho_edges)
+            for rho in combinations(tau, mid):
                 for small in range(1, mid):
-                    for sig_edges in combinations(rho, small):
-                        sig = tuple(sig_edges)
+                    for sig in combinations(rho, small):
                         chains += 1
                         via = compose(a.connecting(rho, sig), a.connecting(tau, rho))
                         if via != a.connecting(tau, sig):
@@ -353,13 +351,21 @@ class IsoReport(namedtuple("IsoReport", [
 def _edge_candidates(a: Amalgam, e: Edge, budget: int) -> List[Tuple[int, ...]]:
     """Automorphisms of the edge loop compatible with every coface image.
 
-    The connecting-map images out of a coface depend only on the core (the
-    twists act inside the subloop), so the candidate set is the stabilizer
-    of the embedded Klein subloops — and of {0, u} when some coface has
-    empty core — inside Aut(L_e)."""
-    sigma = (e,)
-    targets = {frozenset(a.connecting(tau, sigma)) for tau in a.complex.cofaces(sigma)}
-    return _set_stabilizer(a.loop_of(sigma), targets, budget)
+    The connecting-map images out of a coface depend only on its core (the
+    twists act inside the subloop), which is an end of e or empty, so the
+    candidate set is the stabilizer of one image per distinct core inside
+    Aut(L_e): the Klein subloop of each end of degree >= 2, from a pointed
+    pair there, and {0, u} when some coface has empty core.  When both
+    ends have degree >= 2, {0, u} is where their Klein subloops meet, so
+    it is stabilized already; else a coface of empty core is e with an
+    edge disjoint from it."""
+    cx = a.complex
+    near = [f for f in (next((f for f in cx.stars[j].edges if f != e), None) for j in e) if f]
+    cofaces = [(e, f) for f in near]
+    if len(near) < 2:
+        cofaces += [(e, g) for g in cx.edges if not set(g) & set(e)][:1]
+    targets = {frozenset(a.connecting(tuple(sorted(tau)), (e,))) for tau in cofaces}
+    return _set_stabilizer(a.loop_of((e,)), targets, budget)
 
 
 def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> IsoReport:
@@ -382,9 +388,7 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
 
     edges = list(a.complex.edges)
     cand = {e: _edge_candidates(a, e, budget) for e in edges}
-    space = 1
-    for e in edges:
-        space *= len(cand[e])
+    space = prod(len(cand[e]) for e in edges)
 
     # preinvert the b-maps out of every >=2 simplex once
     binv: Dict[Tuple[Simplex, Simplex], Dict[int, int]] = {}
@@ -409,11 +413,8 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
                 continue
             derived: Optional[Tuple[int, ...]] = None
             for e in tau:
-                rho = (e,)
-                lookup = binv[(tau, rho)]
-                te = theta[rho]
-                pa = a.maps[(tau, rho)]
-                cur = tuple(lookup[te[pa[x]]] for x in range(len(pa)))
+                lookup, te = binv[(tau, (e,))], theta[(e,)]
+                cur = tuple(lookup[te[y]] for y in a.maps[(tau, (e,))])
                 if derived is None:
                     derived = cur
                 elif derived != cur:
@@ -429,8 +430,6 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
 
 
 def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]]) -> None:
-    from .morphisms import is_automorphism
-
     for sigma in a.simplices():
         if not is_automorphism(a.loop_of(sigma), theta[tuple(sigma)]):
             raise CheckError("isomorphism witness is not an automorphism family")
@@ -465,18 +464,21 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
     the standard amalgam `a` into isomorphism classes; the expected outcome
     is 2^n singleton classes.
 
-    One gauge sweep (`_standard_orbit`) lists the orbit O of the standard
-    amalgam, and certifies that the orbit of every delta T is T + O.  O is
-    certified to contain the empty delta and to be closed under symmetric
-    difference, so the classes are the cosets of O, numbered in the order
-    their first deltas come (by size, then lexicographically).
+    One GF(2) elimination (`_standard_orbit`) gives the orbit O of the
+    standard amalgam, as the image of the kernel of one linear system over
+    the edge assignments, and certifies that the orbit of every delta T is
+    T + O.  O is certified to contain the empty delta and to be closed
+    under symmetric difference, so the classes are the cosets of O,
+    numbered in the order their first deltas come (by size, then
+    lexicographically).
     `pairs_checked` is that of the greedy pairwise comparison, each delta
     against the first member of every class so far: k + 1 for a delta that
     joins class k, the number of classes so far for one that opens a new
     class.  Every merge is still confirmed by `amalgams_isomorphic` and
     carries its checked witness.  The budget applies as in the pairwise
-    search: ResourceLimitError when n >= 1 and the space of one search
-    exceeds it.
+    search: ResourceLimitError when n >= 1 and the space of one search,
+    the product of the per-edge candidate counts, exceeds it, though the
+    elimination does not walk that space.
     """
     if a.twists:
         raise ValueError("classification starts from the standard amalgam")
@@ -526,8 +528,9 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
 
 def _standard_orbit(a: Amalgam, st: SpanningTree, budget: int) -> Set[int]:
     """The deltas S (bit k - 1 for e_k) with a_S isomorphic to the standard
-    amalgam `a`, found by one sweep over the edge assignments theta of
-    `amalgams_isomorphic` (every twisted amalgam has the same candidates).
+    amalgam `a`, over the edge assignments theta of `amalgams_isomorphic`
+    (every twisted amalgam has the same candidates), as the image of the
+    kernel of one GF(2) system.
 
     The maps of a_T and of `a` differ only in the Klein-into-edge
     components psi_{j,e} = iota_{j,e} o gamma_j^{T(j,e)}, and the loop map
@@ -540,104 +543,78 @@ def _standard_orbit(a: Amalgam, st: SpanningTree, budget: int) -> Set[int]:
     Translation lemma, certified here for every such j, e and candidate f:
     r_{j,e}(f) commutes with gamma_j (CheckError otherwise).  Then flipping
     T(j,e) and S(j,e) together leaves the map unchanged, so the orbit of
-    a_T is T + (the orbit of `a`), and one sweep with T empty serves every
+    a_T is T + (the orbit of `a`), and one system with T empty serves every
     T.  (The lemma holds on every connected graph with n >= 1: each
     candidate stabilizes the Klein subloops of both endpoints of e, which
     meet in the identity and u, or, when e is pendant, the one at j and
     the image {identity, u} of a cycle edge disjoint from e.  So it fixes
-    u, and r_{j,e}(f) is the identity or gamma_j.)
+    u, and r_{j,e}(f) is the identity or gamma_j.)  That reading, bit
+    b_{j,e}(f), is certified too (CheckError otherwise).
 
-    gamma_j is a nontrivial involution, so the first edge at j fixes the
-    S-pattern at j up to one flip, and only the patterns inside
-    {e_k : o_k = j} are normalized.  The sweep is a depth-first search
-    over `cx.edges` in order that tests each vertex as soon as its last
-    edge is assigned and prunes the subtree when the test fails; each leaf
-    yields the S it reaches.
+    So theta is accepted with pattern S exactly when S(j,e) + b_{j,e}(theta_e)
+    is one value c_j over the star of each j of degree >= 2.  The
+    candidates of e = (u, v) form a group and r is a homomorphism, so the
+    pairs R_e of (b_{u,e}, b_{v,e}) form a subgroup of Z2^2, certified
+    closed under XOR, with coordinates x_e over its basis.  Only the slots
+    (o_k, e_k) are normalized: S(o_k, e_k) is bit k of the delta and every
+    other S(j,e) is 0.  One row per slot (j, e), the delta bit + the R_e
+    coordinate at j + c_j = 0, over the unknowns delta, c and x; the orbit
+    is the span of the kernel basis read on the delta bits.
     """
     cx = a.complex
-    edges = cx.edges
-    cand = [_edge_candidates(a, e, budget) for e in edges]
-    space = 1
-    for c in cand:
-        space *= len(c)
-    if space > budget:
+    cand = {e: _edge_candidates(a, e, budget) for e in cx.edges}
+    if prod(len(c) for c in cand.values()) > budget:
         raise ResourceLimitError(f"amalgam isomorphism search exceeded budget={budget}")
-    twist_bit = {
-        (o, e): 1 << k for k, (o, e) in enumerate(zip(st.chosen_vertex, st.nontree_edges))
-    }
+    n = len(st.nontree_edges)
+    twist_bit = {(o, e): 1 << k for k, (o, e) in enumerate(zip(st.chosen_vertex, st.nontree_edges))}
 
-    # per vertex j of degree >= 2, tested after its last edge: the first
-    # edge's position and, per candidate, the ids of its induced maps for
-    # S(j, e) = 0 and 1; then (pattern bit, position, maps) for every other
-    # edge at j; and the S-patterns at j (bit p for the p-th edge at j)
-    # that are normalized, with the deltas they stand for
-    tests: List[List[Tuple]] = [[] for _ in edges]
-    for j in cx.graph.vertices:
+    # the unknowns: the delta bits, c_j for the k-th vertex j in column n + k,
+    # then a basis of each R_e; one row per slot (j, e), and per candidate
+    # of e = (u, v) its pair in R_e, b_{u,e} in bit 0 and b_{v,e} in bit 1
+    rows: Dict[Tuple[int, Edge], int] = {}
+    pairs = {e: [0] * len(c) for e, c in cand.items()}
+    for k, j in enumerate(cx.graph.vertices):
         star = cx.stars[j].edges
         if len(star) < 2:
             continue
         gamma = vertex_twist(a.core_loop((j,)).loop)
-        ids: Dict[Tuple[int, ...], int] = {}
-        rows = []
-        for p, e in enumerate(star):
+        for e in star:
             other = star[1] if e == star[0] else star[0]
             iota = a.connecting(tuple(sorted((e, other))), (e,))
             psi = (iota, compose(iota, gamma))
             inv = [{y: x for x, y in enumerate(q)} for q in psi]
-            maps = []
-            for f in cand[cx.edge_pos[e]]:
+            for i, f in enumerate(cand[e]):
                 # m[t][s]: the induced map for T(j, e) = t and S(j, e) = s
-                m = [
-                    [ids.setdefault(tuple(inv[s][f[x]] for x in psi[t]), len(ids)) for s in (0, 1)]
-                    for t in (0, 1)
-                ]
+                m = [[tuple(inv[s][f[x]] for x in psi[t]) for s in (0, 1)] for t in (0, 1)]
                 if m[0] != m[1][::-1]:
                     raise CheckError(
                         f"an induced map at vertex {j} through edge {e} "
                         "does not commute with the vertex twist"
                     )
-                maps.append(m[0])
-            rows.append((1 << p, cx.edge_pos[e], maps))
-        normal = [(1 << p, twist_bit[(j, e)]) for p, e in enumerate(star) if (j, e) in twist_bit]
-        patterns = {0: 0}
-        for bit, delta_bit in normal:
-            patterns.update({m | bit: d | delta_bit for m, d in patterns.items()})
-        last = max(pos for _, pos, _ in rows)
-        tests[last].append((rows[0][1:], rows[1:], (1 << len(star)) - 1, patterns))
-
-    assign = [0] * len(edges)
-    found: Set[int] = set()
-
-    def options(first, rest, full, patterns) -> List[int]:
-        pos0, maps0 = first
-        target = maps0[assign[pos0]][0]
-        flips = 0
-        for bit, pos, maps in rest:
-            m0, m1 = maps[assign[pos]]
-            if m1 == target:
-                flips |= bit
-            elif m0 != target:
-                return []
-        # S(j, first edge) = 0 gives the pattern `flips`, = 1 its complement
-        return [patterns[m] for m in (flips, full ^ flips) if m in patterns]
-
-    def dfs(i: int, smask: int) -> None:
-        if i == len(edges):
-            found.add(smask)
-            return
-        for ci in range(len(cand[i])):
-            assign[i] = ci
-            masks = [smask]
-            for test in tests[i]:
-                opts = options(*test)
-                masks = [m | o for m in masks for o in opts]
-                if not masks:
-                    break
-            for m in masks:
-                dfs(i + 1, m)
-
-    dfs(0, 0)
-    return found
+                if m[0][0] not in (tuple(range(len(gamma))), gamma):
+                    raise CheckError(
+                        f"an induced map at vertex {j} through edge {e} "
+                        "is neither the identity nor the vertex twist"
+                    )
+                pairs[e][i] |= (m[0][0] == gamma) << e.index(j)
+            rows[(j, e)] = twist_bit.get((j, e), 0) | 1 << (n + k)
+    ncols = n + len(cx.graph.vertices)
+    for e, restrictions in pairs.items():
+        r = set(restrictions)
+        basis = gf2.gf2_rref(list(r), 2)[1]
+        if len(r) != 1 << len(basis):
+            raise CheckError(f"the candidate restrictions on edge {e} are not closed under XOR")
+        for b in basis:  # an end of degree 1 has no slot, and its bit is 0
+            for end, j in enumerate(e):
+                if b >> end & 1:
+                    rows[(j, e)] |= 1 << ncols
+            ncols += 1
+    orbit = {0}
+    for v in gf2.gf2_kernel_basis(list(rows.values()), ncols):
+        v &= (1 << n) - 1
+        if v not in orbit:
+            orbit |= {o ^ v for o in orbit}
+    return orbit
 
 
 def delta_cocycle(d: CoxeterDiagram, delta: Iterable[int]) -> int:

@@ -1,16 +1,18 @@
-"""Differential tests: the star-built edge complex and the gauge-sweep
-classification against the reference paths they replaced.
+"""Differential tests: the star-built edge complex and the classification
+by elimination against the reference paths they replaced.
 
 The references below are the earlier implementations, condensed: an edge
 complex that lists every subset of at most three edges and filters the
 pointed ones, `cofaces` and `vertex_star` as scans, the Z^1 cross-check by
-elimination over the whole d1, and two classifications: the brute force
-that compares every delta with the first member of each class so far by an
+elimination over the whole d1, the edge candidates as the stabilizer of
+every coface image, and two classifications: the brute force that
+compares every delta with the first member of each class so far by an
 exhaustive `amalgams_isomorphic` search, and the same greedy loop reading
-its decisions from one gauge sweep per delta T (`reference_twist_orbits`,
-verbatim).  All must give identical results on named graphs and diagrams
-and on `hypothesis`-generated ones, and every per-T orbit must be T + the
-orbit of the standard amalgam, which the one-sweep classification uses.
+its decisions from one depth-first gauge sweep per delta T
+(`reference_twist_orbits`, verbatim).  All must give identical results on
+named graphs and diagrams and on `hypothesis`-generated ones, and every
+per-T orbit must be T + the orbit of the standard amalgam, which the
+classification takes from one GF(2) elimination (`_standard_orbit`).
 """
 
 import importlib
@@ -37,6 +39,7 @@ from coxloops.amalgams import (
 )
 from coxloops.cohomology import (
     VertexStar,
+    _set_stabilizer,
     _z1_by_stars,
     build_complex,
     cohomology,
@@ -320,6 +323,14 @@ def reference_twist_orbits(
     return {
         as_delta(t): {as_delta(s) for s in orbit_of(t)} for t in range(1 << n)
     }
+
+
+def reference_edge_candidates(a: Amalgam, e) -> List[Tuple[int, ...]]:
+    """The stabilizer of the images of every coface of (e,), each coface
+    listed."""
+    sigma = (e,)
+    targets = {frozenset(a.connecting(tau, sigma)) for tau in a.complex.cofaces(sigma)}
+    return _set_stabilizer(a.loop_of(sigma), targets, 10_000_000)
 
 
 ATTRIBUTES = (
@@ -670,7 +681,7 @@ def as_mask(delta) -> int:
 
 def assert_orbits_are_translates(a: Amalgam) -> None:
     """Every per-T orbit of the reference sweep is T + the orbit of the
-    standard amalgam, and that orbit is the one-sweep `_standard_orbit`."""
+    standard amalgam, and that orbit is the elimination's `_standard_orbit`."""
     st_ = spanning_tree(a.complex.graph)
     if not st_.nontree_edges:
         return
@@ -718,6 +729,101 @@ def diagrams(draw):
 @given(diagrams())
 def test_classification_matches_reference_on_random_diagrams(d):
     assert_same_classification(d)
+
+
+def assert_same_candidates(d: CoxeterDiagram) -> None:
+    a = standard_amalgam(d)
+    for e in a.complex.edges:
+        assert _edge_candidates(a, e, 10_000_000) == reference_edge_candidates(a, e), e
+
+
+# a path with a pendant edge apart from another edge, and two components
+APART = {
+    "path4": cox(4, [(1, 2, 4), (2, 3, 3), (3, 4, 5)]),
+    "two_components": cox(5, [(1, 2, 6), (3, 4, 3), (4, 5, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS) + sorted(APART))
+def test_edge_candidates_match_the_coface_listing_on_named_diagrams(name):
+    assert_same_candidates({**DIAGRAMS, **APART}[name])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(diagrams())
+def test_edge_candidates_match_the_coface_listing_on_random_diagrams(d):
+    assert_same_candidates(d)
+
+
+@st.composite
+def cyclic_diagrams(draw):
+    """Connected diagrams of 3-6 vertices and at most 10 edges, at least
+    one of them off the tree, with labels 3-6."""
+    n = draw(st.integers(3, 6))
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    others = [e for e in complete(n) if e not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True, min_size=1, max_size=10 - len(tree)))
+    return cox(n, [(a, b, draw(st.integers(3, 6))) for a, b in tree + extra])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cyclic_diagrams())
+def test_standard_orbit_matches_the_reference_sweep_on_random_diagrams(d):
+    # the orbit alone, without the brute-force classification, so the
+    # diagrams reach 10 edges and cycle rank 6; a budget past every space
+    # drawn keeps the gate out of the comparison
+    a = standard_amalgam(d)
+    st_ = spanning_tree(a.complex.graph)
+    orbit = reference_twist_orbits(a, st_, 10**12)[frozenset()]
+    assert _standard_orbit(a, st_, 10**12) == {as_mask(s) for s in orbit}
+    assert_same_candidates(d)
+
+
+def half_twists(a: Amalgam, e) -> List[Tuple[int, ...]]:
+    """Per end j of e of degree >= 2, the permutation of L_e acting as
+    gamma_j on j's Klein subloop and fixing everything else.  It restricts
+    to gamma_j at j and to the identity at the other end, so with the
+    genuine candidates, restricting to (identity, identity) and
+    (gamma, gamma), the restrictions fill Z2^2 and the orbit can grow."""
+    out = []
+    for j in e:
+        star = a.complex.stars[j].edges
+        if len(star) < 2:
+            continue
+        other = star[1] if e == star[0] else star[0]
+        iota = a.connecting(tuple(sorted((e, other))), (e,))
+        forged = list(range(a.loop_of((e,)).order))
+        for x, y in enumerate(vertex_twist(a.core_loop((j,)).loop)):
+            forged[iota[x]] = iota[y]
+        out.append(tuple(forged))
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cyclic_diagrams(), st.data())
+def test_standard_orbit_matches_the_reference_sweep_past_the_trivial_orbit(d, data):
+    # genuine candidates give the orbit {0}; half twists added on some edges
+    # give larger orbits, on which every column of the system counts
+    a = standard_amalgam(d)
+    twisted = set(data.draw(st.lists(st.sampled_from(a.complex.edges), min_size=1, unique=True)))
+    genuine = amalgams._edge_candidates
+    forged = {e: genuine(a, e, 10**12) + half_twists(a, e) * (e in twisted) for e in a.complex.edges}
+    module = sys.modules[__name__]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amalgams, "_edge_candidates", lambda a, e, budget: forged[e])
+        patch.setattr(module, "_edge_candidates", lambda a, e, budget: forged[e])
+        st_ = spanning_tree(a.complex.graph)
+        orbit = reference_twist_orbits(a, st_, 10**12)[frozenset()]
+        assert _standard_orbit(a, st_, 10**12) == {as_mask(s) for s in orbit}
+
+
+def test_half_twists_on_every_edge_of_k4_reach_every_delta(monkeypatch):
+    a = standard_amalgam(DIAGRAMS["K4"])
+    genuine = amalgams._edge_candidates
+    monkeypatch.setattr(
+        amalgams, "_edge_candidates", lambda a, e, budget: genuine(a, e, budget) + half_twists(a, e)
+    )
+    assert _standard_orbit(a, spanning_tree(a.complex.graph), 10**12) == set(range(8))
 
 
 def test_k5_has_64_singleton_classes():
@@ -851,3 +957,64 @@ def test_induced_map_not_commuting_with_the_twist_is_refused(flags):
         "an induced map at vertex 1 through edge (1, 2) does not commute with the vertex twist"
     )
     assert [line[3] for line in lines] == [message, message]
+
+
+FORGED_RESTRICTIONS = """
+from coxloops import amalgams
+from coxloops.coxeter import CoxeterDiagram
+from coxloops.errors import CheckError
+
+# two triangles joined by the bridge (3, 4)
+d = CoxeterDiagram.from_edges(
+    6, [(1, 2, 3), (1, 3, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (4, 6, 3), (5, 6, 3)]
+)
+a = amalgams.standard_amalgam(d)
+# the Klein subloop {e, s, u, su} of vertex 3 inside the edge loop L_(3,4)
+iota = a.connecting(((1, 3), (3, 4)), ((3, 4),))
+
+
+def on_vertex_3(klein):
+    # a permutation of L_(3,4) acting as `klein` on that subloop and
+    # fixing everything else
+    forged = list(range(a.loop_of(((3, 4),)).order))
+    for x, y in enumerate(klein):
+        forged[iota[x]] = iota[y]
+    return tuple(forged)
+
+
+candidates = amalgams._edge_candidates
+forgeries = {
+    # swaps e and u: it commutes with the twist (0, 3, 2, 1), and is
+    # neither the twist nor the identity
+    "neither": on_vertex_3((2, 1, 0, 3)),
+    # the twist at vertex 3, the identity at vertex 4: the pair (1, 0)
+    # joins the genuine pairs (0, 0) and (1, 1)
+    "unclosed": on_vertex_3((0, 3, 2, 1)),
+}
+for kind, forged in forgeries.items():
+    amalgams._edge_candidates = lambda a, e, budget, f=forged: candidates(a, e, budget) + [f] * (e == (3, 4))
+    try:
+        amalgams.classify_twisted_amalgams(a)
+    except CheckError as e:
+        print(__debug__, kind, "CheckError", e)
+    else:
+        print(__debug__, kind, "accepted")
+    amalgams._edge_candidates = candidates
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_restrictions_not_read_as_bits_or_not_a_subgroup_are_refused(flags):
+    # a forged candidate on the bridge cannot move the orbit, so a sweep
+    # that only compares induced maps accepts both forgeries
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", FORGED_RESTRICTIONS], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug = str(not flags)
+    assert [line.split(maxsplit=3) for line in proc.stdout.splitlines()] == [
+        [debug, "neither", "CheckError",
+         "an induced map at vertex 3 through edge (3, 4) is neither the identity nor the vertex twist"],
+        [debug, "unclosed", "CheckError",
+         "the candidate restrictions on edge (3, 4) are not closed under XOR"],
+    ]

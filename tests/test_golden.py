@@ -17,7 +17,9 @@ element statistics from W's dense product table, and those on H4 and E6
 row-major coset table with a stored word per element.  The `SKIPS`
 digests were taken while the CLI still decided each skip in its own helper, except
 `verify Q8 --budget 1`, taken when `verify` on a table began to report the
-theorem block that the triples gate skips.
+theorem block that the triples gate skips.  The `amalgams` digests on a
+seeded diagram of 24 edges were taken while the classification still
+walked its 2^32 edge assignments depth first.
 """
 
 import contextlib
@@ -95,6 +97,14 @@ FRONTIER_INPUTS = {
     "D5": _cox(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)]),
     "B5": _cox(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 4)]),
     "E6": _cox(6, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (3, 6, 3)]),
+    # `random_connected_graph(Random(1), 20, 24)` of benchmarks/corpus.py,
+    # all labels 3: cycle rank 5, and 2^32 edge assignments
+    "seeded_24": _cox(20, [
+        (2, 18, 3), (18, 20, 3), (11, 12, 3), (12, 16, 3), (15, 16, 3), (6, 18, 3), (3, 13, 3),
+        (5, 9, 3), (11, 14, 3), (8, 20, 3), (6, 12, 3), (7, 12, 3), (16, 18, 3), (8, 17, 3),
+        (10, 15, 3), (8, 15, 3), (12, 17, 3), (8, 12, 3), (6, 10, 3), (4, 11, 3), (12, 19, 3),
+        (12, 13, 3), (9, 17, 3), (1, 10, 3),
+    ]),
 }
 
 # the whole Moufang suite at loop order 240, and on a failing table; the
@@ -106,6 +116,9 @@ SWEEPS = [
     ("group", "F4"),
     ("group", "D5"),
 ]
+
+# the classification frontier, past the default budget's gate
+AMALGAM_FRONTIER = [("amalgams", "seeded_24", "--budget", "10000000000")]
 
 COMMANDS = ("group", "loop", "aut", "cohomology", "amalgams", "verify")
 
@@ -151,7 +164,7 @@ SKIPS = [
 
 CASES = [
     case + flag
-    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS + SKIPS + [("aut", "D4")] + SWEEPS
+    for case in [(c, name) for c in COMMANDS for name in INPUTS] + LIMITS + SKIPS + [("aut", "D4")] + SWEEPS + AMALGAM_FRONTIER
     for flag in ((), ("--json",))
 ]
 
@@ -396,6 +409,8 @@ GOLDEN = {
     "group F4 --json": "ce6614bbd9ac941fe903d345865ffa32447bde13639e3a32adb110b60cabf815",
     "group D5": "f5774368d84f28ada4e071e28b5416f3d5b5d0495e8f73405007a2ebfb878c69",
     "group D5 --json": "480ce6ee21a334fcc388e49030fb61c998d39b711bd8032d4f86ec39e4f75ed0",
+    "amalgams seeded_24 --budget 10000000000": "85dcb6bc6f63019fad5b1021fb8e3ebe1687ca3ef7352faeaf86d66d9514afb7",
+    "amalgams seeded_24 --budget 10000000000 --json": "09dc97038c20ee3a0d7fa2f1120e5a14a02968355755b5f3f1a8221dc480f909",
 }
 
 SLOW_GOLDEN = {

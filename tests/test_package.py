@@ -258,6 +258,37 @@ def test_the_first_import_writes_every_layers_bytecode(flags, tmp_path):
         assert Path(importlib.util.cache_from_source(source, optimization="1" if flags else "")).is_file(), m
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_an_import_after_an_edit_rewrites_that_layers_bytecode(flags, tmp_path):
+    # bytecode older than its source is stale: the package import compiles
+    # that layer again, so the first command after an edit does not
+    shutil.copytree(PACKAGE, tmp_path / "coxloops", ignore=shutil.ignore_patterns("__pycache__"))
+    code = LAYERS_RUN + "import coxloops; print(json.dumps(ran()))"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPATH")}
+
+    def import_package():
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    import_package()
+    source = tmp_path / "coxloops" / "gf2.py"
+    cached = Path(importlib.util.cache_from_source(str(source), optimization="1" if flags else ""))
+    source.write_text(source.read_text(encoding="utf-8") + "# edited\n", encoding="utf-8")
+    # two seconds past the bytecode, whatever the file system's clock resolution
+    os.utime(source, ns=(source.stat().st_atime_ns, cached.stat().st_mtime_ns + 2_000_000_000))
+    import_package()
+    # a timestamp pyc records its source's mtime and size (PEP 552)
+    stat = source.stat()
+    recorded = cached.read_bytes()[8:16]
+    assert recorded == b"".join(
+        (value & 0xFFFFFFFF).to_bytes(4, "little") for value in (int(stat.st_mtime), stat.st_size)
+    )
+
+
 # one command run by `main`, as in COMMAND, reporting the layers it ran
 COMMAND_LAYERS = LAYERS_RUN + """
 sys.stdin = io.TextIOWrapper(io.BytesIO({text!r}.encode()))
