@@ -30,12 +30,11 @@ a desk-scale limit of ``verify``, is one lookup (`_gate`) in one gate table
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
 from functools import cached_property
-from itertools import islice
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -814,6 +813,8 @@ COMMANDS = tuple(_COMMANDS)
 
 
 def _render_human(report: Dict) -> str:
+    import json
+
     lines = [f"{report['command']}: {report['kind']} input ({report['input']})"]
     skip_keys = {"schema", "command", "input", "input_sha256", "kind", "config", "checks", "ok"}
     for key, value in report.items():
@@ -970,21 +971,108 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return cfg
 
 
-# encoder chunks joined per write: a batch of a few KB holds little of a
-# large report, and larger batches measured no faster
+# chunks joined per write, a chunk being one value with its key and
+# separator (a scalar, or a list of at most this many ints) or a bracket: a
+# batch of a few KB holds little of a large report, and larger batches
+# measured no faster
 _WRITE_BATCH = 256
 
 
+def _dumps(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)` with each line after the first at
+    `indent`: the text of a value the writer leaves to `json`."""
+    import json
+
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _plain(text: str) -> bool:
+    """Whether `json` writes `text` as itself in quotes: printable ASCII
+    without a quote or a backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _scalar(value, indent: str) -> Optional[str]:
+    """The JSON text of `value` at `indent`, or None for a container
+    `_write_json` walks."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str and _plain(value):
+        return f'"{value}"'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if len(value) <= _WRITE_BATCH and all(type(item) is int for item in value):
+            inner = indent + "  "
+            return "[\n" + inner + (",\n" + inner).join(map(str, value)) + "\n" + indent + "]"
+        return None
+    if isinstance(value, dict) and all(type(key) is str for key in value):
+        return None if value else "{}"
+    return _dumps(value, indent)
+
+
+def _write_json(value, write) -> None:
+    """`json.dumps(value, indent=2)` and a newline through `write`, in
+    batches of `_WRITE_BATCH` chunks.
+
+    The writer walks lists, tuples and dicts with str keys, and writes ints,
+    bools, None and printable-ASCII strings without `"` or `\\` itself, a
+    short list of ints with one join.  `json` writes every other value
+    (escaped strings, floats, dicts with other keys, int subclasses) and
+    every other key, so it decides every byte the writer does not produce.
+    """
+    buf: List[str] = []
+
+    def walk(value, indent: str) -> None:
+        # a non-empty container whose text continues the last chunk
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            head, close = "{\n" + inner, "\n" + indent + "}"
+            pairs = (
+                (f'"{key}": ' if _plain(key) else _dumps(key, "") + ": ", item) for key, item in value.items()
+            )
+        else:
+            head, close = "[\n" + inner, "\n" + indent + "]"
+            pairs = zip(repeat(""), value)
+        for key, item in pairs:
+            text = _scalar(item, inner)
+            if text is None:
+                buf.append(head + key)
+                walk(item, inner)
+            else:
+                buf.append(head + key + text)
+            head = sep
+            if len(buf) >= _WRITE_BATCH:
+                write("".join(buf))
+                buf.clear()
+        buf.append(close)
+
+    text = _scalar(value, "")
+    if text is None:
+        walk(value, "")
+    else:
+        buf.append(text)
+    buf.append("\n")
+    write("".join(buf))
+
+
 def _write_report(report: Dict, as_json: bool) -> None:
-    """The report on stdout: JSON streamed from the encoder in batches of
-    `_WRITE_BATCH` chunks, so the whole document is never held at once (the
-    same bytes as `json.dumps(report, indent=2)`), or the human rendering."""
+    """The report on stdout: the human rendering, or with `as_json` the
+    bytes of `json.dumps(report, indent=2)` and a newline, streamed by
+    `_write_json` so the whole document is never held at once.  Neither
+    `json` nor its decoder is loaded unless a value needs `json` to write
+    it; the reports of the commands need none."""
     out = sys.stdout
     if as_json:
-        chunks = json.JSONEncoder(indent=2).iterencode(report)
-        while batch := "".join(islice(chunks, _WRITE_BATCH)):
-            out.write(batch)
-        out.write("\n")
+        _write_json(report, out.write)
     else:
         out.write(_render_human(report) + "\n")
     out.flush()

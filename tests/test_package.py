@@ -12,11 +12,13 @@ with a small table-driven parser, not `argparse`, which pulls in `gettext`
 and `locale`; and the report's input digest comes from CPython's built-in
 SHA-256 module, not from `hashlib`, which loads OpenSSL.  Beyond what an
 interpreter that has used `json` holds, a command loads only the package,
-`__future__` and that SHA-256 module, and streams its JSON report.  The
-package registers its layers lazily, so `import coxloops.cli` runs only
-`errors`, and a command runs only the layers its code path reaches; the
-package's exports, `__all__` and `dir` are served on first use, as the
-eager star imports once served them.
+`__future__` and that SHA-256 module; a `--json` command loads no JSON
+module at all, and streams its report from the CLI's own writer, the
+bytes of `json.dumps(report, indent=2)`.  The package registers its
+layers lazily, so `import coxloops.cli` runs only `errors`, and a command
+runs only the layers its code path reaches; the package's exports,
+`__all__` and `dir` are served on first use, as the eager star imports
+once served them.
 """
 
 import ast
@@ -27,9 +29,12 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxloops
 import coxloops.cli
@@ -160,9 +165,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(flags):
     assert proc.stdout == "[]\n"
 
 
-# a fresh interpreter that has used json, and imported the light stdlib
-# modules the package names, as every command does; `importlib.util` among
-# them, for `LazyLoader`, which a `site` .pth file may or may not have loaded
+# a fresh interpreter that has used json, as a command that renders the
+# human-readable text does, and imported the light stdlib modules the
+# package names, as every command does; `importlib.util` among them, for
+# `LazyLoader`, which a `site` .pth file may or may not have loaded
 BASELINE = """
 import json, sys
 import collections, functools, importlib, importlib.util, itertools, math, operator, os, types, typing
@@ -212,6 +218,32 @@ def test_a_command_loads_only_the_package_beyond_json(flags):
         added = {name for name in set(loaded) - baseline if name.split(".")[0] != "coxloops"}
         assert added <= allowed, (args, sorted(added - allowed))
         assert not {"argparse", "gettext", "locale"} & set(loaded), args
+
+
+# one `--json` command run by `main` in a fresh interpreter, reporting the
+# modules loaded when `main` returns, before anything could load `json` to
+# print them
+JSON_COMMAND = """
+import io, sys
+sys.stdin = io.TextIOWrapper(io.BytesIO({text!r}.encode()))
+from coxloops.cli import main
+code = main({args!r})
+loaded = sorted(sys.modules)
+print(repr([code, loaded]), file=sys.stderr)
+"""
+
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_json_report_loads_no_json_module(flags):
+    for args, text in COLD_RUNS:
+        args = args if "--json" in args else [*args, "--json"]
+        proc = _fresh(flags, JSON_COMMAND.format(text=text, args=args))
+        code, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+        assert code == 0, args
+        assert proc.stdout.startswith('{\n  "schema": 1,'), args
+        assert not JSON_MODULES & set(loaded), (args, sorted(JSON_MODULES & set(loaded)))
 
 
 # the layers whose bodies have run: a layer the package registered lazily
@@ -391,16 +423,28 @@ class _Writes:
         pass
 
 
+# the most one write of a report may hold: a batch of `_WRITE_BATCH`
+# chunks, each a scalar with its key or a short list of ints, a few KB in
+# the reports below
+MAX_WRITE = 16 * 1024
+
+
 def test_streamed_report_is_json_dumps_byte_for_byte(monkeypatch):
     # more than three batches of encoder chunks, so the report crosses batch
-    # boundaries
+    # boundaries; short int lists are one chunk each, a long one is walked
     batch = coxloops.cli._WRITE_BATCH
     report = {
         "schema": 1,
         "checks": [
-            {"name": f"c{i}", "values": [i, -i, None, True, 0.5, "\u00e9\n"], "empty": {}}
+            {
+                "name": f"c{i}",
+                "values": [i, -i, None, True, 0.5, "\u00e9\n"],
+                "ids": (i, 2**64 + i),
+                "empty": {},
+            }
             for i in range(1500)
         ],
+        "long": [2**64 + i for i in range(3 * batch)],
         "ok": True,
     }
     chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(report))
@@ -409,7 +453,49 @@ def test_streamed_report_is_json_dumps_byte_for_byte(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     coxloops.cli._write_report(report, True)
     assert "".join(out.writes) == json.dumps(report, indent=2) + "\n"
-    assert len(out.writes) == -(-chunks // batch) + 1  # each full batch, the rest, then "\n"
+    assert len(out.writes) > 3
+    assert max(map(len, out.writes)) <= MAX_WRITE
+
+
+class _Int(int):
+    # json writes an int subclass with `int.__repr__`, not its own
+    def __repr__(self):
+        return "_Int()"
+
+    __str__ = __repr__
+
+
+# characters json escapes, or writes as they are, at the edges of each class
+_SPECIAL = '"\\/\x00\x08\t\n\x1f \x7f\x80\u00e9\u2028\ud800\uffff\U0001f600'
+_TEXT = st.text(st.sampled_from(_SPECIAL) | st.characters(), max_size=6)
+_SCALARS = (
+    _TEXT
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64), 10**30, _Int(5), True, False, None])
+    | st.sampled_from([0.5, -0.0, float("inf"), float("-inf"), float("nan")])
+    | st.floats()
+)
+_KEYS = _TEXT | st.sampled_from([0, -3, 2**64, True, False, None, 0.5, -0.0, float("nan")])
+_VALUES = st.recursive(
+    _SCALARS | st.lists(st.integers(), max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+        | st.dictionaries(_KEYS, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_VALUES)
+def test_written_values_are_json_dumps_byte_for_byte(value):
+    out = _Writes()
+    with redirect_stdout(out):
+        coxloops.cli._write_report(value, True)
+    assert "".join(out.writes) == json.dumps(value, indent=2) + "\n"
+    assert max(map(len, out.writes)) <= MAX_WRITE
 
 
 def test_cohomology_payload_hands_the_encoder_the_results_tuples():
