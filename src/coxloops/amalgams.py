@@ -81,25 +81,60 @@ class CoreData(namedtuple("CoreData", [
     __slots__ = ()
 
 
+def _proper_faces(tau: Simplex) -> List[Simplex]:
+    """The proper faces of tau, as `combinations(tau, k)` lists them."""
+    if len(tau) == 3:
+        e, f, g = tau
+        return [(e,), (f,), (g,), (e, f), (e, g), (f, g)]
+    return [(tau[0],), (tau[1],)] if len(tau) == 2 else []
+
+
 class Amalgam:
     def __init__(
         self,
         diagram: CoxeterDiagram,
         cx: EdgeComplex,
         core_data: Dict[Tuple[int, ...], CoreData],
-        maps: Dict[Tuple[Simplex, Simplex], Tuple[int, ...]],
+        stored: Dict[Tuple[Simplex, Simplex], Tuple[int, ...]],
+        free: Dict[Tuple[int, ...], Tuple[int, ...]],
         kind: str,
         twists: FrozenSet[Tuple[int, Edge]],
     ):
         self.diagram = diagram
         self.complex = cx
         self._core_data = core_data
-        self.maps = maps  # (tau, rho) -> images of psi: G_tau -> G_rho, rho < tau
+        self.stored = stored  # (tau, rho) -> images, for every tau with a core
+        self.free = free  # core of rho -> images of the map into G_rho from an empty core
         self.kind = kind
         self.twists = twists
+        # certified local facts of this amalgam by exact key (the
+        # coefficient groups' twists and stabilizer orders)
+        self.memo: Dict[Tuple, object] = {}
 
-    def simplices(self) -> List[Simplex]:
-        return self.complex.simplices()
+    def simplices(self) -> Tuple[Simplex, ...]:
+        """Every simplex of the complex: its cached tuple, not a copy."""
+        return self.complex.all_simplices
+
+    def faces(self, tau: Simplex) -> List[Tuple[Simplex, Tuple[int, ...]]]:
+        """(rho, images of psi: G_tau -> G_rho) for each proper face rho of
+        tau.  A map is fixed by the two cores and the twist, and interned
+        by them; out of an empty core (nearly every simplex of a large
+        complex, never twisted) it is `free[core of rho]`, so only the maps
+        out of a core are `stored`."""
+        core = self.complex.core
+        if core[tau]:
+            return [(rho, self.stored[tau, rho]) for rho in _proper_faces(tau)]
+        return [(rho, self.free[core[rho]]) for rho in _proper_faces(tau)]
+
+    @property
+    def maps(self) -> Dict[Tuple[Simplex, Simplex], Tuple[int, ...]]:
+        """(tau, rho) -> images of psi: G_tau -> G_rho for every face pair,
+        in `simplices()` order: a new dict, read through `faces`."""
+        maps = {}
+        for tau in self.simplices():
+            for rho, images in self.faces(tau):
+                maps[tau, rho] = images
+        return maps
 
     def core_of(self, sigma: Simplex) -> Tuple[int, ...]:
         return self.complex.core[tuple(sigma)]
@@ -111,7 +146,7 @@ class Amalgam:
         return self._core_data[tuple(core)]
 
     def connecting(self, tau: Simplex, rho: Simplex) -> Tuple[int, ...]:
-        return self.maps[(tuple(tau), tuple(rho))]
+        return dict(self.faces(tuple(tau)))[tuple(rho)]
 
     def core_subloop(self, core: Sequence[int], sub: Sequence[int]) -> Tuple[int, ...]:
         """Canonical subloop of L_core generated by the reflections of
@@ -159,26 +194,31 @@ def _build(
     d: CoxeterDiagram, cx: EdgeComplex, twists: FrozenSet[Tuple[int, Edge]], kind: str
 ) -> Amalgam:
     core_data = _build_core_data(d, cx)
-    klein_twist = {
-        (v,): vertex_twist(core_data[(v,)].loop) for v in cx.graph.vertices
-    }
-    maps: Dict[Tuple[Simplex, Simplex], Tuple[int, ...]] = {}
-    for tau in cx.simplices():
-        j_tau = cx.core[tau]
-        for size in range(1, len(tau)):
-            for rho in combinations(tau, size):
-                j_rho = cx.core[rho]
-                if j_tau == j_rho:
-                    images = tuple(range(core_data[j_tau].loop.order))
-                else:
-                    positions = [j_rho.index(v) for v in j_tau]
-                    images = _inclusion_images(
-                        core_data[j_tau].group, positions, core_data[j_rho].group
-                    )
-                    if len(j_tau) == 1 and len(rho) == 1 and (j_tau[0], rho[0]) in twists:
-                        images = compose(images, klein_twist[j_tau])
-                maps[(tau, rho)] = images
-    return Amalgam(d, cx, core_data, maps, kind, twists)
+    interned: Dict[Tuple, Tuple[int, ...]] = {}
+
+    def images(j_tau: Tuple[int, ...], j_rho: Tuple[int, ...], twisted: bool) -> Tuple[int, ...]:
+        key = (j_tau, j_rho, twisted)
+        if key not in interned:
+            if j_tau == j_rho:
+                interned[key] = tuple(range(core_data[j_tau].loop.order))
+            else:
+                positions = [j_rho.index(v) for v in j_tau]
+                interned[key] = _inclusion_images(core_data[j_tau].group, positions, core_data[j_rho].group)
+                if twisted:
+                    interned[key] = compose(interned[key], vertex_twist(core_data[j_tau].loop))
+        return interned[key]
+
+    # the simplices with a core are the singletons, which have no proper
+    # face, and the pointed pairs and triples of the stars
+    stored: Dict[Tuple[Simplex, Simplex], Tuple[int, ...]] = {}
+    for v, star in cx.stars.items():
+        for tau in star.pairs + star.triples:
+            for rho in _proper_faces(tau):
+                stored[tau, rho] = images((v,), cx.core[rho], len(rho) == 1 and (v, rho[0]) in twists)
+    free = {}
+    for j in core_data:
+        free[j] = images((), j, False)
+    return Amalgam(d, cx, core_data, stored, free, kind, twists)
 
 
 def standard_amalgam(d: CoxeterDiagram) -> Amalgam:
@@ -253,31 +293,44 @@ class AmalgamReport(namedtuple("AmalgamReport", "simplices maps_checked chains_c
 
 def verify_amalgam(a: Amalgam) -> AmalgamReport:
     """Connecting maps are injective homomorphisms and compose correctly
-    along every chain sigma < rho < tau."""
+    along every chain sigma < rho < tau.
+
+    Every face pair and chain is visited and counted, but each distinct
+    (images, domain, codomain) is certified once and each distinct chain
+    (outer, inner, direct) composed once: the keys are the maps' values,
+    so a pair that carries any other map is certified on its own."""
+    core, loop = a.complex.core, {}
+    for j, data in a._core_data.items():
+        loop[j] = data.loop
+    maps: Set[Tuple] = set()
+    chains: Set[Tuple] = set()
+    below: Dict[Simplex, List[Tuple[Simplex, Tuple[int, ...]]]] = {}  # the faces of each pair
+    nmaps = nchains = 0
+    for tau in a.simplices():  # the pairs come before the triples
+        down = a.faces(tau)
+        nmaps += len(down)
+        dom = loop[core[tau]]
+        for rho, images in down:
+            maps.add((images, dom, loop[core[rho]]))
+        if len(tau) == 2:
+            below[tau] = down
+        elif len(tau) == 3:
+            direct = dict(down)
+            for rho in combinations(tau, 2):
+                inner = direct[rho]
+                nchains += len(below[rho])
+                for sig, outer in below[rho]:
+                    chains.add((outer, inner, direct[sig]))
     inj = hom = comp = True
-    nmaps = 0
-    for (tau, rho), images in a.maps.items():
-        nmaps += 1
-        if len(set(images)) != len(images):
-            inj = False
-        if not is_homomorphism(images, a.loop_of(tau), a.loop_of(rho)):
-            hom = False
-    chains = 0
-    for tau in a.simplices():
-        if len(tau) < 3:
-            continue
-        for mid in range(2, len(tau)):
-            for rho in combinations(tau, mid):
-                for small in range(1, mid):
-                    for sig in combinations(rho, small):
-                        chains += 1
-                        via = compose(a.connecting(rho, sig), a.connecting(tau, rho))
-                        if via != a.connecting(tau, sig):
-                            comp = False
+    for images, dom, cod in maps:
+        inj &= len(set(images)) == len(images)
+        hom &= is_homomorphism(images, dom, cod)
+    for outer, inner, direct in chains:
+        comp &= compose(outer, inner) == direct
     return AmalgamReport(
         simplices=len(a.simplices()),
         maps_checked=nmaps,
-        chains_checked=chains,
+        chains_checked=nchains,
         injective_ok=inj,
         homomorphism_ok=hom,
         composition_ok=comp,
@@ -299,14 +352,18 @@ def loop_completion(a: Amalgam, w: GroupTable):
     of `a.diagram` with its simple reflections in vertex order, as
     `enumerate_group` gives it.
 
-    Returns (loop, maps) with maps[sigma] the image tuple of G_sigma."""
+    Returns (loop, maps) with maps[sigma] the image tuple of G_sigma, one
+    tuple per core."""
     if len(w.generators) != a.diagram.rank:
         raise ValueError(f"W has {len(w.generators)} generators, the diagram rank {a.diagram.rank}")
     loop = chein_loop(w)
     maps: Dict[Simplex, Tuple[int, ...]] = {}
+    by_core: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for sigma in a.simplices():
         core = a.core_of(sigma)
-        maps[sigma] = _inclusion_images(a.core_loop(core).group, [v - 1 for v in core], w)
+        if core not in by_core:
+            by_core[core] = _inclusion_images(a.core_loop(core).group, [v - 1 for v in core], w)
+        maps[sigma] = by_core[core]
     return loop, maps
 
 
@@ -314,17 +371,22 @@ def verify_completion(
     a: Amalgam, loop: LoopTable, maps: Dict[Simplex, Tuple[int, ...]]
 ) -> CompletionReport:
     """phi_rho o psi_tau^rho == phi_tau for every face pair, with every
-    phi an injective homomorphism into the completing loop."""
+    phi an injective homomorphism into the completing loop.
+
+    Each distinct (phi, domain) is certified once, and each distinct
+    square (phi_rho, psi, phi_tau) checked once, keyed by the maps' values."""
+    embeds: Set[Tuple] = set()
+    squares: Set[Tuple] = set()
+    for tau in a.simplices():
+        embeds.add((maps[tau], a.loop_of(tau)))
+        for rho, psi in a.faces(tau):
+            squares.add((maps[rho], psi, maps[tau]))
     inj = hom = comm = True
-    for sigma in a.simplices():
-        phi = maps[tuple(sigma)]
-        if len(set(phi)) != len(phi):
-            inj = False
-        if not is_homomorphism(phi, a.loop_of(sigma), loop):
-            hom = False
-    for (tau, rho), psi in a.maps.items():
-        if compose(maps[rho], psi) != maps[tau]:
-            comm = False
+    for phi, dom in embeds:
+        inj &= len(set(phi)) == len(phi)
+        hom &= is_homomorphism(phi, dom, loop)
+    for phi_rho, psi, phi_tau in squares:
+        comm &= compose(phi_rho, psi) == phi_tau
     return CompletionReport(
         loop_order=loop.order,
         maps_checked=len(maps),
@@ -382,9 +444,10 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
     for sigma in a.simplices():
         if a.loop_of(sigma).product != b.loop_of(sigma).product:
             raise ValueError("amalgams do not share their standard loops")
-    for key in a.maps:
-        if frozenset(a.maps[key]) != frozenset(b.maps[key]):
-            raise ValueError("amalgams are not of a common type (images differ)")
+    for tau in a.simplices():
+        for (_, x), (_, y) in zip(a.faces(tau), b.faces(tau)):
+            if frozenset(x) != frozenset(y):
+                raise ValueError("amalgams are not of a common type (images differ)")
 
     edges = list(a.complex.edges)
     cand = {e: _edge_candidates(a, e, budget) for e in edges}
@@ -392,8 +455,8 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
 
     # preinvert the b-maps out of every >=2 simplex once
     binv: Dict[Tuple[Simplex, Simplex], Dict[int, int]] = {}
-    for (tau, rho), images in b.maps.items():
-        if len(rho) == 1 and b.core_of(tau):
+    for (tau, rho), images in b.stored.items():
+        if len(rho) == 1:
             binv[(tau, rho)] = {y: x for x, y in enumerate(images)}
 
     assignments = 0
@@ -414,7 +477,7 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
             derived: Optional[Tuple[int, ...]] = None
             for e in tau:
                 lookup, te = binv[(tau, (e,))], theta[(e,)]
-                cur = tuple(lookup[te[y]] for y in a.maps[(tau, (e,))])
+                cur = tuple(lookup[te[y]] for y in a.stored[(tau, (e,))])
                 if derived is None:
                     derived = cur
                 elif derived != cur:
@@ -433,11 +496,10 @@ def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]
     for sigma in a.simplices():
         if not is_automorphism(a.loop_of(sigma), theta[tuple(sigma)]):
             raise CheckError("isomorphism witness is not an automorphism family")
-    for (tau, rho) in a.maps:
-        lhs = compose(theta[rho], a.maps[(tau, rho)])
-        rhs = compose(b.maps[(tau, rho)], theta[tau])
-        if lhs != rhs:
-            raise CheckError("isomorphism witness fails to commute")
+    for tau in a.simplices():
+        for (rho, psi_a), (_, psi_b) in zip(a.faces(tau), b.faces(tau)):
+            if compose(theta[rho], psi_a) != compose(psi_b, theta[tau]):
+                raise CheckError("isomorphism witness fails to commute")
 
 
 # ---------------------------------------------------------------------------

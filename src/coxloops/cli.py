@@ -223,6 +223,11 @@ class _Run:
         self.obj = obj
         self.cfg = cfg
 
+    def release(self, *names: str) -> None:
+        """Drop the named artifacts, which no later block of the run reads."""
+        for name in names:
+            vars(self).pop(name, None)
+
     @cached_property
     def spherical(self) -> coxeter.SphericalReport:
         return coxeter.recognize_spherical(self.obj)
@@ -778,6 +783,9 @@ def _cmd_verify(ctx: _Run) -> Tuple[Dict, List[Dict]]:
             if note:
                 checks.append(_skip("class_count_is_2_pow_cycle_rank", note))
 
+    # the doubled-loop blocks below read none of these (W, where the
+    # amalgam's core group is W, is already in `group`)
+    ctx.release("amalgam", "complex", "cohomology")
     if note := _double_gate(
         ctx, "diagram is not spherical (infinite group); global doubled-loop checks skipped"
     ):
@@ -791,6 +799,8 @@ def _cmd_verify(ctx: _Run) -> Tuple[Dict, List[Dict]]:
         checks.append(_skip("m1", note))
     else:
         checks.extend(_identity_checks(loops.is_moufang(t)))
+        # the theorems read the loop's table but not the sweep's byte views
+        vars(t).pop("byte_views", None)
     _theorems(ctx, payload, checks, note)
     return payload, checks
 

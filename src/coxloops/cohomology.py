@@ -229,12 +229,13 @@ class EdgeComplex:
         return core
 
     @cached_property
-    def _simplices(self) -> Tuple[Simplex, ...]:
+    def all_simplices(self) -> Tuple[Simplex, ...]:
+        """Every simplex (size <= 3), singletons first, then pairs, triples."""
         return tuple((e,) for e in self.edges) + self.pairs + self.triples
 
     def simplices(self) -> List[Simplex]:
-        """Every simplex (size <= 3), singletons first, then pairs, triples."""
-        return list(self._simplices)
+        """`all_simplices` as a new list."""
+        return list(self.all_simplices)
 
     def cofaces(self, sigma: Simplex) -> List[Simplex]:
         """Proper cofaces of sigma in the complex, in `simplices()` order.
@@ -558,30 +559,42 @@ def coefficient_group(
     mode="structural" (default) cross-checks against the brute force
     stabilizer of every canonical subloop L_K, K a proper subset of the
     core, inside Aut(G_sigma); mode="none" skips the brute force.
+
+    The twist is computed once per loop, and the stabilizer order once per
+    (loop, targets, budget), in `amalgam.memo`: the simplices of one
+    amalgam share a few loops.
     """
     sigma = tuple(sorted(tuple(sorted(e)) for e in sigma))
     loop: loops.LoopTable = amalgam.loop_of(sigma)
     core = amalgam.core_of(sigma)
+    memo = amalgam.memo
 
     if not core:
         closed_order, gen = 1, None
-    elif len(sigma) == 1:
-        closed_order, gen = 2, edge_twist(loop)
     else:
-        closed_order, gen = 2, vertex_twist(loop)
+        twist = edge_twist if len(sigma) == 1 else vertex_twist
+        if (twist, loop) not in memo:
+            memo[twist, loop] = twist(loop)
+        closed_order, gen = 2, memo[twist, loop]
 
+    brute = None
     if mode == "structural":
-        targets = [
+        targets = tuple(
             frozenset(amalgam.core_subloop(core, sub))
             for k in range(len(core))
             for sub in combinations(core, k)
-        ]
+        )
+        if (loop, targets, budget) not in memo:
+            memo[loop, targets, budget] = len(_set_stabilizer(loop, targets, budget))
+        brute = memo[loop, targets, budget]
     elif mode != "none":
         raise ValueError(f"unknown mode {mode!r}")
-    brute = None if mode == "none" else len(_set_stabilizer(loop, targets, budget))
 
-    if gen is not None and not morphisms.is_automorphism(loop, gen):
-        raise CheckError(f"coefficient group generator at {sigma} is not an automorphism")
+    if gen is not None:
+        if (loop, gen) not in memo:
+            memo[loop, gen] = morphisms.is_automorphism(loop, gen)
+        if not memo[loop, gen]:
+            raise CheckError(f"coefficient group generator at {sigma} is not an automorphism")
     result = CoefficientGroup(sigma, core, closed_order, gen, brute, mode)
     if mode == "structural" and not result.agrees:
         raise CheckError(

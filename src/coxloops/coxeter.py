@@ -383,16 +383,27 @@ def _enumerate_cosets(d: CoxeterDiagram, cap: int) -> List[List[int]]:
     ct = _CosetTable(n, cap)
     cols = ct.cols
     relators = [[cols[i], cols[j]] * m for i, j, m in labels if m != INF]
+    # a coset is live while it is its own root: a merge points the larger
+    # root at the smaller, so parent[alpha] == alpha is rep(alpha) == alpha
+    parent = ct.parent
     alpha = 0
-    while alpha < len(ct.parent):
-        if ct.rep(alpha) != alpha:
+    while alpha < len(parent):
+        if parent[alpha] != alpha:
             alpha += 1
             continue
         for w in relators:
+            # a relator that already closes at alpha leaves the scan nothing to do
+            f = alpha
+            for col in w:
+                f = col[f]
+                if f < 0:
+                    break
+            if f == alpha:
+                continue
             ct.scan_and_fill(alpha, w)
-            if ct.rep(alpha) != alpha:
+            if parent[alpha] != alpha:
                 break
-        if ct.rep(alpha) == alpha:
+        if parent[alpha] == alpha:
             for col in cols:
                 if col[alpha] < 0:
                     ct.define(alpha, col)

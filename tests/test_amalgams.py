@@ -4,8 +4,13 @@ isomorphism testing, and the classification by twist subsets.
 Frozen values: completion orders 48/96/240 for the three spherical rank-3
 diagrams, 2 classes on one triangle (certified by exhausting all 8 edge
 assignments), 4 classes on the two-triangle graph, and the cocycle/twist
-correspondence delta <-> z_delta.
+correspondence delta <-> z_delta; and, under `-m slow`, the digest and the
+peak memory of `verify` on a seeded diagram of 106 edges.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -244,3 +249,47 @@ def test_iso_budget_is_hard():
         amalgams_isomorphic(a, b, budget=3)
     with pytest.raises(ResourceLimitError):
         classify_twisted_amalgams(standard_amalgam(TRIANGLE), budget=3)
+
+
+# `random_connected_graph(Random(1), 100, 106)` of benchmarks/corpus.py, all
+# labels 3: cycle rank 7, 198,591 simplices and 1,168,650 face pairs
+SEEDED_106 = [
+    (29, 61), (17, 40), (48, 92), (33, 66), (8, 43), (1, 97), (26, 57), (27, 74), (26, 46), (17, 53),
+    (64, 76), (26, 41), (20, 26), (67, 81), (25, 67), (54, 66), (77, 81), (74, 92), (12, 23), (6, 91),
+    (53, 88), (66, 89), (11, 39), (39, 92), (91, 94), (29, 70), (22, 97), (99, 100), (5, 21), (31, 84),
+    (21, 79), (3, 55), (40, 44), (8, 55), (38, 54), (20, 69), (12, 15), (21, 45), (67, 87), (37, 59),
+    (10, 38), (7, 50), (46, 83), (44, 76), (5, 39), (21, 58), (81, 89), (38, 65), (5, 97), (65, 91),
+    (31, 95), (39, 80), (72, 79), (66, 98), (49, 51), (37, 68), (51, 100), (10, 51), (37, 82), (24, 67),
+    (35, 94), (56, 88), (17, 85), (12, 37), (31, 75), (14, 46), (7, 21), (25, 70), (13, 65), (26, 59),
+    (47, 48), (38, 60), (11, 90), (32, 54), (52, 54), (58, 59), (45, 91), (5, 19), (42, 48), (2, 53),
+    (58, 67), (18, 81), (42, 73), (29, 97), (11, 82), (63, 71), (55, 87), (54, 67), (5, 93), (22, 71),
+    (5, 34), (16, 79), (9, 40), (21, 85), (5, 38), (30, 69), (51, 95), (53, 86), (23, 93), (43, 80),
+    (54, 62), (28, 46), (4, 22), (52, 78), (38, 96), (17, 36),
+]
+
+VERIFY_PEAK = """
+import hashlib, io, sys
+from coxloops.cli import main
+out = io.BytesIO()
+sys.stdout = io.TextIOWrapper(out, encoding="utf-8", newline="")
+code = main(["verify", "-", "--json"])
+sys.stdout.flush()
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, hashlib.sha256(out.getvalue()).hexdigest(), peak_kb, file=sys.__stdout__)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak memory is read from VmHWM")
+def test_verify_on_106_edges_within_100_mb():
+    # a fresh process, so the peak is this run alone; the digest was taken
+    # while the amalgam held one image tuple per face pair (318 MB VmHWM)
+    text = "\n".join(["coxeter v1", "rank 100"] + [f"edge {a} {b} 3" for a, b in SEEDED_106]) + "\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_PEAK], input=text, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, digest, peak_kb = proc.stdout.split()
+    assert (code, digest) == ("0", "8a9749c0a9fac4e8d858ae2dd0610b95199f7202775db9bc265bb95feeb7f690")
+    assert int(peak_kb) <= 100 << 10

@@ -15,6 +15,11 @@ column-scan `gf2_rref` it replaced: equal pivots and rows on `hypothesis`
 matrices, equal answers from the routines built on it, and equal
 `cohomology` results with the reference patched in.
 
+HLT skips a relator that already closes at the coset being scanned, and
+reads liveness off the union-find parent; `reference_enumerate_cosets`,
+the loop that scanned every relator and asked `rep`, must make the same
+`define` calls and return the same columns.
+
 The cubic sweeps have two widths, per x on bytes up to order 256 and per
 pair (x, y) on tuples past it; both are run on the same tables, across the
 boundary, and must give the same reports.
@@ -55,6 +60,7 @@ from coxloops.coxeter import (
     diagram_a,
     diagram_b,
     diagram_d,
+    diagram_e,
     diagram_f4,
     diagram_h,
     diagram_i2,
@@ -1223,3 +1229,96 @@ def test_an_undefined_entry_is_refused_with_the_row_major_message(seed, monkeypa
     with pytest.raises(CheckError) as ref:
         rt.compact()
     assert str(new.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# HLT with closed relators skipped against the loop that scanned them all
+
+
+def reference_enumerate_cosets(d: CoxeterDiagram, cap: int) -> List[List[int]]:
+    """`_enumerate_cosets` as it was: every relator scanned at every live
+    coset, liveness read through `rep`."""
+    n = d.rank
+    labels = [(i, j, d.matrix[i][j]) for i in range(n) for j in range(i + 1, n)]
+    if any(m != INF and 2 * m > cap for _, _, m in labels):
+        raise ResourceLimitError(f"coset enumeration exceeded cap={cap} live cosets")
+    ct = coxeter._CosetTable(n, cap)
+    cols = ct.cols
+    relators = [[cols[i], cols[j]] * m for i, j, m in labels if m != INF]
+    alpha = 0
+    while alpha < len(ct.parent):
+        if ct.rep(alpha) != alpha:
+            alpha += 1
+            continue
+        for w in relators:
+            ct.scan_and_fill(alpha, w)
+            if ct.rep(alpha) != alpha:
+                break
+        if ct.rep(alpha) == alpha:
+            for col in cols:
+                if col[alpha] < 0:
+                    ct.define(alpha, col)
+        alpha += 1
+    return ct.compact()
+
+
+class CountingTable(coxeter._CosetTable):
+    """The live table, counting its `define` calls."""
+
+    made: List["CountingTable"] = []
+
+    def __init__(self, ngens: int, cap: int):
+        super().__init__(ngens, cap)
+        self.defines = 0
+        CountingTable.made.append(self)
+
+    def define(self, c: int, col: List[int]) -> int:
+        self.defines += 1
+        return super().define(c, col)
+
+
+def assert_same_enumeration(d: CoxeterDiagram, cap: int, monkeypatch):
+    """Both loops end alike at `cap`, the same columns or the same
+    ResourceLimitError, after the same number of `define` calls and with
+    the same table.  Returns the outcome."""
+    monkeypatch.setattr(coxeter, "_CosetTable", CountingTable)
+    CountingTable.made = []
+    new = hlt_outcome(lambda: _enumerate_cosets(d, cap))
+    ref = hlt_outcome(lambda: reference_enumerate_cosets(d, cap))
+    assert new == ref
+    [ct, rt] = CountingTable.made
+    assert ct.defines == rt.defines > 0
+    assert ct.cols == rt.cols and ct.parent == rt.parent
+    return new
+
+
+HLT_DIAGRAMS = {
+    **{f"A{n}": diagram_a(n) for n in range(1, 6)},
+    **{f"B{n}": diagram_b(n) for n in range(2, 5)},
+    "D4": diagram_d(4),
+    "D5": diagram_d(5),
+    "F4": diagram_f4(),
+    "H3": diagram_h(3),
+    **{f"I2_{m}": diagram_i2(m) for m in (2, 3, 5, 8, 12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HLT_DIAGRAMS))
+def test_skipping_closed_relators_defines_the_same_cosets(name, monkeypatch):
+    out = assert_same_enumeration(HLT_DIAGRAMS[name], 10000, monkeypatch)
+    assert isinstance(out, list) and len(out[0]) == recognize_spherical(HLT_DIAGRAMS[name]).order
+
+
+@pytest.mark.parametrize("cap", [10, 50, 200])
+def test_skipping_closed_relators_trips_affine_a2_at_the_same_define(cap, monkeypatch):
+    affine_a2 = CoxeterDiagram.from_edges(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)])
+    out = assert_same_enumeration(affine_a2, cap, monkeypatch)
+    assert out == f"coset enumeration exceeded cap={cap} live cosets"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["H4", "E6"])
+def test_skipping_closed_relators_defines_the_same_cosets_slow(name, monkeypatch):
+    d = diagram_h(4) if name == "H4" else diagram_e(6)
+    out = assert_same_enumeration(d, 60000, monkeypatch)
+    assert len(out[0]) == recognize_spherical(d).order

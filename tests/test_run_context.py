@@ -27,6 +27,10 @@ Every identity that `loop` or `verify` reports with a `checked` count, and
 the associativity behind an `associative` field, is one `groups._sweep`
 call, and the run makes no other.
 
+`verify` on a diagram drops the amalgam, its complex and H^1 from the run
+before the doubled-loop blocks, and the Moufang sweep's byte views before
+the theorems: neither reads them.
+
 `Aut` is never listed: no `aut` or `verify` run builds `AutGroup.elements`.
 The set stabilizers of the coefficient groups and amalgams walk Aut's
 transversals instead, so `verify` on I2(8) (|Aut| = 1536 on the edge loop)
@@ -305,6 +309,25 @@ def test_one_sweep_per_identity_reported(command, name, monkeypatch):
         reported.append("assoc")
     assert "c1" in reported or "m1" in reported
     assert sorted(swept) == sorted(reported)
+
+
+@pytest.mark.parametrize("name", ["A2", "I2(8)", "B3", "A1xB2"])
+def test_the_doubled_loop_blocks_run_without_the_amalgam(name, monkeypatch):
+    from coxloops import cli
+
+    held = []
+    theorems = cli._theorems
+
+    def recording(ctx, *args):
+        held.append(sorted({"amalgam", "complex", "cohomology"} & vars(ctx).keys()))
+        held.append("byte_views" in vars(loops.chein_loop(ctx.group)))
+        return theorems(ctx, *args)
+
+    monkeypatch.setattr(cli, "_theorems", recording)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(INPUTS[name].encode())))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "-", "--json"]) == 0
+    assert held == [[], False]
 
 
 @pytest.mark.parametrize("name", ["B3", "A1xB2", "I2(8)", "D6"])
