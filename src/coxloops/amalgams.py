@@ -31,6 +31,13 @@ kernel.  The orbit of every a_T is T + O, O is certified to be a
 subgroup of the deltas under symmetric difference, and the classes are
 its cosets.  That is the H^1 = Z^1 / B^1 statement, certified by one
 elimination instead of 2^(2n-1) searches.
+
+What an amalgam holds: one loop per distinct core, and one image tuple
+per distinct (core of tau, core of rho, twisted), keyed by face pair for
+the maps out of a pointed simplex (`stored`) and by the target's core for
+the maps out of an empty core (`free`).  The simplices are generated by
+the edge complex and their cores read by rule (`EdgeComplex.core_of`), so
+nothing is held per unpointed simplex.
 """
 
 from __future__ import annotations
@@ -107,37 +114,20 @@ class Amalgam:
         self.free = free  # core of rho -> images of the map into G_rho from an empty core
         self.kind = kind
         self.twists = twists
-        # certified local facts of this amalgam by exact key (the
-        # coefficient groups' twists and stabilizer orders)
-        self.memo: Dict[Tuple, object] = {}
-
-    def simplices(self) -> Tuple[Simplex, ...]:
-        """Every simplex of the complex: its cached tuple, not a copy."""
-        return self.complex.all_simplices
 
     def faces(self, tau: Simplex) -> List[Tuple[Simplex, Tuple[int, ...]]]:
         """(rho, images of psi: G_tau -> G_rho) for each proper face rho of
         tau.  A map is fixed by the two cores and the twist, and interned
         by them; out of an empty core (nearly every simplex of a large
         complex, never twisted) it is `free[core of rho]`, so only the maps
-        out of a core are `stored`."""
+        out of a core are `stored`.  KeyError unless tau is a simplex."""
         core = self.complex.core
-        if core[tau]:
+        if self.complex.core_of(tau):
             return [(rho, self.stored[tau, rho]) for rho in _proper_faces(tau)]
-        return [(rho, self.free[core[rho]]) for rho in _proper_faces(tau)]
-
-    @property
-    def maps(self) -> Dict[Tuple[Simplex, Simplex], Tuple[int, ...]]:
-        """(tau, rho) -> images of psi: G_tau -> G_rho for every face pair,
-        in `simplices()` order: a new dict, read through `faces`."""
-        maps = {}
-        for tau in self.simplices():
-            for rho, images in self.faces(tau):
-                maps[tau, rho] = images
-        return maps
+        return [(rho, self.free[core.get(rho, ())]) for rho in _proper_faces(tau)]
 
     def core_of(self, sigma: Simplex) -> Tuple[int, ...]:
-        return self.complex.core[tuple(sigma)]
+        return self.complex.core_of(tuple(sigma))
 
     def loop_of(self, sigma: Simplex) -> LoopTable:
         return self._core_data[self.core_of(sigma)].loop
@@ -305,13 +295,14 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
     maps: Set[Tuple] = set()
     chains: Set[Tuple] = set()
     below: Dict[Simplex, List[Tuple[Simplex, Tuple[int, ...]]]] = {}  # the faces of each pair
-    nmaps = nchains = 0
-    for tau in a.simplices():  # the pairs come before the triples
+    nsimplices = nmaps = nchains = 0
+    for tau in a.complex.simplices():  # the pairs come before the triples
+        nsimplices += 1
         down = a.faces(tau)
         nmaps += len(down)
-        dom = loop[core[tau]]
+        dom = loop[core.get(tau, ())]
         for rho, images in down:
-            maps.add((images, dom, loop[core[rho]]))
+            maps.add((images, dom, loop[core.get(rho, ())]))
         if len(tau) == 2:
             below[tau] = down
         elif len(tau) == 3:
@@ -328,7 +319,7 @@ def verify_amalgam(a: Amalgam) -> AmalgamReport:
     for outer, inner, direct in chains:
         comp &= compose(outer, inner) == direct
     return AmalgamReport(
-        simplices=len(a.simplices()),
+        simplices=nsimplices,
         maps_checked=nmaps,
         chains_checked=nchains,
         injective_ok=inj,
@@ -359,7 +350,7 @@ def loop_completion(a: Amalgam, w: GroupTable):
     loop = chein_loop(w)
     maps: Dict[Simplex, Tuple[int, ...]] = {}
     by_core: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for sigma in a.simplices():
+    for sigma in a.complex.simplices():
         core = a.core_of(sigma)
         if core not in by_core:
             by_core[core] = _inclusion_images(a.core_loop(core).group, [v - 1 for v in core], w)
@@ -377,7 +368,7 @@ def verify_completion(
     square (phi_rho, psi, phi_tau) checked once, keyed by the maps' values."""
     embeds: Set[Tuple] = set()
     squares: Set[Tuple] = set()
-    for tau in a.simplices():
+    for tau in a.complex.simplices():
         embeds.add((maps[tau], a.loop_of(tau)))
         for rho, psi in a.faces(tau):
             squares.add((maps[rho], psi, maps[tau]))
@@ -441,10 +432,10 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
     """
     if a.complex.graph != b.complex.graph:
         raise ValueError("amalgams live over different graphs")
-    for sigma in a.simplices():
+    for sigma in a.complex.simplices():
         if a.loop_of(sigma).product != b.loop_of(sigma).product:
             raise ValueError("amalgams do not share their standard loops")
-    for tau in a.simplices():
+    for tau in a.complex.simplices():
         for (_, x), (_, y) in zip(a.faces(tau), b.faces(tau)):
             if frozenset(x) != frozenset(y):
                 raise ValueError("amalgams are not of a common type (images differ)")
@@ -468,7 +459,7 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
             )
         theta = {(e,): f for e, f in zip(edges, choice)}
         ok = True
-        for tau in a.simplices():
+        for tau in a.complex.simplices():
             if len(tau) < 2:
                 continue
             if not a.core_of(tau):
@@ -493,10 +484,10 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
 
 
 def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]]) -> None:
-    for sigma in a.simplices():
+    for sigma in a.complex.simplices():
         if not is_automorphism(a.loop_of(sigma), theta[tuple(sigma)]):
             raise CheckError("isomorphism witness is not an automorphism family")
-    for tau in a.simplices():
+    for tau in a.complex.simplices():
         for (rho, psi_a), (_, psi_b) in zip(a.faces(tau), b.faces(tau)):
             if compose(theta[rho], psi_a) != compose(psi_b, theta[tau]):
                 raise CheckError("isomorphism witness fails to commute")

@@ -600,10 +600,15 @@ def _amalgam_blocks(ctx: _Run, classify: bool) -> Tuple[Dict, List[Dict]]:
 def _coefficient_checks(ctx: _Run) -> List[Dict]:
     a, cfg = ctx.amalgam, ctx.cfg
     mode = "structural" if cfg.cross_check else "none"
+    # A_sigma depends on sigma only through its core: each distinct core is
+    # computed at its first simplex, which names any CheckError it raises
+    order_of: Dict[Tuple[int, ...], int] = {}
     orders: List[int] = []
-    for sigma in a.simplices():
-        # coefficient_group raises CheckError when the stabilizer disagrees
-        orders.append(cohomology.coefficient_group(sigma, a, mode=mode, budget=cfg.budget).order)
+    for sigma in a.complex.simplices():
+        core = a.complex.core.get(sigma, ())
+        if core not in order_of:
+            order_of[core] = cohomology.coefficient_group(sigma, a, mode=mode, budget=cfg.budget).order
+        orders.append(order_of[core])
     entry = _check(
         "coefficient_groups_match_stabilizers",
         True,

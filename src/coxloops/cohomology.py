@@ -14,9 +14,11 @@ tuples), so every matrix, basis and report is deterministic.
 
 The complex is built from vertex stars: in a simple graph a pointed pair
 or triple has exactly one core vertex, so the pointed simplices are the
-pairs and triples of edges at each vertex, sum C(deg, k) of them, and the
-C(|E|, 3) subsets without a common vertex are only listed when something
-asks for them (amalgams do; cohomology and vertex stars never do).
+pairs and triples of edges at each vertex, sum C(deg, k) of them.  The
+C(|E|, 3) subsets without a common vertex are never stored: the complex
+generates every simplex (`EdgeComplex.simplices`), holds the cores of the
+singletons and the pointed simplices, and reads every other core as empty
+by rule (`EdgeComplex.core_of`).
 Each vertex star is built once per complex.  Its local coboundaries
 depend on its degree only, so each complex builds them once per degree
 and eliminates each distinct local d1 once (`EdgeComplex.kernels`).
@@ -59,7 +61,7 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import xor
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 # `groups`, `loops` and `morphisms` are the package's lazy module objects:
 # each body runs when the coefficient-group code below first calls into
@@ -166,9 +168,12 @@ class EdgeComplex:
     there); `d1_faces` is d1 as each pointed triple's three face positions.
     Stars of one degree share their local rows; `kernels` holds one
     certified kernel basis per distinct local d1, and `acyclic` one
-    acyclicity test per distinct pair of local d0 and kernel.  The
-    unpointed simplices (`pairs`, `triples` and their empty cores in
-    `core`) are only built on first use.
+    acyclicity test per distinct pair of local d0 and kernel.  `core`
+    holds the cores of the singletons and the pointed simplices only;
+    `core_of` reads every other pair or triple's core as empty, and
+    `simplices()` generates all of them, so no unpointed simplex is held.
+    `pairs` and `triples` list every pair and triple on first use; nothing
+    in the package asks for them.
     """
 
     def __init__(self, graph: Graph):
@@ -220,39 +225,30 @@ class EdgeComplex:
 
     @cached_property
     def core(self) -> Dict[Simplex, Tuple[int, ...]]:
-        """Common vertices of every simplex; empty for the unpointed ones."""
+        """Common vertices of the simplices that have any: the singletons
+        and the stars' pairs and triples.  `core_of` reads the rest."""
         core: Dict[Simplex, Tuple[int, ...]] = {(e,): e for e in self.edges}
-        core.update(dict.fromkeys(self.pairs, ()))
-        core.update(dict.fromkeys(self.triples, ()))
         for v, star in self.stars.items():
             core.update(dict.fromkeys(star.pairs + star.triples, (v,)))
         return core
 
-    @cached_property
-    def all_simplices(self) -> Tuple[Simplex, ...]:
-        """Every simplex (size <= 3), singletons first, then pairs, triples."""
-        return tuple((e,) for e in self.edges) + self.pairs + self.triples
+    def core_of(self, sigma: Simplex) -> Tuple[int, ...]:
+        """The common vertices of sigma: its `core` entry, or () for any
+        other pair or triple of ascending, distinct edges of the graph.
+        KeyError for anything that is not a simplex of the complex."""
+        if sigma in self.core:
+            return self.core[sigma]
+        pos = [self.edge_pos.get(e, -1) for e in sigma]
+        if len(pos) in (2, 3) and -1 < pos[0] < pos[1] and (len(pos) == 2 or pos[1] < pos[2]):
+            return ()
+        raise KeyError(sigma)
 
-    def simplices(self) -> List[Simplex]:
-        """`all_simplices` as a new list."""
-        return list(self.all_simplices)
-
-    def cofaces(self, sigma: Simplex) -> List[Simplex]:
-        """Proper cofaces of sigma in the complex, in `simplices()` order.
-
-        Adding the same number of further edges to sigma in lexicographic
-        order of the added edges yields the cofaces in lexicographic order,
-        so they come out as a scan of `simplices()` would list them.
-        """
-        ss = set(sigma)
-        if not ss <= self.edge_pos.keys():
-            return []
-        rest = [e for e in self.edges if e not in ss]
-        return [
-            tuple(sorted(ss.union(extra)))
-            for size in range(len(ss) + 1, 4)
-            for extra in combinations(rest, size - len(ss))
-        ]
+    def simplices(self) -> Iterator[Simplex]:
+        """Every simplex (size <= 3), singletons first, then pairs, triples,
+        each size in lexicographic order; generated, never stored."""
+        yield from ((e,) for e in self.edges)
+        yield from combinations(self.edges, 2)
+        yield from combinations(self.edges, 3)
 
 
 def build_complex(graph: Graph) -> EdgeComplex:
@@ -560,22 +556,19 @@ def coefficient_group(
     stabilizer of every canonical subloop L_K, K a proper subset of the
     core, inside Aut(G_sigma); mode="none" skips the brute force.
 
-    The twist is computed once per loop, and the stabilizer order once per
-    (loop, targets, budget), in `amalgam.memo`: the simplices of one
-    amalgam share a few loops.
+    The order, the generator and the stabilizer depend on sigma only
+    through its core (its loop, its twist and its targets), so a caller
+    that needs every simplex asks once per distinct core.
     """
     sigma = tuple(sorted(tuple(sorted(e)) for e in sigma))
     loop: loops.LoopTable = amalgam.loop_of(sigma)
     core = amalgam.core_of(sigma)
-    memo = amalgam.memo
 
     if not core:
         closed_order, gen = 1, None
     else:
         twist = edge_twist if len(sigma) == 1 else vertex_twist
-        if (twist, loop) not in memo:
-            memo[twist, loop] = twist(loop)
-        closed_order, gen = 2, memo[twist, loop]
+        closed_order, gen = 2, twist(loop)
 
     brute = None
     if mode == "structural":
@@ -584,17 +577,12 @@ def coefficient_group(
             for k in range(len(core))
             for sub in combinations(core, k)
         )
-        if (loop, targets, budget) not in memo:
-            memo[loop, targets, budget] = len(_set_stabilizer(loop, targets, budget))
-        brute = memo[loop, targets, budget]
+        brute = len(_set_stabilizer(loop, targets, budget))
     elif mode != "none":
         raise ValueError(f"unknown mode {mode!r}")
 
-    if gen is not None:
-        if (loop, gen) not in memo:
-            memo[loop, gen] = morphisms.is_automorphism(loop, gen)
-        if not memo[loop, gen]:
-            raise CheckError(f"coefficient group generator at {sigma} is not an automorphism")
+    if gen is not None and not morphisms.is_automorphism(loop, gen):
+        raise CheckError(f"coefficient group generator at {sigma} is not an automorphism")
     result = CoefficientGroup(sigma, core, closed_order, gen, brute, mode)
     if mode == "structural" and not result.agrees:
         raise CheckError(

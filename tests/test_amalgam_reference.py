@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxloops import amalgams
+from coxloops import amalgams, cli
 from coxloops.amalgams import (
     Amalgam,
     AmalgamReport,
@@ -76,10 +76,10 @@ def reference_maps(a: Amalgam) -> FaceMap:
     klein_twist = {(v,): vertex_twist(a.core_loop((v,)).loop) for v in cx.graph.vertices}
     maps: FaceMap = {}
     for tau in cx.simplices():
-        j_tau = cx.core[tau]
+        j_tau = cx.core_of(tau)
         for size in range(1, len(tau)):
             for rho in combinations(tau, size):
-                j_rho = cx.core[rho]
+                j_rho = cx.core_of(rho)
                 if j_tau == j_rho:
                     images = tuple(range(a.core_loop(j_tau).loop.order))
                 else:
@@ -113,7 +113,7 @@ def reference_verify_amalgam(a: Amalgam, maps: FaceMap) -> AmalgamReport:
                         chains += 1
                         if compose(maps[(rho, sig)], maps[(tau, rho)]) != maps[(tau, sig)]:
                             comp = False
-    return AmalgamReport(len(a.complex.simplices()), nmaps, chains, inj, hom, comp)
+    return AmalgamReport(len(list(a.complex.simplices())), nmaps, chains, inj, hom, comp)
 
 
 def reference_verify_completion(a: Amalgam, loop, phis, maps: FaceMap) -> CompletionReport:
@@ -156,21 +156,26 @@ def reference_coefficient_group(sigma, a: Amalgam, mode: str, budget: int = 10_0
 # comparisons
 
 
+def face_maps(a: Amalgam) -> FaceMap:
+    """Every face pair's images, in walk order, read through `a.faces`."""
+    return {(tau, rho): images for tau in a.complex.simplices() for rho, images in a.faces(tau)}
+
+
 def assert_same_amalgam(a: Amalgam) -> FaceMap:
     """The same maps in the same order as the per-pair build, each one
     interned, and the same verification report, also with a stored map
     forged.  Returns the reference maps."""
     ref = reference_maps(a)
-    maps = a.maps
+    maps = face_maps(a)
     assert list(maps.items()) == list(ref.items())
     for key, images in ref.items():
         assert a.connecting(*key) is maps[key]
     # the maps with one key (the two cores, twisted or not) are one tuple
-    core, by_key = a.complex.core, {}
+    core_of, by_key = a.complex.core_of, {}
     for (tau, rho), images in maps.items():
-        j = core[tau]
+        j = core_of(tau)
         twisted = len(j) == 1 and len(rho) == 1 and (j[0], rho[0]) in a.twists
-        by_key.setdefault((j, core[rho], twisted), set()).add(id(images))
+        by_key.setdefault((j, core_of(rho), twisted), set()).add(id(images))
     assert all(len(ids) == 1 for ids in by_key.values())
     assert verify_amalgam(a) == reference_verify_amalgam(a, ref)
     for forge in FORGES:
@@ -193,16 +198,15 @@ FORGES = [
 
 def assert_same_coefficients(a: Amalgam) -> None:
     for mode in ("structural", "none"):
-        fresh = Amalgam(a.diagram, a.complex, a._core_data, a.stored, a.free, a.kind, a.twists)
-        for sigma in a.simplices():
-            assert coefficient_group(sigma, fresh, mode=mode) == reference_coefficient_group(sigma, a, mode)
+        for sigma in a.complex.simplices():
+            assert coefficient_group(sigma, a, mode=mode) == reference_coefficient_group(sigma, a, mode)
 
 
 def assert_same_completion(a: Amalgam, ref: FaceMap) -> None:
     loop, phis = loop_completion(a, enumerate_group(a.diagram))
-    assert list(phis) == a.complex.simplices()
+    assert list(phis) == list(a.complex.simplices())
     assert verify_completion(a, loop, phis) == reference_verify_completion(a, loop, phis, ref)
-    for sigma in a.simplices()[:4]:
+    for sigma in list(phis)[:4]:
         for forge in FORGES:
             forged = dict(phis)
             forged[sigma] = forge(phis[sigma])
@@ -264,24 +268,38 @@ def test_empty_core_pairs_are_derived_not_stored():
     a = standard_amalgam(DIAGRAMS["K4"])
     cx = a.complex
     pointed = len(cx.pointed_pairs) * 2 + len(cx.pointed_triples) * 6
-    assert len(a.stored) == pointed < len(a.maps) == 2 * len(cx.pairs) + 6 * len(cx.triples)
+    assert len(a.stored) == pointed < len(face_maps(a)) == 2 * len(cx.pairs) + 6 * len(cx.triples)
     # the maps out of an empty core are read from the cores of the faces
-    tau = next(t for t in cx.triples if not cx.core[t])
-    assert all(a.connecting(tau, rho) is a.free[cx.core[rho]] for rho, _ in a.faces(tau))
+    tau = next(t for t in cx.triples if not cx.core_of(t))
+    assert all(a.connecting(tau, rho) is a.free[cx.core_of(rho)] for rho, _ in a.faces(tau))
     for key in [(tau, tau), (tau, ((9, 9),)), (tau[:1], tau[:1]), ((), ()), (tau[::-1], tau[:1])]:
         with pytest.raises(KeyError):
             a.connecting(*key)
 
 
 def test_memoized_coefficient_groups_keep_the_budget():
-    # the stabilizer is memoized per budget: a smaller one still refuses
+    # each call runs the stabilizer under its own budget: a smaller one
+    # after a larger one still refuses
     a = standard_amalgam(DIAGRAMS["triangle"])
-    edge = a.simplices()[0]
+    edge = next(a.complex.simplices())
     assert coefficient_group(edge, a).brute_order == 2
     with pytest.raises(ResourceLimitError):
         coefficient_group(edge, a, budget=1)
     with pytest.raises(ResourceLimitError):
         reference_coefficient_group(edge, a, "structural", budget=1)
+
+
+def test_the_amalgam_path_holds_no_unpointed_simplex():
+    # the run's amalgam, its verification and its coefficient checks on K5
+    # walk all 175 simplices, 115 of them without a core, and never list
+    # the 45 pairs or the 120 triples
+    text = "coxeter v1\nrank 5\n" + "".join(f"edge {a} {b} 3\n" for a, b in combinations(range(1, 6), 2))
+    ctx = cli._Run(*cli.parse_input(text), cli._parse_args(["verify", "-"]))
+    a = ctx.amalgam
+    assert verify_amalgam(a).simplices == 175
+    [entry] = cli._coefficient_checks(ctx)
+    assert entry["simplices"] == 175
+    assert not {"pairs", "triples"} & vars(a.complex).keys()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ Frozen values: completion orders 48/96/240 for the three spherical rank-3
 diagrams, 2 classes on one triangle (certified by exhausting all 8 edge
 assignments), 4 classes on the two-triangle graph, and the cocycle/twist
 correspondence delta <-> z_delta; and, under `-m slow`, the digest and the
-peak memory of `verify` on a seeded diagram of 106 edges.
+peak memory of `verify` on seeded diagrams of 106 and 200 edges.
 """
 
 import os
@@ -280,16 +280,63 @@ print(code, hashlib.sha256(out.getvalue()).hexdigest(), peak_kb, file=sys.__stdo
 """
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak memory is read from VmHWM")
-def test_verify_on_106_edges_within_100_mb():
-    # a fresh process, so the peak is this run alone; the digest was taken
-    # while the amalgam held one image tuple per face pair (318 MB VmHWM)
-    text = "\n".join(["coxeter v1", "rank 100"] + [f"edge {a} {b} 3" for a, b in SEEDED_106]) + "\n"
+def verify_peak(nverts, edges):
+    """(exit code, report digest, VmHWM in kB) of `verify --json` on the
+    diagram of `edges`, all labels 3, in a fresh process, so the peak is
+    this run alone."""
+    text = "\n".join(["coxeter v1", f"rank {nverts}"] + [f"edge {a} {b} 3" for a, b in edges]) + "\n"
     proc = subprocess.run(
         [sys.executable, "-c", VERIFY_PEAK], input=text, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     code, digest, peak_kb = proc.stdout.split()
+    return code, digest, int(peak_kb)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak memory is read from VmHWM")
+def test_verify_on_106_edges_within_100_mb():
+    # the digest was taken while the amalgam held one image tuple per face
+    # pair (318 MB VmHWM)
+    code, digest, peak_kb = verify_peak(100, SEEDED_106)
     assert (code, digest) == ("0", "8a9749c0a9fac4e8d858ae2dd0610b95199f7202775db9bc265bb95feeb7f690")
-    assert int(peak_kb) <= 100 << 10
+    assert peak_kb <= 100 << 10
+
+
+# `random_connected_graph(Random(1), 194, 200)` of benchmarks/corpus.py, all
+# labels 3: cycle rank 7, 1,333,500 simplices
+SEEDED_200 = [
+    (45, 63), (81, 186), (154, 188), (46, 102), (120, 180), (28, 122), (74, 127), (27, 150), (22, 161),
+    (68, 162), (33, 168), (145, 169), (33, 131), (175, 193), (64, 175), (17, 82), (20, 118), (90, 91),
+    (43, 176), (142, 164), (69, 129), (9, 94), (106, 131), (10, 182), (51, 56), (88, 141), (19, 157),
+    (51, 187), (99, 117), (68, 171), (160, 175), (44, 144), (6, 119), (39, 55), (16, 33), (29, 151),
+    (44, 163), (121, 167), (78, 143), (132, 150), (46, 156), (130, 152), (68, 168), (84, 102), (86, 147),
+    (10, 80), (42, 68), (139, 173), (116, 155), (60, 106), (56, 159), (26, 48), (5, 11), (65, 158),
+    (10, 126), (61, 146), (64, 170), (22, 76), (30, 172), (179, 183), (51, 144), (89, 106), (68, 119),
+    (148, 172), (84, 178), (57, 160), (31, 173), (161, 190), (45, 179), (19, 24), (18, 73), (53, 62),
+    (32, 153), (21, 92), (35, 183), (80, 147), (1, 158), (49, 141), (18, 103), (8, 186), (121, 170),
+    (149, 179), (28, 34), (37, 92), (50, 167), (19, 161), (50, 59), (44, 58), (11, 33), (77, 171),
+    (11, 165), (94, 161), (71, 191), (43, 174), (5, 145), (95, 132), (37, 104), (168, 183), (40, 160),
+    (4, 80), (106, 138), (19, 135), (14, 18), (23, 179), (163, 176), (2, 122), (141, 147), (117, 154),
+    (52, 133), (109, 118), (36, 183), (67, 92), (37, 43), (28, 137), (50, 155), (29, 65), (43, 111),
+    (74, 125), (140, 161), (77, 129), (19, 29), (123, 160), (70, 105), (92, 115), (5, 128), (160, 168),
+    (102, 160), (53, 110), (38, 85), (82, 187), (75, 172), (39, 188), (5, 172), (101, 176), (28, 98),
+    (19, 132), (38, 42), (74, 110), (18, 68), (139, 177), (131, 184), (20, 112), (20, 134), (24, 54),
+    (24, 53), (72, 92), (96, 160), (134, 189), (70, 124), (122, 136), (20, 160), (67, 177), (70, 78),
+    (44, 117), (37, 181), (3, 141), (144, 166), (13, 44), (102, 185), (81, 108), (36, 65), (12, 163),
+    (50, 93), (147, 183), (5, 39), (28, 192), (130, 150), (147, 194), (91, 184), (131, 153), (96, 100),
+    (80, 97), (17, 46), (42, 93), (32, 47), (38, 114), (88, 133), (40, 66), (25, 160), (41, 131),
+    (7, 64), (164, 175), (48, 50), (29, 124), (42, 177), (107, 141), (87, 187), (113, 141), (15, 191),
+    (61, 80), (15, 138), (37, 81), (13, 159), (44, 131), (32, 83), (28, 33), (38, 173), (28, 120),
+    (79, 105), (24, 106),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak memory is read from VmHWM")
+def test_verify_on_200_edges_within_100_mb():
+    # the digest was taken while the complex held a core entry for each of
+    # the C(200, 3) triples (193 MB VmHWM)
+    code, digest, peak_kb = verify_peak(194, SEEDED_200)
+    assert (code, digest) == ("0", "b326876171d6907a443f788ce3bd2c2850835b7e83ba3117659dac326c053766")
+    assert peak_kb <= 100 << 10

@@ -9,17 +9,20 @@ vertices, 4000 on 400), and the peak memory of the larger dense one.
 """
 
 import hashlib
+import importlib
+import io
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
 
-from coxloops import gf2
+from coxloops import cli, gf2
 from coxloops.cohomology import (
     build_complex,
     coefficient_group,
@@ -79,15 +82,6 @@ def test_complex_counts_k4():
     assert len(cx.pointed_triples) == 4
     assert len(cx.d0_rows) == 12
     assert len(cx.d1_faces) == 4
-
-
-def test_cofaces_in_triangle_complex():
-    cx = build_complex(TRIANGLE)
-    e = ((1, 2),)
-    cof = cx.cofaces(e)
-    assert len(cof) == 3  # two pairs and the full triple
-    assert all(set(e) < set(t) for t in cof)
-    assert cx.cofaces(tuple(cx.edges)) == []
 
 
 def test_coboundary_composition_is_zero():
@@ -266,22 +260,65 @@ def test_coefficient_group_none_mode_skips_the_brute_force():
 def test_a_stabilizer_disagreeing_with_the_closed_form_fails_verify(flags):
     # every canonical subloop forged to {0}, which every automorphism fixes:
     # the stabilizer at the A2 edge is all 108 automorphisms of M(S3, 2),
-    # not the closed form's 2, and the check must hold without asserts too
-    code = "\n".join([
-        "import io, sys",
-        "from coxloops import cli",
-        "from coxloops.amalgams import Amalgam",
-        "Amalgam.core_subloop = lambda self, core, sub: (0,)",
-        "sys.stdin = io.TextIOWrapper(io.BytesIO(b'coxeter v1\\nrank 2\\nedge 1 2 3\\n'))",
-        "print(__debug__, cli.main(['verify', '-']))",
-    ])
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert proc.stdout.split() == [str(not flags), "2"], proc.stderr
-    assert proc.stderr == (
-        "check failure: coefficient group at ((1, 2),): closed form 2 != stabilizer order 108\n"
-    )
+    # not the closed form's 2, and the check must hold without asserts too.
+    # Forged at the vertex cores only, on A3, the edges pass and the first
+    # pointed pair fails: all 6 automorphisms of the Klein loop fix {0}
+    cases = [
+        ("lambda self, core, sub: (0,)", "rank 2\\nedge 1 2 3", "((1, 2),)", 108),
+        (
+            "lambda self, core, sub: (0,) if len(core) == 1 else genuine(self, core, sub)",
+            "rank 3\\nedge 1 2 3\\nedge 2 3 3",
+            "((1, 2), (2, 3))",
+            6,
+        ),
+    ]
+    for forgery, body, sigma, brute in cases:
+        code = "\n".join([
+            "import io, sys",
+            "from coxloops import cli",
+            "from coxloops.amalgams import Amalgam",
+            "genuine = Amalgam.core_subloop",
+            f"Amalgam.core_subloop = {forgery}",
+            f"sys.stdin = io.TextIOWrapper(io.BytesIO(b'coxeter v1\\n{body}\\n'))",
+            "print(__debug__, cli.main(['verify', '-']))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.stdout.split() == [str(not flags), "2"], proc.stderr
+        assert proc.stderr == (
+            f"check failure: coefficient group at {sigma}: closed form 2 != stabilizer order {brute}\n"
+        )
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-cross-check"]])
+def test_verify_computes_one_coefficient_group_per_distinct_core(monkeypatch, flags):
+    # K5 has 175 simplices and 16 distinct cores: 10 edges, 5 vertices and
+    # the empty core; each core is computed at its first simplex, and every
+    # simplex still gets its order
+    layer = importlib.import_module("coxloops.cohomology")
+    genuine = layer.coefficient_group
+    calls = []
+
+    def counting(sigma, *args, **kwargs):
+        calls.append(sigma)
+        return genuine(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(layer, "coefficient_group", counting)
+    edges = "".join(f"edge {a} {b} 3\n" for a in range(1, 6) for b in range(a + 1, 6))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(f"coxeter v1\nrank 5\n{edges}".encode())))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["verify", "-", "--json", *flags]) == 0
+    cx = build_complex(Graph(range(1, 6), [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]))
+    firsts = {}
+    for sigma in cx.simplices():
+        firsts.setdefault(cx.core_of(sigma), sigma)
+    assert len(calls) == 16 and calls == list(firsts.values())
+    [entry] = [c for c in json.loads(out.getvalue())["checks"] if c["name"] == "coefficient_groups_match_stabilizers"]
+    if not flags:
+        assert entry["simplices"] == len(entry["orders"]) == 175
+        assert entry["orders"] == [2 if cx.core_of(s) else 1 for s in cx.simplices()]
 
 
 # ---------------------------------------------------------------------------

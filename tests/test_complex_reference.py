@@ -3,7 +3,8 @@ by elimination against the reference paths they replaced.
 
 The references below are the earlier implementations, condensed: an edge
 complex that lists every subset of at most three edges and filters the
-pointed ones, `cofaces` and `vertex_star` as scans, the Z^1 cross-check by
+pointed ones with the core of each, `cofaces` and `vertex_star` as
+scans, the Z^1 cross-check by
 elimination over the whole d1, the edge candidates as the stabilizer of
 every coface image, and two classifications: the brute force that
 compares every delta with the first member of each class so far by an
@@ -20,6 +21,7 @@ import json
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 import pytest
@@ -329,26 +331,47 @@ def reference_edge_candidates(a: Amalgam, e) -> List[Tuple[int, ...]]:
     """The stabilizer of the images of every coface of (e,), each coface
     listed."""
     sigma = (e,)
-    targets = {frozenset(a.connecting(tau, sigma)) for tau in a.complex.cofaces(sigma)}
+    cofaces = ReferenceComplex(a.complex.graph).cofaces(sigma)
+    targets = {frozenset(a.connecting(tau, sigma)) for tau in cofaces}
     return _set_stabilizer(a.loop_of(sigma), targets, 10_000_000)
 
 
 ATTRIBUTES = (
-    "edges", "edge_pos", "pairs", "triples", "core", "pointed_pairs",
+    "edges", "edge_pos", "pairs", "triples", "pointed_pairs",
     "pointed_triples", "pair_pos", "d0_rows",
 )
+
+
+def malformed(edges: Tuple) -> List[Tuple]:
+    """Keys that name no simplex of a complex over `edges`: the empty
+    tuple, an edge outside the graph, alone and beside one inside it, and,
+    as far as there are edges, an edge repeated, the first pair and triple
+    in descending order, and four edges."""
+    outside = (0, 99)
+    keys = [(), (outside,)]
+    if edges:
+        keys += [(edges[0], outside), edges[:1] * 2, edges[:1] * 3]
+    if len(edges) >= 2:
+        keys.append(edges[1::-1])
+    if len(edges) >= 3:
+        keys.append(edges[2::-1])
+    if len(edges) >= 4:
+        keys.append(edges[:4])
+    return keys
 
 
 def assert_same_complex(graph: Graph) -> None:
     cx, ref = build_complex(graph), ReferenceComplex(graph)
     for name in ATTRIBUTES:
         assert getattr(cx, name) == getattr(ref, name), name
-    assert cx.simplices() == ref.simplices()
+    assert list(cx.simplices()) == ref.simplices()
     for sigma in ref.simplices():
-        assert cx.cofaces(sigma) == ref.cofaces(sigma), sigma
-        assert cx.cofaces(tuple(reversed(sigma))) == ref.cofaces(sigma)
-    for sigma in ((), ((0, 99),), ref.edges[:1] * 2, ref.edges[:4]):
-        assert cx.cofaces(sigma) == ref.cofaces(sigma), sigma
+        assert cx.core_of(sigma) == ref.core[sigma], sigma
+    # only the nonempty cores are held
+    assert cx.core == {s: j for s, j in ref.core.items() if j}
+    for sigma in malformed(ref.edges):
+        with pytest.raises(KeyError):
+            cx.core_of(sigma)
     # d1 as faces: the supports of the dense rows, ascending
     assert cx.d1_faces == [tuple(gf2.support(row)) for row in ref.d1_rows]
     # the star map: each pointed pair's core vertex and place in that star
@@ -438,6 +461,36 @@ def test_star_path_builds_no_unpointed_simplices():
     cohomology(cx)
     assert not {"pairs", "triples", "core"} & vars(cx).keys()
     assert len(cx.triples) == 455 and vars(cx)["triples"] is cx.triples
+
+
+CORE_OF = """
+from coxloops.cohomology import build_complex
+from test_complex_reference import GRAPHS, ReferenceComplex, malformed
+
+for name, graph in sorted(GRAPHS.items()):
+    cx, ref = build_complex(graph), ReferenceComplex(graph)
+    same = all(cx.core_of(s) == ref.core[s] for s in ref.simplices())
+    refused = 0
+    for sigma in malformed(ref.edges):
+        try:
+            cx.core_of(sigma)
+        except KeyError:
+            refused += 1
+    print(__debug__, name, same, refused == len(malformed(ref.edges)))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_core_of_reads_every_core_and_refuses_what_is_no_simplex(flags):
+    # the refusals are raised, not asserted: they hold under -O too
+    code = f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n" + CORE_OF
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        [str(not flags), name, "True", "True"] for name in sorted(GRAPHS)
+    ]
 
 
 FORGERIES = """

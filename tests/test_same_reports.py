@@ -38,9 +38,9 @@ def test_the_frontier_cases_are_the_seeded_diagrams(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[('verify', 'seeded_45'), ('verify', 'seeded_106'), "
+        "[('verify', 'seeded_45'), ('verify', 'seeded_106'), ('verify', 'seeded_200'), "
         "('amalgams', 'seeded_45', '--budget', '1000000000000000000')]",
-        "[('seeded_106', 106), ('seeded_45', 45)]",
+        "[('seeded_106', 106), ('seeded_200', 200), ('seeded_45', 45)]",
     ]
     assert (tmp_path / "seeded_45.cox").read_text().startswith("coxeter v1\nrank 40\nedge 16 39 3\n")
 
@@ -53,5 +53,5 @@ def test_a_checkout_writes_the_same_frontier_reports_as_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     match = re.fullmatch(r"(\d+)/(\d+) identical \(seed 7\)\n", proc.stdout)
-    # the default runs and 4 variants of each of the 3 frontier runs
+    # the default runs and 4 variants of each of the 4 frontier runs
     assert match and match[1] == match[2] and int(match[1]) % 4 == 0, proc.stdout

@@ -9,9 +9,9 @@ this checkout and once on the `src/` of PARENT_CHECKOUT.  The inputs are
 written from the seed by `benchmarks/corpus.write_inputs` into a temporary
 directory, the working directory of every run, so both sides' reports
 name the same input paths.  `--frontier` adds the amalgam frontier: `verify`
-on the seeded diagrams of 45 and 106 edges and `amalgams` on the 45-edge one
-(`FRONTIER`), whose inputs `corpus.random_connected_graph` draws from seed 1
-whatever `--seed` is.
+on the seeded diagrams of 45, 106 and 200 edges and `amalgams` on the
+45-edge one (`FRONTIER`), whose inputs `corpus.random_connected_graph`
+draws from seed 1 whatever `--seed` is.
 
 Prints each (command, input, flags) whose standard output, standard error
 or exit code differs between the two, then a count of the identical ones;
@@ -43,10 +43,11 @@ VARIANTS = [(python, report) for python in ([], ["-O"]) for report in ([], ["--j
 
 # the seeded diagrams `random_connected_graph(Random(1), vertices, edges)`,
 # all labels 3, and the runs on them: (command, input, extra arguments)
-FRONTIER_DIAGRAMS = {"seeded_45": (40, 45), "seeded_106": (100, 106)}
+FRONTIER_DIAGRAMS = {"seeded_45": (40, 45), "seeded_106": (100, 106), "seeded_200": (194, 200)}
 FRONTIER = [
     ("verify", "seeded_45"),
     ("verify", "seeded_106"),
+    ("verify", "seeded_200"),
     ("amalgams", "seeded_45", "--budget", "1000000000000000000"),
 ]
 
