@@ -9,8 +9,8 @@ automorphism groups and verifies the two structure theorems behind the
 trichotomy of M(G, 2); `cohomology` computes H^1 of the diagram's edge
 complex over GF(2) with explicit closed-form bases; `amalgams` builds the
 standard and twisted amalgams of doubled parabolic loops and certifies,
-by exhaustive isomorphism search, that the twists realize exactly
-2^(cycle rank) isomorphism classes.
+by GF(2) elimination over the edge assignments of an isomorphism, that
+the twists realize exactly 2^(cycle rank) isomorphism classes.
 
 Importing the package runs none of these layers.  Each is registered in
 `sys.modules` with `importlib.util.LazyLoader`, and its body runs when

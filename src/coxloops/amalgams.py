@@ -16,18 +16,20 @@ The classification: with a spanning tree fixed, twisting exactly the
 components (o_j, e_j) at the non-tree edges e_j, j in delta, yields 2^n
 pairwise non-isomorphic amalgams (n the cycle rank), and every cocycle
 yields an amalgam in the class of its cohomology class in H^1(D).
-`amalgams_isomorphic` decides isomorphism by exhaustive search over the
-only free choices — the automorphisms of the edge loops stabilizing the
-embedded subloops — propagating each choice to every higher simplex and
-checking consistency, so a failed search certifies non-isomorphism.
 
-`classify_twisted_amalgams` needs one GF(2) elimination, not one search
-per pair.  Every map an edge induces at a vertex j is the identity or
-the vertex twist gamma_j, which is certified on the finite local data;
-so the edge assignments theta that carry the standard amalgam to some
-a_S are the solutions of one linear system, and the orbit O of the
-standard amalgam (every a_S isomorphic to it) is the image of its
-kernel.  The orbit of every a_T is T + O, O is certified to be a
+An isomorphism is fixed by its edge assignments theta, one automorphism
+per edge loop stabilizing the embedded subloops.  Every map an edge
+induces at a vertex j is the identity or the vertex twist gamma_j, which
+is certified on the finite local data; so the assignments that carry one
+amalgam to another are the solutions of one GF(2) system
+(`_twist_system`).  `amalgams_isomorphic` reads a solution from its
+kernel and certifies the whole family, or certifies non-isomorphism by
+the elimination: no kernel vector reaches the twists that differ.
+
+`classify_twisted_amalgams` needs one elimination, not one per pair:
+with one leading column per delta bit, the kernel of the same system
+gives the orbit O of the standard amalgam (every a_S isomorphic to it)
+as its image.  The orbit of every a_T is T + O, O is certified to be a
 subgroup of the deltas under symmetric difference, and the classes are
 its cosets.  That is the H^1 = Z^1 / B^1 statement, certified by one
 elimination instead of 2^(2n-1) searches.
@@ -43,9 +45,9 @@ nothing is held per unpointed simplex.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from math import prod
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from . import gf2
 from .cohomology import EdgeComplex, _set_stabilizer, build_complex, vertex_coboundary, vertex_twist
@@ -394,9 +396,9 @@ def verify_completion(
 class IsoReport(namedtuple("IsoReport", [
     "isomorphic",
     "witness",  # simplex -> images of its theta, or None
-    "assignments",  # assignments actually examined
-    "space",  # full size of the search space
-    "exhausted",  # search covered the whole space (certifies a negative)
+    "assignments",  # edge assignments checked against the maps: 1 with a witness, else 0
+    "space",  # the product of the per-edge candidate counts
+    "exhausted",  # True: the elimination decides over the whole space
 ])):
     __slots__ = ()
 
@@ -421,66 +423,158 @@ def _edge_candidates(a: Amalgam, e: Edge, budget: int) -> List[Tuple[int, ...]]:
     return _set_stabilizer(a.loop_of((e,)), targets, budget)
 
 
+def _star(cx: EdgeComplex) -> bool:
+    """Whether one vertex lies on every edge."""
+    return bool(set(cx.graph.vertices).intersection(*cx.edges))
+
+
+def _twist_system(a: Amalgam, lead: Dict[Tuple[int, Edge], int], width: int, budget: int):
+    """The GF(2) system whose solutions are the edge assignments theta,
+    one candidate per edge, that carry an amalgam a_T of `a`'s type onto
+    an a_S, with `width` leading columns set on each slot (j, e) by the
+    bit mask `lead[(j, e)]`.
+
+    The maps of a_T and a_S differ only in the Klein-into-edge components
+    psi_{j,e} = iota_{j,e} o gamma_j^{T(j,e)}, and the loop map that
+    theta_e induces on a pointed simplex at j through e is
+    gamma_j^{S(j,e)} o r_{j,e}(theta_e) o gamma_j^{T(j,e)}, with
+    r_{j,e}(f) = iota^-1 o f o iota.  It depends on (j, e) only, so theta
+    is accepted exactly when, at every vertex j of degree >= 2, these maps
+    agree over the edges at j.
+
+    Lemma, certified here for every such j, e and candidate f: r_{j,e}(f)
+    commutes with gamma_j, and is the identity or gamma_j, read as the bit
+    b_{j,e}(f) (CheckError otherwise).  It holds when f fixes u, since
+    the automorphisms of the Klein loop that fix u are the identity and
+    gamma_j; and each candidate stabilizes the Klein subloops of both ends
+    of e, which meet in the identity and u, or, when e is pendant, the one
+    at j and the image {identity, u} of an edge disjoint from e.  Only on
+    a star graph (one vertex on every edge) has a pendant edge no disjoint
+    edge; there the candidates that fix u are the ones read.
+
+    So theta is accepted exactly when S(j,e) + T(j,e) + b_{j,e}(theta_e)
+    is one value c_j over the star of each j of degree >= 2: only the sum
+    of the twist sets counts.  The candidates of e = (v, w) form a group
+    and r is a homomorphism, so the pairs R_e of (b_{v,e}, b_{w,e}) form a
+    subgroup of Z2^2, certified closed under XOR, with coordinates x_e
+    over its basis.  One row per slot (j, e): the leading bits + the R_e
+    coordinate at j + c_j = 0, over the unknowns (leading, c, x), so a
+    solution with leading bits l stands for S + T = l . lead per slot.
+
+    Returns (space, rows, ncols, edge_theta): the product of the candidate
+    counts, the rows over their ncols columns, and the map from a solution
+    to theta on the edges.  ResourceLimitError when the space exceeds the
+    budget.
+    """
+    cx = a.complex
+    cand = {e: _edge_candidates(a, e, budget) for e in cx.edges}
+    space = prod(len(c) for c in cand.values())
+    if space > budget:
+        raise ResourceLimitError(f"amalgam isomorphism search exceeded budget={budget}")
+    if _star(cx):
+        cand = {e: [f for f in c if f[a.core_loop(e).u] == a.core_loop(e).u] for e, c in cand.items()}
+
+    # the unknowns: the leading bits, c_j for the k-th vertex j in column
+    # width + k, then a basis of each R_e; one row per slot (j, e), and per
+    # candidate of e = (v, w) its pair in R_e, b_{v,e} in bit 0 and b_{w,e} in bit 1
+    rows: Dict[Tuple[int, Edge], int] = {}
+    pairs = {e: [0] * len(c) for e, c in cand.items()}
+    for k, j in enumerate(cx.graph.vertices):
+        star = cx.stars[j].edges
+        if len(star) < 2:
+            continue
+        gamma = vertex_twist(a.core_loop((j,)).loop)
+        for e in star:
+            other = star[1] if e == star[0] else star[0]
+            iota = a.connecting(tuple(sorted((e, other))), (e,))
+            psi = (iota, compose(iota, gamma))
+            inv = [{y: x for x, y in enumerate(q)} for q in psi]
+            for i, f in enumerate(cand[e]):
+                # m[t][s]: the induced map for T(j, e) = t and S(j, e) = s
+                m = [[tuple(inv[s][f[x]] for x in psi[t]) for s in (0, 1)] for t in (0, 1)]
+                if m[0] != m[1][::-1]:
+                    raise CheckError(
+                        f"an induced map at vertex {j} through edge {e} "
+                        "does not commute with the vertex twist"
+                    )
+                if m[0][0] not in (tuple(range(len(gamma))), gamma):
+                    raise CheckError(
+                        f"an induced map at vertex {j} through edge {e} "
+                        "is neither the identity nor the vertex twist"
+                    )
+                pairs[e][i] |= (m[0][0] == gamma) << e.index(j)
+            rows[(j, e)] = lead.get((j, e), 0) | 1 << (width + k)
+    ncols = width + len(cx.graph.vertices)
+    columns: Dict[Edge, List[Tuple[int, int]]] = {}  # e -> (column, pair) per basis element of R_e
+    for e, restrictions in pairs.items():
+        r = set(restrictions)
+        basis = gf2.gf2_rref(list(r), 2)[1]
+        if len(r) != 1 << len(basis):
+            raise CheckError(f"the candidate restrictions on edge {e} are not closed under XOR")
+        columns[e] = []
+        for b in basis:  # an end of degree 1 has no slot, and its bit is 0
+            for end, j in enumerate(e):
+                if b >> end & 1:
+                    rows[(j, e)] |= 1 << ncols
+            columns[e].append((ncols, b))
+            ncols += 1
+
+    def edge_theta(v: int) -> Dict[Simplex, Tuple[int, ...]]:
+        # per edge, the first candidate whose pair is v's R_e coordinates
+        theta = {}
+        for e, basis in columns.items():
+            pair = 0
+            for col, b in basis:
+                pair ^= b * (v >> col & 1)
+            theta[(e,)] = cand[e][pairs[e].index(pair)]
+        return theta
+
+    return space, list(rows.values()), ncols, edge_theta
+
+
 def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> IsoReport:
-    """Exhaustively search for a family theta_sigma in Aut(G_sigma) with
-    theta_rho o psi_a == psi_b o theta_tau on every face pair.
+    """Decide whether a family theta_sigma in Aut(G_sigma) with
+    theta_rho o psi_a == psi_b o theta_tau on every face pair exists.
 
     theta on the edge simplices determines theta everywhere else (the
-    connecting maps are injective with equal images on both sides), so the
-    search space is the product of the per-edge stabilizer sets; failure
-    after covering the whole space certifies non-isomorphism.
+    connecting maps are injective with equal images on both sides), and
+    the edge assignments that work are the solutions of `_twist_system`
+    with one leading column, set on the slots of a.twists ^ b.twists: the
+    kernel vectors with that bit set.  From one of them, theta_e is read
+    off its R_e coordinates, theta on each larger simplex through its
+    first edge face, and `_assert_witness` certifies the family.  No such
+    vector certifies non-isomorphism by the system's lemma.  On a star
+    graph, where the lemma reads only the candidates fixing u, the edge
+    twists realize every gamma_j, so every pair is isomorphic, and a
+    system without a solution raises CheckError.
     """
     if a.complex.graph != b.complex.graph:
         raise ValueError("amalgams live over different graphs")
-    for sigma in a.complex.simplices():
-        if a.loop_of(sigma).product != b.loop_of(sigma).product:
-            raise ValueError("amalgams do not share their standard loops")
-    for tau in a.complex.simplices():
-        for (_, x), (_, y) in zip(a.faces(tau), b.faces(tau)):
-            if frozenset(x) != frozenset(y):
-                raise ValueError("amalgams are not of a common type (images differ)")
+    if any(data.loop.product != b.core_loop(j).loop.product for j, data in a._core_data.items()):
+        raise ValueError("amalgams do not share their standard loops")
+    if any(frozenset(x) != frozenset(b.stored[key]) for key, x in a.stored.items()) or any(
+        frozenset(x) != frozenset(b.free[j]) for j, x in a.free.items()
+    ):
+        raise ValueError("amalgams are not of a common type (images differ)")
 
-    edges = list(a.complex.edges)
-    cand = {e: _edge_candidates(a, e, budget) for e in edges}
-    space = prod(len(cand[e]) for e in edges)
-
-    # preinvert the b-maps out of every >=2 simplex once
-    binv: Dict[Tuple[Simplex, Simplex], Dict[int, int]] = {}
-    for (tau, rho), images in b.stored.items():
-        if len(rho) == 1:
-            binv[(tau, rho)] = {y: x for x, y in enumerate(images)}
-
-    assignments = 0
-    for choice in iproduct(*(cand[e] for e in edges)):
-        assignments += 1
-        if assignments > budget:
-            raise ResourceLimitError(
-                f"amalgam isomorphism search exceeded budget={budget}"
+    space, rows, ncols, edge_theta = _twist_system(a, dict.fromkeys(a.twists ^ b.twists, 1), 1, budget)
+    v = next((v for v in gf2.gf2_kernel_basis(rows, ncols) if v & 1), None)
+    if v is None:
+        if _star(a.complex):
+            raise CheckError(
+                "the amalgams over a star graph are isomorphic, but the system has no solution"
             )
-        theta = {(e,): f for e, f in zip(edges, choice)}
-        ok = True
-        for tau in a.complex.simplices():
-            if len(tau) < 2:
-                continue
-            if not a.core_of(tau):
-                theta[tau] = (0, 1)  # Aut(Z2) is trivial
-                continue
-            derived: Optional[Tuple[int, ...]] = None
-            for e in tau:
-                lookup, te = binv[(tau, (e,))], theta[(e,)]
-                cur = tuple(lookup[te[y]] for y in a.stored[(tau, (e,))])
-                if derived is None:
-                    derived = cur
-                elif derived != cur:
-                    ok = False
-                    break
-            if not ok:
-                break
-            theta[tau] = derived
-        if ok:
-            _assert_witness(a, b, theta)
-            return IsoReport(True, theta, assignments, space, assignments >= space)
-    return IsoReport(False, None, assignments, space, True)
+        return IsoReport(False, None, 0, space, True)
+    theta = edge_theta(v)
+    for tau in a.complex.simplices():
+        rho = tau[:1]
+        if len(tau) > 1 and a.core_of(tau):
+            inv = {y: x for x, y in enumerate(b.stored[tau, rho])}
+            theta[tau] = tuple(inv[theta[rho][y]] for y in a.stored[tau, rho])
+        elif len(tau) > 1:
+            theta[tau] = (0, 1)  # Aut(Z2) is trivial
+    _assert_witness(a, b, theta)
+    return IsoReport(True, theta, 1, space, True)
 
 
 def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]]) -> None:
@@ -518,8 +612,8 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
     is 2^n singleton classes.
 
     One GF(2) elimination (`_standard_orbit`) gives the orbit O of the
-    standard amalgam, as the image of the kernel of one linear system over
-    the edge assignments, and certifies that the orbit of every delta T is
+    standard amalgam, as the image of the kernel of the system over the
+    edge assignments, and certifies that the orbit of every delta T is
     T + O.  O is certified to contain the empty delta and to be closed
     under symmetric difference, so the classes are the cosets of O,
     numbered in the order their first deltas come (by size, then
@@ -528,10 +622,9 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
     against the first member of every class so far: k + 1 for a delta that
     joins class k, the number of classes so far for one that opens a new
     class.  Every merge is still confirmed by `amalgams_isomorphic` and
-    carries its checked witness.  The budget applies as in the pairwise
-    search: ResourceLimitError when n >= 1 and the space of one search,
-    the product of the per-edge candidate counts, exceeds it, though the
-    elimination does not walk that space.
+    carries its checked witness.  The budget applies as there:
+    ResourceLimitError when n >= 1 and the product of the per-edge
+    candidate counts exceeds it, though no elimination walks that space.
     """
     if a.twists:
         raise ValueError("classification starts from the standard amalgam")
@@ -560,12 +653,10 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
                 classes.append([delta])
                 continue
             pairs += c + 1
-            rep = amalgams_isomorphic(
-                twisted_amalgam(d, classes[c][0]), twisted_amalgam(d, delta), budget=budget
-            )
-            if not rep.isomorphic:
+            pair = [_build(d, a.complex, _twists(st, t), f"twisted{sorted(t)}") for t in (classes[c][0], delta)]
+            if not amalgams_isomorphic(*pair, budget=budget).isomorphic:
                 raise CheckError(
-                    f"gauge sweep merges {sorted(delta)} into {sorted(classes[c][0])}, "
+                    f"the orbit merges {sorted(delta)} into {sorted(classes[c][0])}, "
                     "the isomorphism search does not"
                 )
             classes[c].append(delta)
@@ -581,89 +672,15 @@ def classify_twisted_amalgams(a: Amalgam, budget: int = 10_000_000) -> Classific
 
 def _standard_orbit(a: Amalgam, st: SpanningTree, budget: int) -> Set[int]:
     """The deltas S (bit k - 1 for e_k) with a_S isomorphic to the standard
-    amalgam `a`, over the edge assignments theta of `amalgams_isomorphic`
-    (every twisted amalgam has the same candidates), as the image of the
-    kernel of one GF(2) system.
-
-    The maps of a_T and of `a` differ only in the Klein-into-edge
-    components psi_{j,e} = iota_{j,e} o gamma_j^{T(j,e)}, and the loop map
-    that theta_e induces on a pointed simplex at j through e is
-    gamma_j^{S(j,e)} o r_{j,e}(theta_e) o gamma_j^{T(j,e)}, with
-    r_{j,e}(f) = iota^-1 o f o iota.  It depends on (j, e) only, so theta
-    is accepted exactly when, at every vertex j of degree >= 2, these maps
-    agree over the edges at j.
-
-    Translation lemma, certified here for every such j, e and candidate f:
-    r_{j,e}(f) commutes with gamma_j (CheckError otherwise).  Then flipping
-    T(j,e) and S(j,e) together leaves the map unchanged, so the orbit of
-    a_T is T + (the orbit of `a`), and one system with T empty serves every
-    T.  (The lemma holds on every connected graph with n >= 1: each
-    candidate stabilizes the Klein subloops of both endpoints of e, which
-    meet in the identity and u, or, when e is pendant, the one at j and
-    the image {identity, u} of a cycle edge disjoint from e.  So it fixes
-    u, and r_{j,e}(f) is the identity or gamma_j.)  That reading, bit
-    b_{j,e}(f), is certified too (CheckError otherwise).
-
-    So theta is accepted with pattern S exactly when S(j,e) + b_{j,e}(theta_e)
-    is one value c_j over the star of each j of degree >= 2.  The
-    candidates of e = (u, v) form a group and r is a homomorphism, so the
-    pairs R_e of (b_{u,e}, b_{v,e}) form a subgroup of Z2^2, certified
-    closed under XOR, with coordinates x_e over its basis.  Only the slots
-    (o_k, e_k) are normalized: S(o_k, e_k) is bit k of the delta and every
-    other S(j,e) is 0.  One row per slot (j, e), the delta bit + the R_e
-    coordinate at j + c_j = 0, over the unknowns delta, c and x; the orbit
-    is the span of the kernel basis read on the delta bits.
-    """
-    cx = a.complex
-    cand = {e: _edge_candidates(a, e, budget) for e in cx.edges}
-    if prod(len(c) for c in cand.values()) > budget:
-        raise ResourceLimitError(f"amalgam isomorphism search exceeded budget={budget}")
+    amalgam `a`: the kernel of `_twist_system` with one leading column per
+    delta bit, set on the slot (o_k, e_k), read on the delta bits.  The
+    system counts only the sum of the twist sets, so the orbit of a_T is
+    T + this orbit, and one system with T empty serves every T."""
     n = len(st.nontree_edges)
-    twist_bit = {(o, e): 1 << k for k, (o, e) in enumerate(zip(st.chosen_vertex, st.nontree_edges))}
-
-    # the unknowns: the delta bits, c_j for the k-th vertex j in column n + k,
-    # then a basis of each R_e; one row per slot (j, e), and per candidate
-    # of e = (u, v) its pair in R_e, b_{u,e} in bit 0 and b_{v,e} in bit 1
-    rows: Dict[Tuple[int, Edge], int] = {}
-    pairs = {e: [0] * len(c) for e, c in cand.items()}
-    for k, j in enumerate(cx.graph.vertices):
-        star = cx.stars[j].edges
-        if len(star) < 2:
-            continue
-        gamma = vertex_twist(a.core_loop((j,)).loop)
-        for e in star:
-            other = star[1] if e == star[0] else star[0]
-            iota = a.connecting(tuple(sorted((e, other))), (e,))
-            psi = (iota, compose(iota, gamma))
-            inv = [{y: x for x, y in enumerate(q)} for q in psi]
-            for i, f in enumerate(cand[e]):
-                # m[t][s]: the induced map for T(j, e) = t and S(j, e) = s
-                m = [[tuple(inv[s][f[x]] for x in psi[t]) for s in (0, 1)] for t in (0, 1)]
-                if m[0] != m[1][::-1]:
-                    raise CheckError(
-                        f"an induced map at vertex {j} through edge {e} "
-                        "does not commute with the vertex twist"
-                    )
-                if m[0][0] not in (tuple(range(len(gamma))), gamma):
-                    raise CheckError(
-                        f"an induced map at vertex {j} through edge {e} "
-                        "is neither the identity nor the vertex twist"
-                    )
-                pairs[e][i] |= (m[0][0] == gamma) << e.index(j)
-            rows[(j, e)] = twist_bit.get((j, e), 0) | 1 << (n + k)
-    ncols = n + len(cx.graph.vertices)
-    for e, restrictions in pairs.items():
-        r = set(restrictions)
-        basis = gf2.gf2_rref(list(r), 2)[1]
-        if len(r) != 1 << len(basis):
-            raise CheckError(f"the candidate restrictions on edge {e} are not closed under XOR")
-        for b in basis:  # an end of degree 1 has no slot, and its bit is 0
-            for end, j in enumerate(e):
-                if b >> end & 1:
-                    rows[(j, e)] |= 1 << ncols
-            ncols += 1
+    lead = {(o, e): 1 << k for k, (o, e) in enumerate(zip(st.chosen_vertex, st.nontree_edges))}
+    _, rows, ncols, _ = _twist_system(a, lead, n, budget)
     orbit = {0}
-    for v in gf2.gf2_kernel_basis(list(rows.values()), ncols):
+    for v in gf2.gf2_kernel_basis(rows, ncols):
         v &= (1 << n) - 1
         if v not in orbit:
             orbit |= {o ^ v for o in orbit}

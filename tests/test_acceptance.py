@@ -44,7 +44,7 @@ from coxloops.morphisms import (
     verify_doubled_dihedral_automorphisms,
     verify_semidirect_automorphisms,
 )
-from test_amalgam_reference import face_maps
+from test_amalgam_reference import face_maps, reference_amalgams_isomorphic
 from test_complex_reference import apply_d1
 
 TRIANGLE = CoxeterDiagram.from_edges(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)])
@@ -194,11 +194,13 @@ def test_criterion_7_twisted_amalgam_classification():
         two = classify_twisted_amalgams(standard_amalgam(TWO_TRIANGLES))
         assert two.cycle_rank == 2
         assert two.class_count == 4 == 2**two.cycle_rank
-        # negatives are certified by exhausting the assignment space
-        rep = amalgams_isomorphic(
-            twisted_amalgam(TRIANGLE, []), twisted_amalgam(TRIANGLE, [1])
-        )
-        assert not rep.isomorphic and rep.exhausted and rep.assignments == rep.space
+        # negatives are certified by the elimination, over the whole
+        # assignment space that the product search exhausts
+        pair = (twisted_amalgam(TRIANGLE, []), twisted_amalgam(TRIANGLE, [1]))
+        rep = amalgams_isomorphic(*pair)
+        assert not rep.isomorphic and rep.exhausted
+        assert reference_amalgams_isomorphic(*pair).assignments == rep.space
+        assert rep.assignments == 0
         # the empty twist set is the standard amalgam, map for map
         std = standard_amalgam(TRIANGLE)
         assert face_maps(twisted_amalgam(TRIANGLE, [])) == face_maps(std)

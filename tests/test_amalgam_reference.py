@@ -5,11 +5,14 @@ The references below are the earlier implementations, condensed: `_build`
 storing one image tuple per face pair, `verify_amalgam` and
 `verify_completion` certifying every face pair and chain on its own, and
 `coefficient_group` computing the twist and the brute-force stabilizer for
-every simplex.  On the named diagrams and on `hypothesis` diagrams of up to
+every simplex, and `amalgams_isomorphic` as the product search over every
+edge assignment.  On the named diagrams and on `hypothesis` diagrams of up to
 10 edges with labels 3-6, the standard, twisted and cocycle amalgams must
 carry the same maps in the same order, and give equal reports, also with
 one stored map forged: the new certificates key each map by its value, so
-a forged map is checked on its own.
+a forged map is checked on its own.  The isomorphism decisions must
+agree with the product search on every pair of twist sets, drawn or
+listed, and on cocycle amalgams, star trees included.
 
 The forged-map cases run the CLI in a subprocess, with and without
 `python -O`: a face pair with a non-injective or a non-homomorphic map, or
@@ -20,7 +23,8 @@ completion map outside the interned set clears its flag.
 import json
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from typing import Dict, Tuple
 
 import pytest
@@ -32,6 +36,10 @@ from coxloops.amalgams import (
     Amalgam,
     AmalgamReport,
     CompletionReport,
+    IsoReport,
+    _assert_witness,
+    _edge_candidates,
+    amalgams_isomorphic,
     cocycle_to_amalgam,
     loop_completion,
     standard_amalgam,
@@ -61,7 +69,7 @@ from coxloops.errors import CheckError, ResourceLimitError
 from coxloops.graphs import spanning_tree
 from coxloops.groups import compose
 from coxloops.morphisms import is_automorphism, is_homomorphism
-from test_complex_reference import DIAGRAMS, cyclic_diagrams
+from test_complex_reference import DIAGRAMS, cox, cyclic_diagrams
 
 FaceMap = Dict[Tuple, Tuple[int, ...]]
 
@@ -150,6 +158,50 @@ def reference_coefficient_group(sigma, a: Amalgam, mode: str, budget: int = 10_0
     if mode == "structural" and not result.agrees:
         raise CheckError(f"coefficient group at {sigma}: closed form {closed_order} != stabilizer order {brute}")
     return result
+
+
+def reference_amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> IsoReport:
+    """The product search: the input checks over every simplex and face
+    pair, then every edge assignment of the product of the per-edge
+    candidates, in order, propagated to every larger simplex through its
+    edge faces (the b-maps preinverted once) and tested for consistency.
+    The first consistent one is certified by `_assert_witness`; a negative
+    walks the whole space."""
+    if a.complex.graph != b.complex.graph:
+        raise ValueError("amalgams live over different graphs")
+    for sigma in a.complex.simplices():
+        if a.loop_of(sigma).product != b.loop_of(sigma).product:
+            raise ValueError("amalgams do not share their standard loops")
+    for tau in a.complex.simplices():
+        for (_, x), (_, y) in zip(a.faces(tau), b.faces(tau)):
+            if frozenset(x) != frozenset(y):
+                raise ValueError("amalgams are not of a common type (images differ)")
+    edges = list(a.complex.edges)
+    cand = {e: _edge_candidates(a, e, budget) for e in edges}
+    space = prod(len(cand[e]) for e in edges)
+    binv = {key: {y: x for x, y in enumerate(images)} for key, images in b.stored.items() if len(key[1]) == 1}
+    assignments = 0
+    for choice in product(*(cand[e] for e in edges)):
+        assignments += 1
+        if assignments > budget:
+            raise ResourceLimitError(f"amalgam isomorphism search exceeded budget={budget}")
+        theta = {(e,): f for e, f in zip(edges, choice)}
+        ok = True
+        for tau in a.complex.simplices():
+            if len(tau) < 2:
+                continue
+            if not a.core_of(tau):
+                theta[tau] = (0, 1)  # Aut(Z2) is trivial
+                continue
+            derived = {tuple(binv[tau, (e,)][theta[(e,)][y]] for y in a.stored[tau, (e,)]) for e in tau}
+            if len(derived) > 1:
+                ok = False
+                break
+            theta[tau] = derived.pop()
+        if ok:
+            _assert_witness(a, b, theta)
+            return IsoReport(True, theta, assignments, space, assignments >= space)
+    return IsoReport(False, None, assignments, space, True)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +366,93 @@ def test_maps_and_reports_match_the_per_pair_build_on_random_diagrams(d, data):
 
 
 # ---------------------------------------------------------------------------
+# isomorphism against the product search
+
+
+def assert_same_decision(a: Amalgam, b: Amalgam) -> None:
+    """The same decision and space as the product search; a positive
+    carries a certified witness and counts the one assignment read, a
+    negative none."""
+    rep = amalgams_isomorphic(a, b, budget=10**12)
+    ref = reference_amalgams_isomorphic(a, b, budget=10**12)
+    assert (rep.isomorphic, rep.space) == (ref.isomorphic, ref.space)
+    assert rep.exhausted and rep.assignments == rep.isomorphic
+    if rep.isomorphic:
+        _assert_witness(a, b, rep.witness)
+        assert rep.witness.keys() == set(a.complex.simplices())
+    else:
+        assert rep.witness is None
+
+
+def drawn(d: CoxeterDiagram, twists) -> Amalgam:
+    return amalgams._build(d, build_complex(d.underlying_graph()), frozenset(twists), "drawn")
+
+
+def slots(d: CoxeterDiagram):
+    """Every component (j, e), degree-1 ends included."""
+    return [(j, e) for e in d.underlying_graph().edges for j in e]
+
+
+@st.composite
+def star_trees(draw):
+    """P3 and K_{1,3}, the graphs of A3, B3, H3 and D4, with labels 3-6
+    and a drawn centre."""
+    n = draw(st.sampled_from([3, 4]))
+    c = draw(st.integers(1, n))
+    return cox(n, [(min(c, k), max(c, k), draw(st.integers(3, 6))) for k in range(1, n + 1) if k != c])
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS) + sorted(SPHERICAL))
+def test_isomorphism_matches_the_product_search_on_small_twist_sets(name):
+    # every twist set of up to two components against the standard amalgam
+    d = {**DIAGRAMS, **SPHERICAL}[name]
+    std = standard_amalgam(d)
+    for k in range(3):
+        for twists in combinations(slots(d), k):
+            assert_same_decision(std, drawn(d, twists))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.one_of(cyclic_diagrams(), star_trees()), st.data())
+def test_isomorphism_matches_the_product_search_on_random_pairs(d, data):
+    z_basis = cohomology(build_complex(d.underlying_graph())).z_basis
+
+    def side() -> Amalgam:
+        if data.draw(st.booleans()):
+            z = 0
+            for b in data.draw(st.lists(st.sampled_from(z_basis), unique=True)):
+                z ^= b
+            return cocycle_to_amalgam(d, z)
+        return drawn(d, data.draw(st.sets(st.sampled_from(slots(d)))))
+
+    assert_same_decision(side(), side())
+
+
+def test_input_checks_fail_as_the_simplex_walk():
+    tri = DIAGRAMS["triangle"]
+    forged = standard_amalgam(tri)
+    key = next(key for key in forged.stored if len(key[1]) == 1)
+    forged.stored[key] = tuple(range(len(forged.stored[key])))
+    # the map into the loop of an edge from the empty core of the triangle
+    forged_free = standard_amalgam(tri)
+    forged_free.free[(1, 2)] = (0, 1)
+    cases = [
+        (standard_amalgam(tri), standard_amalgam(diagram_a(3)), "different graphs"),
+        (standard_amalgam(tri), standard_amalgam(DIAGRAMS["mixed_triangle"]), "standard loops"),
+        (forged, standard_amalgam(DIAGRAMS["mixed_triangle"]), "standard loops"),
+        (standard_amalgam(tri), forged, "images differ"),
+        (forged, twisted_amalgam(tri, [1]), "images differ"),
+        (twisted_amalgam(tri, [1]), forged_free, "images differ"),
+    ]
+    for a, b, message in cases:
+        with pytest.raises(ValueError, match=message) as new:
+            amalgams_isomorphic(a, b)
+        with pytest.raises(ValueError) as ref:
+            reference_amalgams_isomorphic(a, b)
+        assert str(new.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
 # forged maps through the CLI
 
 
@@ -390,4 +529,59 @@ def test_forged_maps_fail_their_checks(flags):
         {"injective_ok": False, "homomorphism_ok": True, "commuting_ok": False},
         {"injective_ok": True, "homomorphism_ok": False, "commuting_ok": False},
         {"injective_ok": True, "homomorphism_ok": True, "commuting_ok": False},
+    ]
+
+
+CERTIFICATES = """
+from itertools import combinations
+from coxloops import amalgams, gf2
+from coxloops.coxeter import CoxeterDiagram, diagram_a
+from coxloops.errors import CheckError
+
+
+def decide(kind, a, b):
+    try:
+        rep = amalgams.amalgams_isomorphic(a, b)
+    except CheckError as e:
+        print(__debug__, kind, "CheckError", e)
+    else:
+        print(__debug__, kind, rep.isomorphic, rep.assignments, rep.space, rep.exhausted)
+
+
+tri = CoxeterDiagram.from_edges(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)])
+# a kernel vector of the leading bit alone: theta_e the identity on every
+# edge, which does not carry the standard amalgam to the twisted one
+genuine = gf2.gf2_kernel_basis
+gf2.gf2_kernel_basis = lambda rows, ncols: [1]
+decide("forged_solution", amalgams.standard_amalgam(tri), amalgams.twisted_amalgam(tri, [1]))
+gf2.gf2_kernel_basis = genuine
+
+# on the star tree of A3 with the identity as the only candidate, the
+# twist at the centre cannot be undone: no solution, and no certificate
+a3 = diagram_a(3)
+std = amalgams.standard_amalgam(a3)
+candidates = amalgams._edge_candidates
+amalgams._edge_candidates = lambda a, e, budget: [tuple(range(a.loop_of((e,)).order))]
+decide("star", std, amalgams._build(a3, std.complex, frozenset({(2, (1, 2))}), "drawn"))
+amalgams._edge_candidates = candidates
+
+k7 = CoxeterDiagram.from_edges(7, [(i, j, 3) for i, j in combinations(range(1, 8), 2)])
+decide("K7", amalgams.standard_amalgam(k7), amalgams.twisted_amalgam(k7, [1]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_isomorphism_certificates(flags):
+    # a forged solution fails the witness check, a system without a
+    # solution on a star tree is refused, and K7's negative is certified
+    # without walking its 2^21 assignments
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", CERTIFICATES], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug = str(not flags)
+    assert proc.stdout.splitlines() == [
+        f"{debug} forged_solution CheckError isomorphism witness fails to commute",
+        f"{debug} star CheckError the amalgams over a star graph are isomorphic, but the system has no solution",
+        f"{debug} K7 False 0 2097152 True",
     ]

@@ -28,6 +28,7 @@ from coxloops.amalgams import (
 from coxloops.cohomology import build_complex, cohomology
 from coxloops.coxeter import CoxeterDiagram, diagram_a, diagram_b, diagram_h, enumerate_group
 from coxloops.errors import ResourceLimitError
+from test_amalgam_reference import reference_amalgams_isomorphic
 
 TRIANGLE = CoxeterDiagram.from_edges(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)])
 TWO_TRIANGLES = CoxeterDiagram.from_edges(
@@ -153,7 +154,10 @@ def test_negative_iso_is_certified_by_exhaustion():
     assert not rep.isomorphic
     assert rep.witness is None
     assert rep.exhausted
-    assert rep.assignments == rep.space == 8
+    # the product search walks the whole space; the elimination checks no
+    # assignment against the maps
+    assert reference_amalgams_isomorphic(a, b).assignments == rep.space == 8
+    assert rep.assignments == 0
 
 
 def test_positive_iso_carries_verified_witness():

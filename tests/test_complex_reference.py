@@ -7,9 +7,9 @@ pointed ones with the core of each, `cofaces` and `vertex_star` as
 scans, the Z^1 cross-check by
 elimination over the whole d1, the edge candidates as the stabilizer of
 every coface image, and two classifications: the brute force that
-compares every delta with the first member of each class so far by an
-exhaustive `amalgams_isomorphic` search, and the same greedy loop reading
-its decisions from one depth-first gauge sweep per delta T
+compares every delta with the first member of each class so far by the
+product search (`reference_amalgams_isomorphic`), and the same greedy
+loop reading its decisions from one depth-first gauge sweep per delta T
 (`reference_twist_orbits`, verbatim).  All must give identical results on
 named graphs and diagrams and on `hypothesis`-generated ones, and every
 per-T orbit must be T + the orbit of the standard amalgam, which the
@@ -120,6 +120,8 @@ def reference_z1(cx, z_basis: List[int]) -> int:
 
 
 def reference_classification(d: CoxeterDiagram, budget: int = 10_000_000) -> ClassificationReport:
+    from test_amalgam_reference import reference_amalgams_isomorphic  # which imports this module
+
     st_ = spanning_tree(d.underlying_graph())
     n = len(st_.nontree_edges)
     deltas = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
@@ -129,7 +131,7 @@ def reference_classification(d: CoxeterDiagram, budget: int = 10_000_000) -> Cla
     for delta in deltas:
         for cls in classes:
             pairs += 1
-            if amalgams_isomorphic(built[cls[0]], built[delta], budget=budget).isomorphic:
+            if reference_amalgams_isomorphic(built[cls[0]], built[delta], budget=budget).isomorphic:
                 cls.append(delta)
                 break
         else:
