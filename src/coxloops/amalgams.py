@@ -37,17 +37,18 @@ elimination instead of 2^(2n-1) searches.
 What an amalgam holds: one loop per distinct core, and one image tuple
 per distinct (core of tau, core of rho, twisted), keyed by face pair for
 the maps out of a pointed simplex (`stored`) and by the target's core for
-the maps out of an empty core (`free`).  The simplices are generated by
-the edge complex and their cores read by rule (`EdgeComplex.core_of`), so
-nothing is held per unpointed simplex.
+the maps out of an empty core (`free`).  The cores of the other simplices
+are read by rule (`EdgeComplex.core_of`), so nothing is held per unpointed
+simplex, and the certificates walk the few simplices that carry every
+distinct map, chain and square (`_representatives`), not all C(E, 3).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
-from math import prod
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import chain, combinations
+from math import comb, prod
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from . import gf2
 from .cohomology import EdgeComplex, _set_stabilizer, build_complex, vertex_coboundary, vertex_twist
@@ -283,50 +284,71 @@ class AmalgamReport(namedtuple("AmalgamReport", "simplices maps_checked chains_c
         return self.injective_ok and self.homomorphism_ok and self.composition_ok
 
 
+def _representatives(cx: EdgeComplex) -> Iterator[Simplex]:
+    """The simplices the amalgam certificates walk instead of all of them:
+    the singletons, the stars' pairs and triples, one triple (e, f, g) for
+    each pointed pair (e, f) at v with g an edge avoiding v, and for each
+    edge e that has a disjoint edge f, the pair (e, f) and one triple
+    through it.
+
+    Why this is enough: every map out of a simplex with a core is stored
+    and listed here.  Out of an empty core every map is `free[core of the
+    face]` and theta is the identity of Z2, so the face pairs, chains and
+    squares of an empty-core simplex are fixed by its faces: a singleton
+    (e,), a pointed pair, whose chains also carry its own maps, or a
+    disjoint pair, whose chains carry free maps only.  An empty-core
+    simplex through (e,) has e in a disjoint pair or in a pointed pair
+    whose third edge avoids the core, and one through a pointed pair (e, f)
+    at v has its third edge avoiding v; a representative of each kind is
+    listed.  So every other simplex repeats keys of these.
+
+    The degrees decide whether an edge has a disjoint edge before one is
+    searched for, and each search tries the first edge avoiding either end
+    before it scans, so a near-star graph costs no O(E^2) scan."""
+    away = {v: next((g for g in cx.edges if v not in g), None) for v in cx.stars}
+    yield from ((e,) for e in cx.edges)
+    for v, star in cx.stars.items():
+        yield from star.pairs + star.triples
+        if away[v]:
+            yield from (tuple(sorted((e, f, away[v]))) for e, f in star.pairs)
+    for a, b in cx.edges:
+        if len(cx.edges) - len(cx.stars[a].edges) - len(cx.stars[b].edges) + 1 > 0:
+            f = next(f for f in chain((away[a], away[b]), cx.edges) if a not in f and b not in f)
+            pair = tuple(sorted(((a, b), f)))
+            yield pair
+            yield from [tuple(sorted(pair + (g,))) for g in cx.edges[:3] if g not in pair][:1]
+
+
 def verify_amalgam(a: Amalgam) -> AmalgamReport:
     """Connecting maps are injective homomorphisms and compose correctly
     along every chain sigma < rho < tau.
 
-    Every face pair and chain is visited and counted, but each distinct
-    (images, domain, codomain) is certified once and each distinct chain
-    (outer, inner, direct) composed once: the keys are the maps' values,
-    so a pair that carries any other map is certified on its own."""
-    core, loop = a.complex.core, {}
-    for j, data in a._core_data.items():
-        loop[j] = data.loop
-    maps: Set[Tuple] = set()
-    chains: Set[Tuple] = set()
-    below: Dict[Simplex, List[Tuple[Simplex, Tuple[int, ...]]]] = {}  # the faces of each pair
-    nsimplices = nmaps = nchains = 0
-    for tau in a.complex.simplices():  # the pairs come before the triples
-        nsimplices += 1
+    Each distinct (images, domain, codomain) is certified once and each
+    distinct chain (outer, inner, direct) composed once, keyed by the maps'
+    values, so a pair that carries any other map is certified on its own.
+    The keys are read off `_representatives`, which carry every distinct
+    one; the counts of simplices, face pairs and chains are closed forms."""
+    core, loop = a.complex.core, {j: data.loop for j, data in a._core_data.items()}
+    maps: Set[Tuple] = set()  # (images, domain, codomain)
+    chains: Set[Tuple] = set()  # (outer, inner, direct)
+    for tau in _representatives(a.complex):
         down = a.faces(tau)
-        nmaps += len(down)
         dom = loop[core.get(tau, ())]
         for rho, images in down:
             maps.add((images, dom, loop[core.get(rho, ())]))
-        if len(tau) == 2:
-            below[tau] = down
-        elif len(tau) == 3:
+        if len(tau) == 3:
             direct = dict(down)
             for rho in combinations(tau, 2):
-                inner = direct[rho]
-                nchains += len(below[rho])
-                for sig, outer in below[rho]:
-                    chains.add((outer, inner, direct[sig]))
-    inj = hom = comp = True
-    for images, dom, cod in maps:
-        inj &= len(set(images)) == len(images)
-        hom &= is_homomorphism(images, dom, cod)
-    for outer, inner, direct in chains:
-        comp &= compose(outer, inner) == direct
+                for sig, outer in a.faces(rho):
+                    chains.add((outer, direct[rho], direct[sig]))
+    n = len(a.complex.edges)
     return AmalgamReport(
-        simplices=nsimplices,
-        maps_checked=nmaps,
-        chains_checked=nchains,
-        injective_ok=inj,
-        homomorphism_ok=hom,
-        composition_ok=comp,
+        simplices=n + comb(n, 2) + comb(n, 3),
+        maps_checked=2 * comb(n, 2) + 6 * comb(n, 3),
+        chains_checked=6 * comb(n, 3),
+        injective_ok=all(len(set(images)) == len(images) for images, _, _ in maps),
+        homomorphism_ok=all(is_homomorphism(*key) for key in maps),
+        composition_ok=all(compose(outer, inner) == direct for outer, inner, direct in chains),
     )
 
 
@@ -345,47 +367,40 @@ def loop_completion(a: Amalgam, w: GroupTable):
     of `a.diagram` with its simple reflections in vertex order, as
     `enumerate_group` gives it.
 
-    Returns (loop, maps) with maps[sigma] the image tuple of G_sigma, one
-    tuple per core."""
+    Returns (loop, maps) with maps[core] the image tuple of the loop of
+    that core, one tuple per core: G_sigma embeds by maps[core of sigma]."""
     if len(w.generators) != a.diagram.rank:
         raise ValueError(f"W has {len(w.generators)} generators, the diagram rank {a.diagram.rank}")
     loop = chein_loop(w)
-    maps: Dict[Simplex, Tuple[int, ...]] = {}
-    by_core: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for sigma in a.complex.simplices():
-        core = a.core_of(sigma)
-        if core not in by_core:
-            by_core[core] = _inclusion_images(a.core_loop(core).group, [v - 1 for v in core], w)
-        maps[sigma] = by_core[core]
+    maps = {j: _inclusion_images(data.group, [v - 1 for v in j], w) for j, data in a._core_data.items()}
     return loop, maps
 
 
 def verify_completion(
-    a: Amalgam, loop: LoopTable, maps: Dict[Simplex, Tuple[int, ...]]
+    a: Amalgam, loop: LoopTable, maps: Dict[Tuple[int, ...], Tuple[int, ...]]
 ) -> CompletionReport:
     """phi_rho o psi_tau^rho == phi_tau for every face pair, with every
-    phi an injective homomorphism into the completing loop.
+    phi an injective homomorphism into the completing loop; phi_sigma is
+    maps[core of sigma].
 
     Each distinct (phi, domain) is certified once, and each distinct
-    square (phi_rho, psi, phi_tau) checked once, keyed by the maps' values."""
+    square (phi_rho, psi, phi_tau) checked once, keyed by the maps' values
+    and read off `_representatives`.  `maps_checked` counts the simplices."""
+    core_of = a.complex.core_of
     embeds: Set[Tuple] = set()
     squares: Set[Tuple] = set()
-    for tau in a.complex.simplices():
-        embeds.add((maps[tau], a.loop_of(tau)))
+    for tau in _representatives(a.complex):
+        phi = maps[core_of(tau)]
+        embeds.add((phi, a.loop_of(tau)))
         for rho, psi in a.faces(tau):
-            squares.add((maps[rho], psi, maps[tau]))
-    inj = hom = comm = True
-    for phi, dom in embeds:
-        inj &= len(set(phi)) == len(phi)
-        hom &= is_homomorphism(phi, dom, loop)
-    for phi_rho, psi, phi_tau in squares:
-        comm &= compose(phi_rho, psi) == phi_tau
+            squares.add((maps[core_of(rho)], psi, phi))
+    n = len(a.complex.edges)
     return CompletionReport(
         loop_order=loop.order,
-        maps_checked=len(maps),
-        injective_ok=inj,
-        homomorphism_ok=hom,
-        commuting_ok=comm,
+        maps_checked=n + comb(n, 2) + comb(n, 3),
+        injective_ok=all(len(set(phi)) == len(phi) for phi, _ in embeds),
+        homomorphism_ok=all(is_homomorphism(phi, dom, loop) for phi, dom in embeds),
+        commuting_ok=all(compose(phi_rho, psi) == phi_tau for phi_rho, psi, phi_tau in squares),
     )
 
 
@@ -395,7 +410,7 @@ def verify_completion(
 
 class IsoReport(namedtuple("IsoReport", [
     "isomorphic",
-    "witness",  # simplex -> images of its theta, or None
+    "witness",  # simplex with a core -> images of its theta (the identity of Z2 elsewhere), or None
     "assignments",  # edge assignments checked against the maps: 1 with a witness, else 0
     "space",  # the product of the per-edge candidate counts
     "exhausted",  # True: the elimination decides over the whole space
@@ -541,8 +556,10 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
     the edge assignments that work are the solutions of `_twist_system`
     with one leading column, set on the slots of a.twists ^ b.twists: the
     kernel vectors with that bit set.  From one of them, theta_e is read
-    off its R_e coordinates, theta on each larger simplex through its
-    first edge face, and `_assert_witness` certifies the family.  No such
+    off its R_e coordinates, theta on each larger simplex with a core
+    through its first edge face (from `stored`; on an empty core it is the
+    identity of Z2, which the witness leaves out), and `_assert_witness`
+    certifies the family.  No such
     vector certifies non-isomorphism by the system's lemma.  On a star
     graph, where the lemma reads only the candidates fixing u, the edge
     twists realize every gamma_j, so every pair is isomorphic, and a
@@ -566,25 +583,31 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
             )
         return IsoReport(False, None, 0, space, True)
     theta = edge_theta(v)
-    for tau in a.complex.simplices():
-        rho = tau[:1]
-        if len(tau) > 1 and a.core_of(tau):
+    for (tau, rho), images in a.stored.items():
+        if rho == tau[:1]:
             inv = {y: x for x, y in enumerate(b.stored[tau, rho])}
-            theta[tau] = tuple(inv[theta[rho][y]] for y in a.stored[tau, rho])
-        elif len(tau) > 1:
-            theta[tau] = (0, 1)  # Aut(Z2) is trivial
+            theta[tau] = tuple(inv[theta[rho][y]] for y in images)
     _assert_witness(a, b, theta)
     return IsoReport(True, theta, 1, space, True)
 
 
 def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]]) -> None:
-    for sigma in a.complex.simplices():
-        if not is_automorphism(a.loop_of(sigma), theta[tuple(sigma)]):
-            raise CheckError("isomorphism witness is not an automorphism family")
-    for tau in a.complex.simplices():
+    """theta is an automorphism family that commutes with every face pair,
+    certified once per distinct key on `_representatives`.  theta on an
+    empty core is read as the identity of Z2, and an entry there that is
+    not the identity is refused."""
+    if any(x != (0, 1) for sigma, x in theta.items() if not a.core_of(sigma)):
+        raise CheckError("isomorphism witness is not the identity on an empty core")
+    autos, squares = set(), set()
+    for tau in _representatives(a.complex):
+        x = theta.get(tau, (0, 1))
+        autos.add((a.loop_of(tau), x))
         for (rho, psi_a), (_, psi_b) in zip(a.faces(tau), b.faces(tau)):
-            if compose(theta[rho], psi_a) != compose(psi_b, theta[tau]):
-                raise CheckError("isomorphism witness fails to commute")
+            squares.add((theta.get(rho, (0, 1)), psi_a, psi_b, x))
+    if not all(is_automorphism(loop, x) for loop, x in autos):
+        raise CheckError("isomorphism witness is not an automorphism family")
+    if any(compose(x, psi_a) != compose(psi_b, y) for x, psi_a, psi_b, y in squares):
+        raise CheckError("isomorphism witness fails to commute")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ a forged map is checked on its own.  The isomorphism decisions must
 agree with the product search on every pair of twist sets, drawn or
 listed, and on cocycle amalgams, star trees included.
 
+The certificates walk `_representatives`, not every simplex: the walk is
+`reference_keys` here, and over the representatives it must give the same
+distinct maps, chains and squares as over `EdgeComplex.simplices()`, on the
+named diagrams, on `hypothesis` diagrams and star trees with standard,
+twisted, cocycle and drawn amalgams, and on a seeded 106-edge diagram.
+
 The forged-map cases run the CLI in a subprocess, with and without
 `python -O`: a face pair with a non-injective or a non-homomorphic map, or
 a chain that does not commute, fails `standard_amalgam_valid`, and a
@@ -25,7 +31,7 @@ import subprocess
 import sys
 from itertools import combinations, product
 from math import prod
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +45,7 @@ from coxloops.amalgams import (
     IsoReport,
     _assert_witness,
     _edge_candidates,
+    _representatives,
     amalgams_isomorphic,
     cocycle_to_amalgam,
     loop_completion,
@@ -49,6 +56,7 @@ from coxloops.amalgams import (
 )
 from coxloops.cohomology import (
     CoefficientGroup,
+    EdgeComplex,
     _set_stabilizer,
     build_complex,
     coefficient_group,
@@ -69,7 +77,7 @@ from coxloops.errors import CheckError, ResourceLimitError
 from coxloops.graphs import spanning_tree
 from coxloops.groups import compose
 from coxloops.morphisms import is_automorphism, is_homomorphism
-from test_complex_reference import DIAGRAMS, cox, cyclic_diagrams
+from test_complex_reference import DIAGRAMS, complete, cox, cyclic_diagrams
 
 FaceMap = Dict[Tuple, Tuple[int, ...]]
 
@@ -136,6 +144,37 @@ def reference_verify_completion(a: Amalgam, loop, phis, maps: FaceMap) -> Comple
         if compose(phis[rho], psi) != phis[tau]:
             comm = False
     return CompletionReport(loop.order, len(phis), inj, hom, comm)
+
+
+def reference_keys(a: Amalgam, simplices: Iterable[Tuple]) -> Tuple[Set, Set, Set]:
+    """The distinct keys a walk over `simplices` certifies: the maps
+    (images, domain, codomain) and the chains (outer, inner, direct) of
+    `verify_amalgam`, and the squares (rho, images, tau) that
+    `verify_completion` and `_assert_witness` read, with a simplex of empty
+    core written ().  A triple's chains read the faces of its pairs from
+    the walk when it listed them, as `verify_amalgam` did while it walked
+    every simplex."""
+    core = a.complex.core
+    loop = {j: a.core_loop(j).loop for j in a._core_data}
+    maps: Set[Tuple] = set()
+    chains: Set[Tuple] = set()
+    squares: Set[Tuple] = set()
+    below: Dict[Tuple, list] = {}  # the faces of the pairs walked so far
+    for tau in simplices:
+        down = a.faces(tau)
+        j = core.get(tau, ())
+        for rho, images in down:
+            k = core.get(rho, ())
+            maps.add((images, loop[j], loop[k]))
+            squares.add((rho if k else (), images, tau if j else ()))
+        if len(tau) == 2:
+            below[tau] = down
+        elif len(tau) == 3:
+            direct = dict(down)
+            for rho in combinations(tau, 2):
+                for sig, outer in below[rho] if rho in below else a.faces(rho):
+                    chains.add((outer, direct[rho], direct[sig]))
+    return maps, chains, squares
 
 
 def reference_coefficient_group(sigma, a: Amalgam, mode: str, budget: int = 10_000_000) -> CoefficientGroup:
@@ -254,15 +293,21 @@ def assert_same_coefficients(a: Amalgam) -> None:
             assert coefficient_group(sigma, a, mode=mode) == reference_coefficient_group(sigma, a, mode)
 
 
+def per_simplex(a: Amalgam, phis: Dict) -> Dict:
+    """The per-core embeddings of `loop_completion` at every simplex."""
+    return {sigma: phis[a.core_of(sigma)] for sigma in a.complex.simplices()}
+
+
 def assert_same_completion(a: Amalgam, ref: FaceMap) -> None:
     loop, phis = loop_completion(a, enumerate_group(a.diagram))
-    assert list(phis) == list(a.complex.simplices())
-    assert verify_completion(a, loop, phis) == reference_verify_completion(a, loop, phis, ref)
-    for sigma in list(phis)[:4]:
+    assert list(phis) == list(a._core_data)
+    assert verify_completion(a, loop, phis) == reference_verify_completion(a, loop, per_simplex(a, phis), ref)
+    for core in phis:
         for forge in FORGES:
-            forged = dict(phis)
-            forged[sigma] = forge(phis[sigma])
-            assert verify_completion(a, loop, forged) == reference_verify_completion(a, loop, forged, ref)
+            forged = {**phis, core: forge(phis[core])}
+            assert verify_completion(a, loop, forged) == reference_verify_completion(
+                a, loop, per_simplex(a, forged), ref
+            )
 
 
 def cocycles(d: CoxeterDiagram):
@@ -312,7 +357,7 @@ def test_a_twisted_completion_fails_as_in_the_per_pair_check():
     assert a.twists
     loop, phis = loop_completion(a, enumerate_group(d))
     rep = verify_completion(a, loop, phis)
-    assert rep == reference_verify_completion(a, loop, phis, reference_maps(a))
+    assert rep == reference_verify_completion(a, loop, per_simplex(a, phis), reference_maps(a))
     assert rep.injective_ok and rep.homomorphism_ok and not rep.commuting_ok
 
 
@@ -342,9 +387,10 @@ def test_memoized_coefficient_groups_keep_the_budget():
 
 
 def test_the_amalgam_path_holds_no_unpointed_simplex():
-    # the run's amalgam, its verification and its coefficient checks on K5
-    # walk all 175 simplices, 115 of them without a core, and never list
-    # the 45 pairs or the 120 triples
+    # the run's amalgam and its verification (which walks its representative
+    # simplices) and the coefficient checks (which walk all 175 simplices,
+    # 115 of them without a core) on K5 never list the 45 pairs or the 120
+    # triples
     text = "coxeter v1\nrank 5\n" + "".join(f"edge {a} {b} 3\n" for a, b in combinations(range(1, 6), 2))
     ctx = cli._Run(*cli.parse_input(text), cli._parse_args(["verify", "-"]))
     a = ctx.amalgam
@@ -379,7 +425,7 @@ def assert_same_decision(a: Amalgam, b: Amalgam) -> None:
     assert rep.exhausted and rep.assignments == rep.isomorphic
     if rep.isomorphic:
         _assert_witness(a, b, rep.witness)
-        assert rep.witness.keys() == set(a.complex.simplices())
+        assert rep.witness.keys() == a.complex.core.keys()
     else:
         assert rep.witness is None
 
@@ -453,6 +499,124 @@ def test_input_checks_fail_as_the_simplex_walk():
 
 
 # ---------------------------------------------------------------------------
+# the representative simplices against the walk over every simplex
+
+
+def assert_same_keys(a: Amalgam) -> None:
+    """The representatives carry every distinct map, chain and square of
+    the walk, and are simplices of the complex."""
+    reps = list(_representatives(a.complex))
+    assert set(reps) <= set(a.complex.simplices())
+    assert reference_keys(a, reps) == reference_keys(a, a.complex.simplices())
+
+
+def amalgams_of(d: CoxeterDiagram, data=None):
+    """The standard amalgam of d; on a connected graph also the twisted
+    amalgams (one per non-tree edge, or one of a drawn delta) and the
+    cocycle amalgams of `cocycles`; and the amalgams of drawn twist sets
+    (every set of one or two components, or one drawn set of up to four)."""
+    out = [standard_amalgam(d)]
+    graph = d.underlying_graph()
+    if graph.is_connected():
+        n = len(spanning_tree(graph).nontree_edges)
+        deltas = [data.draw(st.sets(st.integers(1, n)))] if data and n else [[k] for k in range(1, n + 1)]
+        out += [twisted_amalgam(d, delta) for delta in deltas]
+        out += [cocycle_to_amalgam(d, z) for z in cocycles(d)]
+    if data:
+        out.append(drawn(d, data.draw(st.sets(st.sampled_from(slots(d)), max_size=4)) if slots(d) else ()))
+    else:
+        out += [drawn(d, twists) for k in (1, 2) for twists in combinations(slots(d), k)]
+    return out
+
+
+@st.composite
+def any_graphs(draw):
+    """Diagrams of 1-7 vertices over any edge set of at most 8 edges,
+    disconnected ones, single edges and edgeless ones included."""
+    n = draw(st.integers(1, 7))
+    edges = draw(st.lists(st.sampled_from(complete(n)), unique=True, max_size=8)) if n > 1 else []
+    return cox(n, [(a, b, draw(st.integers(3, 6))) for a, b in edges])
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS) + sorted(SPHERICAL))
+def test_representatives_carry_every_key_of_the_walk_on_named_diagrams(name):
+    for a in amalgams_of({**DIAGRAMS, **SPHERICAL}[name]):
+        assert_same_keys(a)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(cyclic_diagrams(), star_trees(), any_graphs()), st.data())
+def test_representatives_carry_every_key_of_the_walk_on_random_diagrams(d, data):
+    for a in amalgams_of(d, data):
+        assert_same_keys(a)
+
+
+def test_representatives_carry_every_key_of_the_walk_on_106_edges():
+    from test_amalgams import SEEDED_106  # it imports this module
+
+    d = cox(100, [(a, b, 3) for a, b in SEEDED_106])
+    a = standard_amalgam(d)
+    assert_same_keys(a)
+    maps, chains, _ = reference_keys(a, _representatives(a.complex))
+    assert (len(maps), len(chains)) == (6, 5)
+    assert sum(1 for _ in _representatives(a.complex)) == 928
+    assert sum(1 for _ in a.complex.simplices()) == 198_591
+    assert_same_keys(twisted_amalgam(d, [1, 7]))
+
+
+def test_the_certificates_walk_no_simplex_of_the_complex(monkeypatch):
+    k4 = DIAGRAMS["K4"]
+    coboundary = cocycles(k4)[1]
+    cases = {
+        "verify_amalgam": lambda: [verify_amalgam(a) for a in amalgams_of(k4)],
+        "completion": lambda: [
+            verify_completion(a, *loop_completion(a, enumerate_group(d)))
+            for d in (diagram_a(3), diagram_d(4))
+            for a in (standard_amalgam(d), cocycle_to_amalgam(d, cocycles(d)[1]))
+        ],
+        "isomorphic": lambda: amalgams_isomorphic(standard_amalgam(k4), cocycle_to_amalgam(k4, coboundary)),
+    }
+    before = {name: case() for name, case in cases.items()}
+    assert before["isomorphic"].isomorphic and before["isomorphic"].witness
+    assert [rep.ok for rep in before["completion"]] == [True, False, True, False]
+
+    def refuse(self):
+        raise RuntimeError("a certificate walked every simplex")
+
+    monkeypatch.setattr(EdgeComplex, "simplices", refuse)
+    with pytest.raises(RuntimeError):
+        next(build_complex(k4.underlying_graph()).simplices())
+    assert {name: case() for name, case in cases.items()} == before
+
+
+def test_a_forged_free_map_fails_verify_amalgam():
+    # every free map of K4 is read: each edge has a disjoint edge, and
+    # each vertex an edge avoiding it
+    for key in list(standard_amalgam(DIAGRAMS["K4"]).free):
+        for forge in FORGES[:2]:
+            a = standard_amalgam(DIAGRAMS["K4"])
+            a.free[key] = forge(a.free[key])
+            rep = verify_amalgam(a)
+            assert not rep.ok
+            assert rep == reference_verify_amalgam(a, face_maps(a))
+
+
+def test_theta_off_the_identity_on_an_empty_core_fails_the_witness():
+    k4 = DIAGRAMS["K4"]
+    a, b = standard_amalgam(k4), cocycle_to_amalgam(k4, cocycles(k4)[1])
+    witness = amalgams_isomorphic(a, b).witness
+    tau = next(t for t in combinations(a.complex.edges, 3) if not a.complex.core_of(t))
+    _assert_witness(a, b, {**witness, tau: (0, 1)})
+    with pytest.raises(CheckError, match="not the identity on an empty core"):
+        _assert_witness(a, b, {**witness, tau: (1, 0)})
+    # a simplex with a core left out reads as the identity of Z2, which is
+    # no automorphism of its loop
+    pair = next(key for key in witness if len(key) == 2)
+    with pytest.raises(CheckError, match="not an automorphism family"):
+        _assert_witness(a, b, {key: x for key, x in witness.items() if key != pair})
+
+
+# ---------------------------------------------------------------------------
 # forged maps through the CLI
 
 
@@ -494,11 +658,12 @@ for kind, forge in FORGES.items():
     print(__debug__, kind, code, valid["status"], json.dumps(valid.get("witness")))
 amalgams._build = genuine_build
 
-# completion maps outside the interned set: the pair's embedding forged
+# completion maps outside the interned set: the embedding of the pair's
+# core (2,) forged
 for kind, forge in FORGES.items():
     def completion(a, w, forge=forge):
         loop, maps = genuine_completion(a, w)
-        maps[KEY[0]] = forge(maps[KEY[0]])
+        maps[(2,)] = forge(maps[(2,)])
         return loop, maps
     amalgams.loop_completion = completion
     code, checks = run()

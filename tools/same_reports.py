@@ -9,9 +9,11 @@ this checkout and once on the `src/` of PARENT_CHECKOUT.  The inputs are
 written from the seed by `benchmarks/corpus.write_inputs` into a temporary
 directory, the working directory of every run, so both sides' reports
 name the same input paths.  `--frontier` adds the amalgam frontier: `verify`
-on the seeded diagrams of 45, 106 and 200 edges and `amalgams` on the
-45-edge one (`FRONTIER`), whose inputs `corpus.random_connected_graph`
-draws from seed 1 whatever `--seed` is.
+on the seeded diagrams of 45, 106 and 200 edges, and `amalgams` on each of
+them (`FRONTIER`): on 106 edges the classification gate refuses it (exit
+3), on 200 edges a budget of 10^400 lets the whole classification run.
+`corpus.random_connected_graph` draws their inputs from seed 1 whatever
+`--seed` is.
 
 Prints each (command, input, flags) whose standard output, standard error
 or exit code differs between the two, then a count of the identical ones;
@@ -49,6 +51,8 @@ FRONTIER = [
     ("verify", "seeded_106"),
     ("verify", "seeded_200"),
     ("amalgams", "seeded_45", "--budget", "1000000000000000000"),
+    ("amalgams", "seeded_106"),
+    ("amalgams", "seeded_200", "--budget", "1" + "0" * 400),
 ]
 
 
