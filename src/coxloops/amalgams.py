@@ -35,20 +35,19 @@ its cosets.  That is the H^1 = Z^1 / B^1 statement, certified by one
 elimination instead of 2^(2n-1) searches.
 
 What an amalgam holds: one loop per distinct core, and one image tuple
-per distinct (core of tau, core of rho, twisted), keyed by face pair for
-the maps out of a pointed simplex (`stored`) and by the target's core for
-the maps out of an empty core (`free`).  The cores of the other simplices
-are read by rule (`EdgeComplex.core_of`), so nothing is held per unpointed
-simplex, and the certificates walk the few simplices that carry every
-distinct map, chain and square (`_representatives`), not all C(E, 3).
+per connecting map, keyed by (core of tau, core of rho) in `maps`: a map
+is fixed by its two cores, and by the twist of its component, which is
+fixed by the cores too.  `_keys` lists the keys that occur, each once,
+and the chains of keys, from the vertex degrees; the certificates check
+each key, chain and core once, and no simplex is stored or walked.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, prod
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from . import gf2
 from .cohomology import EdgeComplex, _set_stabilizer, build_complex, vertex_coboundary, vertex_twist
@@ -60,6 +59,7 @@ from .loops import LoopTable, chein_loop
 from .morphisms import is_automorphism, is_homomorphism
 
 Simplex = Tuple[Edge, ...]
+Core = Tuple[int, ...]
 
 __all__ = [
     "Amalgam",
@@ -104,30 +104,26 @@ class Amalgam:
         self,
         diagram: CoxeterDiagram,
         cx: EdgeComplex,
-        core_data: Dict[Tuple[int, ...], CoreData],
-        stored: Dict[Tuple[Simplex, Simplex], Tuple[int, ...]],
-        free: Dict[Tuple[int, ...], Tuple[int, ...]],
+        core_data: Dict[Core, CoreData],
+        maps: Dict[Tuple[Core, Core], Tuple[int, ...]],
         kind: str,
         twists: FrozenSet[Tuple[int, Edge]],
     ):
         self.diagram = diagram
         self.complex = cx
         self._core_data = core_data
-        self.stored = stored  # (tau, rho) -> images, for every tau with a core
-        self.free = free  # core of rho -> images of the map into G_rho from an empty core
+        self.maps = maps  # (core of tau, core of rho) -> images of psi: G_tau -> G_rho
         self.kind = kind
         self.twists = twists
 
     def faces(self, tau: Simplex) -> List[Tuple[Simplex, Tuple[int, ...]]]:
         """(rho, images of psi: G_tau -> G_rho) for each proper face rho of
-        tau.  A map is fixed by the two cores and the twist, and interned
-        by them; out of an empty core (nearly every simplex of a large
-        complex, never twisted) it is `free[core of rho]`, so only the maps
-        out of a core are `stored`.  KeyError unless tau is a simplex."""
-        core = self.complex.core
-        if self.complex.core_of(tau):
-            return [(rho, self.stored[tau, rho]) for rho in _proper_faces(tau)]
-        return [(rho, self.free[core.get(rho, ())]) for rho in _proper_faces(tau)]
+        tau, read as `maps[core of tau, core of rho]`: within one amalgam
+        the two cores fix the map, twist included.  KeyError unless tau is
+        a simplex."""
+        core_of = self.complex.core_of
+        core = core_of(tau)
+        return [(rho, self.maps[core, core_of(rho)]) for rho in _proper_faces(tau)]
 
     def core_of(self, sigma: Simplex) -> Tuple[int, ...]:
         return self.complex.core_of(tuple(sigma))
@@ -183,35 +179,58 @@ def _inclusion_images(src: GroupTable, positions: Sequence[int], tgt: GroupTable
     return group_images + tuple(tgt.order + g for g in group_images)
 
 
+def _keys(cx: EdgeComplex) -> Tuple[List[Tuple[Core, Core]], List[Tuple[Core, Core, Core]]]:
+    """Every (core of tau, core of rho) over the face pairs tau > rho of
+    the complex, and every (core of tau, core of rho, core of sigma) over
+    its chains tau > rho > sigma, each once, read off the vertex degrees.
+
+    Why this is every one: a simplex's core is an edge (a singleton, no
+    face), a vertex v (a pair or triple of v's star) or empty.  A pair or
+    triple at v has the faces (e,) for e at v, and a triple also its pairs,
+    at v: ((v,), e) when deg v >= 2, ((v,), (v,)) and the chains
+    ((v,), (v,), e) when deg v >= 3.  An empty-core simplex through (e,)
+    is a disjoint pair (e, f), or a triple with an edge at each end of e
+    that avoids the other, so ((), e) occurs when e has a disjoint edge or
+    both ends of degree >= 2.  An empty-core triple has a pointed pair at
+    v, with its chains ((), (v,), e), when deg v >= 2 and an edge avoids v;
+    and a disjoint pair, with ((), ()) and the chains ((), (), e) for e in
+    it, when a disjoint pair and a third edge exist.  An edge (a, b) has a
+    disjoint edge when E - deg a - deg b + 1 > 0."""
+    n = len(cx.edges)
+    deg = {v: len(star.edges) for v, star in cx.stars.items()}
+    apart = [n - deg[a] - deg[b] + 1 > 0 for a, b in cx.edges]
+    pairs: List[Tuple[Core, Core]] = []
+    chains: List[Tuple[Core, Core, Core]] = []
+    for v, star in cx.stars.items():
+        if deg[v] >= 2:
+            pairs += [((v,), e) for e in star.edges]
+        if deg[v] >= 3:
+            pairs.append(((v,), (v,)))
+            chains += [((v,), (v,), e) for e in star.edges]
+        if 2 <= deg[v] < n:
+            pairs.append(((), (v,)))
+            chains += [((), (v,), e) for e in star.edges]
+    pairs += [((), e) for e, far in zip(cx.edges, apart) if far or min(deg[e[0]], deg[e[1]]) >= 2]
+    if any(apart) and n >= 3:
+        pairs.append(((), ()))
+        chains += [((), (), e) for e, far in zip(cx.edges, apart) if far]
+    return pairs, chains
+
+
 def _build(
     d: CoxeterDiagram, cx: EdgeComplex, twists: FrozenSet[Tuple[int, Edge]], kind: str
 ) -> Amalgam:
+    """The amalgam of the twists over `cx`: one map per key of `_keys`."""
     core_data = _build_core_data(d, cx)
-    interned: Dict[Tuple, Tuple[int, ...]] = {}
-
-    def images(j_tau: Tuple[int, ...], j_rho: Tuple[int, ...], twisted: bool) -> Tuple[int, ...]:
-        key = (j_tau, j_rho, twisted)
-        if key not in interned:
-            if j_tau == j_rho:
-                interned[key] = tuple(range(core_data[j_tau].loop.order))
-            else:
-                positions = [j_rho.index(v) for v in j_tau]
-                interned[key] = _inclusion_images(core_data[j_tau].group, positions, core_data[j_rho].group)
-                if twisted:
-                    interned[key] = compose(interned[key], vertex_twist(core_data[j_tau].loop))
-        return interned[key]
-
-    # the simplices with a core are the singletons, which have no proper
-    # face, and the pointed pairs and triples of the stars
-    stored: Dict[Tuple[Simplex, Simplex], Tuple[int, ...]] = {}
-    for v, star in cx.stars.items():
-        for tau in star.pairs + star.triples:
-            for rho in _proper_faces(tau):
-                stored[tau, rho] = images((v,), cx.core[rho], len(rho) == 1 and (v, rho[0]) in twists)
-    free = {}
-    for j in core_data:
-        free[j] = images((), j, False)
-    return Amalgam(d, cx, core_data, stored, free, kind, twists)
+    maps: Dict[Tuple[Core, Core], Tuple[int, ...]] = {}
+    for j, k in _keys(cx)[0]:
+        if j == k:
+            maps[j, k] = tuple(range(core_data[j].loop.order))
+            continue
+        maps[j, k] = _inclusion_images(core_data[j].group, [k.index(v) for v in j], core_data[k].group)
+        if len(j) == 1 and (j[0], k) in twists:
+            maps[j, k] = compose(maps[j, k], vertex_twist(core_data[j].loop))
+    return Amalgam(d, cx, core_data, maps, kind, twists)
 
 
 def standard_amalgam(d: CoxeterDiagram) -> Amalgam:
@@ -284,70 +303,24 @@ class AmalgamReport(namedtuple("AmalgamReport", "simplices maps_checked chains_c
         return self.injective_ok and self.homomorphism_ok and self.composition_ok
 
 
-def _representatives(cx: EdgeComplex) -> Iterator[Simplex]:
-    """The simplices the amalgam certificates walk instead of all of them:
-    the singletons, the stars' pairs and triples, one triple (e, f, g) for
-    each pointed pair (e, f) at v with g an edge avoiding v, and for each
-    edge e that has a disjoint edge f, the pair (e, f) and one triple
-    through it.
-
-    Why this is enough: every map out of a simplex with a core is stored
-    and listed here.  Out of an empty core every map is `free[core of the
-    face]` and theta is the identity of Z2, so the face pairs, chains and
-    squares of an empty-core simplex are fixed by its faces: a singleton
-    (e,), a pointed pair, whose chains also carry its own maps, or a
-    disjoint pair, whose chains carry free maps only.  An empty-core
-    simplex through (e,) has e in a disjoint pair or in a pointed pair
-    whose third edge avoids the core, and one through a pointed pair (e, f)
-    at v has its third edge avoiding v; a representative of each kind is
-    listed.  So every other simplex repeats keys of these.
-
-    The degrees decide whether an edge has a disjoint edge before one is
-    searched for, and each search tries the first edge avoiding either end
-    before it scans, so a near-star graph costs no O(E^2) scan."""
-    away = {v: next((g for g in cx.edges if v not in g), None) for v in cx.stars}
-    yield from ((e,) for e in cx.edges)
-    for v, star in cx.stars.items():
-        yield from star.pairs + star.triples
-        if away[v]:
-            yield from (tuple(sorted((e, f, away[v]))) for e, f in star.pairs)
-    for a, b in cx.edges:
-        if len(cx.edges) - len(cx.stars[a].edges) - len(cx.stars[b].edges) + 1 > 0:
-            f = next(f for f in chain((away[a], away[b]), cx.edges) if a not in f and b not in f)
-            pair = tuple(sorted(((a, b), f)))
-            yield pair
-            yield from [tuple(sorted(pair + (g,))) for g in cx.edges[:3] if g not in pair][:1]
-
-
 def verify_amalgam(a: Amalgam) -> AmalgamReport:
     """Connecting maps are injective homomorphisms and compose correctly
     along every chain sigma < rho < tau.
 
-    Each distinct (images, domain, codomain) is certified once and each
-    distinct chain (outer, inner, direct) composed once, keyed by the maps'
-    values, so a pair that carries any other map is certified on its own.
-    The keys are read off `_representatives`, which carry every distinct
-    one; the counts of simplices, face pairs and chains are closed forms."""
-    core, loop = a.complex.core, {j: data.loop for j, data in a._core_data.items()}
-    maps: Set[Tuple] = set()  # (images, domain, codomain)
-    chains: Set[Tuple] = set()  # (outer, inner, direct)
-    for tau in _representatives(a.complex):
-        down = a.faces(tau)
-        dom = loop[core.get(tau, ())]
-        for rho, images in down:
-            maps.add((images, dom, loop[core.get(rho, ())]))
-        if len(tau) == 3:
-            direct = dict(down)
-            for rho in combinations(tau, 2):
-                for sig, outer in a.faces(rho):
-                    chains.add((outer, direct[rho], direct[sig]))
+    A map and a chain are fixed by their cores, so each key of `a.maps` is
+    certified once and each chain of `_keys` composed once (once per
+    distinct value); the counts of simplices, face pairs and chains are
+    closed forms in the edge count."""
+    maps, loop = a.maps, {j: data.loop for j, data in a._core_data.items()}
+    checked = {(x, loop[j], loop[k]) for (j, k), x in maps.items()}
+    chains = {(maps[k, m], maps[j, k], maps[j, m]) for j, k, m in _keys(a.complex)[1]}
     n = len(a.complex.edges)
     return AmalgamReport(
         simplices=n + comb(n, 2) + comb(n, 3),
         maps_checked=2 * comb(n, 2) + 6 * comb(n, 3),
         chains_checked=6 * comb(n, 3),
-        injective_ok=all(len(set(images)) == len(images) for images, _, _ in maps),
-        homomorphism_ok=all(is_homomorphism(*key) for key in maps),
+        injective_ok=all(len(set(x)) == len(x) for x, _, _ in checked),
+        homomorphism_ok=all(is_homomorphism(*key) for key in checked),
         composition_ok=all(compose(outer, inner) == direct for outer, inner, direct in chains),
     )
 
@@ -376,6 +349,13 @@ def loop_completion(a: Amalgam, w: GroupTable):
     return loop, maps
 
 
+def _cores(a: Amalgam) -> Set[Core]:
+    """The cores of the simplices: every edge, and the first core of each
+    key, the core of a simplex with a face (each vertex of degree >= 2,
+    and () when some simplex has an empty core)."""
+    return set(a.complex.edges) | {j for j, _ in a.maps}
+
+
 def verify_completion(
     a: Amalgam, loop: LoopTable, maps: Dict[Tuple[int, ...], Tuple[int, ...]]
 ) -> CompletionReport:
@@ -383,17 +363,12 @@ def verify_completion(
     phi an injective homomorphism into the completing loop; phi_sigma is
     maps[core of sigma].
 
-    Each distinct (phi, domain) is certified once, and each distinct
-    square (phi_rho, psi, phi_tau) checked once, keyed by the maps' values
-    and read off `_representatives`.  `maps_checked` counts the simplices."""
-    core_of = a.complex.core_of
-    embeds: Set[Tuple] = set()
-    squares: Set[Tuple] = set()
-    for tau in _representatives(a.complex):
-        phi = maps[core_of(tau)]
-        embeds.add((phi, a.loop_of(tau)))
-        for rho, psi in a.faces(tau):
-            squares.add((maps[core_of(rho)], psi, phi))
+    Both are fixed by cores: the embedding of each core of a simplex
+    (`_cores`) is certified once, and the square of each key (j, k) of
+    `a.maps`, maps[k] o psi == maps[j], checked once (once per distinct
+    value).  `maps_checked` counts the simplices."""
+    embeds = {(maps[j], a.core_loop(j).loop) for j in _cores(a)}
+    squares = {(maps[k], psi, maps[j]) for (j, k), psi in a.maps.items()}
     n = len(a.complex.edges)
     return CompletionReport(
         loop_order=loop.order,
@@ -410,7 +385,7 @@ def verify_completion(
 
 class IsoReport(namedtuple("IsoReport", [
     "isomorphic",
-    "witness",  # simplex with a core -> images of its theta (the identity of Z2 elsewhere), or None
+    "witness",  # core -> images of theta there (each edge, each vertex of degree >= 2), or None
     "assignments",  # edge assignments checked against the maps: 1 with a witness, else 0
     "space",  # the product of the per-edge candidate counts
     "exhausted",  # True: the elimination decides over the whole space
@@ -423,19 +398,13 @@ def _edge_candidates(a: Amalgam, e: Edge, budget: int) -> List[Tuple[int, ...]]:
 
     The connecting-map images out of a coface depend only on its core (the
     twists act inside the subloop), which is an end of e or empty, so the
-    candidate set is the stabilizer of one image per distinct core inside
-    Aut(L_e): the Klein subloop of each end of degree >= 2, from a pointed
-    pair there, and {0, u} when some coface has empty core.  When both
-    ends have degree >= 2, {0, u} is where their Klein subloops meet, so
-    it is stabilized already; else a coface of empty core is e with an
-    edge disjoint from it."""
-    cx = a.complex
-    near = [f for f in (next((f for f in cx.stars[j].edges if f != e), None) for j in e) if f]
-    cofaces = [(e, f) for f in near]
-    if len(near) < 2:
-        cofaces += [(e, g) for g in cx.edges if not set(g) & set(e)][:1]
-    targets = {frozenset(a.connecting(tuple(sorted(tau)), (e,))) for tau in cofaces}
-    return _set_stabilizer(a.loop_of((e,)), targets, budget)
+    candidate set is the stabilizer inside Aut(L_e) of the image of each
+    key into e: the Klein subloop of each end of degree >= 2, and {0, u}
+    when some coface has an empty core.  When both ends have degree >= 2,
+    {0, u} is where their Klein subloops meet, so it adds no condition."""
+    keys = [((e[0],), e), ((e[1],), e), ((), e)]
+    targets = {frozenset(a.maps[key]) for key in keys if key in a.maps}
+    return _set_stabilizer(a.core_loop(e).loop, targets, budget)
 
 
 def _star(cx: EdgeComplex) -> bool:
@@ -500,8 +469,7 @@ def _twist_system(a: Amalgam, lead: Dict[Tuple[int, Edge], int], width: int, bud
             continue
         gamma = vertex_twist(a.core_loop((j,)).loop)
         for e in star:
-            other = star[1] if e == star[0] else star[0]
-            iota = a.connecting(tuple(sorted((e, other))), (e,))
+            iota = a.maps[(j,), e]
             psi = (iota, compose(iota, gamma))
             inv = [{y: x for x, y in enumerate(q)} for q in psi]
             for i, f in enumerate(cand[e]):
@@ -534,14 +502,14 @@ def _twist_system(a: Amalgam, lead: Dict[Tuple[int, Edge], int], width: int, bud
             columns[e].append((ncols, b))
             ncols += 1
 
-    def edge_theta(v: int) -> Dict[Simplex, Tuple[int, ...]]:
+    def edge_theta(v: int) -> Dict[Core, Tuple[int, ...]]:
         # per edge, the first candidate whose pair is v's R_e coordinates
         theta = {}
         for e, basis in columns.items():
             pair = 0
             for col, b in basis:
                 pair ^= b * (v >> col & 1)
-            theta[(e,)] = cand[e][pairs[e].index(pair)]
+            theta[e] = cand[e][pairs[e].index(pair)]
         return theta
 
     return space, list(rows.values()), ncols, edge_theta
@@ -556,9 +524,9 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
     the edge assignments that work are the solutions of `_twist_system`
     with one leading column, set on the slots of a.twists ^ b.twists: the
     kernel vectors with that bit set.  From one of them, theta_e is read
-    off its R_e coordinates, theta on each larger simplex with a core
-    through its first edge face (from `stored`; on an empty core it is the
-    identity of Z2, which the witness leaves out), and `_assert_witness`
+    off its R_e coordinates and theta at each vertex of degree >= 2 once,
+    through its first edge; the witness is keyed by core and leaves out
+    the empty core, whose theta is the identity of Z2.  `_assert_witness`
     certifies the family.  No such
     vector certifies non-isomorphism by the system's lemma.  On a star
     graph, where the lemma reads only the candidates fixing u, the edge
@@ -569,9 +537,7 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
         raise ValueError("amalgams live over different graphs")
     if any(data.loop.product != b.core_loop(j).loop.product for j, data in a._core_data.items()):
         raise ValueError("amalgams do not share their standard loops")
-    if any(frozenset(x) != frozenset(b.stored[key]) for key, x in a.stored.items()) or any(
-        frozenset(x) != frozenset(b.free[j]) for j, x in a.free.items()
-    ):
+    if any(frozenset(x) != frozenset(b.maps[key]) for key, x in a.maps.items()):
         raise ValueError("amalgams are not of a common type (images differ)")
 
     space, rows, ncols, edge_theta = _twist_system(a, dict.fromkeys(a.twists ^ b.twists, 1), 1, budget)
@@ -583,27 +549,26 @@ def amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_000) -> Iso
             )
         return IsoReport(False, None, 0, space, True)
     theta = edge_theta(v)
-    for (tau, rho), images in a.stored.items():
-        if rho == tau[:1]:
-            inv = {y: x for x, y in enumerate(b.stored[tau, rho])}
-            theta[tau] = tuple(inv[theta[rho][y]] for y in images)
+    for j, star in a.complex.stars.items():
+        if len(star.edges) > 1:
+            e = star.edges[0]
+            inv = {y: x for x, y in enumerate(b.maps[(j,), e])}
+            theta[(j,)] = tuple(inv[theta[e][y]] for y in a.maps[(j,), e])
     _assert_witness(a, b, theta)
     return IsoReport(True, theta, 1, space, True)
 
 
-def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Simplex, Tuple[int, ...]]) -> None:
-    """theta is an automorphism family that commutes with every face pair,
-    certified once per distinct key on `_representatives`.  theta on an
-    empty core is read as the identity of Z2, and an entry there that is
-    not the identity is refused."""
-    if any(x != (0, 1) for sigma, x in theta.items() if not a.core_of(sigma)):
-        raise CheckError("isomorphism witness is not the identity on an empty core")
-    autos, squares = set(), set()
-    for tau in _representatives(a.complex):
-        x = theta.get(tau, (0, 1))
-        autos.add((a.loop_of(tau), x))
-        for (rho, psi_a), (_, psi_b) in zip(a.faces(tau), b.faces(tau)):
-            squares.add((theta.get(rho, (0, 1)), psi_a, psi_b, x))
+def _assert_witness(a: Amalgam, b: Amalgam, theta: Dict[Core, Tuple[int, ...]]) -> None:
+    """theta, keyed by core, is an automorphism family that commutes with
+    every face pair: theta_j is an automorphism of L_j for each core j of a
+    simplex (`_cores`), and theta_k o psi_a == psi_b o theta_j for each key
+    (j, k), each distinct value checked once.  A core without an entry
+    reads as the identity of Z2, which is an automorphism of the empty
+    core's loop only."""
+    autos = {(a.core_loop(j).loop, theta.get(j, (0, 1))) for j in _cores(a)}
+    squares = {
+        (theta.get(k, (0, 1)), psi, b.maps[j, k], theta.get(j, (0, 1))) for (j, k), psi in a.maps.items()
+    }
     if not all(is_automorphism(loop, x) for loop, x in autos):
         raise CheckError("isomorphism witness is not an automorphism family")
     if any(compose(x, psi_a) != compose(psi_b, y) for x, psi_a, psi_b, y in squares):

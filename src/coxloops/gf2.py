@@ -20,7 +20,6 @@ __all__ = [
     "gf2_is_in_rowspan",
     "gf2_same_span",
     "transpose",
-    "apply_rows",
 ]
 
 
@@ -142,16 +141,3 @@ def transpose(rows: Sequence[int], ncols: int) -> List[int]:
             cols[low.bit_length() - 1] |= 1 << i
             r ^= low
     return cols
-
-
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
-def apply_rows(rows: Sequence[int], x: int) -> int:
-    """Matrix-vector product: bit i of the result is <row_i, x>."""
-    out = 0
-    for i, r in enumerate(rows):
-        if parity(r & x):
-            out |= 1 << i
-    return out

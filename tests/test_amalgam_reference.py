@@ -1,4 +1,4 @@
-"""Differential tests: the interned connecting maps and the certificates
+"""Differential tests: the connecting maps keyed by cores and the certificates
 that check each distinct map once, against the per-pair reference.
 
 The references below are the earlier implementations, condensed: `_build`
@@ -9,21 +9,22 @@ every simplex, and `amalgams_isomorphic` as the product search over every
 edge assignment.  On the named diagrams and on `hypothesis` diagrams of up to
 10 edges with labels 3-6, the standard, twisted and cocycle amalgams must
 carry the same maps in the same order, and give equal reports, also with
-one stored map forged: the new certificates key each map by its value, so
-a forged map is checked on its own.  The isomorphism decisions must
-agree with the product search on every pair of twist sets, drawn or
-listed, and on cocycle amalgams, star trees included.
+the map of one key forged at every face pair of that key.  The isomorphism
+decisions must agree with the product search on every pair of twist sets,
+drawn or listed, and on cocycle amalgams, star trees included.
 
-The certificates walk `_representatives`, not every simplex: the walk is
-`reference_keys` here, and over the representatives it must give the same
-distinct maps, chains and squares as over `EdgeComplex.simplices()`, on the
-named diagrams, on `hypothesis` diagrams and star trees with standard,
-twisted, cocycle and drawn amalgams, and on a seeded 106-edge diagram.
+The amalgam holds one map per key (core of tau, core of rho), and the
+certificates read the keys and chains that `_keys` lists, not the
+simplices: the walk over every simplex is `reference_keys` here, and
+`_keys` must list exactly its distinct face-pair and chain cores, each
+once, with the same maps, chains and squares, on the named diagrams, on
+`hypothesis` diagrams, star trees and any graphs with standard, twisted,
+cocycle and drawn amalgams, and on a seeded 106-edge diagram.
 
 The forged-map cases run the CLI in a subprocess, with and without
-`python -O`: a face pair with a non-injective or a non-homomorphic map, or
-a chain that does not commute, fails `standard_amalgam_valid`, and a
-completion map outside the interned set clears its flag.
+`python -O`: a key with a non-injective or a non-homomorphic map, or one
+whose chains do not commute, fails `standard_amalgam_valid`, and a forged
+completion embedding clears its flag.
 """
 
 import json
@@ -45,8 +46,9 @@ from coxloops.amalgams import (
     IsoReport,
     _assert_witness,
     _edge_candidates,
-    _representatives,
+    _keys,
     amalgams_isomorphic,
+    classify_twisted_amalgams,
     cocycle_to_amalgam,
     loop_completion,
     standard_amalgam,
@@ -146,35 +148,49 @@ def reference_verify_completion(a: Amalgam, loop, phis, maps: FaceMap) -> Comple
     return CompletionReport(loop.order, len(phis), inj, hom, comm)
 
 
-def reference_keys(a: Amalgam, simplices: Iterable[Tuple]) -> Tuple[Set, Set, Set]:
-    """The distinct keys a walk over `simplices` certifies: the maps
-    (images, domain, codomain) and the chains (outer, inner, direct) of
-    `verify_amalgam`, and the squares (rho, images, tau) that
-    `verify_completion` and `_assert_witness` read, with a simplex of empty
-    core written ().  A triple's chains read the faces of its pairs from
-    the walk when it listed them, as `verify_amalgam` did while it walked
-    every simplex."""
-    core = a.complex.core
+def reference_keys(a: Amalgam, simplices: Iterable[Tuple]) -> Tuple[Set, ...]:
+    """What a walk over `simplices` certifies: the distinct cores of its
+    face pairs (j, k) and of its chains (j, k, m), for tau > rho > sigma
+    of cores j, k, m, and the values read at them: the maps (images,
+    domain, codomain) and the chains (outer, inner, direct) of
+    `verify_amalgam`, and the squares (core of rho, images, core of tau)
+    that `verify_completion` and `_assert_witness` read."""
+    core_of = a.complex.core_of
     loop = {j: a.core_loop(j).loop for j in a._core_data}
-    maps: Set[Tuple] = set()
+    pairs: Set[Tuple] = set()
     chains: Set[Tuple] = set()
+    maps: Set[Tuple] = set()
+    composed: Set[Tuple] = set()
     squares: Set[Tuple] = set()
-    below: Dict[Tuple, list] = {}  # the faces of the pairs walked so far
     for tau in simplices:
         down = a.faces(tau)
-        j = core.get(tau, ())
+        j = core_of(tau)
         for rho, images in down:
-            k = core.get(rho, ())
+            k = core_of(rho)
+            pairs.add((j, k))
             maps.add((images, loop[j], loop[k]))
-            squares.add((rho if k else (), images, tau if j else ()))
-        if len(tau) == 2:
-            below[tau] = down
-        elif len(tau) == 3:
+            squares.add((k, images, j))
+        if len(tau) == 3:
             direct = dict(down)
             for rho in combinations(tau, 2):
-                for sig, outer in below[rho] if rho in below else a.faces(rho):
-                    chains.add((outer, direct[rho], direct[sig]))
-    return maps, chains, squares
+                for sig, outer in a.faces(rho):
+                    chains.add((j, core_of(rho), core_of(sig)))
+                    composed.add((outer, direct[rho], direct[sig]))
+    return pairs, chains, maps, composed, squares
+
+
+def key_values(a: Amalgam) -> Tuple[Set, ...]:
+    """`reference_keys` read off `_keys` and `a.maps` instead of a walk."""
+    pairs, chains = _keys(a.complex)
+    loop = {j: a.core_loop(j).loop for j in a._core_data}
+    maps = a.maps
+    return (
+        set(pairs),
+        set(chains),
+        {(maps[j, k], loop[j], loop[k]) for j, k in pairs},
+        {(maps[k, m], maps[j, k], maps[j, m]) for j, k, m in chains},
+        {(k, maps[j, k], j) for j, k in pairs},
+    )
 
 
 def reference_coefficient_group(sigma, a: Amalgam, mode: str, budget: int = 10_000_000) -> CoefficientGroup:
@@ -204,8 +220,9 @@ def reference_amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_0
     pair, then every edge assignment of the product of the per-edge
     candidates, in order, propagated to every larger simplex through its
     edge faces (the b-maps preinverted once) and tested for consistency.
-    The first consistent one is certified by `_assert_witness`; a negative
-    walks the whole space."""
+    The first consistent one, read per core (every simplex of one core
+    gets one theta), is certified by `_assert_witness`; a negative walks
+    the whole space.  The maps are read through `faces`."""
     if a.complex.graph != b.complex.graph:
         raise ValueError("amalgams live over different graphs")
     for sigma in a.complex.simplices():
@@ -218,7 +235,14 @@ def reference_amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_0
     edges = list(a.complex.edges)
     cand = {e: _edge_candidates(a, e, budget) for e in edges}
     space = prod(len(cand[e]) for e in edges)
-    binv = {key: {y: x for x, y in enumerate(images)} for key, images in b.stored.items() if len(key[1]) == 1}
+    # per pointed simplex, each edge face with its a-map and its b-map inverted
+    into_edges = {
+        tau: [
+            (rho, x, {y: i for i, y in enumerate(z)})
+            for (rho, x), (_, z) in zip(a.faces(tau), b.faces(tau)) if len(rho) == 1
+        ]
+        for tau in a.complex.simplices() if len(tau) > 1 and a.core_of(tau)
+    }
     assignments = 0
     for choice in product(*(cand[e] for e in edges)):
         assignments += 1
@@ -232,14 +256,16 @@ def reference_amalgams_isomorphic(a: Amalgam, b: Amalgam, budget: int = 10_000_0
             if not a.core_of(tau):
                 theta[tau] = (0, 1)  # Aut(Z2) is trivial
                 continue
-            derived = {tuple(binv[tau, (e,)][theta[(e,)][y]] for y in a.stored[tau, (e,)]) for e in tau}
+            derived = {tuple(binv[theta[rho][y]] for y in x) for rho, x, binv in into_edges[tau]}
             if len(derived) > 1:
                 ok = False
                 break
             theta[tau] = derived.pop()
         if ok:
-            _assert_witness(a, b, theta)
-            return IsoReport(True, theta, assignments, space, assignments >= space)
+            witness = {a.core_of(sigma): x for sigma, x in theta.items() if a.core_of(sigma)}
+            assert all(witness[a.core_of(sigma)] == x for sigma, x in theta.items() if a.core_of(sigma))
+            _assert_witness(a, b, witness)
+            return IsoReport(True, witness, assignments, space, assignments >= space)
     return IsoReport(False, None, assignments, space, True)
 
 
@@ -254,8 +280,9 @@ def face_maps(a: Amalgam) -> FaceMap:
 
 def assert_same_amalgam(a: Amalgam) -> FaceMap:
     """The same maps in the same order as the per-pair build, each one
-    interned, and the same verification report, also with a stored map
-    forged.  Returns the reference maps."""
+    interned, and the same verification report, also with the map of a
+    key forged, in `a.maps` and at every face pair of that key in the
+    reference.  Returns the reference maps."""
     ref = reference_maps(a)
     maps = face_maps(a)
     assert list(maps.items()) == list(ref.items())
@@ -270,13 +297,16 @@ def assert_same_amalgam(a: Amalgam) -> FaceMap:
     assert all(len(ids) == 1 for ids in by_key.values())
     assert verify_amalgam(a) == reference_verify_amalgam(a, ref)
     for forge in FORGES:
-        for key in list(a.stored)[:3]:
-            genuine = a.stored[key]
-            a.stored[key] = ref[key] = forge(genuine)
+        for key in list(a.maps)[:3]:
+            genuine = a.maps[key]
+            pairs = [(tau, rho) for tau, rho in ref if (core_of(tau), core_of(rho)) == key]
+            a.maps[key] = forge(genuine)
+            ref.update(dict.fromkeys(pairs, a.maps[key]))
             try:
                 assert verify_amalgam(a) == reference_verify_amalgam(a, ref)
             finally:
-                a.stored[key] = ref[key] = genuine
+                a.maps[key] = genuine
+                ref.update(dict.fromkeys(pairs, genuine))
     return ref
 
 
@@ -364,11 +394,12 @@ def test_a_twisted_completion_fails_as_in_the_per_pair_check():
 def test_empty_core_pairs_are_derived_not_stored():
     a = standard_amalgam(DIAGRAMS["K4"])
     cx = a.complex
-    pointed = len(cx.pointed_pairs) * 2 + len(cx.pointed_triples) * 6
-    assert len(a.stored) == pointed < len(face_maps(a)) == 2 * len(cx.pairs) + 6 * len(cx.triples)
+    walked = {(cx.core_of(tau), cx.core_of(rho)) for tau, rho in face_maps(a)}
+    assert a.maps.keys() == walked
+    assert len(a.maps) == len(walked) < len(face_maps(a)) == 2 * len(cx.pairs) + 6 * len(cx.triples)
     # the maps out of an empty core are read from the cores of the faces
     tau = next(t for t in cx.triples if not cx.core_of(t))
-    assert all(a.connecting(tau, rho) is a.free[cx.core_of(rho)] for rho, _ in a.faces(tau))
+    assert all(a.connecting(tau, rho) is a.maps[(), cx.core_of(rho)] for rho, _ in a.faces(tau))
     for key in [(tau, tau), (tau, ((9, 9),)), (tau[:1], tau[:1]), ((), ()), (tau[::-1], tau[:1])]:
         with pytest.raises(KeyError):
             a.connecting(*key)
@@ -425,7 +456,7 @@ def assert_same_decision(a: Amalgam, b: Amalgam) -> None:
     assert rep.exhausted and rep.assignments == rep.isomorphic
     if rep.isomorphic:
         _assert_witness(a, b, rep.witness)
-        assert rep.witness.keys() == a.complex.core.keys()
+        assert rep.witness.keys() == ref.witness.keys() == {a.core_of(s) for s in a.complex.simplices()} - {()}
     else:
         assert rep.witness is None
 
@@ -477,11 +508,11 @@ def test_isomorphism_matches_the_product_search_on_random_pairs(d, data):
 def test_input_checks_fail_as_the_simplex_walk():
     tri = DIAGRAMS["triangle"]
     forged = standard_amalgam(tri)
-    key = next(key for key in forged.stored if len(key[1]) == 1)
-    forged.stored[key] = tuple(range(len(forged.stored[key])))
+    key = next(key for key in forged.maps if len(key[0]) == 1 and len(key[1]) == 2)
+    forged.maps[key] = tuple(range(len(forged.maps[key])))
     # the map into the loop of an edge from the empty core of the triangle
     forged_free = standard_amalgam(tri)
-    forged_free.free[(1, 2)] = (0, 1)
+    forged_free.maps[(), (1, 2)] = (0, 1)
     cases = [
         (standard_amalgam(tri), standard_amalgam(diagram_a(3)), "different graphs"),
         (standard_amalgam(tri), standard_amalgam(DIAGRAMS["mixed_triangle"]), "standard loops"),
@@ -499,15 +530,16 @@ def test_input_checks_fail_as_the_simplex_walk():
 
 
 # ---------------------------------------------------------------------------
-# the representative simplices against the walk over every simplex
+# the keys against the walk over every simplex
 
 
 def assert_same_keys(a: Amalgam) -> None:
-    """The representatives carry every distinct map, chain and square of
-    the walk, and are simplices of the complex."""
-    reps = list(_representatives(a.complex))
-    assert set(reps) <= set(a.complex.simplices())
-    assert reference_keys(a, reps) == reference_keys(a, a.complex.simplices())
+    """`_keys` lists exactly the walk's distinct face-pair and chain cores,
+    each once, and the maps, chains and squares read at them are the
+    walk's."""
+    pairs, chains = _keys(a.complex)
+    assert len(pairs) == len(set(pairs)) and len(chains) == len(set(chains))
+    assert key_values(a) == reference_keys(a, a.complex.simplices())
 
 
 def amalgams_of(d: CoxeterDiagram, data=None):
@@ -552,21 +584,28 @@ def test_representatives_carry_every_key_of_the_walk_on_random_diagrams(d, data)
 
 
 def test_representatives_carry_every_key_of_the_walk_on_106_edges():
+    # the keys stand for their face pairs and chains: each is one class of them
     from test_amalgams import SEEDED_106  # it imports this module
 
     d = cox(100, [(a, b, 3) for a, b in SEEDED_106])
     a = standard_amalgam(d)
     assert_same_keys(a)
-    maps, chains, _ = reference_keys(a, _representatives(a.complex))
+    _, _, maps, chains, _ = key_values(a)
     assert (len(maps), len(chains)) == (6, 5)
-    assert sum(1 for _ in _representatives(a.complex)) == 928
+    assert tuple(map(len, _keys(a.complex))) == (358, 388)
     assert sum(1 for _ in a.complex.simplices()) == 198_591
     assert_same_keys(twisted_amalgam(d, [1, 7]))
 
 
+def near_star(n: int) -> CoxeterDiagram:
+    """Vertex 1 joined to n - 1 others, plus the edge (2, 3): n edges, cycle
+    rank 1, and every simplex but the few through (2, 3) pointed at 1."""
+    return cox(n, [(1, k, 3) for k in range(2, n + 1)] + [(2, 3, 3)])
+
+
 def test_the_certificates_walk_no_simplex_of_the_complex(monkeypatch):
-    k4 = DIAGRAMS["K4"]
-    coboundary = cocycles(k4)[1]
+    k4, star = DIAGRAMS["K4"], near_star(40)
+    coboundary, star_coboundary = cocycles(k4)[1], cocycles(star)[1]
     cases = {
         "verify_amalgam": lambda: [verify_amalgam(a) for a in amalgams_of(k4)],
         "completion": lambda: [
@@ -575,27 +614,41 @@ def test_the_certificates_walk_no_simplex_of_the_complex(monkeypatch):
             for a in (standard_amalgam(d), cocycle_to_amalgam(d, cocycles(d)[1]))
         ],
         "isomorphic": lambda: amalgams_isomorphic(standard_amalgam(k4), cocycle_to_amalgam(k4, coboundary)),
+        "near_star": lambda: [
+            verify_amalgam(standard_amalgam(star)),
+            classify_twisted_amalgams(standard_amalgam(star), budget=10**40),
+            amalgams_isomorphic(standard_amalgam(star), twisted_amalgam(star, [1]), budget=10**40),
+            amalgams_isomorphic(standard_amalgam(star), cocycle_to_amalgam(star, star_coboundary), budget=10**40),
+        ],
     }
     before = {name: case() for name, case in cases.items()}
     assert before["isomorphic"].isomorphic and before["isomorphic"].witness
     assert [rep.ok for rep in before["completion"]] == [True, False, True, False]
+    assert [rep.ok for rep in before["near_star"][:2]] == [True, True]
+    assert [rep.isomorphic for rep in before["near_star"][2:]] == [False, True]
 
     def refuse(self):
-        raise RuntimeError("a certificate walked every simplex")
+        raise RuntimeError("a certificate walked every simplex or read the core table")
 
     monkeypatch.setattr(EdgeComplex, "simplices", refuse)
+    monkeypatch.setattr(EdgeComplex, "core", property(refuse))
+    cx = build_complex(k4.underlying_graph())
     with pytest.raises(RuntimeError):
-        next(build_complex(k4.underlying_graph()).simplices())
+        next(cx.simplices())
+    with pytest.raises(RuntimeError):
+        cx.core_of(((1, 2),))
     assert {name: case() for name, case in cases.items()} == before
 
 
 def test_a_forged_free_map_fails_verify_amalgam():
-    # every free map of K4 is read: each edge has a disjoint edge, and
-    # each vertex an edge avoiding it
-    for key in list(standard_amalgam(DIAGRAMS["K4"]).free):
+    # every map out of an empty core of K4 is read: each edge has a
+    # disjoint edge, and each vertex an edge avoiding it
+    keys = [key for key in standard_amalgam(DIAGRAMS["K4"]).maps if key[0] == ()]
+    assert len(keys) == 6 + 4 + 1
+    for key in keys:
         for forge in FORGES[:2]:
             a = standard_amalgam(DIAGRAMS["K4"])
-            a.free[key] = forge(a.free[key])
+            a.maps[key] = forge(a.maps[key])
             rep = verify_amalgam(a)
             assert not rep.ok
             assert rep == reference_verify_amalgam(a, face_maps(a))
@@ -605,15 +658,17 @@ def test_theta_off_the_identity_on_an_empty_core_fails_the_witness():
     k4 = DIAGRAMS["K4"]
     a, b = standard_amalgam(k4), cocycle_to_amalgam(k4, cocycles(k4)[1])
     witness = amalgams_isomorphic(a, b).witness
-    tau = next(t for t in combinations(a.complex.edges, 3) if not a.complex.core_of(t))
-    _assert_witness(a, b, {**witness, tau: (0, 1)})
-    with pytest.raises(CheckError, match="not the identity on an empty core"):
-        _assert_witness(a, b, {**witness, tau: (1, 0)})
-    # a simplex with a core left out reads as the identity of Z2, which is
-    # no automorphism of its loop
-    pair = next(key for key in witness if len(key) == 2)
+    assert () not in witness
+    _assert_witness(a, b, {**witness, (): (0, 1)})
+    # the only automorphism of Z2 is the identity
     with pytest.raises(CheckError, match="not an automorphism family"):
-        _assert_witness(a, b, {key: x for key, x in witness.items() if key != pair})
+        _assert_witness(a, b, {**witness, (): (1, 0)})
+    # a core of a simplex left out, each edge and each vertex, reads as the
+    # identity of Z2, which is no automorphism of its loop
+    assert witness.keys() == set(a.complex.edges) | {(v,) for v in a.complex.graph.vertices}
+    for core in witness:
+        with pytest.raises(CheckError, match="not an automorphism family"):
+            _assert_witness(a, b, {key: x for key, x in witness.items() if key != core})
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +682,25 @@ from coxloops.cohomology import vertex_twist
 from coxloops.groups import compose
 
 D4 = "coxeter v1\\nrank 4\\nedge 1 2 3\\nedge 2 3 3\\nedge 2 4 3\\n"
-# the pointed pair ((1, 2), (2, 3)) at vertex 2, and its face ((1, 2),)
-KEY = (((1, 2), (2, 3)), ((1, 2),))
 FORGES = {
     "non_injective": lambda images: (images[0],) * len(images),
     "non_homomorphic": lambda images: images[1:] + images[:1],
-    # an injective homomorphism: the map of the twisted component, which
-    # the chain through the pointed triple at vertex 2 does not commute with
+    # an injective homomorphism
     "twisted": lambda images: compose(images, (0, 3, 2, 1)),
 }
+# the keys forged: the map from the Klein loop of vertex 2 into the loop
+# of edge (1, 2), at every face pair of that key, and the identity of that
+# Klein loop from the pointed triple to its pairs.  Twisted, the first is
+# the twisted amalgam's own map, so only the second is forged so; the
+# chains through the triple do not commute with it.
+EDGE, IDENTITY = ((2,), (1, 2)), ((2,), (2,))
+CASES = [
+    ("non_injective", EDGE, "non_injective"),
+    ("non_homomorphic", EDGE, "non_homomorphic"),
+    ("identity_non_injective", IDENTITY, "non_injective"),
+    ("identity_non_homomorphic", IDENTITY, "non_homomorphic"),
+    ("twisted", IDENTITY, "twisted"),
+]
 genuine_build, genuine_completion = amalgams._build, amalgams.loop_completion
 
 
@@ -647,10 +712,10 @@ def run():
     return code, {c["name"]: c for c in json.loads(out.getvalue())["checks"]}
 
 
-for kind, forge in FORGES.items():
-    def build(*args, forge=forge):
+for kind, key, name in CASES:
+    def build(*args, key=key, forge=FORGES[name]):
         a = genuine_build(*args)
-        a.stored[KEY] = forge(a.stored[KEY])
+        a.maps[key] = forge(a.maps[key])
         return a
     amalgams._build = build
     code, checks = run()
@@ -658,8 +723,7 @@ for kind, forge in FORGES.items():
     print(__debug__, kind, code, valid["status"], json.dumps(valid.get("witness")))
 amalgams._build = genuine_build
 
-# completion maps outside the interned set: the embedding of the pair's
-# core (2,) forged
+# the completion's embedding of the core (2,) forged
 for kind, forge in FORGES.items():
     def completion(a, w, forge=forge):
         loop, maps = genuine_completion(a, w)
@@ -682,12 +746,17 @@ def test_forged_maps_fail_their_checks(flags):
     debug = str(not flags)
     assert [line[:4] for line in lines] == [
         [debug, kind, "2", "fail"]
-        for kind in ("non_injective", "non_homomorphic", "twisted")
-        + ("completion_non_injective", "completion_non_homomorphic", "completion_twisted")
+        for kind in ("non_injective", "non_homomorphic", "identity_non_injective", "identity_non_homomorphic")
+        + ("twisted", "completion_non_injective", "completion_non_homomorphic", "completion_twisted")
     ]
-    # the constant map onto the identity is a homomorphism
+    # the constant map onto the identity is a homomorphism.  A map into an
+    # edge, forged at every face pair of its key, still composes along the
+    # chains through the pointed triple, whose inner map is the identity,
+    # as in the per-simplex check with the same face pairs forged
     witnesses = [json.loads(line[4]) for line in lines]
     assert witnesses == [
+        {"injective_ok": False, "homomorphism_ok": True, "composition_ok": True},
+        {"injective_ok": True, "homomorphism_ok": False, "composition_ok": True},
         {"injective_ok": False, "homomorphism_ok": True, "composition_ok": False},
         {"injective_ok": True, "homomorphism_ok": False, "composition_ok": False},
         {"injective_ok": True, "homomorphism_ok": True, "composition_ok": False},

@@ -53,6 +53,7 @@ from coxloops.coxeter import CoxeterDiagram
 from coxloops.errors import CheckError, ResourceLimitError
 from coxloops.graphs import Graph, SpanningTree, spanning_tree
 from coxloops.groups import compose
+from test_gf2 import apply_rows
 
 
 class ReferenceComplex:
@@ -400,7 +401,7 @@ def assert_same_complex(graph: Graph) -> None:
         z_basis + list(result.h_basis) + singles
         + [a | b for a, b in zip(singles, singles[1:])] + [sum(singles)]
     )
-    dense = [gf2.apply_rows(ref.d1_rows, v) for v in vectors]
+    dense = [apply_rows(ref.d1_rows, v) for v in vectors]
     assert [apply_d1(cx, v) for v in vectors] == dense
     # what the B^1 and H^1 certificates claim, by elimination over the dense
     # rows: the H^1 representatives are cocycles, B spans im d0, and B u H

@@ -13,7 +13,9 @@ on the seeded diagrams of 45, 106 and 200 edges, and `amalgams` on each of
 them (`FRONTIER`): on 106 edges the classification gate refuses it (exit
 3), on 200 edges a budget of 10^400 lets the whole classification run.
 `corpus.random_connected_graph` draws their inputs from seed 1 whatever
-`--seed` is.
+`--seed` is.  It also runs `verify` and `amalgams`, at a budget of 10^400,
+on a near star: vertex 1 joined to 60 others, plus the edge (2, 3), so
+the cycle rank is 1 and nearly every simplex is pointed.
 
 Prints each (command, input, flags) whose standard output, standard error
 or exit code differs between the two, then a count of the identical ones;
@@ -46,6 +48,7 @@ VARIANTS = [(python, report) for python in ([], ["-O"]) for report in ([], ["--j
 # the seeded diagrams `random_connected_graph(Random(1), vertices, edges)`,
 # all labels 3, and the runs on them: (command, input, extra arguments)
 FRONTIER_DIAGRAMS = {"seeded_45": (40, 45), "seeded_106": (100, 106), "seeded_200": (194, 200)}
+NEAR_STAR = [(1, k) for k in range(2, 62)] + [(2, 3)]
 FRONTIER = [
     ("verify", "seeded_45"),
     ("verify", "seeded_106"),
@@ -53,6 +56,8 @@ FRONTIER = [
     ("amalgams", "seeded_45", "--budget", "1000000000000000000"),
     ("amalgams", "seeded_106"),
     ("amalgams", "seeded_200", "--budget", "1" + "0" * 400),
+    ("verify", "near_star_61", "--budget", "1" + "0" * 400),
+    ("amalgams", "near_star_61", "--budget", "1" + "0" * 400),
 ]
 
 
@@ -66,9 +71,13 @@ def pairs() -> List[Tuple[str, str]]:
 
 def write_frontier(outdir: Path) -> Dict[str, Path]:
     """The frontier diagrams, each written to `outdir` as `coxeter v1`."""
+    graphs = {
+        name: (nverts, corpus.random_connected_graph(random.Random(1), nverts, nedges))
+        for name, (nverts, nedges) in FRONTIER_DIAGRAMS.items()
+    }
+    graphs["near_star_61"] = (61, NEAR_STAR)
     out = {}
-    for name, (nverts, nedges) in FRONTIER_DIAGRAMS.items():
-        edges = corpus.random_connected_graph(random.Random(1), nverts, nedges)
+    for name, (nverts, edges) in graphs.items():
         out[name] = outdir / f"{name}.cox"
         lines = ["coxeter v1", f"rank {nverts}"] + [f"edge {a} {b} 3" for a, b in edges]
         out[name].write_text("\n".join(lines) + "\n")
